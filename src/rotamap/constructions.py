@@ -83,8 +83,9 @@ class TorusFamily:
 
     @property
     def expect_regular(self) -> bool:
-        """Reflexible exactly when the vector lies on a mirror axis."""
-        return self.c == 0 or self.b == self.c
+        """Reflexible exactly when the vector lies on a mirror axis:
+        b*c = 0 or b = c."""
+        return self.b * self.c == 0 or self.b == self.c
 
     @property
     def name(self) -> str:

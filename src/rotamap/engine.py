@@ -11,9 +11,15 @@ the presentation, which the test suite relies on.
 Column encoding matches rotamap.words: generator i occupies column 2*i,
 its inverse column 2*i + 1, so the inverse column is ``col ^ 1``.
 
+Each new table edge ``c --x--> d`` is one deduction, ``(c, x)``: it is
+checked against every rotation of a relator or inverse relator that
+starts with x.  Those rotations are grouped by first letter and stored
+as index ranges into one doubled copy ``w + w`` of each distinct cyclic
+word, so they take space linear in the relator lengths.
+
 Coincidences (two cosets proved equal) are processed eagerly with a
 union-find structure, migrating table entries to the surviving coset and
-feeding migrated entries back into the deduction stack.
+feeding each migrated entry back into the deduction stack.
 """
 
 from __future__ import annotations
@@ -27,28 +33,95 @@ DEFAULT_CAP = 1_000_000
 
 
 def _cyclic_reduce(cols) -> tuple:
-    cols = list(_reduce_cols(cols))
-    while len(cols) >= 2 and cols[0] == cols[-1] ^ 1:
-        cols = cols[1:-1]
-    return tuple(cols)
+    cols = _reduce_cols(cols)
+    i, j = 0, len(cols) - 1
+    while i < j and cols[i] == cols[j] ^ 1:
+        i += 1
+        j -= 1
+    return cols[i:j + 1]
+
+
+def _least_rotation(w) -> int:
+    """Offset of the lexicographically least rotation of w (Booth's
+    algorithm, linear time)."""
+    s = w + w
+    f = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != s[k + i + 1]:
+            if sj < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return k
+
+
+def _period(w) -> int:
+    """Number of distinct rotations of w: the length of the shortest u
+    with w = u^k, read off the longest proper border (KMP prefix
+    function)."""
+    n = len(w)
+    border = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and w[i] != w[k]:
+            k = border[k - 1]
+        if w[i] == w[k]:
+            k += 1
+        border[i] = k
+    p = n - border[-1]
+    return p if n % p == 0 else n
 
 
 def _rotations_by_column(relators, ncols):
     """All cyclic rotations of each relator and its inverse, grouped by
-    first letter and deduplicated."""
-    buckets = [dict() for _ in range(ncols)]
+    first letter and deduplicated, in order of first occurrence.
+
+    A rotation is stored as ``(ww, start, end)``: the letters
+    ``ww[start..end]`` (inclusive) of the doubled word ``ww = w + w``,
+    which all rotations of w share, so storage is linear in the relator
+    lengths.  Two words have a rotation in common exactly when they have
+    the same least rotation, so a word whose least rotation was seen
+    before adds nothing; otherwise its rotations at offsets below its
+    period are new and pairwise distinct, and the later ones repeat them.
+    """
+    buckets = [[] for _ in range(ncols)]
+    seen = set()
     for r in relators:
         inv = tuple(c ^ 1 for c in reversed(r))
         for w in (r, inv):
             n = len(w)
-            for i in range(n):
-                rot = w[i:] + w[:i]
-                buckets[rot[0]][rot] = None
+            ww = w + w
+            k = _least_rotation(w)
+            key = ww[k:k + n]
+            if key in seen:
+                continue
+            seen.add(key)
+            for i in range(_period(w)):
+                buckets[w[i]].append((ww, i, i + n - 1))
     return [tuple(b) for b in buckets]
 
 
 def _felsch(ncols, relators, cap):
-    """Run the enumeration; returns (rows, parent) before compression."""
+    """Run the enumeration; returns (rows, parent, find) before
+    compression.
+
+    Every new table edge ``c --x--> d`` is pushed once, as ``(c, x)``,
+    and its deduction scans the relator rotations that start with x from
+    c.  That reaches every relator cycle through the edge.  A cycle that
+    crosses it forwards is the rotation of its relator that starts with
+    x at c.  A cycle that crosses it backwards, as ``d --x^-1--> c``, is
+    the same closed path read in reverse by the inverse relator, whose
+    rotation starting with x at c is in the buckets too.  Pushing
+    ``(d, x^-1)`` as well would only scan the same cycles again.
+    """
     rot_by_col = _rotations_by_column(relators, ncols)
     rows = [[-1] * ncols]
     parent = [0]
@@ -96,18 +169,16 @@ def _felsch(ncols, relators, cap):
                     rows[mu][x] = nu
                     rows[nu][x ^ 1] = mu
                     push((mu, x))
-                    push((nu, x ^ 1))
 
     def drain():
         while stack:
             c, x = stack.pop()
             while parent[c] != c:
                 c = parent[c]
-            for w in rot_by_col[x]:
-                # scan the relator rotation w from coset c; it must close up
+            for w, i, j in rot_by_col[x]:
+                # scan the relator rotation w[i..j] from coset c; it must
+                # close up
                 f = c
-                i = 0
-                j = len(w) - 1
                 while i <= j:
                     nxt = rows[f][w[i]]
                     if nxt < 0:
@@ -136,7 +207,6 @@ def _felsch(ncols, relators, cap):
                     rows[f][x2] = b
                     rows[b][x2 ^ 1] = f
                     push((f, x2))
-                    push((b, x2 ^ 1))
 
     i = 0
     while i < len(rows):
@@ -155,7 +225,6 @@ def _felsch(ncols, relators, cap):
                     rows[i][x] = n
                     rows[n][x ^ 1] = i
                     push((i, x))
-                    push((n, x ^ 1))
                     drain()
                 x += 1
         i += 1

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from rotamap.cli import AnalysisReport, analyze_presentation, format_text, main
-from rotamap import parse_presentation
+from rotamap import TorusFamily, parse_presentation
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +139,20 @@ class TestGenerate:
         assert main(["analyze", str(workdir / "torus-44-1-3.pres"), "--json"]) == 0
         d = json.loads(capsys.readouterr().out)
         assert d["group_order"] == 40
+
+    @pytest.mark.parametrize("family,b,c", [("4,4", 0, 5), ("6,3", 0, 2)])
+    def test_vector_on_b_axis_is_regular(self, tmp_path, capsys, family, b, c):
+        # (0, c) lies on a mirror axis just like (b, 0)
+        fam = TorusFamily(family, b, c)
+        assert main([
+            "generate", "torus", family, str(b), str(c), "--out", str(tmp_path),
+        ]) == 0
+        manifest = json.loads((tmp_path / f"{fam.name}.expected.json").read_text())
+        assert main(["analyze", str(tmp_path / f"{fam.name}.pres"), "--json"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["chirality"] == "regular"
+        assert fam.expect_regular is True
+        assert manifest["expect_regular"] is True
 
 
 class TestHeavyExamples:

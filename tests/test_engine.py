@@ -1,14 +1,22 @@
+import hashlib
 import random
 
 import pytest
 
 from rotamap import (
     CapExceededError,
+    LocallyToroidalSpec,
     Presentation,
+    TorusFamily,
     Word,
     enumerate_group,
+    locally_toroidal_presentation,
     parse_presentation,
+    simplex_presentation,
+    torus_presentation,
 )
+from rotamap.engine import _cyclic_reduce, _rotations_by_column
+from rotamap.words import _reduce_cols
 from oracle import (
     naive_is_automorphism,
     naive_normal_closure,
@@ -267,3 +275,116 @@ class TestStructure:
     def test_center_of_trivial_group(self):
         g = enumerate_group(parse_presentation("gens a\nrel a\n"))
         assert g.center().size == 1
+
+
+def _naive_rotations_by_column(relators, ncols):
+    """Oracle: every rotation of every relator and inverse relator
+    materialised as its own tuple, grouped by first letter, first
+    occurrence kept."""
+    buckets = [dict() for _ in range(ncols)]
+    for r in relators:
+        inv = tuple(c ^ 1 for c in reversed(r))
+        for w in (r, inv):
+            for i in range(len(w)):
+                rot = w[i:] + w[:i]
+                buckets[rot[0]][rot] = None
+    return [tuple(b) for b in buckets]
+
+
+def _expand(buckets):
+    return [tuple(ww[start:end + 1] for ww, start, end in b) for b in buckets]
+
+
+def _naive_cyclic_reduce(cols):
+    cols = list(_reduce_cols(cols))
+    while len(cols) >= 2 and cols[0] == cols[-1] ^ 1:
+        cols = cols[1:-1]
+    return tuple(cols)
+
+
+def _relator_cols(text):
+    p = parse_presentation(text)
+    return 2 * p.ngens, [_cyclic_reduce(w.cols()) for w in p.relators]
+
+
+class TestRotationBuckets:
+    @pytest.mark.parametrize("text", [
+        "gens s1 s2 s3\nrel s1^6\nrel (s1 s2)^2\n",
+        # two relators that are rotations of each other
+        "gens s1 s2 s3\nrel s1 s2 s3^2\nrel s3 s1 s2 s3\n",
+        # a relator given a second time as its own inverse
+        "gens s1 s2 s3\nrel s1 s2 s3\nrel s3^-1 s2^-1 s1^-1\n",
+        ROT333,
+        "gens a b\nrel a^2 b a^-1 b a b^-1 a^-2\nrel (a b a b^-1)^3\n",
+    ], ids=["periodic", "rotated-pair", "inverse-repeat", "rot333", "mixed"])
+    def test_matches_materialised_rotations(self, text):
+        ncols, relators = _relator_cols(text)
+        assert _expand(_rotations_by_column(relators, ncols)) == (
+            _naive_rotations_by_column(relators, ncols))
+
+    def test_random_relators_match(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            relators = []
+            for _ in range(rng.randrange(1, 4)):
+                base = [rng.randrange(4) for _ in range(rng.randrange(1, 5))]
+                relators.append(_cyclic_reduce(base * rng.randrange(1, 4)))
+            relators = [r for r in relators if r]
+            assert _expand(_rotations_by_column(relators, 4)) == (
+                _naive_rotations_by_column(relators, 4))
+
+    def test_long_relator_storage_is_linear(self):
+        n = 20_000
+        r = (0,) * (n - 3) + (2, 1, 3)
+        entries = [e for b in _rotations_by_column([r], 4) for e in b]
+        assert len(entries) <= 2 * n
+        # one doubled word for r and one for its inverse, shared by
+        # every rotation instead of copied into it
+        assert len({id(ww) for ww, _, _ in entries}) == 2
+        assert all(len(ww) == 2 * n and end - start == n - 1
+                   for ww, start, end in entries)
+
+    def test_cyclic_reduce_matches_naive(self):
+        rng = random.Random(11)
+        cases = [(0,) * 50 + (2,) + (1,) * 50, (0, 1), (0, 2, 1), ()]
+        cases += [
+            tuple(rng.randrange(4) for _ in range(rng.randrange(12)))
+            for _ in range(500)
+        ]
+        for cols in cases:
+            assert _cyclic_reduce(cols) == _naive_cyclic_reduce(cols)
+
+
+_EX1 = locally_toroidal_presentation(
+    LocallyToroidalSpec(TorusFamily("44", 1, 3), TorusFamily("44", 1, 3))
+)
+
+
+class TestGoldenTables:
+    """Coset tables pinned by digest, so a change that alters any table
+    fails here and not only in the traced benchmark."""
+
+    @pytest.mark.parametrize("pres,order,digest", [
+        pytest.param(_EX1, 2000,
+            "d7e3da607f8571850135775292c818963713ac669283e0606c3c857a29ec9de3",
+            id="ex1"),
+        pytest.param(locally_toroidal_presentation(LocallyToroidalSpec(
+            TorusFamily("36", 1, 2), TorusFamily("63", 1, 2))), 672,
+            "d765072e36a6d29b9bffb4e1cfe6f4c65c969d00a0253801551ba60f2cc83ce4",
+            id="ex3"),
+        pytest.param(simplex_presentation(), 120,
+            "fd332d0ccf32bab6d824566288c27eaeac462fb52217797bc89d6e721a7cfbc6",
+            id="simplex333"),
+        pytest.param(torus_presentation(TorusFamily("36", 5, 7)), 654,
+            "ae8396f9f0367b19b4a16c8f4cc1e7007de1d4612d912b17942993ba4ccf17bc",
+            id="torus-36-5-7"),
+        # collapses through coincidences
+        pytest.param(_EX1.with_relators((s1 * s3) ** 5), 4,
+            "18ba1e9e35ae1eaf1d578a04fd3546643242ce365aa54d0633dda8945f80cc9e",
+            id="ex1-petrie5"),
+    ])
+    def test_table_digest(self, pres, order, digest):
+        rep = enumerate_group(pres)
+        assert rep.order == order
+        rows = rep.table.rows
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
