@@ -19,6 +19,7 @@ from .errors import (
     ConstructionError,
     InconsistencyError,
     NotPolytopalError,
+    NotSelfDualError,
     ParseError,
     RotamapError,
 )
@@ -47,6 +48,7 @@ from .rotary import (
     classify4,
     euler_genus,
     f_vector3,
+    group_class,
     hole_length,
     involution_report,
     is_reflexible3,
@@ -82,6 +84,7 @@ from .constructions import (
     pc_map_improper,
     pc_map_proper,
     pc_map_regular,
+    petrie_coxeter,
     petrie_quotient,
     simplex_presentation,
     torus_map,

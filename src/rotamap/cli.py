@@ -6,6 +6,12 @@
     rotamap generate torus FAMILY B C [--out DIR]
     rotamap generate catalog [NAME] [--verify] [--out DIR] [--max-cosets N]
 
+``construct petrie-coxeter`` runs ``constructions.petrie_coxeter``: it
+detects the input's duality, adjoins it and writes the resulting map's
+presentation.  ``construct quotient`` adds the Petrie relator (s1 s3)^K
+for K >= 1.  ``generate catalog NAME --verify`` verifies that one entry,
+without NAME every entry.
+
 Exit codes: 0 success, 1 mathematical verdict failure (not polytopal
 under --require-polytopal, not self-dual, verification mismatch),
 2 operational error (parse failure, coset cap, bad invocation).
@@ -16,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .engine import DEFAULT_CAP, enumerate_group
@@ -38,26 +44,19 @@ from .rotary import (
     _c_group_condition,
     check_polytopal4,
     classify4,
+    group_class,
     involution_report,
     map_invariants3,
     map_invariants_regular,
     petrie4,
     schlafli,
 )
-from .selfdual import (
-    DualityKind,
-    detect_self_duality,
-    extend_improper,
-    extend_proper,
-    find_polarity,
-)
+from .selfdual import detect_self_duality, find_polarity
 from .constructions import (
     TorusFamily,
     catalog,
     lattice_torus_oracle,
-    pc_map_improper,
-    pc_map_proper,
-    pc_map_regular,
+    petrie_coxeter,
     petrie_quotient,
     torus_presentation,
     verify_catalog_entry,
@@ -196,17 +195,11 @@ def report_regular_map(m: RegularMap3, warnings=()) -> AnalysisReport:
 
 
 def report_cgroup4(c: RegularCGroup4, warnings=()) -> AnalysisReport:
-    rot = [
-        (c.rho[0] * c.rho[1]).reduce(),
-        (c.rho[1] * c.rho[2]).reduce(),
-        (c.rho[2] * c.rho[3]).reduce(),
-    ]
     sd = find_polarity(c).kind.value
-    left = c.rep.element_order((rot[0] * rot[2]).reduce())
-    right = c.rep.element_order((rot[0] * ~rot[2]).reduce())
+    left, right = petrie4(c)
     return AnalysisReport(
         group_order=c.order,
-        schlafli=tuple(c.rep.element_order(w) for w in rot),
+        schlafli=schlafli(c),
         polytopal=True,
         chirality=Chirality.REGULAR.value,
         self_duality=sd,
@@ -215,24 +208,20 @@ def report_cgroup4(c: RegularCGroup4, warnings=()) -> AnalysisReport:
     )
 
 
+def _report(g, warnings=()) -> AnalysisReport:
+    if isinstance(g, RotationGroup3):
+        return report_rotation3(g, warnings)
+    if isinstance(g, RotationGroup4):
+        return report_rotation4(g, warnings)
+    if isinstance(g, RegularMap3):
+        return report_regular_map(g, warnings)
+    return report_cgroup4(g, warnings)
+
+
 def analyze_presentation(pres: Presentation, cap: int = DEFAULT_CAP) -> AnalysisReport:
-    if pres.distinguished is None:
-        raise RotamapError(
-            "presentation needs a sigma or rho line to fix rank semantics"
-        )
+    cls = group_class(pres.distinguished, pres.distinguished_kind)
     rep = enumerate_group(pres, cap=cap)
-    warnings = _nominal_warnings(pres, rep)
-    kind = pres.distinguished_kind
-    n = len(pres.distinguished)
-    if kind == "sigma" and n == 2:
-        return report_rotation3(RotationGroup3(rep, pres.distinguished), warnings)
-    if kind == "sigma" and n == 3:
-        return report_rotation4(RotationGroup4(rep, pres.distinguished), warnings)
-    if kind == "rho" and n == 3:
-        return report_regular_map(RegularMap3(rep, pres.distinguished), warnings)
-    if kind == "rho" and n == 4:
-        return report_cgroup4(RegularCGroup4(rep, pres.distinguished), warnings)
-    raise RotamapError(f"unsupported input: {kind} line with {n} words")
+    return _report(cls(rep, pres.distinguished), _nominal_warnings(pres, rep))
 
 
 def format_text(report: AnalysisReport) -> str:
@@ -295,81 +284,48 @@ def cmd_analyze(args) -> int:
 
 def cmd_construct(args) -> int:
     pres = _load(args.file)
-    if pres.distinguished is None:
-        raise RotamapError("input needs a sigma or rho line")
-    rep = enumerate_group(pres, cap=args.max_cosets)
-    kind = pres.distinguished_kind
-    n = len(pres.distinguished)
+    cls = group_class(pres.distinguished, pres.distinguished_kind)
     warnings = []
 
     if args.what == "quotient":
         if args.petrie is None:
             raise RotamapError("construct quotient requires --petrie K")
-        if not (kind == "sigma" and n == 3):
+        if args.petrie < 1:
+            raise RotamapError(f"--petrie must be at least 1, got {args.petrie}")
+        if cls is not RotationGroup4:
             raise RotamapError("quotient input must be a rank-4 sigma file")
+        rep = enumerate_group(pres, cap=args.max_cosets)
         m = RotationGroup4(rep, pres.distinguished)
-        s1, _, s3 = m.sigma
-        period = m.rep.element_order(s1 * s3)
+        period = petrie4(m)[0]
         if period % args.petrie != 0:
             warnings.append(
                 f"--petrie {args.petrie} does not divide the Petrie length "
                 f"{period}; the quotient may collapse"
             )
-        q = petrie_quotient(m, args.petrie, cap=args.max_cosets)
-        out_pres = q.rep.presentation
-        report = report_rotation4(q, warnings)
+        result = petrie_quotient(m, args.petrie, cap=args.max_cosets)
+        out_pres = result.rep.presentation
         default_name = f"{Path(args.file).stem}-petrie{args.petrie}.pres"
-    elif args.what == "petrie-coxeter":
-        if kind == "sigma" and n == 3:
-            m = RotationGroup4(rep, pres.distinguished)
-            sd = detect_self_duality(m)
-            if sd.kind == DualityKind.IMPROPER:
-                ext = extend_improper(m, cap=args.max_cosets)
-                skew = pc_map_improper(ext)
-                out_pres = ext.rep.presentation
-                out_pres = Presentation(
-                    out_pres.generators, out_pres.relators, skew.sigma, "sigma"
-                )
-                report = report_rotation3(skew, warnings)
-            elif sd.kind == DualityKind.PROPER:
-                ext = extend_proper(m, cap=args.max_cosets)
-                reg = pc_map_proper(ext)
-                out_pres = ext.rep.presentation
-                out_pres = Presentation(
-                    out_pres.generators, out_pres.relators, reg.rho, "rho"
-                )
-                report = report_regular_map(reg, warnings)
-            else:
-                print("input is not self-dual; nothing to construct",
-                      file=sys.stderr)
-                return 1
-        elif kind == "rho" and n == 4:
-            c = RegularCGroup4(rep, pres.distinguished)
-            if find_polarity(c).kind != DualityKind.REGULAR_POLARITY:
-                print("input admits no polarity; nothing to construct",
-                      file=sys.stderr)
-                return 1
-            reg = pc_map_regular(c, cap=args.max_cosets)
-            out_pres = Presentation(
-                reg.rep.presentation.generators,
-                reg.rep.presentation.relators,
-                reg.rho,
-                "rho",
-            )
-            report = report_regular_map(reg, warnings)
-        else:
+    else:
+        if cls not in (RotationGroup4, RegularCGroup4):
             raise RotamapError(
                 "petrie-coxeter input must be rank-4 (sigma with 3 words or "
                 "rho with 4 words)"
             )
+        rep = enumerate_group(pres, cap=args.max_cosets)
+        ext, result = petrie_coxeter(cls(rep, pres.distinguished), cap=args.max_cosets)
+        if isinstance(result, RotationGroup3):
+            words, kind = result.sigma, "sigma"
+        else:
+            words, kind = result.rho, "rho"
+        out_pres = replace(
+            ext.rep.presentation, distinguished=words, distinguished_kind=kind
+        )
         default_name = f"{Path(args.file).stem}-pc.pres"
-    else:
-        raise RotamapError(f"unknown construct subcommand {args.what!r}")
 
     out_path = Path(args.out) if args.out else Path(args.file).parent / default_name
     out_path.write_text(serialize_presentation(out_pres), encoding="utf-8")
     print(f"wrote {out_path}", file=sys.stderr)
-    _emit(report, args.json)
+    _emit(_report(result, warnings), args.json)
     return 0
 
 
@@ -396,10 +352,14 @@ def cmd_generate(args) -> int:
 
     if args.what == "catalog":
         entries = catalog(cap=args.max_cosets)
+        names = [args.name] if args.name else list(entries)
+        for name in names:
+            if name not in entries:
+                raise RotamapError(f"unknown catalog entry {name!r}")
         if args.verify:
             failures = 0
-            for name, entry in entries.items():
-                bad = verify_catalog_entry(entry, cap=args.max_cosets)
+            for name in names:
+                bad = verify_catalog_entry(entries[name], cap=args.max_cosets)
                 if bad:
                     failures += 1
                     print(f"{name}: FAIL")
@@ -408,10 +368,7 @@ def cmd_generate(args) -> int:
                 else:
                     print(f"{name}: ok")
             return 1 if failures else 0
-        names = [args.name] if args.name else list(entries)
         for name in names:
-            if name not in entries:
-                raise RotamapError(f"unknown catalog entry {name!r}")
             entry = entries[name]
             path = outdir / f"{name}.pres"
             path.write_text(
@@ -482,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = gsub.add_parser("catalog", help="catalog entries, or --verify them")
     pc.add_argument("name", nargs="?", help="entry name (default: all)")
     pc.add_argument("--verify", action="store_true",
-                    help="recompute all entries and compare")
+                    help="recompute the entries and compare")
     pc.add_argument("--out", metavar="DIR", help="output directory")
     pc.add_argument("--max-cosets", type=int, default=DEFAULT_CAP)
     pc.set_defaults(func=cmd_generate)

@@ -22,7 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import DEFAULT_CAP, enumerate_group
-from .errors import ConstructionError, InconsistencyError, NotPolytopalError
+from .errors import (
+    ConstructionError,
+    InconsistencyError,
+    NotPolytopalError,
+    NotSelfDualError,
+)
 from .rotary import (
     Chirality,
     RegularCGroup4,
@@ -34,6 +39,7 @@ from .rotary import (
     check_polytopal4,
     classify3,
     classify4,
+    group_class,
     is_reflexible3,
     map_report3,
     map_report_regular,
@@ -336,11 +342,12 @@ def pc_map_proper(e: ExtendedGroup) -> RegularMap3:
     return m
 
 
-def pc_map_regular(c: RegularCGroup4, cap: int = DEFAULT_CAP) -> RegularMap3:
+def pc_map_regular(e: ExtendedGroup) -> RegularMap3:
     """The skew map of a self-dual regular C-group: reflections
-    (r0, w, r2) inside the polarity extension; type {4, 2q} with
+    (r0, w, r2) inside its polarity extension e; type {4, 2q} with
     2-holes of length p."""
-    e = extend_polarity(c, cap=cap)
+    if e.kind != DualityKind.REGULAR_POLARITY:
+        raise ConstructionError("extended group is not of polarity kind")
     r0, r1, r2, r3 = e.embeddings["rho"]
     d = e.duality
     rep = e.rep
@@ -369,6 +376,29 @@ def pc_map_regular(c: RegularCGroup4, cap: int = DEFAULT_CAP) -> RegularMap3:
     return m
 
 
+def petrie_coxeter(group, cap: int = DEFAULT_CAP):
+    """The Petrie-Coxeter-type map of a self-dual rank-4 group, returned
+    as (extended group, map): detect how ``group`` is self-dual, adjoin
+    that duality, and read the map off the extension.  An improper
+    duality gives a rotation map (chiral iff the input is); a proper one,
+    or the polarity of a regular C-group, gives a regular map."""
+    if isinstance(group, RegularCGroup4):
+        if find_polarity(group).kind == DualityKind.REGULAR_POLARITY:
+            ext = extend_polarity(group, cap=cap)
+            return ext, pc_map_regular(ext)
+    elif isinstance(group, RotationGroup4):
+        kind = detect_self_duality(group).kind
+        if kind == DualityKind.IMPROPER:
+            ext = extend_improper(group, cap=cap)
+            return ext, pc_map_improper(ext)
+        if kind == DualityKind.PROPER:
+            ext = extend_proper(group, cap=cap)
+            return ext, pc_map_proper(ext)
+    else:
+        raise TypeError(f"not a rank-4 group: {type(group).__name__}")
+    raise NotSelfDualError("input is not self-dual; nothing to construct")
+
+
 # -- catalog --------------------------------------------------------------------
 
 
@@ -380,7 +410,6 @@ class CatalogEntry:
     report; only the keys present are checked."""
 
     name: str
-    kind: str  # rotation3 | rotation4 | cgroup4
     presentation: Presentation
     expected: dict
 
@@ -422,7 +451,7 @@ def catalog(cap: int = DEFAULT_CAP) -> dict:
     ex1 = locally_toroidal_presentation(
         LocallyToroidalSpec(TorusFamily("44", 1, 3), TorusFamily("44", 1, 3))
     )
-    entries.append(CatalogEntry("ex1", "rotation4", ex1, {
+    entries.append(CatalogEntry("ex1", ex1, {
         "order": 2000,
         "schlafli": (4, 4, 4),
         "polytopal": True,
@@ -443,7 +472,7 @@ def catalog(cap: int = DEFAULT_CAP) -> dict:
     }))
 
     ex2 = _ex2_presentation()
-    entries.append(CatalogEntry("ex2", "rotation4", ex2, {
+    entries.append(CatalogEntry("ex2", ex2, {
         "order": 20160,
         "schlafli": (6, 3, 6),
         "polytopal": True,
@@ -465,7 +494,7 @@ def catalog(cap: int = DEFAULT_CAP) -> dict:
 
     s1, s3 = Word.gen(0), Word.gen(2)
     entries.append(CatalogEntry(
-        "ex2q14", "rotation4", ex2.with_relators((s1 * s3) ** 14), {
+        "ex2q14", ex2.with_relators((s1 * s3) ** 14), {
             "order": 10080,
             "schlafli": (6, 3, 6),
             "polytopal": True,
@@ -486,7 +515,7 @@ def catalog(cap: int = DEFAULT_CAP) -> dict:
         }))
 
     entries.append(CatalogEntry(
-        "ex2q7", "rotation4", ex2.with_relators((s1 * s3) ** 7), {
+        "ex2q7", ex2.with_relators((s1 * s3) ** 7), {
             "order": 5040,
             "schlafli": (6, 3, 6),
             "polytopal": True,
@@ -511,7 +540,7 @@ def catalog(cap: int = DEFAULT_CAP) -> dict:
     ex3 = locally_toroidal_presentation(
         LocallyToroidalSpec(TorusFamily("36", 1, 2), TorusFamily("63", 1, 2))
     )
-    entries.append(CatalogEntry("ex3", "rotation4", ex3, {
+    entries.append(CatalogEntry("ex3", ex3, {
         "order": 672,
         "schlafli": (3, 6, 3),
         "polytopal": True,
@@ -531,8 +560,7 @@ def catalog(cap: int = DEFAULT_CAP) -> dict:
     }))
 
     entries.append(CatalogEntry(
-        "ex3-central-quotient", "rotation4",
-        _ex3_central_quotient_presentation(cap), {
+        "ex3-central-quotient", _ex3_central_quotient_presentation(cap), {
             "order": 336,
             "schlafli": (3, 6, 3),
             "polytopal": True,
@@ -551,7 +579,7 @@ def catalog(cap: int = DEFAULT_CAP) -> dict:
             },
         }))
 
-    entries.append(CatalogEntry("simplex333", "cgroup4", simplex_presentation(), {
+    entries.append(CatalogEntry("simplex333", simplex_presentation(), {
         "order": 120,
         "polarity": True,
         "rotation_subgroup_order": 60,
@@ -593,8 +621,7 @@ def catalog(cap: int = DEFAULT_CAP) -> dict:
     for fam, expected in torus_expect:
         expected = dict(expected)
         expected.setdefault("order", lattice_torus_oracle(fam)[0])
-        entries.append(CatalogEntry(
-            fam.name, "rotation3", torus_presentation(fam), expected))
+        entries.append(CatalogEntry(fam.name, torus_presentation(fam), expected))
 
     return {e.name: e for e in entries}
 
@@ -602,99 +629,62 @@ def catalog(cap: int = DEFAULT_CAP) -> dict:
 # -- catalog verification --------------------------------------------------------
 
 
+def _map_dict(m) -> dict:
+    """Flat view of a map's ``MapReport``, keyed like the catalog."""
+    r = map_report3(m) if isinstance(m, RotationGroup3) else map_report_regular(m)
+    inv = r.invariants
+    out = {
+        "order": r.group_order,
+        "polytopal": r.polytopal,
+        "schlafli": inv.schlafli,
+        "chirality": inv.chirality.value,
+        "f_vector": inv.f_vector,
+        "euler": inv.euler,
+        "genus": inv.genus,
+        "holes": inv.holes,
+        "zigzags": inv.zigzags,
+    }
+    if r.involutions is not None:
+        out["n_tau_index"] = r.involutions.n_tau_index
+        out["n_tau_order"] = r.involutions.n_tau_order
+        out["gen_by_involutions"] = r.involutions.group_gen_by_involutions
+        out["prop62_consistent"] = r.involutions.prop62_consistent
+    return out
+
+
 def compute_entry_report(entry: CatalogEntry, cap: int = DEFAULT_CAP) -> dict:
     """Recompute everything the catalog stores expectations for."""
-    rep = enumerate_group(entry.presentation, cap=cap)
-    if entry.kind == "rotation3":
-        m = RotationGroup3(rep, entry.presentation.distinguished)
-        r = map_report3(m)
-        return {
-            "order": m.order,
-            "schlafli": r.invariants.schlafli,
-            "polytopal": r.polytopal,
-            "chirality": r.invariants.chirality.value,
-            "reflexible": is_reflexible3(m),
-            "f_vector": r.invariants.f_vector,
-            "euler": r.invariants.euler,
-            "genus": r.invariants.genus,
-            "holes": r.invariants.holes,
-            "n_tau_index": r.involutions.n_tau_index,
-            "n_tau_order": r.involutions.n_tau_order,
-            "gen_by_involutions": r.involutions.group_gen_by_involutions,
-            "prop62_consistent": r.involutions.prop62_consistent,
-        }
+    pres = entry.presentation
+    cls = group_class(pres.distinguished, pres.distinguished_kind)
+    rep = enumerate_group(pres, cap=cap)
+    g = cls(rep, pres.distinguished)
+    if cls is RotationGroup3:
+        return dict(_map_dict(g), reflexible=is_reflexible3(g))
 
-    if entry.kind == "rotation4":
-        m = RotationGroup4(rep, entry.presentation.distinguished)
-        sd = detect_self_duality(m)
-        out = {
-            "order": m.order,
-            "schlafli": schlafli(m),
-            "polytopal": check_polytopal4(m),
-            "chirality": classify4(m).value,
-            "petrie": petrie4(m),
-            "self_duality": sd.kind.value,
-        }
-        if "center_size" in entry.expected:
-            out["center_size"] = rep.center().size
-        if "derived_index" in entry.expected:
-            out["derived_index"] = rep.order // rep.derived_subgroup().size
-        if sd.kind == DualityKind.IMPROPER:
-            ext = extend_improper(m, cap=cap)
-            out["extended_order"] = ext.order
-            skew = pc_map_improper(ext)
-            r = map_report3(skew)
-            out["map"] = {
-                "order": skew.order,
-                "schlafli": r.invariants.schlafli,
-                "holes": r.invariants.holes,
-                "chirality": r.invariants.chirality.value,
-                "f_vector": r.invariants.f_vector,
-                "euler": r.invariants.euler,
-                "genus": r.invariants.genus,
-                "gen_by_involutions": r.involutions.group_gen_by_involutions,
-            }
-        elif sd.kind == DualityKind.PROPER:
-            ext = extend_proper(m, cap=cap)
-            out["extended_order"] = ext.order
-            reg = pc_map_proper(ext)
-            r = map_report_regular(reg)
-            out["map"] = {
-                "order": reg.order,
-                "schlafli": r.invariants.schlafli,
-                "zigzags": r.invariants.zigzags,
-                "f_vector": r.invariants.f_vector,
-                "euler": r.invariants.euler,
-                "genus": r.invariants.genus,
-                "chirality": r.invariants.chirality.value,
-            }
-        return out
-
-    if entry.kind == "cgroup4":
-        c = RegularCGroup4(rep, entry.presentation.distinguished)
-        out = {
-            "order": c.order,
-            "polarity": find_polarity(c).kind == DualityKind.REGULAR_POLARITY,
-        }
+    out = {"order": g.order}
+    try:
+        ext, pc_map = petrie_coxeter(g, cap=cap)
+    except NotSelfDualError:
+        out["self_duality"] = DualityKind.NONE.value
+    else:
+        out["self_duality"] = ext.kind.value
+        out["extended_order"] = ext.order
+        out["map"] = _map_dict(pc_map)
+    if cls is RegularCGroup4:
+        out["polarity"] = "map" in out
         if "rotation_subgroup_order" in entry.expected:
-            out["rotation_subgroup_order"] = rotation_subgroup(c, cap=cap).order
-        if out["polarity"]:
-            ext = extend_polarity(c, cap=cap)
-            out["extended_order"] = ext.order
-            reg = pc_map_regular(c, cap=cap)
-            r = map_report_regular(reg)
-            out["map"] = {
-                "order": reg.order,
-                "schlafli": r.invariants.schlafli,
-                "holes": r.invariants.holes,
-                "f_vector": r.invariants.f_vector,
-                "euler": r.invariants.euler,
-                "genus": r.invariants.genus,
-                "chirality": r.invariants.chirality.value,
-            }
+            out["rotation_subgroup_order"] = rotation_subgroup(g, cap=cap).order
         return out
 
-    raise ValueError(f"unknown entry kind {entry.kind}")
+    out["schlafli"] = schlafli(g)
+    out["polytopal"] = check_polytopal4(g)
+    out["chirality"] = classify4(g).value
+    out["petrie"] = petrie4(g)
+    if "center_size" in entry.expected:
+        out["center_size"] = rep.center().size
+    if "derived_index" in entry.expected:
+        out["derived_index"] = rep.order // rep.derived_subgroup().size
+    return out
 
 
 def _compare(path, want, got, out):

@@ -248,9 +248,6 @@ class CosetTable:
     def __len__(self):
         return len(self.rows)
 
-    def is_complete(self):
-        return all(e >= 0 for row in self.rows for e in row)
-
     def __eq__(self, other):
         return (
             isinstance(other, CosetTable)
@@ -279,13 +276,13 @@ class SubgroupHandle:
         return x in self.elements
 
 
-def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP, verify: bool = True):
+def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
     """Enumerate the group presented by p over the trivial subgroup.
 
     Raises CapExceededError if more than ``cap`` cosets get defined, and
-    ValueError for an empty generator list.  With ``verify`` (default)
-    the completed table is checked against the presentation: columns are
-    mutually inverse permutations and every relator fixes every coset.
+    ValueError for an empty generator list.  The completed table is
+    checked against the presentation: columns are mutually inverse
+    permutations and every relator fixes every coset.
     """
     if p.ngens == 0:
         raise ValueError("presentation has no generators")
@@ -311,8 +308,7 @@ def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP, verify: bool = True
         raise InconsistencyError("undefined entry survived enumeration")
     table = CosetTable(rows, p.ngens)
     rep = GroupRep(p, table)
-    if verify:
-        rep._verify()
+    rep._verify()
     return rep
 
 

@@ -34,6 +34,10 @@ class ConstructionError(RotamapError):
     """A construction's verification contract failed; names the identity."""
 
 
+class NotSelfDualError(ConstructionError):
+    """A construction needed a duality the input group does not have."""
+
+
 class CollapseError(ConstructionError):
     """An extended group enumerated to the wrong order (collapse)."""
 

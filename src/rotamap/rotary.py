@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .engine import DEFAULT_CAP, GroupRep, enumerate_group
-from .errors import ConstructionError, InconsistencyError, NotPolytopalError
+from .errors import ConstructionError, InconsistencyError, NotPolytopalError, RotamapError
 from .words import Presentation, Word
 
 
@@ -86,7 +86,7 @@ class RegularCGroup4:
     """A rank-4 string C-group: four involutions ρ0..ρ3 with commuting
     non-adjacent pairs and the full intersection condition."""
 
-    def __init__(self, rep: GroupRep, rho, check_intersection=True):
+    def __init__(self, rep: GroupRep, rho):
         r0, r1, r2, r3 = rho
         self.rep = rep
         self.rho = (r0, r1, r2, r3)
@@ -99,12 +99,19 @@ class RegularCGroup4:
                     rep, (self.rho[i] * self.rho[j]) ** 2, f"(rho{i} rho{j})^2"
                 )
         _check_generates(rep, self.rho, "rho generators")
-        if check_intersection and not _c_group_condition(rep, self.rho):
+        if not _c_group_condition(rep, self.rho):
             raise ConstructionError("intersection condition fails")
 
     @property
     def order(self):
         return self.rep.order
+
+    @property
+    def sigma(self):
+        """The rotations (ρ0 ρ1, ρ1 ρ2, ρ2 ρ3), so that ``schlafli`` and
+        ``petrie4`` apply to C-groups too."""
+        r0, r1, r2, r3 = self.rho
+        return ((r0 * r1).reduce(), (r1 * r2).reduce(), (r2 * r3).reduce())
 
 
 class RegularMap3:
@@ -128,6 +135,30 @@ class RegularMap3:
     def rotations(self):
         r0, r1, r2 = self.rho
         return ((r0 * r1).reduce(), (r1 * r2).reduce())
+
+
+_GROUP_CLASSES = {
+    ("sigma", 2): RotationGroup3,
+    ("sigma", 3): RotationGroup4,
+    ("rho", 3): RegularMap3,
+    ("rho", 4): RegularCGroup4,
+}
+
+
+def group_class(distinguished, kind):
+    """The wrapper class a presentation's sigma or rho line asks for; a
+    caller builds the group as ``group_class(d, kind)(rep, d)``, and can
+    reject a wrong rank before it enumerates anything."""
+    if distinguished is None:
+        raise RotamapError(
+            "presentation needs a sigma or rho line to fix rank semantics"
+        )
+    cls = _GROUP_CLASSES.get((kind, len(distinguished)))
+    if cls is None:
+        raise RotamapError(
+            f"unsupported input: {kind} line with {len(distinguished)} words"
+        )
+    return cls
 
 
 def _c_group_condition(rep: GroupRep, gens) -> bool:
@@ -385,15 +416,13 @@ def rotation_subgroup(c: RegularCGroup4, cap: int = DEFAULT_CAP) -> RotationGrou
     the C-group; a mismatch means the standard relations do not present
     this particular subgroup and is reported as an error.
     """
-    r0, r1, r2, r3 = c.rho
-    sigma_words = [(r0 * r1).reduce(), (r1 * r2).reduce(), (r2 * r3).reduce()]
-    sub = c.rep.subgroup_closure(sigma_words)
+    sub = c.rep.subgroup_closure(c.sigma)
     index = c.order // sub.size
     if index not in (1, 2):
         raise ConstructionError(
             f"rotation subgroup has index {index}, expected 1 or 2"
         )
-    orders = [c.rep.element_order(w) for w in sigma_words]
+    orders = schlafli(c)
     s1, s2, s3 = (Word.gen(i) for i in range(3))
     pres = Presentation.build(
         ["s1", "s2", "s3"],

@@ -134,18 +134,36 @@ def _fresh_name(taken, base="d"):
     return f"{base}{k}"
 
 
-def _base_stats(m: RotationGroup4):
-    return dict(
-        base_order=m.order,
-        base_schlafli=schlafli(m),
-        base_chirality=classify4(m),
-        base_petrie=petrie4(m),
-    )
-
-
 def _check_identity(rep: GroupRep, lhs: Word, rhs: Word, label: str):
     if rep.element_of(lhs) != rep.element_of(rhs):
         raise ConstructionError(f"extension identity failed: {label}")
+
+
+def _adjoin_duality(base, kind: DualityKind, relators, cap: int) -> ExtendedGroup:
+    """Adjoin a fresh generator d to the presentation of ``base`` with the
+    relators ``relators(d)`` and enumerate.  The result must have order
+    2|G| and contain the base generators as an index-2 copy of G."""
+    cgroup = isinstance(base, RegularCGroup4)
+    gens = base.rho if cgroup else base.sigma
+    pres = base.rep.presentation
+    d = Word.gen(pres.ngens)
+    pres = pres.with_generator(_fresh_name(pres.names)).with_relators(*relators(d))
+    rep = enumerate_group(Presentation(pres.generators, pres.relators), cap=cap)
+    if rep.order != 2 * base.order:
+        raise CollapseError(
+            f"{kind} extension has order {rep.order}, expected {2 * base.order}"
+        )
+    if rep.subgroup_closure(gens).size != base.order:
+        raise CollapseError("original group does not embed with index 2")
+    return ExtendedGroup(
+        rep=rep,
+        kind=kind,
+        embeddings={"rho" if cgroup else "sigma": gens, "duality": d},
+        base_order=base.order,
+        base_schlafli=schlafli(base),
+        base_chirality=Chirality.REGULAR if cgroup else classify4(base),
+        base_petrie=petrie4(base),
+    )
 
 
 def extend_improper(m: RotationGroup4, cap: int = DEFAULT_CAP) -> ExtendedGroup:
@@ -154,26 +172,13 @@ def extend_improper(m: RotationGroup4, cap: int = DEFAULT_CAP) -> ExtendedGroup:
     if sd.kind != DualityKind.IMPROPER:
         raise ConstructionError("input is not improperly self-dual")
     w1, w2, w3 = m.sigma
-    base = m.rep.presentation
-    dname = _fresh_name(base.names)
-    d = Word.gen(base.ngens)
-    pres = Presentation.build(
-        list(base.names) + [dname],
-        list(base.relators)
-        + [
-            (~d * w1 * d * w3).reduce(),
-            (~d * w2 * d * w1 * ~w2 * ~w1).reduce(),
-            (~d * w3 * d * ~w1).reduce(),
-            (d * d * ~(w1 * w2 * w3)).reduce(),
-        ],
-    )
-    rep = enumerate_group(pres, cap=cap)
-    if rep.order != 2 * m.order:
-        raise CollapseError(
-            f"improper extension has order {rep.order}, expected {2 * m.order}"
-        )
-    if rep.subgroup_closure([w1, w2, w3]).size != m.order:
-        raise CollapseError("original group does not embed with index 2")
+    e = _adjoin_duality(m, DualityKind.IMPROPER, lambda d: [
+        ~d * w1 * d * w3,
+        ~d * w2 * d * w1 * ~w2 * ~w1,
+        ~d * w3 * d * ~w1,
+        d * d * ~(w1 * w2 * w3),
+    ], cap)
+    rep, d = e.rep, e.duality
 
     # conjugation by d must cycle the four involutions and fix s1 s2 s3
     conj = lambda w: (~d * w * d).reduce()
@@ -182,13 +187,7 @@ def extend_improper(m: RotationGroup4, cap: int = DEFAULT_CAP) -> ExtendedGroup:
     _check_identity(rep, conj(~w3 * w1 * w2 * w3), (w2 * w3).reduce(), "d: s3^-1s1s2s3 -> s2s3")
     _check_identity(rep, conj(w2 * w3), (w1 * w2).reduce(), "d: s2s3 -> s1s2")
     _check_identity(rep, conj(w1 * w2 * w3), (w1 * w2 * w3).reduce(), "d fixes s1s2s3")
-
-    return ExtendedGroup(
-        rep=rep,
-        kind=DualityKind.IMPROPER,
-        embeddings={"sigma": (w1, w2, w3), "duality": d},
-        **_base_stats(m),
-    )
+    return e
 
 
 def extend_proper(m: RotationGroup4, cap: int = DEFAULT_CAP) -> ExtendedGroup:
@@ -197,37 +196,15 @@ def extend_proper(m: RotationGroup4, cap: int = DEFAULT_CAP) -> ExtendedGroup:
     if sd.kind != DualityKind.PROPER:
         raise ConstructionError("input is not properly self-dual")
     w1, w2, w3 = m.sigma
-    base = m.rep.presentation
-    dname = _fresh_name(base.names)
-    d = Word.gen(base.ngens)
-    pres = Presentation.build(
-        list(base.names) + [dname],
-        list(base.relators)
-        + [
-            (d * d).reduce(),
-            (d * w1 * d * w3).reduce(),
-            (d * w2 * d * w2).reduce(),
-            (d * w3 * d * w1).reduce(),
-        ],
-    )
-    rep = enumerate_group(pres, cap=cap)
-    if rep.order != 2 * m.order:
-        raise CollapseError(
-            f"proper extension has order {rep.order}, expected {2 * m.order}"
-        )
-    if rep.subgroup_closure([w1, w2, w3]).size != m.order:
-        raise CollapseError("original group does not embed with index 2")
+    e = _adjoin_duality(m, DualityKind.PROPER, lambda d: [
+        d * d, d * w1 * d * w3, d * w2 * d * w2, d * w3 * d * w1,
+    ], cap)
+    rep, d = e.rep, e.duality
 
     conj = lambda w: (d * w * d).reduce()
     _check_identity(rep, conj(w1 * w2), (w2 * w3).reduce(), "w: s1s2 <-> s2s3")
     _check_identity(rep, conj(w1 * w2 * w3), (w1 * w2 * w3).reduce(), "w fixes s1s2s3")
-
-    return ExtendedGroup(
-        rep=rep,
-        kind=DualityKind.PROPER,
-        embeddings={"sigma": (w1, w2, w3), "duality": d},
-        **_base_stats(m),
-    )
+    return e
 
 
 def find_polarity(c: RegularCGroup4) -> SelfDualityClass:
@@ -246,29 +223,6 @@ def extend_polarity(c: RegularCGroup4, cap: int = DEFAULT_CAP) -> ExtendedGroup:
     if find_polarity(c).kind != DualityKind.REGULAR_POLARITY:
         raise ConstructionError("C-group admits no polarity")
     rho = c.rho
-    base = c.rep.presentation
-    dname = _fresh_name(base.names)
-    d = Word.gen(base.ngens)
-    rels = list(base.relators) + [(d * d).reduce()]
-    rels += [(d * rho[i] * d * rho[3 - i]).reduce() for i in range(4)]
-    pres = Presentation.build(list(base.names) + [dname], rels)
-    rep = enumerate_group(pres, cap=cap)
-    if rep.order != 2 * c.order:
-        raise CollapseError(
-            f"polarity extension has order {rep.order}, expected {2 * c.order}"
-        )
-    if rep.subgroup_closure(rho).size != c.order:
-        raise CollapseError("original group does not embed with index 2")
-    sigma = [(rho[i] * rho[i + 1]).reduce() for i in range(3)]
-    return ExtendedGroup(
-        rep=rep,
-        kind=DualityKind.REGULAR_POLARITY,
-        embeddings={"rho": rho, "duality": d},
-        base_order=c.order,
-        base_schlafli=tuple(c.rep.element_order(w) for w in sigma),
-        base_chirality=Chirality.REGULAR,
-        base_petrie=(
-            c.rep.element_order((sigma[0] * sigma[2]).reduce()),
-            c.rep.element_order((sigma[0] * ~sigma[2]).reduce()),
-        ),
-    )
+    return _adjoin_duality(c, DualityKind.REGULAR_POLARITY, lambda d: [d * d] + [
+        d * rho[i] * d * rho[3 - i] for i in range(4)
+    ], cap)

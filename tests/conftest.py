@@ -90,8 +90,5 @@ def ex3_chain() -> dict:
 def simplex_pipe() -> dict:
     pres = simplex_presentation()
     c = RegularCGroup4(enumerate_group(pres), pres.distinguished)
-    return {
-        "cgroup": c,
-        "ext": extend_polarity(c),
-        "map3": pc_map_regular(c),
-    }
+    ext = extend_polarity(c)
+    return {"cgroup": c, "ext": ext, "map3": pc_map_regular(ext)}

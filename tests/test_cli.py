@@ -103,6 +103,16 @@ class TestConstruct:
         else:
             assert rc == 1  # collapse diagnosed
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_nonpositive_petrie_exit_2(self, workdir, capsys, k):
+        rc = main([
+            "construct", "quotient", str(workdir / "ex3.pres"),
+            "--petrie", k, "--out", str(workdir / "ex3-bad.pres"),
+        ])
+        assert rc == 2
+        assert "--petrie must be at least 1" in capsys.readouterr().err
+        assert not (workdir / "ex3-bad.pres").exists()
+
     def test_not_self_dual_exit_1(self, tmp_path, capsys):
         f = tmp_path / "cube.pres"
         f.write_text(
@@ -134,6 +144,16 @@ class TestGenerate:
 
     def test_unknown_catalog_name(self, tmp_path):
         assert main(["generate", "catalog", "nope", "--out", str(tmp_path)]) == 2
+
+    def test_verify_unknown_catalog_name(self, capsys):
+        assert main(["generate", "catalog", "nope", "--verify"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unknown catalog entry" in out.err
+
+    def test_verify_named_entry_only(self, capsys):
+        assert main(["generate", "catalog", "torus-44-1-3", "--verify"]) == 0
+        assert capsys.readouterr().out == "torus-44-1-3: ok\n"
 
     def test_generated_file_analyzes_to_expected_order(self, workdir, capsys):
         assert main(["analyze", str(workdir / "torus-44-1-3.pres"), "--json"]) == 0

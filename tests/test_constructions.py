@@ -4,8 +4,12 @@ from rotamap import (
     Chirality,
     ConstructionError,
     LocallyToroidalSpec,
+    NotSelfDualError,
     Presentation,
     RegularCGroup4,
+    RegularMap3,
+    RotationGroup3,
+    RotationGroup4,
     TorusFamily,
     Word,
     catalog,
@@ -20,6 +24,7 @@ from rotamap import (
     pc_map_improper,
     pc_map_proper,
     pc_map_regular,
+    petrie_coxeter,
     petrie_quotient,
     petrie4,
     rotation_subgroup,
@@ -180,7 +185,52 @@ class TestRegularPath:
         pres = Presentation.build(["r0", "r1", "r2", "r3"], rels, r, "rho")
         c = RegularCGroup4(enumerate_group(pres), pres.distinguished)
         with pytest.raises(ConstructionError):
-            pc_map_regular(c)
+            petrie_coxeter(c)
+
+    def test_wrong_kind_rejected(self, ex3_chain):
+        with pytest.raises(ConstructionError):
+            pc_map_regular(ex3_chain["base"].ext)
+
+
+class TestPetrieCoxeter:
+    """The dispatcher picks the extension from the input's duality and
+    returns the same extended group and map as the explicit pipeline."""
+
+    def test_improper_gives_rotation_map(self, ex1_pipe):
+        ext, m = petrie_coxeter(ex1_pipe.base)
+        assert ext.kind is DualityKind.IMPROPER
+        assert ext.rep.table == ex1_pipe.ext.rep.table
+        assert isinstance(m, RotationGroup3)
+        assert m.sigma == ex1_pipe.map3.sigma
+
+    def test_proper_gives_regular_map(self, ex3_chain):
+        pipe = ex3_chain["quotient"]
+        ext, m = petrie_coxeter(pipe.base)
+        assert ext.kind is DualityKind.PROPER
+        assert ext.rep.table == pipe.ext.rep.table
+        assert isinstance(m, RegularMap3)
+        assert m.rho == pipe.map3.rho
+
+    def test_polarity_gives_regular_map(self, simplex_pipe):
+        ext, m = petrie_coxeter(simplex_pipe["cgroup"])
+        assert ext.kind is DualityKind.REGULAR_POLARITY
+        assert ext.rep.table == simplex_pipe["ext"].rep.table
+        assert m.rho == simplex_pipe["map3"].rho
+
+    def test_not_self_dual(self):
+        pres = Presentation.build(
+            ["s1", "s2", "s3"],
+            [s1 ** 4, s2 ** 3, s3 ** 3, (s1 * s2) ** 2, (s2 * s3) ** 2,
+             (s1 * s2 * s3) ** 2],
+            [s1, s2, s3], "sigma",
+        )
+        cube = RotationGroup4(enumerate_group(pres), pres.distinguished)
+        with pytest.raises(NotSelfDualError, match="not self-dual"):
+            petrie_coxeter(cube)
+
+    def test_rank_three_rejected(self):
+        with pytest.raises(TypeError, match="rank-4"):
+            petrie_coxeter(torus_map(TorusFamily("44", 1, 3)))
 
 
 class TestExample3GroupFacts:

@@ -6,6 +6,8 @@ from rotamap import (
     NotPolytopalError,
     Presentation,
     RegularCGroup4,
+    RegularMap3,
+    RotamapError,
     RotationGroup3,
     RotationGroup4,
     TorusFamily,
@@ -17,6 +19,7 @@ from rotamap import (
     enumerate_group,
     euler_genus,
     f_vector3,
+    group_class,
     hole_length,
     involution_report,
     is_reflexible3,
@@ -196,6 +199,19 @@ class TestRegularCGroup:
         with pytest.raises(ConstructionError):
             RegularCGroup4(rep, pres.distinguished)
 
+    def test_sigma_gives_rotation_invariants(self):
+        # the 4-simplex {3,3,3}: Petrie polygons are the Coxeter elements
+        # r0 r1 r2 r3 and r0 r1 r3 r2, both of order h = 5
+        pres = simplex_presentation()
+        c = RegularCGroup4(enumerate_group(pres), pres.distinguished)
+        r0, r1, r2, r3 = c.rho
+        assert c.sigma == ((r0 * r1).reduce(), (r1 * r2).reduce(), (r2 * r3).reduce())
+        assert schlafli(c) == (3, 3, 3)
+        assert petrie4(c) == (
+            c.rep.element_order(r0 * r1 * r2 * r3),
+            c.rep.element_order(r0 * r1 * r3 * r2),
+        ) == (5, 5)
+
     def test_degenerate_rho_collapse_raises(self):
         pres = simplex_presentation().with_relators(Word.gen(0))
         rep = enumerate_group(pres)
@@ -230,3 +246,23 @@ class TestZigzag:
         assert zigzag_length(m, 1) == m.rep.element_order(
             (m.rho[0] * m.rho[1] * m.rho[2]).reduce()
         )
+
+
+class TestGroupClass:
+    @pytest.mark.parametrize("kind,n,cls", [
+        ("sigma", 2, RotationGroup3),
+        ("sigma", 3, RotationGroup4),
+        ("rho", 3, RegularMap3),
+        ("rho", 4, RegularCGroup4),
+    ])
+    def test_class_by_line(self, kind, n, cls):
+        assert group_class([Word.gen(0)] * n, kind) is cls
+
+    @pytest.mark.parametrize("kind,n", [("sigma", 4), ("rho", 2)])
+    def test_unsupported_line(self, kind, n):
+        with pytest.raises(RotamapError, match="unsupported input"):
+            group_class([Word.gen(0)] * n, kind)
+
+    def test_missing_line(self):
+        with pytest.raises(RotamapError, match="sigma or rho line"):
+            group_class(None, None)
