@@ -14,7 +14,8 @@ without NAME every entry.
 
 Exit codes: 0 success, 1 mathematical verdict failure (not polytopal
 under --require-polytopal, not self-dual, verification mismatch),
-2 operational error (parse failure, coset cap, bad invocation).
+2 operational error (parse failure, coset cap, bad invocation, input
+sigma/rho words that break their identities).
 """
 
 from __future__ import annotations
@@ -218,10 +219,21 @@ def _report(g, warnings=()) -> AnalysisReport:
     return report_cgroup4(g, warnings)
 
 
+def _input_group(cls, rep, pres: Presentation):
+    """Wrap the group of an input file.  Distinguished words that break
+    their identities are an input error (exit 2), not a verdict."""
+    try:
+        return cls(rep, pres.distinguished)
+    except ConstructionError as exc:
+        raise RotamapError(
+            f"input {pres.distinguished_kind} words: {exc}"
+        ) from exc
+
+
 def analyze_presentation(pres: Presentation, cap: int = DEFAULT_CAP) -> AnalysisReport:
     cls = group_class(pres.distinguished, pres.distinguished_kind)
     rep = enumerate_group(pres, cap=cap)
-    return _report(cls(rep, pres.distinguished), _nominal_warnings(pres, rep))
+    return _report(_input_group(cls, rep, pres), _nominal_warnings(pres, rep))
 
 
 def format_text(report: AnalysisReport) -> str:
@@ -295,7 +307,7 @@ def cmd_construct(args) -> int:
         if cls is not RotationGroup4:
             raise RotamapError("quotient input must be a rank-4 sigma file")
         rep = enumerate_group(pres, cap=args.max_cosets)
-        m = RotationGroup4(rep, pres.distinguished)
+        m = _input_group(cls, rep, pres)
         period = petrie4(m)[0]
         if period % args.petrie != 0:
             warnings.append(
@@ -312,7 +324,9 @@ def cmd_construct(args) -> int:
                 "rho with 4 words)"
             )
         rep = enumerate_group(pres, cap=args.max_cosets)
-        ext, result = petrie_coxeter(cls(rep, pres.distinguished), cap=args.max_cosets)
+        ext, result = petrie_coxeter(
+            _input_group(cls, rep, pres), cap=args.max_cosets
+        )
         if isinstance(result, RotationGroup3):
             words, kind = result.sigma, "sigma"
         else:
@@ -433,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("b", type=int)
     pt.add_argument("c", type=int)
     pt.add_argument("--out", metavar="DIR", help="output directory")
-    pt.add_argument("--max-cosets", type=int, default=DEFAULT_CAP)
     pt.set_defaults(func=cmd_generate)
 
     pc = gsub.add_parser("catalog", help="catalog entries, or --verify them")

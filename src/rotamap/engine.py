@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import CapExceededError, InconsistencyError
-from .words import Presentation, Word, _reduce_cols, substitute
+from .words import Presentation, Word, _reduce_cols
 
 DEFAULT_CAP = 1_000_000
 
@@ -257,13 +257,12 @@ class CosetTable:
 
 
 class SubgroupHandle:
-    """Element set of a subgroup together with the words that generated it."""
+    """A subgroup of a GroupRep: the frozenset of its element indices."""
 
-    __slots__ = ("elements", "generator_words")
+    __slots__ = ("elements",)
 
-    def __init__(self, elements, generator_words):
+    def __init__(self, elements):
         self.elements = frozenset(elements)
-        self.generator_words = tuple(generator_words)
 
     @property
     def size(self):
@@ -280,9 +279,11 @@ def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
     """Enumerate the group presented by p over the trivial subgroup.
 
     Raises CapExceededError if more than ``cap`` cosets get defined, and
-    ValueError for an empty generator list.  The completed table is
-    checked against the presentation: columns are mutually inverse
-    permutations and every relator fixes every coset.
+    ValueError for an empty generator list or for relators (cyclically
+    reduced, duplicates dropped) of more than ``cap`` letters in all,
+    since every deduction may scan each of their rotations.  The
+    completed table is checked against the presentation: columns are
+    mutually inverse permutations and every relator fixes every coset.
     """
     if p.ngens == 0:
         raise ValueError("presentation has no generators")
@@ -296,6 +297,11 @@ def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
         if r and r not in seen:
             seen[r] = None
             relators.append(r)
+    letters = sum(map(len, relators))
+    if letters > cap:
+        raise ValueError(
+            f"relators hold {letters} letters in all, more than the cap {cap}"
+        )
     raw_rows, parent, find = _felsch(ncols, relators, cap)
 
     live = [k for k in range(len(raw_rows)) if parent[k] == k]
@@ -422,47 +428,23 @@ class GroupRep:
     # -- subgroups ------------------------------------------------------
 
     def subgroup_closure(self, gens) -> SubgroupHandle:
-        """Subgroup generated by the given words: breadth-first closure
-        of the identity under right multiplication by them and their
-        inverses."""
-        gens = tuple(gens)
-        rows = self.table.rows
-        col_words = []
-        for w in gens:
-            col_words.append(w.cols())
-            col_words.append((~w).cols())
-        member = bytearray(self.order)
-        member[0] = 1
-        elements = [0]
-        queue = deque((0,))
-        while queue:
-            x = queue.popleft()
-            for cols in col_words:
-                y = x
-                for c in cols:
-                    y = rows[y][c]
-                if not member[y]:
-                    member[y] = 1
-                    elements.append(y)
-                    queue.append(y)
-        return SubgroupHandle(elements, gens)
+        """Subgroup generated by the given words."""
+        return SubgroupHandle(
+            self._incremental_closure([self.element_of(w) for w in gens])
+        )
 
-    def _incremental_closure(self, candidate_indices):
-        """Closure of candidates taken one at a time, skipping members.
-
-        Returns (member bytearray, count, used generator indices).  The
-        result equals the subgroup generated by all candidates.
-        """
+    def _incremental_closure(self, candidate_indices) -> list:
+        """Elements of the subgroup generated by the candidate element
+        indices, identity first.  Candidates join one at a time, as
+        Schreier words, and members are skipped."""
         rows = self.table.rows
         member = bytearray(self.order)
         member[0] = 1
         elements = [0]
         gen_cols = []
-        used = []
         for t in candidate_indices:
             if member[t]:
                 continue
-            used.append(t)
             w = self._schreier_cols(t)
             new_gens = [w, tuple(c ^ 1 for c in reversed(w))]
             gen_cols.extend(new_gens)
@@ -488,7 +470,7 @@ class GroupRep:
                         frontier.append(y)
             if len(elements) == self.order:
                 break
-        return member, len(elements), used
+        return elements
 
     def conjugacy_class(self, x: int):
         """Orbit of element x under conjugation by the generators."""
@@ -517,12 +499,7 @@ class GroupRep:
         """Smallest normal subgroup containing w: the closure of its
         conjugacy class under generation."""
         x = self.element_of(w)
-        if x == 0:
-            return SubgroupHandle((0,), ())
-        cls = self.conjugacy_class(x)
-        member, count, used = self._incremental_closure(cls)
-        elements = [i for i in range(self.order) if member[i]]
-        return SubgroupHandle(elements, tuple(self.element_word(t) for t in used))
+        return SubgroupHandle(self._incremental_closure(self.conjugacy_class(x)))
 
     def derived_subgroup(self) -> SubgroupHandle:
         """Commutator subgroup: normal closure of generator commutators."""
@@ -534,26 +511,20 @@ class GroupRep:
                 x = self.element_of(~a * ~b * a * b)
                 if x != 0:
                     candidates.extend(self.conjugacy_class(x))
-        candidates = sorted(set(candidates))
-        member, count, used = self._incremental_closure(candidates)
-        elements = [i for i in range(self.order) if member[i]]
-        return SubgroupHandle(elements, tuple(self.element_word(t) for t in used))
+        return SubgroupHandle(self._incremental_closure(sorted(set(candidates))))
 
     # -- structure tests --------------------------------------------------
 
     def extends_to_automorphism(self, images) -> bool:
         """True iff mapping generator i to images[i] defines a group
-        automorphism: every relator maps to the identity and the images
-        generate the whole group."""
+        automorphism.  In a finite group a well-defined map onto the
+        group is one, which ``generator_map_automorphism`` decides."""
         images = tuple(images)
-        if len(images) != self.presentation.ngens:
-            raise ValueError(
-                f"need {self.presentation.ngens} images, got {len(images)}"
-            )
-        for r in self.presentation.relators:
-            if self.element_of(substitute(r, images)) != 0:
-                return False
-        return self.subgroup_closure(images).size == self.order
+        ngens = self.presentation.ngens
+        if len(images) != ngens:
+            raise ValueError(f"need {ngens} images, got {len(images)}")
+        gens = [Word.gen(i) for i in range(ngens)]
+        return self.generator_map_automorphism(gens, images) is not None
 
     def generator_map_automorphism(self, sources, images):
         """The automorphism sending each source word to its image word,
@@ -569,6 +540,8 @@ class GroupRep:
         images = tuple(images)
         if len(sources) != len(images):
             raise ValueError("need one image per source word")
+        if any(w.max_gen() >= self.presentation.ngens for w in sources + images):
+            raise ValueError("word uses undeclared generators")
         rows = self.table.rows
         pairs = []
         for s, u in zip(sources, images):
@@ -610,10 +583,7 @@ class GroupRep:
     def generated_by_involutions(self) -> bool:
         """True iff the order-2 elements generate the whole group.  The
         trivial group counts as generated by the empty set."""
-        if self.order == 1:
-            return True
-        member, count, used = self._incremental_closure(self.involutions())
-        return count == self.order
+        return len(self._incremental_closure(self.involutions())) == self.order
 
     def center(self) -> SubgroupHandle:
         """Elements commuting with every generator."""
@@ -633,4 +603,4 @@ class GroupRep:
                     break
             if ok:
                 out.append(x)
-        return SubgroupHandle(out, tuple(self.element_word(t) for t in out if t))
+        return SubgroupHandle(out)

@@ -87,10 +87,6 @@ class Word:
     def reduce(self) -> "Word":
         return Word(_reduce_cols(self._cols))
 
-    def is_reduced(self) -> bool:
-        cols = self._cols
-        return all(cols[i + 1] != cols[i] ^ 1 for i in range(len(cols) - 1))
-
     def max_gen(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
         return max((c >> 1 for c in self._cols), default=-1)
@@ -230,16 +226,6 @@ class Presentation:
     def ngens(self) -> int:
         return len(self.generators)
 
-    def gen_index(self, name: str) -> int:
-        for g in self.generators:
-            if g.name == name:
-                return g.index
-        raise KeyError(name)
-
-    def word(self, text: str) -> Word:
-        """Parse a word in this presentation's generators."""
-        return _parse_word_text(text, {n: i for i, n in enumerate(self.names)})
-
     def with_relators(self, *extra: Word) -> "Presentation":
         for w in extra:
             if w.max_gen() >= self.ngens:
@@ -324,14 +310,6 @@ class _WordParser:
         while self.peek() is not None:
             out.append(self.term())
         return out
-
-
-def _parse_word_text(text: str, gen_map) -> Word:
-    p = _WordParser(_tokenize(text, 0), gen_map, 0)
-    w = p.word()
-    if p.peek() is not None:
-        raise ParseError(0, f"unexpected token {p.peek()[1]!r}")
-    return w
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -5,6 +5,7 @@ code paths: permutation arithmetic on tuples, quadratic subgroup closure
 by multiplying all pairs, and element-by-element homomorphism checking.
 """
 
+from collections import deque
 from itertools import combinations
 
 from rotamap import GroupRep, Word, substitute
@@ -47,6 +48,29 @@ def naive_subgroup_closure(rep: GroupRep, elements):
         if not new:
             return current
         current |= new
+
+
+def word_bfs_closure(rep: GroupRep, words):
+    """Breadth-first closure of the identity under right multiplication
+    by the given words and their inverses, walking each word's letters
+    through the coset table."""
+    rows = rep.table.rows
+    col_words = []
+    for w in words:
+        col_words.append(w.cols())
+        col_words.append((~w).cols())
+    seen = {0}
+    queue = deque((0,))
+    while queue:
+        x = queue.popleft()
+        for cols in col_words:
+            y = x
+            for c in cols:
+                y = rows[y][c]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
 
 
 def naive_normal_closure(rep: GroupRep, w: Word):

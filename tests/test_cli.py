@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -60,6 +61,24 @@ class TestAnalyze:
         f = tmp_path / "norank.pres"
         f.write_text("gens a\nrel a^4\n")
         assert main(["analyze", str(f)]) == 2
+
+    def test_input_sigma_words_breaking_identity_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "a5.pres"
+        f.write_text("gens a b\nrel a^3\nrel b^2\nrel (a b)^5\nsigma a b\n")
+        assert main(["analyze", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert "(sigma1 sigma2)^2 does not evaluate to the identity" in err
+        assert "construction failed" not in err
+
+    def test_long_relator_fails_fast(self, tmp_path, capsys):
+        f = tmp_path / "long.pres"
+        f.write_text("gens a b\nrel a^200000 b a b^-1\nsigma a b\n")
+        t0 = time.perf_counter()
+        rc = main(["analyze", str(f), "--max-cosets", "1000"])
+        assert time.perf_counter() - t0 < 2.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "200003 letters" in err and "1000" in err
 
 
 class TestConstruct:
@@ -123,6 +142,21 @@ class TestConstruct:
         assert main(["construct", "petrie-coxeter", str(f)]) == 1
         assert "not self-dual" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [
+        ["petrie-coxeter"], ["quotient", "--petrie", "2"],
+    ])
+    def test_input_sigma_words_breaking_identity_exit_2(
+        self, tmp_path, capsys, extra
+    ):
+        f = tmp_path / "bad.pres"
+        f.write_text("gens a b c\nrel a^3\nrel b\nrel c\nsigma a b c\n")
+        out = tmp_path / "out.pres"
+        argv = ["construct", extra[0], str(f), "--out", str(out)] + extra[1:]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "(sigma1 sigma2)^2 does not evaluate to the identity" in err
+        assert not out.exists()
+
     def test_simplex_regular_path(self, tmp_path, capsys):
         f = tmp_path / "simplex.pres"
         from rotamap import serialize_presentation, simplex_presentation
@@ -141,6 +175,15 @@ class TestGenerate:
         manifest = json.loads((workdir / "torus-44-1-3.expected.json").read_text())
         assert manifest["order"] == 40
         assert manifest["expect_regular"] is False
+
+    def test_torus_takes_no_coset_cap(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "generate", "torus", "4,4", "1", "3", "--max-cosets", "5",
+                "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_catalog_name(self, tmp_path):
         assert main(["generate", "catalog", "nope", "--out", str(tmp_path)]) == 2

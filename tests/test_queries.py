@@ -1,0 +1,157 @@
+"""Differential tests of the GroupRep query layer: the one closure loop
+against a word-walking breadth-first closure, the automorphism test
+against an element-by-element check, and subgroup sizes on the catalog's
+base groups."""
+
+import random
+
+import pytest
+
+from rotamap import Word, catalog, enumerate_group, parse_presentation
+from oracle import naive_is_automorphism, word_bfs_closure
+
+ROT333 = (
+    "gens s1 s2 s3\n"
+    "rel s1^3\nrel s2^3\nrel s3^3\n"
+    "rel (s1 s2)^2\nrel (s2 s3)^2\nrel (s1 s2 s3)^2\n"
+)
+
+
+def rot333():
+    return enumerate_group(parse_presentation(ROT333))
+
+
+def _random_word(rng, ngens, length):
+    return Word(tuple(rng.randrange(2 * ngens) for _ in range(length)))
+
+
+def _conjugate(rng, ngens):
+    """~c w c with |c| <= 10 and 1 <= |w| <= 10: at most 30 letters,
+    left unreduced."""
+    c = _random_word(rng, ngens, rng.randrange(11))
+    return ~c * _random_word(rng, ngens, rng.randrange(1, 11)) * c
+
+
+def _word_lists(rep, distinguished, seed):
+    rng = random.Random(seed)
+    n = rep.presentation.ngens
+    gens = [Word.gen(i) for i in range(n)]
+    d = list(distinguished)
+    lists = [
+        [],
+        [Word()],
+        [Word(), Word(), d[0]],
+        gens,
+        gens + gens,
+        d,
+        [d[0], d[0] * d[0], ~d[0], d[0] ** 5],
+        [d[0], d[1], d[0] * d[1], ~d[1] * ~d[0]],
+        [d[1], ~d[0] * d[1] * d[0]],
+    ]
+    for _ in range(12):
+        lists.append([_conjugate(rng, n) for _ in range(rng.randrange(1, 4))])
+    return lists
+
+
+def _check_closures(rep, distinguished, seed):
+    sizes = set()
+    for words in _word_lists(rep, distinguished, seed):
+        h = rep.subgroup_closure(words)
+        assert h.elements == word_bfs_closure(rep, words), words
+        sizes.add(h.size)
+    # the lists reach the trivial group, the whole group and something
+    # in between
+    assert 1 in sizes and rep.order in sizes and len(sizes) > 2
+
+
+class TestClosureMatchesWordBfs:
+    def test_rot333(self):
+        g = rot333()
+        _check_closures(g, [Word.gen(i) for i in range(3)], 1)
+
+    def test_ex1(self, ex1_pipe):
+        m = ex1_pipe.base
+        assert m.order == 2000
+        _check_closures(m.rep, m.sigma, 2)
+
+    def test_ex1_skew_map(self, ex1_pipe):
+        m = ex1_pipe.map3
+        assert m.order == 4000
+        _check_closures(m.rep, m.sigma, 3)
+
+
+def test_extends_to_automorphism_matches_naive():
+    g = rot333()
+    s = [Word.gen(i) for i in range(3)]
+    mirror = [s[0], (s[1] * s[2] * s[2]).reduce(), (~s[2]).reduce()]
+    rng = random.Random(4)
+    triples = []
+    for k in range(50):
+        if k % 2:
+            triples.append(
+                [_random_word(rng, 3, rng.randrange(1, 5)) for _ in s]
+            )
+        else:
+            c = _random_word(rng, 3, rng.randrange(6))
+            base = mirror if k % 4 else s
+            triples.append([~c * w * c for w in base])
+    # well-defined but not onto: the trivial map
+    triples.append([Word(), s[0] ** 3, ~s[1] * s[1]])
+    verdicts = []
+    for images in triples:
+        got = g.extends_to_automorphism(images)
+        assert got == naive_is_automorphism(g, images), images
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+def test_undeclared_generator_is_value_error():
+    g = rot333()
+    s1, s2, s3 = (Word.gen(i) for i in range(3))
+    bad = Word.gen(3)
+    with pytest.raises(ValueError):
+        g.subgroup_closure([s1, bad])
+    with pytest.raises(ValueError):
+        g.extends_to_automorphism([s1, s2, bad])
+    with pytest.raises(ValueError):
+        g.generator_map_automorphism([s1, s2, s3], [s1, s2, bad])
+    with pytest.raises(ValueError):
+        g.generator_map_automorphism([s1, s2, bad], [s1, s2, s3])
+
+
+# (center, derived subgroup, normal closure of each distinguished word
+# and of the first times the last), recorded before the closure loops
+# were merged.
+CATALOG_SIZES = {
+    "ex1": (1, 250, (500, 500, 500, 500)),
+    "ex2": (2, 5040, (10080, 5040, 10080, 10080)),
+    "ex2q14": (2, 2520, (5040, 2520, 5040, 5040)),
+    "ex2q7": (1, 2520, (5040, 2520, 5040, 2520)),
+    "ex3": (2, 336, (336, 672, 336, 336)),
+    "ex3-central-quotient": (1, 168, (168, 336, 168, 168)),
+    "simplex333": (1, 60, (120, 120, 120, 120, 60)),
+    "torus-44-1-0": (4, 1, (4, 4, 2)),
+    "torus-44-1-1": (8, 1, (4, 4, 2)),
+    "torus-44-2-0": (4, 2, (8, 8, 4)),
+    "torus-44-1-3": (2, 5, (20, 20, 10)),
+    "torus-36-1-2": (1, 7, (21, 42, 14)),
+    "torus-63-1-2": (1, 7, (42, 21, 14)),
+}
+
+
+@pytest.fixture(scope="module")
+def catalog_entries():
+    return catalog()
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_SIZES))
+def test_catalog_subgroup_sizes(catalog_entries, name):
+    p = catalog_entries[name].presentation
+    rep = enumerate_group(p)
+    d = p.distinguished
+    got = (
+        rep.center().size,
+        rep.derived_subgroup().size,
+        tuple(rep.normal_closure(w).size for w in list(d) + [d[0] * d[-1]]),
+    )
+    assert got == CATALOG_SIZES[name]
