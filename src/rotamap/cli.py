@@ -14,8 +14,9 @@ without NAME every entry.
 
 Exit codes: 0 success, 1 mathematical verdict failure (not polytopal
 under --require-polytopal, not self-dual, verification mismatch),
-2 operational error (parse failure, coset cap, bad invocation, input
-sigma/rho words that break their identities).
+2 operational error (parse failure, including a word of more than
+DEFAULT_CAP letters; coset cap; bad invocation; input sigma/rho words
+that break their identities).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .rotary import (
     RotationGroup3,
     RotationGroup4,
     _c_group_condition,
-    check_polytopal4,
     classify4,
     group_class,
     involution_report,
@@ -168,7 +168,7 @@ def report_rotation4(m: RotationGroup4, warnings=()) -> AnalysisReport:
     return AnalysisReport(
         group_order=m.order,
         schlafli=schlafli(m),
-        polytopal=check_polytopal4(m),
+        polytopal=cls is not Chirality.NOT_POLYTOPAL,
         chirality=cls.value,
         self_duality=sd,
         petrie={"left": left, "right": right},
@@ -365,7 +365,7 @@ def cmd_generate(args) -> int:
         return 0
 
     if args.what == "catalog":
-        entries = catalog(cap=args.max_cosets)
+        entries = catalog()
         names = [args.name] if args.name else list(entries)
         for name in names:
             if name not in entries:

@@ -282,7 +282,7 @@ def pc_map_improper(e: ExtendedGroup) -> RotationGroup3:
     w1, w2, w3 = e.embeddings["sigma"]
     d = e.duality
     rep = e.rep
-    p, q, _ = e.base_schlafli
+    p, q, _ = schlafli(e.base)
     k1 = d
     k2 = (w1 * w2 * ~d).reduce()
 
@@ -299,11 +299,11 @@ def pc_map_improper(e: ExtendedGroup) -> RotationGroup3:
 
     m = RotationGroup3(rep, (k1, k2))
     _require(check_polytopal3(m), "skew map is polytopal")
-    cls = classify3(m)
-    if e.base_chirality in (Chirality.CHIRAL, Chirality.REGULAR):
+    cls, base_cls = classify3(m), classify4(e.base)
+    if base_cls in (Chirality.CHIRAL, Chirality.REGULAR):
         _require(
-            cls == e.base_chirality,
-            f"skew map is {e.base_chirality} like its source",
+            cls == base_cls,
+            f"skew map is {base_cls} like its source",
         )
     return m
 
@@ -317,8 +317,8 @@ def pc_map_proper(e: ExtendedGroup) -> RegularMap3:
     w1, w2, w3 = e.embeddings["sigma"]
     d = e.duality
     rep = e.rep
-    p, q, _ = e.base_schlafli
-    s, t = e.base_petrie
+    p, q, _ = schlafli(e.base)
+    s, t = petrie4(e.base)
     t0 = (w1 * w2 * w3).reduce()
     t1 = (w1 * w2).reduce()
     t2 = d
@@ -351,7 +351,7 @@ def pc_map_regular(e: ExtendedGroup) -> RegularMap3:
     r0, r1, r2, r3 = e.embeddings["rho"]
     d = e.duality
     rep = e.rep
-    p, q, _ = e.base_schlafli
+    p, q, _ = schlafli(e.base)
 
     _require(rep.element_order((r0 * d).reduce()) == 4, "r0 w has order 4")
     _require(rep.element_order((d * r2).reduce()) == 2 * q, f"w r2 has order {2 * q}")
@@ -430,21 +430,7 @@ def _ex2_presentation() -> Presentation:
     )
 
 
-def _ex3_central_quotient_presentation(cap: int = DEFAULT_CAP) -> Presentation:
-    """Quotient by the order-2 center, realised by adding the central
-    element's representative word as a relator."""
-    pres = locally_toroidal_presentation(
-        LocallyToroidalSpec(TorusFamily("36", 1, 2), TorusFamily("63", 1, 2))
-    )
-    rep = enumerate_group(pres, cap=cap)
-    center = rep.center()
-    if center.size != 2:
-        raise InconsistencyError(f"expected center of size 2, got {center.size}")
-    z = max(center.elements)
-    return pres.with_relators(rep.element_word(z))
-
-
-def catalog(cap: int = DEFAULT_CAP) -> dict:
+def catalog() -> dict:
     """Built-in inputs with expected values from the reference data."""
     entries = []
 
@@ -492,7 +478,7 @@ def catalog(cap: int = DEFAULT_CAP) -> dict:
         },
     }))
 
-    s1, s3 = Word.gen(0), Word.gen(2)
+    s1, s2, s3 = Word.gen(0), Word.gen(1), Word.gen(2)
     entries.append(CatalogEntry(
         "ex2q14", ex2.with_relators((s1 * s3) ** 14), {
             "order": 10080,
@@ -559,8 +545,10 @@ def catalog(cap: int = DEFAULT_CAP) -> dict:
         },
     }))
 
+    # quotient by the order-2 center of ex3: z is its involution
+    z = s1 * ~s2 * s1 * s3 * ~s2 * s3 * s1 * s3
     entries.append(CatalogEntry(
-        "ex3-central-quotient", _ex3_central_quotient_presentation(cap), {
+        "ex3-central-quotient", ex3.with_relators(z), {
             "order": 336,
             "schlafli": (3, 6, 3),
             "polytopal": True,
@@ -676,9 +664,10 @@ def compute_entry_report(entry: CatalogEntry, cap: int = DEFAULT_CAP) -> dict:
             out["rotation_subgroup_order"] = rotation_subgroup(g, cap=cap).order
         return out
 
+    chirality = classify4(g)
     out["schlafli"] = schlafli(g)
-    out["polytopal"] = check_polytopal4(g)
-    out["chirality"] = classify4(g).value
+    out["polytopal"] = chirality is not Chirality.NOT_POLYTOPAL
+    out["chirality"] = chirality.value
     out["petrie"] = petrie4(g)
     if "center_size" in entry.expected:
         out["center_size"] = rep.center().size

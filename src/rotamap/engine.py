@@ -27,9 +27,7 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import CapExceededError, InconsistencyError
-from .words import Presentation, Word, _reduce_cols
-
-DEFAULT_CAP = 1_000_000
+from .words import DEFAULT_CAP, Presentation, Word, _reduce_cols
 
 
 def _cyclic_reduce(cols) -> tuple:

@@ -12,11 +12,25 @@ The improper form is a period-4 duality d with
     d^-1 s1 d = s3^-1,  d^-1 s2 d = s1 s2 s1^-1,  d^-1 s3 d = s1,
     d^2 = s1 s2 s3.
 
-Detection tests exactly these actions; whenever any duality of the given
-kind exists, it can be normalised to one of them, so no automorphism
-search is needed.  Extension then re-enumerates the presentation with
-the duality adjoined and cross-checks the doubling and the conjugation
-identities.
+Detection certifies each form with one automorphism test of its action
+alpha on the generators; whenever any duality of the given kind exists,
+it can be normalised to one of them, so no automorphism search is
+needed.  The square conditions need no test of their own:
+
+* proper: alpha^2(s1) = alpha(s3)^-1 = s1, alpha^2(s2) = alpha(s2)^-1 = s2
+  and alpha^2(s3) = alpha(s1)^-1 = s3, so alpha^2 = 1.
+* improper: write a = s1 s2, b = s2 s3 and z = s1 s2 s3.  All three are
+  involutions (relators of every rotation group), s1 = z b and s3 = a z.
+  Then alpha(z) = s3^-1 (s1 s2 s1^-1) s1 = s3^-1 a = a s3 = z, the middle
+  step by (a s3)^2 = 1.  So alpha^2(s1) = alpha(s3)^-1 = s1^-1 = b z
+  = z s1 z and alpha^2(s3) = alpha(s1) = s3^-1 = z a = z s3 z; as alpha^2
+  fixes z, alpha^2(s2) = alpha^2(s1^-1 z s3^-1) = z s2 z.  Hence alpha^2
+  is conjugation by z = d^2, and alpha fixes z.
+
+Extension adjoins the duality to the presentation and enumerates; the
+order check there is the certificate that the form acts (see
+``_adjoin_duality``), so an ``extend_*`` call of the wrong kind raises
+``CollapseError`` without a second detection.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ from enum import Enum
 
 from .engine import DEFAULT_CAP, GroupRep, enumerate_group
 from .errors import CollapseError, ConstructionError, InconsistencyError
-from .rotary import Chirality, RegularCGroup4, RotationGroup4, classify4, petrie4, schlafli
+from .rotary import Chirality, RegularCGroup4, RotationGroup4, classify4, schlafli
 from .words import Presentation, Word
 
 
@@ -49,15 +63,13 @@ class SelfDualityClass:
 @dataclass
 class ExtendedGroup:
     """A group extended by a duality generator, with embedding words for
-    the original generators and the duality in the new presentation."""
+    the original generators and the duality in the new presentation.
+    ``base`` is the group that was extended."""
 
     rep: GroupRep
     kind: DualityKind
     embeddings: dict
-    base_order: int
-    base_schlafli: tuple
-    base_chirality: Chirality
-    base_petrie: tuple
+    base: RotationGroup4 | RegularCGroup4
 
     @property
     def order(self):
@@ -68,61 +80,33 @@ class ExtendedGroup:
         return self.embeddings["duality"]
 
 
-def _proper_automorphism(m: RotationGroup4):
-    s1, s2, s3 = m.sigma
-    images = [(~s3).reduce(), (~s2).reduce(), (~s1).reduce()]
-    alpha = m.rep.generator_map_automorphism(m.sigma, images)
-    if alpha is None:
-        return None
-    # a polarity is involutory: alpha^2 fixes the generators
-    for w in m.sigma:
-        x = m.rep.element_of(w)
-        if alpha[alpha[x]] != x:
-            return None
-    return tuple(images)
-
-
-def _improper_automorphism(m: RotationGroup4):
-    s1, s2, s3 = m.sigma
-    images = [(~s3).reduce(), (s1 * s2 * ~s1).reduce(), s1]
-    alpha = m.rep.generator_map_automorphism(m.sigma, images)
-    if alpha is None:
-        return None
-    # the duality has period 4: alpha^2 must be conjugation by s1 s2 s3
-    rep = m.rep
-    z = rep.element_of(s1 * s2 * s3)
-    zinv = rep.inverse_element(z)
-    for w in m.sigma:
-        x = rep.element_of(w)
-        if alpha[alpha[x]] != rep.product(rep.product(zinv, x), z):
-            return None
-    return tuple(images)
-
-
 def detect_self_duality(m: RotationGroup4) -> SelfDualityClass:
     """Classify the self-duality of a rank-4 rotation group.
 
-    For chiral groups the two kinds are mutually exclusive (both at once
-    would force regularity) and that exclusivity is enforced.  For
-    regular groups both normal forms typically certify; the improper
-    form is reported because the mixing construction consumes it.
+    Each normal form is certified by one automorphism test; the witness
+    is its tuple of generator images.  For chiral groups the two kinds
+    are mutually exclusive (both at once would force regularity) and
+    that exclusivity is enforced.  For regular groups both normal forms
+    typically certify; the improper form is reported because the mixing
+    construction consumes it.
     """
     p, q, r = schlafli(m)
     if p != r:
         return SelfDualityClass(DualityKind.NONE)
-    proper = _proper_automorphism(m)
-    improper = _improper_automorphism(m)
-    if proper is not None and improper is not None:
-        if classify4(m) == Chirality.CHIRAL:
-            raise InconsistencyError(
-                "both duality kinds certify on a chiral group"
-            )
-        return SelfDualityClass(DualityKind.IMPROPER, improper)
-    if improper is not None:
-        return SelfDualityClass(DualityKind.IMPROPER, improper)
-    if proper is not None:
-        return SelfDualityClass(DualityKind.PROPER, proper)
-    return SelfDualityClass(DualityKind.NONE)
+    s1, s2, s3 = m.sigma
+    forms = {
+        DualityKind.IMPROPER: ((~s3).reduce(), (s1 * s2 * ~s1).reduce(), s1),
+        DualityKind.PROPER: ((~s3).reduce(), (~s2).reduce(), (~s1).reduce()),
+    }
+    certified = [
+        (kind, images) for kind, images in forms.items()
+        if m.rep.generator_map_automorphism(m.sigma, images) is not None
+    ]
+    if not certified:
+        return SelfDualityClass(DualityKind.NONE)
+    if len(certified) == 2 and classify4(m) == Chirality.CHIRAL:
+        raise InconsistencyError("both duality kinds certify on a chiral group")
+    return SelfDualityClass(*certified[0])
 
 
 def _fresh_name(taken, base="d"):
@@ -141,8 +125,22 @@ def _check_identity(rep: GroupRep, lhs: Word, rhs: Word, label: str):
 
 def _adjoin_duality(base, kind: DualityKind, relators, cap: int) -> ExtendedGroup:
     """Adjoin a fresh generator d to the presentation of ``base`` with the
-    relators ``relators(d)`` and enumerate.  The result must have order
-    2|G| and contain the base generators as an index-2 copy of G."""
+    relators ``relators(d)`` and enumerate; raise ``CollapseError``
+    unless the result has order 2|G|.
+
+    That order check certifies the duality.  The base generators
+    generate G, the relators send the conjugate d^-1 g d of each one into
+    the image N of G, and d^2 (1 or s1 s2 s3) lies in N, so N is normal
+    of index at most 2.  N satisfies the relators of G, so it is a
+    quotient of G, and the extension has order at most 2|N| <= 2|G|.
+    Order exactly 2|G| forces |N| = |G|: the base generators embed G
+    with index 2, and conjugation by d is an automorphism of G acting as
+    the form prescribes.  Conversely, when the form's map alpha is an
+    automorphism with alpha^2 = conjugation by d^2 and alpha(d^2) = d^2
+    (the module docstring shows both follow), the cyclic extension of G
+    by alpha has order 2|G| and satisfies these relators, so the check
+    passes.  Hence the check passes exactly when detection certifies the
+    form, and a call of the wrong kind raises ``CollapseError``."""
     cgroup = isinstance(base, RegularCGroup4)
     gens = base.rho if cgroup else base.sigma
     pres = base.rep.presentation
@@ -153,24 +151,16 @@ def _adjoin_duality(base, kind: DualityKind, relators, cap: int) -> ExtendedGrou
         raise CollapseError(
             f"{kind} extension has order {rep.order}, expected {2 * base.order}"
         )
-    if rep.subgroup_closure(gens).size != base.order:
-        raise CollapseError("original group does not embed with index 2")
     return ExtendedGroup(
         rep=rep,
         kind=kind,
         embeddings={"rho" if cgroup else "sigma": gens, "duality": d},
-        base_order=base.order,
-        base_schlafli=schlafli(base),
-        base_chirality=Chirality.REGULAR if cgroup else classify4(base),
-        base_petrie=petrie4(base),
+        base=base,
     )
 
 
 def extend_improper(m: RotationGroup4, cap: int = DEFAULT_CAP) -> ExtendedGroup:
     """Adjoin the period-4 duality to an improperly self-dual group."""
-    sd = detect_self_duality(m)
-    if sd.kind != DualityKind.IMPROPER:
-        raise ConstructionError("input is not improperly self-dual")
     w1, w2, w3 = m.sigma
     e = _adjoin_duality(m, DualityKind.IMPROPER, lambda d: [
         ~d * w1 * d * w3,
@@ -192,9 +182,6 @@ def extend_improper(m: RotationGroup4, cap: int = DEFAULT_CAP) -> ExtendedGroup:
 
 def extend_proper(m: RotationGroup4, cap: int = DEFAULT_CAP) -> ExtendedGroup:
     """Adjoin the involutory polarity to a properly self-dual group."""
-    sd = detect_self_duality(m)
-    if sd.kind != DualityKind.PROPER:
-        raise ConstructionError("input is not properly self-dual")
     w1, w2, w3 = m.sigma
     e = _adjoin_duality(m, DualityKind.PROPER, lambda d: [
         d * d, d * w1 * d * w3, d * w2 * d * w2, d * w3 * d * w1,
@@ -209,7 +196,8 @@ def extend_proper(m: RotationGroup4, cap: int = DEFAULT_CAP) -> ExtendedGroup:
 
 def find_polarity(c: RegularCGroup4) -> SelfDualityClass:
     """Detect the polarity of a regular C-group: the automorphism that
-    reverses the generator sequence rho_i -> rho_(3-i)."""
+    reverses the generator sequence rho_i -> rho_(3-i).  It is an
+    involution on the generators, so no square condition is tested."""
     r0, r1, r2, r3 = c.rho
     images = [r3, r2, r1, r0]
     alpha = c.rep.generator_map_automorphism(c.rho, images)
@@ -220,8 +208,6 @@ def find_polarity(c: RegularCGroup4) -> SelfDualityClass:
 
 def extend_polarity(c: RegularCGroup4, cap: int = DEFAULT_CAP) -> ExtendedGroup:
     """Adjoin the polarity to a self-dual regular C-group."""
-    if find_polarity(c).kind != DualityKind.REGULAR_POLARITY:
-        raise ConstructionError("C-group admits no polarity")
     rho = c.rho
     return _adjoin_duality(c, DualityKind.REGULAR_POLARITY, lambda d: [d * d] + [
         d * rho[i] * d * rho[3 - i] for i in range(4)

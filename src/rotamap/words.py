@@ -17,6 +17,8 @@ The file format is line oriented, UTF-8, with ``#`` starting a comment:
 Word grammar:  word := term+ ;  term := name [^int] | "(" word ")" [^int].
 On a ``sigma``/``rho`` line each top-level term is one distinguished word,
 so compound words must be parenthesised: ``sigma d (s1 s2 d^-1)``.
+A word or term that would expand to more than ``DEFAULT_CAP`` letters is
+a ``ParseError``, raised before its letters are built.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ from dataclasses import dataclass, field
 from .errors import ParseError
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+# default coset cap of the enumeration engine, and the longest word the
+# parser will build
+DEFAULT_CAP = 1_000_000
 
 
 def _reduce_cols(cols) -> tuple:
@@ -132,9 +138,6 @@ class Word:
             parts.append(names[g] if exp == 1 else f"{names[g]}^{exp}")
             i = j
         return " ".join(parts)
-
-
-EPSILON = Word.identity()
 
 
 def reduce(w: Word) -> Word:
@@ -274,16 +277,23 @@ class _WordParser:
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def term(self) -> Word:
+    def _check_length(self, n: int):
+        if n > DEFAULT_CAP:
+            raise ParseError(
+                self.lineno, f"word of {n} letters, more than {DEFAULT_CAP}"
+            )
+
+    def term(self) -> list:
+        """Letters of the next term, exponent applied."""
         kind, val = self.tokens[self.pos]
         if kind == "name":
             self.pos += 1
             if val not in self.gen_map:
                 raise ParseError(self.lineno, f"undeclared generator {val!r}")
-            base = Word.gen(self.gen_map[val])
+            cols = [2 * self.gen_map[val]]
         elif kind == "(":
             self.pos += 1
-            base = self.word()
+            cols = self.cols()
             nxt = self.peek()
             if nxt is None or nxt[0] != ")":
                 raise ParseError(self.lineno, "missing ')'")
@@ -293,22 +303,32 @@ class _WordParser:
         nxt = self.peek()
         if nxt is not None and nxt[0] == "exp":
             self.pos += 1
-            base = base ** nxt[1]
-        return base
+            k = nxt[1]
+            self._check_length(len(cols) * abs(k))
+            if k < 0:
+                cols = [c ^ 1 for c in reversed(cols)]
+            cols = cols * abs(k)
+        return cols
 
-    def word(self) -> Word:
-        w = EPSILON
+    def cols(self) -> list:
+        """Letters of the terms up to the next ')' or '=' or the end."""
+        out = []
         while True:
             nxt = self.peek()
             if nxt is None or nxt[0] in (")", "="):
-                return w
-            w = w * self.term()
+                return out
+            term = self.term()
+            self._check_length(len(out) + len(term))
+            out.extend(term)
+
+    def word(self) -> Word:
+        return Word(self.cols())
 
     def terms(self):
         """Top-level terms of the remaining input, one word each."""
         out = []
         while self.peek() is not None:
-            out.append(self.term())
+            out.append(Word(self.term()))
         return out
 
 

@@ -137,7 +137,7 @@ def test_criterion_6_structural_identities(ex1_pipe, ex2_chain, ex3_chain):
         rep = ext.rep
         d = ext.duality
         w1, w2, w3 = ext.embeddings["sigma"]
-        p, q, _ = ext.base_schlafli
+        p, q, _ = schlafli(ext.base)
         k1, k2 = pipe.map3.sigma
         eo = rep.element_of
 
@@ -168,8 +168,8 @@ def test_criterion_6_structural_identities(ex1_pipe, ex2_chain, ex3_chain):
     for pipe in proper:
         ext = pipe.ext
         rep = ext.rep
-        _, q, _ = ext.base_schlafli
-        s, t = ext.base_petrie
+        _, q, _ = schlafli(ext.base)
+        s, t = petrie4(ext.base)
         t0, t1, t2 = pipe.map3.rho
         if rep.element_order((t1 * t2).reduce()) != 2 * s:
             violations.append((ext, "t1 t2 = 2 * left Petrie"))

@@ -80,6 +80,23 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "200003 letters" in err and "1000" in err
 
+    @pytest.mark.parametrize("rel, args, message", [
+        # 32 KB line: 4000 terms, 804 000 letters, parsed in linear time
+        (" ".join(["a^200 b"] * 4000), ["--max-cosets", "1000"],
+         "804000 letters"),
+        # 40 bytes that expand to 20 million letters
+        ("((a^1000)^1000)^20 b", [], "parse error: line 2: word of 20000000"),
+        ("a^2000000", [], "parse error: line 2: word of 2000000"),
+    ])
+    def test_hostile_words_fail_fast(self, tmp_path, capsys, rel, args, message):
+        f = tmp_path / "hostile.pres"
+        f.write_text(f"gens a b\nrel {rel}\nsigma a b\n")
+        t0 = time.perf_counter()
+        rc = main(["analyze", str(f)] + args)
+        assert time.perf_counter() - t0 < 2.0
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 class TestConstruct:
     def test_petrie_coxeter_proper(self, workdir, capsys):

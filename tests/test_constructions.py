@@ -268,6 +268,16 @@ class TestCatalog:
         assert cat["ex3"].expected["map"]["zigzags"][1] == 28
         assert cat["simplex333"].expected["map"]["holes"][2] == 3
 
+    def test_ex3_central_quotient_word_is_the_central_involution(self):
+        cat = catalog()
+        ex3 = cat["ex3"].presentation
+        z = s1 * ~s2 * s1 * s3 * ~s2 * s3 * s1 * s3
+        assert cat["ex3-central-quotient"].presentation == ex3.with_relators(z)
+        rep = enumerate_group(ex3)
+        center = set(rep.center().elements)
+        assert len(center) == 2 and 0 in center
+        assert center - {0} == {rep.element_of(z)}
+
     def test_presentations_parse_roundtrip(self):
         from rotamap import parse_presentation, serialize_presentation
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rotamap import (
@@ -5,16 +7,21 @@ from rotamap import (
     CollapseError,
     ConstructionError,
     DualityKind,
+    LocallyToroidalSpec,
     Presentation,
     RegularCGroup4,
     RotationGroup4,
+    TorusFamily,
     Word,
+    catalog,
+    classify4,
     detect_self_duality,
     enumerate_group,
     extend_improper,
     extend_polarity,
     extend_proper,
     find_polarity,
+    locally_toroidal,
     rotation_subgroup,
     simplex_presentation,
     substitute,
@@ -110,7 +117,7 @@ class TestExtendImproper:
         m = rotation_subgroup(c)
         ext = extend_improper(m)
         assert ext.order == 120
-        assert ext.base_chirality is Chirality.REGULAR
+        assert classify4(ext.base) is Chirality.REGULAR
 
 
 class TestExtendProper:
@@ -180,3 +187,115 @@ class TestWitnessComposition:
         witness = detect_self_duality(m).witness
         squared = [substitute(w, witness) for w in witness]
         assert m.rep.extends_to_automorphism(squared) is True
+
+
+# -- detection against extension ---------------------------------------------
+
+
+def _form_images(m):
+    s1, s2, s3 = m.sigma
+    return {
+        DualityKind.PROPER: [(~s3).reduce(), (~s2).reduce(), (~s1).reduce()],
+        DualityKind.IMPROPER: [(~s3).reduce(), (s1 * s2 * ~s1).reduce(), s1],
+    }
+
+
+def _conjugate_triple(m, rng, length):
+    cols = [rng.randrange(6)]
+    while len(cols) < length:
+        cols.append(rng.choice([c for c in range(6) if c != cols[-1] ^ 1]))
+    g = Word(cols)
+    return RotationGroup4(m.rep, tuple((~g * w * g).reduce() for w in m.sigma))
+
+
+@pytest.fixture(scope="module")
+def duality_cases():
+    """Rotation groups of every duality kind, each with its sigma triple
+    conjugated by a seeded word of one and of two letters."""
+    cat = catalog()
+    groups = {}
+    for name in ("ex1", "ex3", "ex3-central-quotient", "ex2q7"):
+        pres = cat[name].presentation
+        groups[name] = RotationGroup4(enumerate_group(pres), pres.distinguished)
+    pres = simplex_presentation()
+    groups["simplex-rotations"] = rotation_subgroup(
+        RegularCGroup4(enumerate_group(pres), pres.distinguished)
+    )
+    groups["44-13/44-31"] = locally_toroidal(
+        LocallyToroidalSpec(TorusFamily("44", 1, 3), TorusFamily("44", 3, 1))
+    )
+    groups["cube"] = cube_group4()
+    rng = random.Random(2005)
+    cases = []
+    for name, m in groups.items():
+        cases.append((name, m))
+        cases += [(f"{name}^g{n}", _conjugate_triple(m, rng, n)) for n in (1, 2)]
+    return cases
+
+
+# which forms certify on the unconjugated triples
+EXPECTED_FORMS = {
+    "ex1": {DualityKind.IMPROPER},
+    "ex3": {DualityKind.PROPER},
+    "ex3-central-quotient": {DualityKind.PROPER},
+    "ex2q7": {DualityKind.IMPROPER},
+    "simplex-rotations": {DualityKind.PROPER, DualityKind.IMPROPER},
+    "44-13/44-31": {DualityKind.PROPER},
+    "cube": set(),
+}
+
+
+class TestDetectionAgainstExtension:
+    def test_extension_succeeds_exactly_when_the_form_certifies(self, duality_cases):
+        extend = {DualityKind.PROPER: extend_proper, DualityKind.IMPROPER: extend_improper}
+        for name, m in duality_cases:
+            certified = {
+                kind for kind, images in _form_images(m).items()
+                if m.rep.generator_map_automorphism(m.sigma, images) is not None
+            }
+            assert certified == EXPECTED_FORMS[name.split("^")[0]], name
+            for kind, fn in extend.items():
+                if kind in certified:
+                    ext = fn(m)
+                    assert (ext.kind, ext.order, ext.base) == (kind, 2 * m.order, m)
+                else:
+                    with pytest.raises(CollapseError):
+                        fn(m)
+            reported = detect_self_duality(m).kind
+            if DualityKind.IMPROPER in certified:
+                assert reported is DualityKind.IMPROPER, name
+            elif certified:
+                assert reported is DualityKind.PROPER, name
+            else:
+                assert reported is DualityKind.NONE, name
+
+    def test_square_conditions_hold_whenever_a_form_certifies(self, duality_cases):
+        # the conditions detection no longer tests: alpha^2 = 1 for the
+        # proper form, alpha^2 = conjugation by z = s1 s2 s3 and
+        # alpha(z) = z for the improper form, on every element
+        checked = 0
+        for name, m in duality_cases:
+            rep = m.rep
+            z = rep.element_of(m.sigma[0] * m.sigma[1] * m.sigma[2])
+            for kind, images in _form_images(m).items():
+                alpha = rep.generator_map_automorphism(m.sigma, images)
+                if alpha is None:
+                    continue
+                checked += 1
+                for x in range(rep.order):
+                    if kind is DualityKind.PROPER:
+                        assert alpha[alpha[x]] == x, name
+                    else:
+                        assert alpha[alpha[x]] == rep.product(rep.product(z, x), z), name
+                if kind is DualityKind.IMPROPER:
+                    assert alpha[z] == z, name
+        assert checked == 3 * sum(len(k) for k in EXPECTED_FORMS.values())
+
+    def test_proper_extension_of_regular_simplex_rotations(self):
+        # both forms certify on this regular group; detection reports the
+        # improper one, and the proper extension is still available
+        pres = simplex_presentation()
+        m = rotation_subgroup(RegularCGroup4(enumerate_group(pres), pres.distinguished))
+        ext = extend_proper(m)
+        assert ext.order == 120 and ext.kind is DualityKind.PROPER
+        assert ext.base is m

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rotamap import (
+    DEFAULT_CAP,
     ParseError,
     Presentation,
     Word,
@@ -150,6 +151,62 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             parse_presentation("gens a\nrel a^\n")
         assert exc.value.line == 2
+
+
+def random_expression(rng, depth=0):
+    """Random word text over s1 s2 s3 and the Word it denotes, built
+    with Word arithmetic (unreduced)."""
+    parts, word = [], Word.identity()
+    for _ in range(rng.randrange(1, 4)):
+        if depth < 3 and rng.random() < 0.3:
+            text, w = random_expression(rng, depth + 1)
+            text = f"({text})"
+        else:
+            g = rng.randrange(3)
+            text, w = f"s{g + 1}", Word.gen(g)
+        if rng.random() < 0.5:
+            k = rng.randrange(-4, 5)
+            text, w = f"{text}^{k}", w ** k
+        parts.append(text)
+        word = word * w
+    return " ".join(parts), word
+
+
+class TestParserAgainstWordArithmetic:
+    def test_random_nested_expressions(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            (t1, w1), (t2, w2) = random_expression(rng), random_expression(rng)
+            p = parse_presentation(
+                f"gens s1 s2 s3\nrel {t1} = {t2}\nsigma ({t1}) ({t2})\n"
+            )
+            assert p.distinguished == (w1, w2)
+            assert p.relators == ((w1 * ~w2).reduce(),)
+
+
+class TestWordLengthBound:
+    """Words longer than DEFAULT_CAP letters are refused before they are
+    built, so hostile exponents cost neither time nor memory."""
+
+    def test_single_term_at_and_over_the_bound(self):
+        p = parse_presentation(f"gens a\nrel a^{DEFAULT_CAP}\n")
+        assert len(p.relators[0]) == DEFAULT_CAP
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(f"gens a\nrel a^-{DEFAULT_CAP + 1}\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("text", [
+        "rel ((a^1000)^1000)^20 b",
+        "rel (a b)^600000",
+        "rel a^999999 b^2",
+        "rel a^600000 = b^600000 a^600000",
+        "sigma a (b^1000)^1001",
+        "rel a^99999999999999999999999",
+    ])
+    def test_over_the_bound_is_a_parse_error(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(f"gens a b\n{text}\n")
+        assert "more than 1000000" in str(exc.value)
 
 
 class TestRoundTrip:
