@@ -314,7 +314,7 @@ def cmd_construct(args) -> int:
                 f"--petrie {args.petrie} does not divide the Petrie length "
                 f"{period}; the quotient may collapse"
             )
-        result = petrie_quotient(m, args.petrie, cap=args.max_cosets)
+        result = petrie_quotient(m, args.petrie)
         out_pres = result.rep.presentation
         default_name = f"{Path(args.file).stem}-petrie{args.petrie}.pres"
     else:
@@ -324,9 +324,7 @@ def cmd_construct(args) -> int:
                 "rho with 4 words)"
             )
         rep = enumerate_group(pres, cap=args.max_cosets)
-        ext, result = petrie_coxeter(
-            _input_group(cls, rep, pres), cap=args.max_cosets
-        )
+        ext, result = petrie_coxeter(_input_group(cls, rep, pres))
         if isinstance(result, RotationGroup3):
             words, kind = result.sigma, "sigma"
         else:
@@ -414,12 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    max_cosets = dict(
+        type=int, default=DEFAULT_CAP, metavar="N",
+        help="coset cap for enumerations (default %(default)s)",
+    )
+
     def common(p):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument(
-            "--max-cosets", type=int, default=DEFAULT_CAP, metavar="N",
-            help="coset cap for enumerations (default %(default)s)",
-        )
+        p.add_argument("--max-cosets", **max_cosets)
 
     p = sub.add_parser("analyze", help="report invariants of a presentation file")
     p.add_argument("file")
@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--verify", action="store_true",
                     help="recompute the entries and compare")
     pc.add_argument("--out", metavar="DIR", help="output directory")
-    pc.add_argument("--max-cosets", type=int, default=DEFAULT_CAP)
+    pc.add_argument("--max-cosets", **max_cosets)
     pc.set_defaults(func=cmd_generate)
 
     return ap

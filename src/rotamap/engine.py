@@ -313,6 +313,7 @@ def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
     table = CosetTable(rows, p.ngens)
     rep = GroupRep(p, table)
     rep._verify()
+    rep.cap = cap
     return rep
 
 
@@ -320,6 +321,8 @@ class GroupRep:
     """A finite group given by a complete coset table over the trivial
     subgroup.  Elements are coset indices 0..order-1 with 0 the identity;
     ``element_word`` returns a Schreier representative for any index.
+    ``cap`` is the coset cap ``enumerate_group`` ran under; extensions,
+    quotients and rotation subgroups of this group enumerate under it.
 
     Instances are immutable; all queries are pure.
     """

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .engine import DEFAULT_CAP, GroupRep, enumerate_group
+from .engine import GroupRep, enumerate_group
 from .errors import ConstructionError, InconsistencyError, NotPolytopalError, RotamapError
 from .words import Presentation, Word
 
@@ -56,10 +56,6 @@ class RotationGroup3:
     def order(self):
         return self.rep.order
 
-    @property
-    def type_pq(self):
-        return schlafli(self)
-
 
 class RotationGroup4:
     """A rank-4 rotation group with distinguished triple (σ1, σ2, σ3)."""
@@ -76,10 +72,6 @@ class RotationGroup4:
     @property
     def order(self):
         return self.rep.order
-
-    @property
-    def type_pqr(self):
-        return schlafli(self)
 
 
 class RegularCGroup4:
@@ -408,9 +400,10 @@ def map_report_regular(m: RegularMap3) -> MapReport:
 # -- rotation subgroup of a regular C-group -----------------------------------
 
 
-def rotation_subgroup(c: RegularCGroup4, cap: int = DEFAULT_CAP) -> RotationGroup4:
+def rotation_subgroup(c: RegularCGroup4) -> RotationGroup4:
     """The subgroup generated by σi = ρ(i-1) ρi, re-enumerated on its own
-    presentation (the standard rotation relations at the computed orders).
+    presentation (the standard rotation relations at the computed orders)
+    under the cap ``c`` was enumerated with.
 
     The re-enumeration is validated against the subgroup closure inside
     the C-group; a mismatch means the standard relations do not present
@@ -437,7 +430,7 @@ def rotation_subgroup(c: RegularCGroup4, cap: int = DEFAULT_CAP) -> RotationGrou
         [s1, s2, s3],
         "sigma",
     )
-    rep = enumerate_group(pres, cap=cap)
+    rep = enumerate_group(pres, cap=c.rep.cap)
     if rep.order != sub.size:
         raise ConstructionError(
             f"standard rotation relations present a group of order "

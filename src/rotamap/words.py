@@ -257,7 +257,11 @@ def _tokenize(line: str, lineno: int):
     for m in _TOKEN_RE.finditer(line):
         t = m.group()
         if t[0] == "^" and len(t) > 1:
-            tokens.append(("exp", int(t[1:])))
+            try:
+                k = int(t[1:])
+            except ValueError:  # more digits than int() converts
+                raise ParseError(lineno, f"exponent of {len(t) - 1} characters") from None
+            tokens.append(("exp", k))
         elif t in "()=":
             tokens.append((t, t))
         elif _NAME_RE.fullmatch(t):
@@ -283,43 +287,47 @@ class _WordParser:
                 self.lineno, f"word of {n} letters, more than {DEFAULT_CAP}"
             )
 
-    def term(self) -> list:
-        """Letters of the next term, exponent applied."""
-        kind, val = self.tokens[self.pos]
-        if kind == "name":
-            self.pos += 1
-            if val not in self.gen_map:
-                raise ParseError(self.lineno, f"undeclared generator {val!r}")
-            cols = [2 * self.gen_map[val]]
-        elif kind == "(":
-            self.pos += 1
-            cols = self.cols()
-            nxt = self.peek()
-            if nxt is None or nxt[0] != ")":
-                raise ParseError(self.lineno, "missing ')'")
-            self.pos += 1
-        else:
-            raise ParseError(self.lineno, f"unexpected token {val!r}")
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "exp":
-            self.pos += 1
-            k = nxt[1]
-            self._check_length(len(cols) * abs(k))
-            if k < 0:
-                cols = [c ^ 1 for c in reversed(cols)]
-            cols = cols * abs(k)
-        return cols
+    def cols(self, one_term: bool = False) -> list:
+        """Letters of the terms up to the next unmatched ')' or '=' or the
+        end, exponents applied; with ``one_term``, of the next term only.
 
-    def cols(self) -> list:
-        """Letters of the terms up to the next ')' or '=' or the end."""
-        out = []
+        Each open parenthesis pushes a letter list on an explicit stack,
+        and its ')' pops the list as one term of the list below, so any
+        nesting depth parses without recursion."""
+        stack = [[]]
         while True:
+            tok = self.peek()
+            kind = tok[0] if tok is not None else None
+            if kind == "(":
+                self.pos += 1
+                stack.append([])
+                continue
+            if kind == "name":
+                if tok[1] not in self.gen_map:
+                    raise ParseError(self.lineno, f"undeclared generator {tok[1]!r}")
+                term = [2 * self.gen_map[tok[1]]]
+            elif kind == ")" and len(stack) > 1:
+                term = stack.pop()
+            elif kind in (None, "=") and len(stack) > 1:
+                raise ParseError(self.lineno, "missing ')'")
+            elif kind in (None, ")", "=") and not one_term:
+                return stack[0]
+            else:
+                raise ParseError(self.lineno, f"unexpected token {tok[1]!r}")
+            self.pos += 1
             nxt = self.peek()
-            if nxt is None or nxt[0] in (")", "="):
-                return out
-            term = self.term()
+            if nxt is not None and nxt[0] == "exp":
+                self.pos += 1
+                k = nxt[1]
+                self._check_length(len(term) * abs(k))
+                if k < 0:
+                    term = [c ^ 1 for c in reversed(term)]
+                term = term * abs(k)
+            out = stack[-1]
             self._check_length(len(out) + len(term))
             out.extend(term)
+            if one_term and len(stack) == 1:
+                return out
 
     def word(self) -> Word:
         return Word(self.cols())
@@ -328,7 +336,7 @@ class _WordParser:
         """Top-level terms of the remaining input, one word each."""
         out = []
         while self.peek() is not None:
-            out.append(Word(self.term()))
+            out.append(Word(self.cols(one_term=True)))
         return out
 
 

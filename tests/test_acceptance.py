@@ -136,7 +136,7 @@ def test_criterion_6_structural_identities(ex1_pipe, ex2_chain, ex3_chain):
         ext = pipe.ext
         rep = ext.rep
         d = ext.duality
-        w1, w2, w3 = ext.embeddings["sigma"]
+        w1, w2, w3 = ext.base.sigma
         p, q, _ = schlafli(ext.base)
         k1, k2 = pipe.map3.sigma
         eo = rep.element_of

@@ -97,6 +97,19 @@ class TestAnalyze:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    def test_deep_nesting(self, tmp_path, capsys):
+        deep = tmp_path / "deep.pres"
+        nested = "(" * 5000 + "a" + ")" * 5000
+        deep.write_text(f"gens a b\nrel {nested}\nrel b^2\nsigma a b\n")
+        assert main(["analyze", str(deep), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["group_order"] == 2
+        unmatched = tmp_path / "unmatched.pres"
+        unmatched.write_text("gens a b\nrel " + "(" * 5000 + "a\nsigma a b\n")
+        t0 = time.perf_counter()
+        assert main(["analyze", str(unmatched)]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        assert "parse error: line 2: missing ')'" in capsys.readouterr().err
+
 
 class TestConstruct:
     def test_petrie_coxeter_proper(self, workdir, capsys):
@@ -114,6 +127,18 @@ class TestConstruct:
         pres = parse_presentation(emitted.read_text())
         assert pres.distinguished_kind == "rho"
         assert len(pres.distinguished) == 3
+
+    def test_cap_reaches_the_extension(self, workdir, tmp_path, capsys):
+        # the ex3 base needs 675 coset rows, its extension 1347
+        rc = main([
+            "construct", "petrie-coxeter", str(workdir / "ex3.pres"),
+            "--max-cosets", "1000", "--out", str(tmp_path / "ex3-pc.pres"),
+        ])
+        assert rc == 2
+        assert "--max-cosets" in capsys.readouterr().err
+        rc = main(["generate", "catalog", "ex3", "--verify", "--max-cosets", "1000"])
+        assert rc == 2
+        assert "--max-cosets" in capsys.readouterr().err
 
     def test_quotient_by_full_period(self, workdir, capsys):
         rc = main([

@@ -1,6 +1,7 @@
 import pytest
 
 from rotamap import (
+    CapExceededError,
     Chirality,
     ConstructionError,
     LocallyToroidalSpec,
@@ -33,7 +34,13 @@ from rotamap import (
     torus_map,
     zigzag_length,
 )
-from rotamap.selfdual import detect_self_duality, extend_improper, DualityKind
+from rotamap.selfdual import (
+    DualityKind,
+    detect_self_duality,
+    extend_improper,
+    extend_polarity,
+    extend_proper,
+)
 
 s1, s2, s3 = Word.gen(0), Word.gen(1), Word.gen(2)
 
@@ -101,6 +108,33 @@ class TestPetrieQuotient:
     def test_invalid_k(self, ex3_chain):
         with pytest.raises(ValueError):
             petrie_quotient(ex3_chain["base"].base, 0)
+
+
+
+class TestCapInheritance:
+    """Extensions, quotients and rotation subgroups enumerate under the
+    cap of the group they start from."""
+
+    @staticmethod
+    def ex3(cap):
+        pres = catalog()["ex3"].presentation
+        return RotationGroup4(enumerate_group(pres, cap=cap), pres.distinguished)
+
+    def test_extension_hits_the_base_cap(self):
+        # the ex3 base needs 675 coset rows, its extension 1347
+        m = self.ex3(1000)
+        assert m.rep.cap == 1000
+        with pytest.raises(CapExceededError):
+            extend_proper(m)
+
+    def test_derived_groups_keep_the_cap(self):
+        m = self.ex3(1400)
+        assert extend_proper(m).rep.cap == 1400
+        assert petrie_quotient(m, 8).rep.cap == 1400
+        pres = simplex_presentation()
+        c = RegularCGroup4(enumerate_group(pres, cap=500), pres.distinguished)
+        assert rotation_subgroup(c).rep.cap == 500
+        assert extend_polarity(c).rep.cap == 500
 
 
 class TestImproperMap:

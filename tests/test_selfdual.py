@@ -31,6 +31,16 @@ from oracle import naive_is_automorphism
 s1, s2, s3 = Word.gen(0), Word.gen(1), Word.gen(2)
 
 
+def cell24_group():
+    """String C-group of the self-dual 24-cell {3,4,3}, order 1152."""
+    r = [Word.gen(i) for i in range(4)]
+    rels = [w ** 2 for w in r]
+    rels += [(r[0] * r[1]) ** 3, (r[1] * r[2]) ** 4, (r[2] * r[3]) ** 3]
+    rels += [(r[0] * r[2]) ** 2, (r[0] * r[3]) ** 2, (r[1] * r[3]) ** 2]
+    pres = Presentation.build(["r0", "r1", "r2", "r3"], rels, r, "rho")
+    return RegularCGroup4(enumerate_group(pres), pres.distinguished)
+
+
 def cube_group4():
     """Rotation presentation of the 4-cube {4,3,3}: not self-dual."""
     rels = [
@@ -85,22 +95,29 @@ class TestExtendImproper:
 
     def test_embedded_subgroup_has_index_two(self, ex1_pipe):
         ext = ex1_pipe.ext
-        w1, w2, w3 = ext.embeddings["sigma"]
+        w1, w2, w3 = ext.base.sigma
         assert ext.rep.subgroup_closure([w1, w2, w3]).size * 2 == ext.order
 
     def test_duality_squares_to_basic_involution(self, ex1_pipe):
         ext = ex1_pipe.ext
         d = ext.duality
-        w1, w2, w3 = ext.embeddings["sigma"]
+        w1, w2, w3 = ext.base.sigma
         rep = ext.rep
         assert rep.element_order(d) == 4
         assert rep.element_of(d * d) == rep.element_of(w1 * w2 * w3)
 
-    def test_conjugation_cycle(self, ex1_pipe):
-        ext = ex1_pipe.ext
+    @pytest.mark.parametrize("source", ["ex1", "simplex-rotations"])
+    def test_conjugation_cycle(self, source, request):
+        # the identities extend_improper and pc_map_improper derive from
+        # the adjoined relators instead of checking them
+        if source == "ex1":
+            ext = request.getfixturevalue("ex1_pipe").ext
+        else:
+            cgroup = request.getfixturevalue("simplex_pipe")["cgroup"]
+            ext = extend_improper(rotation_subgroup(cgroup))
         rep = ext.rep
         d = ext.duality
-        w1, w2, w3 = ext.embeddings["sigma"]
+        w1, w2, w3 = ext.base.sigma
         cycle = [
             (w1 * w2).reduce(),
             (w1 * w2 * w3 * ~w1).reduce(),
@@ -110,6 +127,14 @@ class TestExtendImproper:
         for cur, nxt in zip(cycle, cycle[1:] + cycle[:1]):
             got = rep.element_of((~d * cur * d).reduce())
             assert got == rep.element_of(nxt)
+        eo = rep.element_of
+        assert eo(~d * w1 * w2 * w3 * d) == eo(w1 * w2 * w3)
+        k1, k2 = d, (w1 * w2 * ~d).reduce()
+        assert eo(k2 * k2) == eo(~w2)
+        assert eo(d * d * w2 * w3) == eo(w1)
+        assert eo(~k1 * k2) == eo(w1)
+        assert eo(~k2 * ~k2) == eo(w2)
+        assert eo(k2 * ~k1) == eo(w3)
 
     def test_self_dual_regular_base_doubles(self):
         pres = simplex_presentation()
@@ -135,16 +160,20 @@ class TestExtendProper:
         with pytest.raises(ConstructionError):
             extend_proper(ex1_pipe.base)
 
-    def test_polarity_is_involution_and_swaps(self, ex3_chain):
-        ext = ex3_chain["base"].ext
+    @pytest.mark.parametrize("source", ["base", "quotient"])
+    def test_polarity_is_involution_and_swaps(self, ex3_chain, source):
+        ext = ex3_chain[source].ext
         rep = ext.rep
         d = ext.duality
-        w1, w2, w3 = ext.embeddings["sigma"]
+        w1, w2, w3 = ext.base.sigma
         assert rep.element_order(d) == 2
         got = rep.element_of((d * w1 * w2 * d).reduce())
         assert got == rep.element_of((w2 * w3).reduce())
         fixed = rep.element_of((d * w1 * w2 * w3 * d).reduce())
         assert fixed == rep.element_of((w1 * w2 * w3).reduce())
+        # t0 = s1 s2 s3 and t2 = w commute (pc_map_proper)
+        t0 = w1 * w2 * w3
+        assert rep.element_of(t0 * d) == rep.element_of(d * t0)
 
 
 class TestPolarity:
@@ -168,15 +197,22 @@ class TestPolarity:
         with pytest.raises(ConstructionError):
             extend_polarity(c)
 
-    def test_period_four_duality_action(self, simplex_pipe):
-        # delta = w r0 conjugates r1 to r2
-        ext = simplex_pipe["ext"]
+    @pytest.mark.parametrize("source", ["simplex333", "24-cell"])
+    def test_period_four_duality_action(self, simplex_pipe, source):
+        # delta = w r0 conjugates r0 to r3 and r1 to r2, and r3 delta = w
+        # (pc_map_regular)
+        if source == "simplex333":
+            ext = simplex_pipe["ext"]
+        else:
+            ext = extend_polarity(cell24_group())
         rep = ext.rep
-        r0, r1, r2, r3 = ext.embeddings["rho"]
+        r0, r1, r2, r3 = ext.base.rho
         delta = (ext.duality * r0).reduce()
         assert rep.element_order(delta) == 4
         got = rep.element_of((~delta * r1 * delta).reduce())
         assert got == rep.element_of(r2)
+        assert rep.element_of(~delta * r0 * delta) == rep.element_of(r3)
+        assert rep.element_of(r3 * delta) == rep.element_of(ext.duality)
 
 
 class TestWitnessComposition:

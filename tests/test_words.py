@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -151,6 +152,28 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             parse_presentation("gens a\nrel a^\n")
         assert exc.value.line == 2
+
+    def test_exponent_with_too_many_digits(self):
+        with pytest.raises(ParseError) as exc:
+            parse_presentation("gens a\nrel a^" + "9" * 5000 + "\n")
+        assert exc.value.line == 2
+
+
+class TestDeepNesting:
+    """Nesting is parsed with an explicit stack, so its depth is bounded
+    only by the letters it holds."""
+
+    def test_5000_levels_parse(self):
+        text = "(" * 5000 + "a" + ")" * 5000
+        p = parse_presentation(f"gens a b\nrel {text}\nsigma {text} b\n")
+        assert p.relators == (Word.gen(0),)
+        assert p.distinguished == (Word.gen(0), Word.gen(1))
+
+    def test_5000_unmatched_parentheses_fail_fast(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="missing '\\)'"):
+            parse_presentation("gens a\nrel " + "(" * 5000 + "a\n")
+        assert time.perf_counter() - t0 < 2.0
 
 
 def random_expression(rng, depth=0):
