@@ -249,13 +249,12 @@ def locally_toroidal(spec: LocallyToroidalSpec, cap: int = DEFAULT_CAP) -> Rotat
 
 def petrie_quotient(m: RotationGroup4, k: int) -> RotationGroup4:
     """Quotient identifying vertices k steps apart along left Petrie
-    polygons: adds the relator (s1 s3)^k and re-enumerates under the cap
-    ``m`` was enumerated with."""
+    polygons: ``m`` with the relator (s1 s3)^k added, built from its table
+    as m / <<(s1 s3)^k>> (``GroupRep.quotient``)."""
     if k < 1:
         raise ValueError("k must be positive")
     w1, w2, w3 = m.sigma
-    pres = m.rep.presentation.with_relators(((w1 * w3) ** k).reduce())
-    rep = enumerate_group(pres, cap=m.rep.cap)
+    rep = m.rep.quotient(((w1 * w3) ** k).reduce())
     q = RotationGroup4(rep, m.sigma)
     if not check_polytopal4(q):
         raise NotPolytopalError(
@@ -354,7 +353,8 @@ def pc_map_regular(e: ExtendedGroup) -> RegularMap3:
     version (r3, r3 delta, r1).  Since w r_i w = r_(3-i) and r0 commutes
     with r2 and r3, delta^-1 r0 delta = r0 r3 r0 = r3 and
     delta^-1 r1 delta = r0 r2 r0 = r2, and r3 delta = w (w r3 w) r0 = w.
-    So the dual triple is the w-conjugate of (r0, w, r2)."""
+    So the dual triple is the w-conjugate of (r0, w, r2).  delta has
+    period 4 because delta = (r0 w)^-1, whose order is tested."""
     if e.kind != DualityKind.REGULAR_POLARITY:
         raise ConstructionError("extended group is not of polarity kind")
     r0, _, r2, _ = e.base.rho
@@ -370,8 +370,6 @@ def pc_map_regular(e: ExtendedGroup) -> RegularMap3:
         rep.element_order((sig1 * ~sig2).reduce()) == p,
         f"2-holes have length {p}",
     )
-    delta = (d * r0).reduce()
-    _require(rep.element_order(delta) == 4, "delta has period 4")
 
     m = RegularMap3(rep, (r0, d, r2))
     _require(_c_group_condition(rep, m.rho), "reflection intersection condition")

@@ -39,7 +39,8 @@ class NotSelfDualError(ConstructionError):
 
 
 class CollapseError(ConstructionError):
-    """An extended group enumerated to the wrong order (collapse)."""
+    """A duality form is not an automorphism of the group, so the
+    extension it presents collapses below twice the group's order."""
 
 
 class InconsistencyError(RotamapError):

@@ -27,10 +27,11 @@ needed.  The square conditions need no test of their own:
   fixes z, alpha^2(s2) = alpha^2(s1^-1 z s3^-1) = z s2 z.  Hence alpha^2
   is conjugation by z = d^2, and alpha fixes z.
 
-Extension adjoins the duality to the presentation and enumerates; the
-order check there is the certificate that the form acts (see
-``_adjoin_duality``), so an ``extend_*`` call of the wrong kind raises
-``CollapseError`` without a second detection.
+Extension adjoins the duality to the presentation and builds the
+extension's table from the base group's (``GroupRep.extend``).  It
+needs the automorphism alpha of the form, which one automorphism test
+on the same images gives; when that test fails, the form does not act
+and an ``extend_*`` call of the wrong kind raises ``CollapseError``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .engine import GroupRep, enumerate_group
+from .engine import GroupRep
 from .errors import CollapseError, InconsistencyError
 from .rotary import Chirality, RegularCGroup4, RotationGroup4, classify4, schlafli
 from .words import Presentation, Word
@@ -77,6 +78,19 @@ class ExtendedGroup:
         return self.rep.order
 
 
+def _form_images(kind: DualityKind, gens) -> tuple:
+    """The images alpha(g) = d^-1 g d of the distinguished generators
+    under the normal form of ``kind``: (sigma1, sigma2, sigma3) for the
+    proper and improper forms, (rho0, ..., rho3) for the polarity."""
+    if kind is DualityKind.IMPROPER:
+        s1, s2, s3 = gens
+        return ((~s3).reduce(), (s1 * s2 * ~s1).reduce(), s1)
+    if kind is DualityKind.PROPER:
+        s1, s2, s3 = gens
+        return ((~s3).reduce(), (~s2).reduce(), (~s1).reduce())
+    return tuple(reversed(gens))
+
+
 def detect_self_duality(m: RotationGroup4) -> SelfDualityClass:
     """Classify the self-duality of a rank-4 rotation group.
 
@@ -90,13 +104,10 @@ def detect_self_duality(m: RotationGroup4) -> SelfDualityClass:
     p, q, r = schlafli(m)
     if p != r:
         return SelfDualityClass(DualityKind.NONE)
-    s1, s2, s3 = m.sigma
-    forms = {
-        DualityKind.IMPROPER: ((~s3).reduce(), (s1 * s2 * ~s1).reduce(), s1),
-        DualityKind.PROPER: ((~s3).reduce(), (~s2).reduce(), (~s1).reduce()),
-    }
+    forms = [(kind, _form_images(kind, m.sigma))
+             for kind in (DualityKind.IMPROPER, DualityKind.PROPER)]
     certified = [
-        (kind, images) for kind, images in forms.items()
+        (kind, images) for kind, images in forms
         if m.rep.generator_map_automorphism(m.sigma, images) is not None
     ]
     if not certified:
@@ -115,41 +126,34 @@ def _fresh_name(taken, base="d"):
     return f"{base}{k}"
 
 
-def _adjoin_duality(base, kind: DualityKind, relators) -> ExtendedGroup:
+def _adjoin_duality(base, gens, kind: DualityKind, relators, z: Word) -> ExtendedGroup:
     """Adjoin a fresh generator d to the presentation of ``base`` with the
-    relators ``relators(d)`` and enumerate under the cap ``base`` was
-    enumerated with; raise ``CollapseError`` unless the result has order
-    2|G|.
+    relators ``relators(d)``, which say d^-1 g d = alpha(g) for the form
+    images of ``gens`` (``_form_images``) and d^2 = z, and build the
+    extension from the base table (``GroupRep.extend``) under the cap of
+    ``base``.
 
-    That order check certifies the duality.  The base generators
-    generate G, the relators send the conjugate d^-1 g d of each one into
-    the image N of G, and d^2 (1 or s1 s2 s3) lies in N, so N is normal
-    of index at most 2.  N satisfies the relators of G, so it is a
-    quotient of G, and the extension has order at most 2|N| <= 2|G|.
-    Order exactly 2|G| forces |N| = |G|: the base generators embed G
-    with index 2, and conjugation by d is an automorphism of G acting as
-    the form prescribes.  Conversely, when the form's map alpha is an
-    automorphism with alpha^2 = conjugation by d^2 and alpha(d^2) = d^2
-    (the module docstring shows both follow), the cyclic extension of G
-    by alpha has order 2|G| and satisfies these relators, so the check
-    passes.  Hence the check passes exactly when detection certifies the
-    form, and a call of the wrong kind raises ``CollapseError``.
+    alpha comes from one automorphism test.  If it fails, the form does
+    not act and ``CollapseError`` is raised: then no extension of order
+    2|G| satisfies the relators, since in one the base generators embed G
+    with index 2 and conjugation by d would be that automorphism.  If it
+    passes, alpha^2 is conjugation by z and alpha(z) = z (the module
+    docstring shows both), which is what ``GroupRep.extend`` needs; its
+    table has order 2|G| by construction and satisfies the relators of
+    the presented group E, and |E| <= 2|G|, so the table is E's.
 
     As G embeds, the identities its wrapper checked (the rotation or
     C-group relations) hold in the extension.  With the adjoined
-    relators, which ``enumerate_group`` verifies on every coset, they
-    imply the identities derived in the ``extend_*`` and ``pc_map_*``
-    docstrings, so those are not tested again."""
+    relators, which the extension's table is verified against on every
+    element, they imply the identities derived in the ``extend_*`` and
+    ``pc_map_*`` docstrings, so those are not tested again."""
+    alpha = base.rep.generator_map_automorphism(gens, _form_images(kind, gens))
+    if alpha is None:
+        raise CollapseError(f"the {kind} form is not an automorphism of the group")
     pres = base.rep.presentation
     d = Word.gen(pres.ngens)
     pres = pres.with_generator(_fresh_name(pres.names)).with_relators(*relators(d))
-    rep = enumerate_group(
-        Presentation(pres.generators, pres.relators), cap=base.rep.cap
-    )
-    if rep.order != 2 * base.order:
-        raise CollapseError(
-            f"{kind} extension has order {rep.order}, expected {2 * base.order}"
-        )
+    rep = base.rep.extend(Presentation(pres.generators, pres.relators), alpha, z)
     return ExtendedGroup(rep=rep, kind=kind, base=base, duality=d)
 
 
@@ -165,12 +169,12 @@ def extend_improper(m: RotationGroup4) -> ExtendedGroup:
     alpha(s3^-1 a s3) = s1^-1 (z b z) s1 = b, and
     alpha(b) = s1 s2 s1^-1 s1 = a."""
     w1, w2, w3 = m.sigma
-    return _adjoin_duality(m, DualityKind.IMPROPER, lambda d: [
+    return _adjoin_duality(m, m.sigma, DualityKind.IMPROPER, lambda d: [
         ~d * w1 * d * w3,
         ~d * w2 * d * w1 * ~w2 * ~w1,
         ~d * w3 * d * ~w1,
         d * d * ~(w1 * w2 * w3),
-    ])
+    ], w1 * w2 * w3)
 
 
 def extend_proper(m: RotationGroup4) -> ExtendedGroup:
@@ -180,26 +184,24 @@ def extend_proper(m: RotationGroup4) -> ExtendedGroup:
     d s1 s2 d = s3^-1 s2^-1 = (s2 s3)^-1 = s2 s3, an involution, and
     d z d = z^-1 = z."""
     w1, w2, w3 = m.sigma
-    return _adjoin_duality(m, DualityKind.PROPER, lambda d: [
+    return _adjoin_duality(m, m.sigma, DualityKind.PROPER, lambda d: [
         d * d, d * w1 * d * w3, d * w2 * d * w2, d * w3 * d * w1,
-    ])
+    ], Word.identity())
 
 
 def find_polarity(c: RegularCGroup4) -> SelfDualityClass:
     """Detect the polarity of a regular C-group: the automorphism that
     reverses the generator sequence rho_i -> rho_(3-i).  It is an
     involution on the generators, so no square condition is tested."""
-    r0, r1, r2, r3 = c.rho
-    images = [r3, r2, r1, r0]
-    alpha = c.rep.generator_map_automorphism(c.rho, images)
-    if alpha is None:
+    images = _form_images(DualityKind.REGULAR_POLARITY, c.rho)
+    if c.rep.generator_map_automorphism(c.rho, images) is None:
         return SelfDualityClass(DualityKind.NONE)
-    return SelfDualityClass(DualityKind.REGULAR_POLARITY, tuple(images))
+    return SelfDualityClass(DualityKind.REGULAR_POLARITY, images)
 
 
 def extend_polarity(c: RegularCGroup4) -> ExtendedGroup:
     """Adjoin the polarity to a self-dual regular C-group."""
     rho = c.rho
-    return _adjoin_duality(c, DualityKind.REGULAR_POLARITY, lambda d: [d * d] + [
+    return _adjoin_duality(c, rho, DualityKind.REGULAR_POLARITY, lambda d: [d * d] + [
         d * rho[i] * d * rho[3 - i] for i in range(4)
-    ])
+    ], Word.identity())

@@ -1,4 +1,5 @@
-"""Property tests of the presentation format, with Hypothesis.
+"""Property tests of the presentation format and of derived quotients,
+with Hypothesis.
 
 Examples are derandomized and their number is fixed, so the suite stays
 deterministic."""
@@ -8,7 +9,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from rotamap import ParseError, Presentation, Word, parse_presentation, serialize_presentation
+from rotamap import (
+    ParseError,
+    Presentation,
+    Word,
+    enumerate_group,
+    parse_presentation,
+    serialize_presentation,
+)
+from rotamap.engine import _row_scan
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -52,3 +61,22 @@ def test_parser_raises_only_parse_errors(text):
         parse_presentation(text)
     except ParseError:
         pass
+
+
+def _standard(rep):
+    return _row_scan(rep.table.rows.__getitem__, range(rep.order))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    st.sampled_from(["ex1", "ex3"]),
+    st.lists(st.integers(0, 5), max_size=8).map(Word).map(Word.reduce),
+)
+def test_quotient_matches_enumeration(ex1_pipe, ex3_chain, name, w):
+    # G / <<w>> built from G's table is the group G's presentation plus
+    # the relator w presents
+    rep = (ex1_pipe.base if name == "ex1" else ex3_chain["base"].base).rep
+    q = rep.quotient(w)
+    oracle = enumerate_group(rep.presentation.with_relators(w))
+    assert q.presentation == oracle.presentation
+    assert _standard(q) == _standard(oracle)
