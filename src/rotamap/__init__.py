@@ -34,10 +34,10 @@ from .words import (
     substitute,
 )
 from .rotary import (
+    AnalysisReport,
     Chirality,
     InvolutionReport,
     MapInvariants,
-    MapReport,
     RegularCGroup4,
     RegularMap3,
     RotationGroup3,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .engine import DEFAULT_CAP, enumerate_group
@@ -37,21 +37,21 @@ from .errors import (
     RotamapError,
 )
 from .rotary import (
+    SCHEMA_VERSION,
+    AnalysisReport,
     Chirality,
-    InvolutionReport,
     RegularCGroup4,
     RegularMap3,
     RotationGroup3,
     RotationGroup4,
-    _c_group_condition,
     classify4,
     group_class,
-    involution_report,
-    map_invariants3,
-    map_invariants_regular,
     petrie4,
     schlafli,
 )
+# perfbench/spans.py traces these names here; tests/test_benchmark_api.py keeps them
+from .rotary import map_report3 as report_rotation3
+from .rotary import map_report_regular as report_regular_map
 from .selfdual import detect_self_duality, find_polarity
 from .constructions import (
     TorusFamily,
@@ -63,61 +63,6 @@ from .constructions import (
     verify_catalog_entry,
 )
 from .words import Presentation, Word, parse_presentation, serialize_presentation
-
-SCHEMA_VERSION = 1
-
-
-@dataclass
-class AnalysisReport:
-    """Flat, JSON-ready view of everything the toolkit computes for one
-    input; inapplicable fields are None."""
-
-    group_order: int
-    schlafli: tuple
-    polytopal: bool
-    chirality: str
-    self_duality: str | None = None
-    petrie: dict | None = None
-    holes: dict | None = None
-    zigzags: dict | None = None
-    f_vector: tuple | None = None
-    euler: int | None = None
-    genus: int | None = None
-    involutions: dict | None = None
-    warnings: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        d = {"schema": SCHEMA_VERSION}
-        d.update(asdict(self))
-        d["schlafli"] = list(self.schlafli)
-        if self.f_vector is not None:
-            d["f_vector"] = list(self.f_vector)
-        if self.holes is not None:
-            d["holes"] = {str(j): v for j, v in sorted(self.holes.items())}
-        if self.zigzags is not None:
-            d["zigzags"] = {str(j): v for j, v in sorted(self.zigzags.items())}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalysisReport":
-        keep = {k: d.get(k) for k in cls.__dataclass_fields__}
-        keep["schlafli"] = tuple(keep["schlafli"] or ())
-        if keep.get("f_vector") is not None:
-            keep["f_vector"] = tuple(keep["f_vector"])
-        for name in ("holes", "zigzags"):
-            if keep.get(name) is not None:
-                keep[name] = {int(j): v for j, v in keep[name].items()}
-        keep["warnings"] = list(keep.get("warnings") or [])
-        return cls(**keep)
-
-
-def _involutions_dict(r: InvolutionReport) -> dict:
-    return {
-        "n_tau_order": r.n_tau_order,
-        "n_tau_index": r.n_tau_index,
-        "group_gen_by_involutions": r.group_gen_by_involutions,
-        "prop62_consistent": r.prop62_consistent,
-    }
 
 
 def _nominal_warnings(pres: Presentation, rep) -> list:
@@ -136,26 +81,6 @@ def _nominal_warnings(pres: Presentation, rep) -> list:
     return out
 
 
-def report_rotation3(m: RotationGroup3, warnings=()) -> AnalysisReport:
-    inv = map_invariants3(m)
-    ir = involution_report(m)
-    w = list(warnings)
-    if inv.chirality is Chirality.NOT_POLYTOPAL:
-        w.append("intersection condition fails; counts are diagnostic only")
-    return AnalysisReport(
-        group_order=m.order,
-        schlafli=inv.schlafli,
-        polytopal=inv.chirality is not Chirality.NOT_POLYTOPAL,
-        chirality=inv.chirality.value,
-        f_vector=inv.f_vector,
-        euler=inv.euler,
-        genus=inv.genus,
-        holes=inv.holes,
-        involutions=_involutions_dict(ir),
-        warnings=w,
-    )
-
-
 def report_rotation4(m: RotationGroup4, warnings=()) -> AnalysisReport:
     left, right = petrie4(m)
     cls = classify4(m)
@@ -172,25 +97,6 @@ def report_rotation4(m: RotationGroup4, warnings=()) -> AnalysisReport:
         chirality=cls.value,
         self_duality=sd,
         petrie={"left": left, "right": right},
-        warnings=w,
-    )
-
-
-def report_regular_map(m: RegularMap3, warnings=()) -> AnalysisReport:
-    inv = map_invariants_regular(m)
-    w = list(warnings)
-    if inv.genus is None:
-        w.append("rotation subgroup has index 1; genus not reported")
-    return AnalysisReport(
-        group_order=m.order,
-        schlafli=inv.schlafli,
-        polytopal=_c_group_condition(m.rep, m.rho),
-        chirality=inv.chirality.value,
-        f_vector=inv.f_vector,
-        euler=inv.euler,
-        genus=inv.genus,
-        holes=inv.holes,
-        zigzags=inv.zigzags,
         warnings=w,
     )
 

@@ -19,9 +19,9 @@ and right Petrie lengths of the locally toroidal examples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .engine import DEFAULT_CAP, enumerate_group
+from .engine import DEFAULT_CAP, _cyclic_reduce, enumerate_group
 from .errors import (
     ConstructionError,
     InconsistencyError,
@@ -250,11 +250,19 @@ def locally_toroidal(spec: LocallyToroidalSpec, cap: int = DEFAULT_CAP) -> Rotat
 def petrie_quotient(m: RotationGroup4, k: int) -> RotationGroup4:
     """Quotient identifying vertices k steps apart along left Petrie
     polygons: ``m`` with the relator (s1 s3)^k added, built from its table
-    as m / <<(s1 s3)^k>> (``GroupRep.quotient``)."""
+    as m / <<(s1 s3)^k>> (``GroupRep.quotient``).  Cyclically reduced,
+    the relator has k times the letters of s1 s3; if that is more than
+    the cap, ValueError is raised before the relator is built."""
     if k < 1:
         raise ValueError("k must be positive")
     w1, w2, w3 = m.sigma
-    rep = m.rep.quotient(((w1 * w3) ** k).reduce())
+    u = (w1 * w3).reduce()
+    letters = k * len(_cyclic_reduce(u.cols()))
+    if letters > m.rep.cap:
+        raise ValueError(
+            f"relator (s1 s3)^{k} holds {letters} letters, more than the cap {m.rep.cap}"
+        )
+    rep = m.rep.quotient((u ** k).reduce())
     q = RotationGroup4(rep, m.sigma)
     if not check_polytopal4(q):
         raise NotPolytopalError(
@@ -618,25 +626,16 @@ def catalog() -> dict:
 
 
 def _map_dict(m) -> dict:
-    """Flat view of a map's ``MapReport``, keyed like the catalog."""
+    """A map's ``AnalysisReport`` keyed like the catalog: ``order`` for
+    ``group_order``, and the involution fields flattened, with
+    ``gen_by_involutions`` for ``group_gen_by_involutions``."""
     r = map_report3(m) if isinstance(m, RotationGroup3) else map_report_regular(m)
-    inv = r.invariants
-    out = {
-        "order": r.group_order,
-        "polytopal": r.polytopal,
-        "schlafli": inv.schlafli,
-        "chirality": inv.chirality.value,
-        "f_vector": inv.f_vector,
-        "euler": inv.euler,
-        "genus": inv.genus,
-        "holes": inv.holes,
-        "zigzags": inv.zigzags,
-    }
-    if r.involutions is not None:
-        out["n_tau_index"] = r.involutions.n_tau_index
-        out["n_tau_order"] = r.involutions.n_tau_order
-        out["gen_by_involutions"] = r.involutions.group_gen_by_involutions
-        out["prop62_consistent"] = r.involutions.prop62_consistent
+    out = asdict(r)
+    out["order"] = out.pop("group_order")
+    involutions = out.pop("involutions")
+    if involutions is not None:
+        involutions["gen_by_involutions"] = involutions.pop("group_gen_by_involutions")
+        out.update(involutions)
     return out
 
 

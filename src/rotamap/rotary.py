@@ -11,11 +11,15 @@ maps whose generators are compound words in a larger group).
 Polytopality is the intersection condition on the cyclic/dihedral
 subgroups; chirality is decided by testing whether the orientation
 reversing generator correspondence extends to a group automorphism.
+
+``AnalysisReport`` is the one report type: ``map_report3`` and
+``map_report_regular`` build it for maps, for the CLI and for catalog
+verification alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from .engine import GroupRep, enumerate_group
@@ -234,21 +238,26 @@ def schlafli(m) -> tuple:
 
 def f_vector3(m: RotationGroup3, diagnostic: bool = False) -> tuple:
     """(V, E, F) counts from coset indices: vertices are cosets of ⟨σ2⟩,
-    faces cosets of ⟨σ1⟩, edges cosets of the edge half-turn."""
+    faces cosets of ⟨σ1⟩, edges cosets of the edge half-turn σ1 σ2 (of
+    order 2, or 1 in a degenerate map)."""
     if not diagnostic and not check_polytopal3(m):
         raise NotPolytopalError("map fails the intersection condition")
     s1, s2 = m.sigma
     v = m.order // m.rep.subgroup_closure([s2]).size
-    e = m.order // 2
+    e = m.order // m.rep.element_order(s1 * s2)
     f = m.order // m.rep.subgroup_closure([s1]).size
     return (v, e, f)
 
 
 def euler_genus(m: RotationGroup3, diagnostic: bool = False) -> tuple:
-    """(Euler characteristic, genus); rotation-group maps are orientable."""
+    """(Euler characteristic, genus); rotation-group maps are orientable.
+    The characteristic of a polytopal map is even; that of a degenerate
+    one (``diagnostic``) may be odd, and then its genus is None."""
     v, e, f = f_vector3(m, diagnostic=diagnostic)
     chi = v - e + f
     if chi % 2 != 0:
+        if diagnostic and not check_polytopal3(m):
+            return chi, None
         raise InconsistencyError(f"odd Euler characteristic {chi}")
     return chi, (2 - chi) // 2
 
@@ -308,7 +317,9 @@ def involution_report(m: RotationGroup3) -> InvolutionReport:
     )
 
 
-# -- aggregate reports --------------------------------------------------------
+# -- reports -------------------------------------------------------------------
+
+SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -323,11 +334,47 @@ class MapInvariants:
 
 
 @dataclass
-class MapReport:
+class AnalysisReport:
+    """Flat, JSON-ready view of everything the toolkit computes for one
+    input; inapplicable fields are None."""
+
     group_order: int
+    schlafli: tuple
     polytopal: bool
-    invariants: MapInvariants
-    involutions: InvolutionReport | None
+    chirality: str
+    self_duality: str | None = None
+    petrie: dict | None = None
+    holes: dict | None = None
+    zigzags: dict | None = None
+    f_vector: tuple | None = None
+    euler: int | None = None
+    genus: int | None = None
+    involutions: dict | None = None
+    warnings: list = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        d = {"schema": SCHEMA_VERSION}
+        d.update(asdict(self))
+        d["schlafli"] = list(self.schlafli)
+        if self.f_vector is not None:
+            d["f_vector"] = list(self.f_vector)
+        if self.holes is not None:
+            d["holes"] = {str(j): v for j, v in sorted(self.holes.items())}
+        if self.zigzags is not None:
+            d["zigzags"] = {str(j): v for j, v in sorted(self.zigzags.items())}
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "AnalysisReport":
+        keep = {k: d.get(k) for k in cls.__dataclass_fields__}
+        keep["schlafli"] = tuple(keep["schlafli"] or ())
+        if keep.get("f_vector") is not None:
+            keep["f_vector"] = tuple(keep["f_vector"])
+        for name in ("holes", "zigzags"):
+            if keep.get(name) is not None:
+                keep[name] = {int(j): v for j, v in keep[name].items()}
+        keep["warnings"] = list(keep.get("warnings") or [])
+        return cls(**keep)
 
 
 def map_invariants3(m: RotationGroup3) -> MapInvariants:
@@ -346,12 +393,24 @@ def map_invariants3(m: RotationGroup3) -> MapInvariants:
     )
 
 
-def map_report3(m: RotationGroup3) -> MapReport:
-    return MapReport(
+def map_report3(m: RotationGroup3, warnings=()) -> AnalysisReport:
+    """The report of a rotation map, after the given ``warnings``."""
+    inv = map_invariants3(m)
+    polytopal = inv.chirality is not Chirality.NOT_POLYTOPAL
+    w = list(warnings)
+    if not polytopal:
+        w.append("intersection condition fails; counts are diagnostic only")
+    return AnalysisReport(
         group_order=m.order,
-        polytopal=check_polytopal3(m),
-        invariants=map_invariants3(m),
-        involutions=involution_report(m),
+        schlafli=inv.schlafli,
+        polytopal=polytopal,
+        chirality=inv.chirality.value,
+        f_vector=inv.f_vector,
+        euler=inv.euler,
+        genus=inv.genus,
+        holes=inv.holes,
+        involutions=asdict(involution_report(m)),
+        warnings=w,
     )
 
 
@@ -387,13 +446,23 @@ def map_invariants_regular(m: RegularMap3) -> MapInvariants:
     )
 
 
-def map_report_regular(m: RegularMap3) -> MapReport:
-    polytopal = _c_group_condition(m.rep, m.rho)
-    return MapReport(
+def map_report_regular(m: RegularMap3, warnings=()) -> AnalysisReport:
+    """The report of a regular map, after the given ``warnings``."""
+    inv = map_invariants_regular(m)
+    w = list(warnings)
+    if inv.genus is None:
+        w.append("rotation subgroup has index 1; genus not reported")
+    return AnalysisReport(
         group_order=m.order,
-        polytopal=polytopal,
-        invariants=map_invariants_regular(m),
-        involutions=None,
+        schlafli=inv.schlafli,
+        polytopal=_c_group_condition(m.rep, m.rho),
+        chirality=inv.chirality.value,
+        f_vector=inv.f_vector,
+        euler=inv.euler,
+        genus=inv.genus,
+        holes=inv.holes,
+        zigzags=inv.zigzags,
+        warnings=w,
     )
 
 

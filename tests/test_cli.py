@@ -1,10 +1,16 @@
 import json
+import os
+import re
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from rotamap.cli import AnalysisReport, analyze_presentation, format_text, main
-from rotamap import TorusFamily, parse_presentation
+from rotamap.cli import analyze_presentation, format_text, main
+from rotamap import AnalysisReport, TorusFamily, parse_presentation
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +41,24 @@ class TestAnalyze:
         d = json.loads(capsys.readouterr().out)
         assert d["polytopal"] is False
         assert d["f_vector"] == [1, 2, 1]
+
+    @pytest.mark.parametrize("rels, f_vector, euler", [
+        ("rel a^3\nrel a b\n", [1, 3, 1], -1),  # C3 with sigma1 sigma2 = 1
+        ("rel a\nrel b\n", [1, 1, 1], 1),  # the trivial group
+    ], ids=["c3", "trivial"])
+    def test_degenerate_half_turn(self, tmp_path, capsys, rels, f_vector, euler):
+        # edges are the cosets of <sigma1 sigma2>, here of order 1; an odd
+        # Euler characteristic of a non-polytopal map has no genus
+        f = tmp_path / "degenerate.pres"
+        f.write_text(f"gens a b\n{rels}sigma a b\n")
+        assert main(["analyze", str(f), "--json"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert (d["f_vector"], d["euler"], d["genus"]) == (f_vector, euler, None)
+        assert d["warnings"] == [
+            "intersection condition fails; counts are diagnostic only"
+        ]
+        assert main(["analyze", str(f)]) == 0
+        assert re.search(r"^genus +-$", capsys.readouterr().out, re.M)
 
     def test_text_and_json_agree(self, workdir, capsys):
         assert main(["analyze", str(workdir / "torus-44-1-3.pres"), "--json"]) == 0
@@ -163,6 +187,30 @@ class TestConstruct:
             assert any("divide" in w for w in d["warnings"])
         else:
             assert rc == 1  # collapse diagnosed
+
+    def test_huge_petrie_exponent_fails_fast(self, workdir, tmp_path):
+        # the relator's length is bounded before its 2K letters are built;
+        # the child's address-space limit turns building them into a
+        # MemoryError instead of exhausting the machine
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "q.pres"
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "rotamap.cli", "construct", "quotient",
+             str(workdir / "ex3.pres"), "--petrie", "10000000000",
+             "--out", str(out)],
+            capture_output=True, text=True, env=env,
+            preexec_fn=limit_memory, timeout=60,
+        )
+        assert time.perf_counter() - t0 < 2.0
+        assert proc.returncode == 2, proc.stderr
+        assert "20000000000 letters, more than the cap" in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_nonpositive_petrie_exit_2(self, workdir, capsys, k):

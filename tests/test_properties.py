@@ -1,5 +1,5 @@
-"""Property tests of the presentation format and of derived quotients,
-with Hypothesis.
+"""Property tests of the presentation format, of derived quotients and
+of torus map analysis, with Hypothesis.
 
 Examples are derandomized and their number is fixed, so the suite stays
 deterministic."""
@@ -12,11 +12,15 @@ from hypothesis import given, settings, strategies as st
 from rotamap import (
     ParseError,
     Presentation,
+    TorusFamily,
     Word,
     enumerate_group,
+    lattice_torus_oracle,
     parse_presentation,
     serialize_presentation,
+    torus_presentation,
 )
+from rotamap.cli import analyze_presentation
 from rotamap.engine import _row_scan
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -80,3 +84,17 @@ def test_quotient_matches_enumeration(ex1_pipe, ex3_chain, name, w):
     oracle = enumerate_group(rep.presentation.with_relators(w))
     assert q.presentation == oracle.presentation
     assert _standard(q) == _standard(oracle)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(["44", "36", "63"]), st.integers(0, 8), st.integers(1, 8))
+def test_torus_analysis_matches_lattice(family, b, c):
+    t = TorusFamily(family, b, c)
+    pres = parse_presentation(serialize_presentation(torus_presentation(t)))
+    report = analyze_presentation(pres)
+    order, v, e, f = lattice_torus_oracle(t)
+    assert (report.group_order, report.f_vector) == (order, (v, e, f))
+    if report.polytopal:
+        assert report.chirality == ("regular" if t.expect_regular else "chiral")
+    else:
+        assert report.chirality == "not-polytopal"
