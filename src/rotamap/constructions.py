@@ -646,7 +646,13 @@ def compute_entry_report(entry: CatalogEntry, cap: int = DEFAULT_CAP) -> dict:
     rep = enumerate_group(pres, cap=cap)
     g = cls(rep, pres.distinguished)
     if cls is RotationGroup3:
-        return dict(_map_dict(g), reflexible=is_reflexible3(g))
+        out = _map_dict(g)
+        # classify3 has decided reflexibility for a polytopal map already
+        if out["polytopal"]:
+            out["reflexible"] = out["chirality"] == Chirality.REGULAR.value
+        else:
+            out["reflexible"] = is_reflexible3(g)
+        return out
 
     out = {"order": g.order}
     try:

@@ -474,7 +474,13 @@ class GroupRep:
     def _incremental_closure(self, candidate_indices) -> list:
         """Elements of the subgroup generated by the candidate element
         indices, identity first.  Candidates join one at a time, as
-        Schreier words, and members are skipped."""
+        Schreier words, and members are skipped.
+
+        The set E is closed under right multiplication by each generator
+        t only, not by t^-1: on the finite set E, x -> x t is injective,
+        so E t contained in E forces E t = E, and E is closed under t^-1
+        as well.  A word acts on the right only through its element, so
+        walking t's Schreier word is multiplying by t."""
         rows = self.table.rows
         member = bytearray(self.order)
         member[0] = 1
@@ -484,18 +490,16 @@ class GroupRep:
             if member[t]:
                 continue
             w = self._schreier_cols(t)
-            new_gens = [w, tuple(c ^ 1 for c in reversed(w))]
-            gen_cols.extend(new_gens)
+            gen_cols.append(w)
             frontier = []
             for x in list(elements):
-                for cols in new_gens:
-                    y = x
-                    for c in cols:
-                        y = rows[y][c]
-                    if not member[y]:
-                        member[y] = 1
-                        elements.append(y)
-                        frontier.append(y)
+                y = x
+                for c in w:
+                    y = rows[y][c]
+                if not member[y]:
+                    member[y] = 1
+                    elements.append(y)
+                    frontier.append(y)
             while frontier:
                 x = frontier.pop()
                 for cols in gen_cols:
@@ -668,6 +672,16 @@ class GroupRep:
         generators: the closure of the pairs (source_i, image_i) in
         G x G is the graph of an automorphism exactly when it is a
         bijective function, which the breadth-first closure detects.
+
+        Each word is evaluated to its element s_i or u_i once, and the
+        closure walks their Schreier words, forward only; a word acts on
+        the right only through its element.  Forward is enough because G
+        is finite.  The set E of elements reached is closed under right
+        multiplication by each s_i, which is injective, so E s_i = E and
+        E is closed under s_i^-1 too: E is the subgroup the s_i generate.
+        And if alpha(a s_i) = alpha(a) u_i holds for every a, putting
+        a = a' s_i^-1 gives alpha(a' s_i^-1) = alpha(a') u_i^-1, so the
+        pairs (s_i^-1, u_i^-1) add no condition.
         """
         sources = tuple(sources)
         images = tuple(images)
@@ -676,10 +690,11 @@ class GroupRep:
         if any(w.max_gen() >= self.presentation.ngens for w in sources + images):
             raise ValueError("word uses undeclared generators")
         rows = self.table.rows
-        pairs = []
-        for s, u in zip(sources, images):
-            pairs.append((s.cols(), u.cols()))
-            pairs.append(((~s).cols(), (~u).cols()))
+        pairs = [
+            (self._schreier_cols(self._walk(0, s.cols())),
+             self._schreier_cols(self._walk(0, u.cols())))
+            for s, u in zip(sources, images)
+        ]
         alpha = [-1] * self.order
         alpha[0] = 0
         queue = deque((0,))

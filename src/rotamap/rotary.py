@@ -253,10 +253,16 @@ def euler_genus(m: RotationGroup3, diagnostic: bool = False) -> tuple:
     """(Euler characteristic, genus); rotation-group maps are orientable.
     The characteristic of a polytopal map is even; that of a degenerate
     one (``diagnostic``) may be odd, and then its genus is None."""
-    v, e, f = f_vector3(m, diagnostic=diagnostic)
+    fv = f_vector3(m, diagnostic=diagnostic)
+    return _euler_genus(fv, not diagnostic or check_polytopal3(m))
+
+
+def _euler_genus(f_vector, polytopal: bool) -> tuple:
+    """(Euler characteristic, genus) of a rank-3 f-vector."""
+    v, e, f = f_vector
     chi = v - e + f
     if chi % 2 != 0:
-        if diagnostic and not check_polytopal3(m):
+        if not polytopal:
             return chi, None
         raise InconsistencyError(f"odd Euler characteristic {chi}")
     return chi, (2 - chi) // 2
@@ -380,11 +386,12 @@ class AnalysisReport:
 def map_invariants3(m: RotationGroup3) -> MapInvariants:
     cls = classify3(m)
     p, q = schlafli(m)
-    chi, genus = euler_genus(m, diagnostic=True)
+    fv = f_vector3(m, diagnostic=True)
+    chi, genus = _euler_genus(fv, cls is not Chirality.NOT_POLYTOPAL)
     holes = {j: hole_length(m, j) for j in range(2, q // 2 + 1)}
     return MapInvariants(
         schlafli=(p, q),
-        f_vector=f_vector3(m, diagnostic=True),
+        f_vector=fv,
         euler=chi,
         genus=genus,
         holes=holes,

@@ -3,6 +3,10 @@
 Everything here avoids the production closure/normal-closure/automorphism
 code paths: permutation arithmetic on tuples, quadratic subgroup closure
 by multiplying all pairs, and element-by-element homomorphism checking.
+``word_bfs_closure`` and ``naive_generator_map`` deliberately keep walking
+the literal words and their inverses, where ``GroupRep`` walks each
+element's Schreier word forward only, so that they stay independent of
+that loop.
 """
 
 from collections import deque
@@ -71,6 +75,45 @@ def word_bfs_closure(rep: GroupRep, words):
                 seen.add(y)
                 queue.append(y)
     return seen
+
+
+def naive_generator_map(rep: GroupRep, sources, images):
+    """The automorphism sending each source word to its image word, as a
+    list indexed by element, or None.  A candidate map is spread from the
+    identity along the literal words and their inverses, then every
+    (element, source) pair is checked with ``rep.product``, and the map
+    must be a bijection."""
+    rows = rep.table.rows
+
+    def walk(x, cols):
+        for c in cols:
+            x = rows[x][c]
+        return x
+
+    steps = []
+    for s, u in zip(sources, images):
+        steps.append((s.cols(), u.cols()))
+        steps.append(((~s).cols(), (~u).cols()))
+    alpha = {0: 0}
+    queue = deque((0,))
+    while queue:
+        a = queue.popleft()
+        for sc, uc in steps:
+            a2 = walk(a, sc)
+            if a2 not in alpha:
+                alpha[a2] = walk(alpha[a], uc)
+                queue.append(a2)
+    if len(alpha) != rep.order:
+        return None
+    phi = [alpha[a] for a in range(rep.order)]
+    if len(set(phi)) != rep.order:
+        return None
+    for s, u in zip(sources, images):
+        x, y = rep.element_of(s), rep.element_of(u)
+        for a in range(rep.order):
+            if phi[rep.product(a, x)] != rep.product(phi[a], y):
+                return None
+    return phi
 
 
 def naive_normal_closure(rep: GroupRep, w: Word):

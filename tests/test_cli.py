@@ -81,6 +81,15 @@ class TestAnalyze:
         assert main(["analyze", str(free), "--max-cosets", "40"]) == 2
         assert "--max-cosets" in capsys.readouterr().err
 
+    def test_infinite_presentation_hits_cap(self, tmp_path, capsys):
+        # Z x Z: enumeration can only stop at the cap
+        f = tmp_path / "z2.pres"
+        f.write_text("gens a b\nrel a b a^-1 b^-1\nsigma a b\n")
+        t0 = time.perf_counter()
+        assert main(["analyze", str(f), "--max-cosets", "1000"]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        assert "coset cap 1000 exceeded" in capsys.readouterr().err
+
     def test_missing_sigma_line_is_operational_error(self, tmp_path, capsys):
         f = tmp_path / "norank.pres"
         f.write_text("gens a\nrel a^4\n")

@@ -1,5 +1,6 @@
-"""Property tests of the presentation format, of derived quotients and
-of torus map analysis, with Hypothesis.
+"""Property tests of the presentation format, of derived quotients, of
+subgroup and normal closures, of known group orders and of torus map
+analysis, with Hypothesis.
 
 Examples are derandomized and their number is fixed, so the suite stays
 deterministic."""
@@ -14,6 +15,7 @@ from rotamap import (
     Presentation,
     TorusFamily,
     Word,
+    catalog,
     enumerate_group,
     lattice_torus_oracle,
     parse_presentation,
@@ -22,6 +24,8 @@ from rotamap import (
 )
 from rotamap.cli import analyze_presentation
 from rotamap.engine import _row_scan
+from oracle import naive_normal_closure, word_bfs_closure
+from test_queries import rot333
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -98,3 +102,63 @@ def test_torus_analysis_matches_lattice(family, b, c):
         assert report.chirality == ("regular" if t.expect_regular else "chiral")
     else:
         assert report.chirality == "not-polytopal"
+
+
+@pytest.fixture(scope="module")
+def small_groups():
+    """Groups of order at most 120: A5 and S5, with few normal subgroups,
+    and two torus groups, with many."""
+    entries = catalog()
+    groups = {
+        name: enumerate_group(entries[name].presentation)
+        for name in ("simplex333", "torus-44-1-3", "torus-63-1-2")
+    }
+    groups["rot333"] = rot333()
+    return groups
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["rot333", "ex1"]),
+    st.lists(st.lists(st.integers(0, 5), max_size=8).map(Word), min_size=1, max_size=3),
+)
+def test_subgroup_closure_matches_word_bfs(small_groups, ex1_pipe, name, words):
+    rep = small_groups["rot333"] if name == "rot333" else ex1_pipe.base.rep
+    assert rep.subgroup_closure(words).elements == word_bfs_closure(rep, words)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["rot333", "simplex333", "torus-44-1-3", "torus-63-1-2"]),
+    st.lists(st.integers(0, 7), max_size=8),
+)
+def test_normal_closure_matches_naive(small_groups, name, letters):
+    rep = small_groups[name]
+    assert rep.order <= 120
+    w = Word(tuple(c % rep.table.ncols for c in letters))
+    assert rep.normal_closure(w).elements == naive_normal_closure(rep, w)
+
+
+@st.composite
+def von_dyck(draw):
+    """<a, b | a^2, b^3, (a b)^n> for n in 2..5, with the generators in
+    either order and each relator rotated, inverted or not, in any
+    order."""
+    n = draw(st.integers(2, 5))
+    a, b = (0, 1) if draw(st.booleans()) else (1, 0)
+    relators = []
+    for w in (Word.gen(a) ** 2, Word.gen(b) ** 3, (Word.gen(a) * Word.gen(b)) ** n):
+        cols = w.cols()
+        k = draw(st.integers(0, len(cols) - 1))
+        w = Word(cols[k:] + cols[:k])
+        relators.append(~w if draw(st.booleans()) else w)
+    relators = draw(st.permutations(relators))
+    return n, Presentation.build(["a", "b"], relators)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(von_dyck())
+def test_von_dyck_orders(case):
+    # the triangle groups (2, 3, n): S3, A4, S4 and A5
+    n, p = case
+    assert enumerate_group(p).order == {2: 6, 3: 12, 4: 24, 5: 60}[n]

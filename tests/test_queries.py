@@ -1,14 +1,16 @@
 """Differential tests of the GroupRep query layer: the one closure loop
 against a word-walking breadth-first closure, the automorphism test
-against an element-by-element check, and subgroup sizes on the catalog's
-base groups."""
+against an element-by-element check and, on arbitrary generating sets,
+against a literal-word map, and subgroup sizes on the catalog's base
+groups."""
 
 import random
 
 import pytest
 
 from rotamap import Word, catalog, enumerate_group, parse_presentation
-from oracle import naive_is_automorphism, word_bfs_closure
+from rotamap.selfdual import DualityKind, _form_images
+from oracle import naive_generator_map, naive_is_automorphism, word_bfs_closure
 
 ROT333 = (
     "gens s1 s2 s3\n"
@@ -103,6 +105,59 @@ def test_extends_to_automorphism_matches_naive():
         assert got == naive_is_automorphism(g, images), images
         verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def _sigma_maps(rng, sigma, conjugators, max_len):
+    """(sources, images) pairs: sigma conjugated by random words of up to
+    ``max_len`` letters, unreduced (up to 2 max_len + 1 letters each),
+    mapped as ``is_reflexible4`` and the two duality forms map them."""
+    out = []
+    for _ in range(conjugators):
+        c = _random_word(rng, 3, rng.randrange(max_len + 1))
+        t1, t2, t3 = t = [~c * s * c for s in sigma]
+        out.append((t, [t1, (t2 * t3 * t3).reduce(), (~t3).reduce()]))
+        for kind in (DualityKind.IMPROPER, DualityKind.PROPER):
+            out.append((t, list(_form_images(kind, t))))
+    return out
+
+
+def _maps_that_fail(rep, sigma):
+    """(sources, images) pairs that define no automorphism."""
+    s1, s2, s3 = sigma
+    one = Word()
+    p = rep.element_order(s1)
+    return [
+        ([s1], [s1]),  # sources do not generate
+        ([s1, s2, s3, one], [s1, s2, s3, s1]),  # identity to a non-identity
+        ([s1, s2, s3, s1], [s1, s2, s3, s2]),  # one source, two images
+        ([s1, s2, s3, s1 ** (p + 1)], [s1, s2, s3, s1 * s2]),  # the same, as s1^(p+1)
+        ([s1, s2, s3], [one, one, one]),  # well-defined, not onto
+    ]
+
+
+def _check_generator_maps(rep, sigma, conjugators, max_len, seed):
+    verdicts = []
+    for sources, images in _sigma_maps(random.Random(seed), sigma, conjugators, max_len):
+        got = rep.generator_map_automorphism(sources, images)
+        assert got == naive_generator_map(rep, sources, images), (sources, images)
+        verdicts.append(got is not None)
+    assert True in verdicts
+    for sources, images in _maps_that_fail(rep, sigma):
+        assert rep.generator_map_automorphism(sources, images) is None, sources
+        assert naive_generator_map(rep, sources, images) is None, sources
+
+
+class TestGeneratorMapMatchesNaive:
+    """The automorphism test on arbitrary generating sets, permutation for
+    permutation against a literal-word oracle."""
+
+    def test_rot333(self):
+        _check_generator_maps(rot333(), [Word.gen(i) for i in range(3)], 8, 16, 5)
+
+    def test_ex2q7(self, ex2_chain):
+        m = ex2_chain["q7"].base
+        assert m.order == 5040
+        _check_generator_maps(m.rep, m.sigma, 4, 16, 6)
 
 
 def test_undeclared_generator_is_value_error():
