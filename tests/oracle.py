@@ -7,12 +7,160 @@ by multiplying all pairs, and element-by-element homomorphism checking.
 the literal words and their inverses, where ``GroupRep`` walks each
 element's Schreier word forward only, so that they stay independent of
 that loop.
+
+``felsch_reference`` is pure Felsch enumeration: every relator is scanned
+at every new table edge, where ``enumerate_group`` closes a relator of
+more than 16 distinct rotations once per coset instead.
+``felsch_table`` puts its table in row-scan form, which
+``enumerate_group``'s tables take whatever order cosets are defined in.
 """
 
 from collections import deque
 from itertools import combinations
 
-from rotamap import GroupRep, Word, substitute
+from rotamap import CapExceededError, GroupRep, Presentation, Word, substitute
+from rotamap.engine import _bounded_relators, _rotations_by_column
+
+
+def felsch_reference(ncols, relators, cap):
+    """Run the enumeration; returns (rows, parent, find) before
+    compression.
+
+    Every new table edge ``c --x--> d`` is pushed once, as ``(c, x)``,
+    and its deduction scans the relator rotations that start with x from
+    c.  That reaches every relator cycle through the edge.  A cycle that
+    crosses it forwards is the rotation of its relator that starts with
+    x at c.  A cycle that crosses it backwards, as ``d --x^-1--> c``, is
+    the same closed path read in reverse by the inverse relator, whose
+    rotation starting with x at c is in the buckets too.  Pushing
+    ``(d, x^-1)`` as well would only scan the same cycles again.
+    """
+    rot_by_col = _rotations_by_column(relators, ncols)
+    rows = [[-1] * ncols]
+    parent = [0]
+    stack = []
+    push = stack.append
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def coincide(a, b):
+        a, b = find(a), find(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        q = deque((b,))
+        while q:
+            g = q.popleft()
+            grow = rows[g]
+            for x in range(ncols):
+                d = grow[x]
+                if d < 0:
+                    continue
+                rows[d][x ^ 1] = -1
+                mu = find(g)
+                nu = find(d)
+                e = rows[mu][x]
+                if e >= 0:
+                    e = find(e)
+                    if e != nu:
+                        u, v = (e, nu) if e < nu else (nu, e)
+                        parent[v] = u
+                        q.append(v)
+                elif rows[nu][x ^ 1] >= 0:
+                    e = find(rows[nu][x ^ 1])
+                    if e != mu:
+                        u, v = (e, mu) if e < mu else (mu, e)
+                        parent[v] = u
+                        q.append(v)
+                else:
+                    rows[mu][x] = nu
+                    rows[nu][x ^ 1] = mu
+                    push((mu, x))
+
+    def drain():
+        while stack:
+            c, x = stack.pop()
+            while parent[c] != c:
+                c = parent[c]
+            for w, i, j in rot_by_col[x]:
+                # scan the relator rotation w[i..j] from coset c; it must
+                # close up
+                f = c
+                while i <= j:
+                    nxt = rows[f][w[i]]
+                    if nxt < 0:
+                        break
+                    f = nxt
+                    i += 1
+                if i > j:
+                    if f != c:
+                        coincide(f, c)
+                        while parent[c] != c:
+                            c = parent[c]
+                    continue
+                b = c
+                while j >= i:
+                    nxt = rows[b][w[j] ^ 1]
+                    if nxt < 0:
+                        break
+                    b = nxt
+                    j -= 1
+                if j < i:
+                    coincide(f, b)
+                    while parent[c] != c:
+                        c = parent[c]
+                elif j == i:
+                    x2 = w[i]
+                    rows[f][x2] = b
+                    rows[b][x2 ^ 1] = f
+                    push((f, x2))
+
+    i = 0
+    while i < len(rows):
+        if parent[i] == i:
+            x = 0
+            while x < ncols:
+                if parent[i] != i:
+                    break
+                if rows[i][x] < 0:
+                    if len(rows) >= cap:
+                        live = sum(1 for k in range(len(parent)) if parent[k] == k)
+                        raise CapExceededError(cap, live)
+                    n = len(rows)
+                    rows.append([-1] * ncols)
+                    parent.append(n)
+                    rows[i][x] = n
+                    rows[n][x ^ 1] = i
+                    push((i, x))
+                    drain()
+                x += 1
+        i += 1
+    return rows, parent, find
+
+
+def felsch_table(p: Presentation, cap: int) -> tuple:
+    """Rows of the group table of p by ``felsch_reference``, relabelled
+    in row-scan order: coset 0 keeps label 0, and every other coset gets
+    the next label where it first appears when the relabelled rows are
+    read in order."""
+    raw, _, find = felsch_reference(2 * p.ngens, _bounded_relators(p, cap), cap)
+    label = {0: 0}
+    order = [0]
+    out = []
+    for c in order:
+        row = [find(e) for e in raw[c]]
+        for e in row:
+            if e not in label:
+                label[e] = len(order)
+                order.append(e)
+        out.append(tuple(label[e] for e in row))
+    return tuple(out)
 
 
 def perm_mul(a, b):

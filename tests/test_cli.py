@@ -90,6 +90,22 @@ class TestAnalyze:
         assert time.perf_counter() - t0 < 2.0
         assert "coset cap 1000 exceeded" in capsys.readouterr().err
 
+    def test_long_relator_hits_cap(self, tmp_path, capsys):
+        # an infinite one-relator group whose relator has 40 distinct
+        # rotations, so it is closed once per coset: that stops at the
+        # cap too
+        f = tmp_path / "long.pres"
+        f.write_text(
+            "gens a b\n"
+            "rel b^2 a b^-1 a^-2 b a^-1 b^-1 a^2 b^-1 a^-1 b^-1 a^-2 b^-1 a^-6"
+            " b^2 a^-4 b^-1 a b a^-2 b a b^2 a b\n"
+            "sigma a b\n"
+        )
+        t0 = time.perf_counter()
+        assert main(["analyze", str(f), "--max-cosets", "1000"]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        assert "coset cap 1000 exceeded" in capsys.readouterr().err
+
     def test_missing_sigma_line_is_operational_error(self, tmp_path, capsys):
         f = tmp_path / "norank.pres"
         f.write_text("gens a\nrel a^4\n")

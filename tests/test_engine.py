@@ -64,6 +64,13 @@ class TestEnumerate:
         assert exc.value.cap == 50
         assert exc.value.cosets_in_use > 0
 
+    def test_proper_power_relator_is_scanned_at_every_edge(self):
+        # (s1 s3)^29 has 58 letters but 2 distinct rotations, so it is
+        # scanned Felsch style, and ex1's quotient of order 4 fits in
+        # 2,000 rows; closed once per coset, it would define 68,243
+        rep = enumerate_group(_EX1.with_relators((s1 * s3) ** 29), cap=2000)
+        assert rep.order == 4
+
     def test_determinism(self):
         p = parse_presentation(ROT333)
         g1 = enumerate_group(p)

@@ -1,16 +1,20 @@
 """Property tests of the presentation format, of derived quotients, of
-subgroup and normal closures, of known group orders and of torus map
-analysis, with Hypothesis.
+subgroup and normal closures, of known group orders, of torus map
+analysis and of enumeration against pure Felsch, with Hypothesis.
 
 Examples are derandomized and their number is fixed, so the suite stays
 deterministic."""
 
+import dataclasses
+import random
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rotamap import (
+    CapExceededError,
     ParseError,
     Presentation,
     TorusFamily,
@@ -24,7 +28,7 @@ from rotamap import (
 )
 from rotamap.cli import analyze_presentation
 from rotamap.engine import _row_scan
-from oracle import naive_normal_closure, word_bfs_closure
+from oracle import felsch_table, naive_normal_closure, word_bfs_closure
 from test_queries import rot333
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -162,3 +166,72 @@ def test_von_dyck_orders(case):
     # the triangle groups (2, 3, n): S3, A4, S4 and A5
     n, p = case
     assert enumerate_group(p).order == {2: 6, 3: 12, 4: 24, 5: 60}[n]
+
+
+def _rotation_count(w):
+    return len({w[i:] + w[:i] for i in range(len(w))})
+
+
+@st.composite
+def long_relator_presentations(draw):
+    """<s1, s2 | s1^p, s2^q, (s1 s2)^2, w>, w a cyclically reduced word
+    of 17 to 60 letters with more than 16 distinct rotations, which
+    ``enumerate_group`` closes once per coset.  Most of these groups
+    collapse to a few elements; some are infinite."""
+    s1, s2 = Word.gen(0), Word.gen(1)
+    p, q = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    w = [draw(st.integers(0, 3))]
+    for k in draw(st.lists(st.integers(1, 3), min_size=16, max_size=59)):
+        w.append(((w[-1] ^ 1) + k) % 4)  # any letter but the last one's inverse
+    w = tuple(w)
+    assume(w[-1] != w[0] ^ 1 and _rotation_count(w) > 16)
+    return Presentation.build(["s1", "s2"], [s1 ** p, s2 ** q, (s1 * s2) ** 2, Word(w)])
+
+
+_small_tori = st.builds(
+    lambda family, b, c: torus_presentation(TorusFamily(family, b, c)),
+    st.sampled_from(["44", "36", "63"]), st.integers(0, 8), st.integers(1, 8),
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.one_of(long_relator_presentations(), _small_tori))
+def test_enumeration_matches_felsch_reference(p):
+    # wherever pure Felsch finishes, enumerate_group gives its table
+    try:
+        want = felsch_table(p, 20_000)
+    except CapExceededError:
+        return
+    assert enumerate_group(p).table.rows == want
+
+
+_STANDARD_FORM_CASES = (
+    "ex3", "simplex333", "torus-44-1-3", "torus-44-3-7", "torus-36-3-4",
+    "torus-63-5-2", "torus-36-1-6", "torus-63-3-3",
+)
+
+
+def _standard_form_case(name):
+    entries = catalog()
+    if name in entries:
+        return entries[name].presentation
+    _, family, b, c = name.split("-")
+    return torus_presentation(TorusFamily(family, int(b), int(c)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", _STANDARD_FORM_CASES)
+def test_table_is_standard_form(name, seed):
+    # the table depends on the group and the generator order only: not
+    # on the order of the relators, their rotations or their inverses
+    p = _standard_form_case(name)
+    rng = random.Random(seed)
+    relators = []
+    for r in p.relators:
+        cols = r.cols()
+        k = rng.randrange(len(cols))
+        r = Word(cols[k:] + cols[:k])
+        relators.append(~r if rng.random() < 0.5 else r)
+    rng.shuffle(relators)
+    variant = dataclasses.replace(p, relators=tuple(relators))
+    assert enumerate_group(variant).table == enumerate_group(p).table
