@@ -129,8 +129,9 @@ LONG_PERIOD = 16
 
 
 def _enumerate_cosets(ncols, relators, cap):
-    """Run the enumeration; returns (rows, parent, find) before
-    compression.
+    """Run the enumeration; returns (rows, parent) before compression.
+    A coset c is live when ``parent[c] == c``; a coincidence points the
+    larger coset at the smaller, so ``parent[c] <= c`` always.
 
     A relator with at most ``LONG_PERIOD`` distinct rotations is short
     and is handled Felsch style.  Every new table edge ``c --x--> d`` is
@@ -321,15 +322,14 @@ def _enumerate_cosets(ncols, relators, cap):
         if parent[i] == i:
             for w in long_relators:
                 close(i, w)
-            x = 0
-            while x < ncols:
+            row = rows[i]
+            for x in range(ncols):
                 if parent[i] != i:
                     break
-                if rows[i][x] < 0:
+                if row[x] < 0:
                     define(i, x)
-                x += 1
         i += 1
-    return rows, parent, find
+    return rows, parent
 
 
 class CosetTable:
@@ -413,15 +413,28 @@ def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
         raise ValueError("cap must be positive")
     ncols = 2 * p.ngens
     relators = _bounded_relators(p, cap)
-    raw_rows, parent, find = _enumerate_cosets(ncols, relators, cap)
+    raw_rows, parent = _enumerate_cosets(ncols, relators, cap)
 
-    def raw_row(c):
+    # every coset to its live one: parent[c] <= c, so one forward pass
+    for c, q in enumerate(parent):
+        parent[c] = parent[q]
+    # number the live cosets by the _row_scan rule, then relabel every
+    # entry through one list from raw index to label
+    label = [-1] * len(raw_rows)
+    label[0] = 0
+    order = [0]
+    for c in order:
         row = raw_rows[c]
         if min(row) < 0:
             raise InconsistencyError("undefined entry survived enumeration")
-        return [find(e) for e in row]
-
-    table = CosetTable(_row_scan(raw_row, range(len(raw_rows))), p.ngens)
+        for e in row:
+            t = parent[e]
+            if label[t] < 0:
+                label[t] = len(order)
+                order.append(t)
+    relabel = [label[q] for q in parent]
+    rows = tuple([tuple([relabel[e] for e in raw_rows[c]]) for c in order])
+    table = CosetTable(rows, p.ngens)
     rep = GroupRep(p, table)
     rep._verify()
     rep.cap = cap
