@@ -24,7 +24,6 @@ from .errors import (
     RotamapError,
 )
 from .words import (
-    GeneratorSymbol,
     Presentation,
     Word,
     invert,

@@ -24,9 +24,10 @@ its inverse column 2*i + 1, so the inverse column is ``col ^ 1``.
 
 Each new table edge ``c --x--> d`` is one deduction, ``(c, x)``: it is
 checked against every rotation of a short relator or its inverse that
-starts with x.  Those rotations are grouped by first letter and stored
-as index ranges into one doubled copy ``w + w`` of each distinct cyclic
-word, so they take space linear in the relator lengths.
+starts with x, at most 16 of each.  Those rotations are grouped by first
+letter and stored as index ranges into one doubled copy ``w + w`` of
+each distinct cyclic word, so they take space linear in the relator
+lengths.
 
 Coincidences (two cosets proved equal) are processed eagerly with a
 union-find structure, migrating table entries to the surviving coset and
@@ -55,77 +56,51 @@ def _cyclic_reduce(cols) -> tuple:
     return cols[i:j + 1]
 
 
-def _least_rotation(w) -> int:
-    """Offset of the lexicographically least rotation of w (Booth's
-    algorithm, linear time)."""
-    s = w + w
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k
+# relators with more distinct rotations than this are closed once per
+# coset instead of scanned at every new edge; see _enumerate_cosets
+LONG_PERIOD = 16
 
 
-def _period(w) -> int:
-    """Number of distinct rotations of w: the length of the shortest u
-    with w = u^k, read off the longest proper border (KMP prefix
-    function)."""
+def _short_period(w):
+    """Number of distinct rotations of w if it is at most ``LONG_PERIOD``,
+    else None.  That number is the least p with w = u^(len(w)/p) for a
+    word u of p letters: the least p dividing len(w) at which w repeats."""
     n = len(w)
-    border = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and w[i] != w[k]:
-            k = border[k - 1]
-        if w[i] == w[k]:
-            k += 1
-        border[i] = k
-    p = n - border[-1]
-    return p if n % p == 0 else n
+    for p in range(1, min(n, LONG_PERIOD) + 1):
+        if n % p == 0 and w[p:] == w[:n - p]:
+            return p
+    return None
 
 
 def _rotations_by_column(relators, ncols):
     """All cyclic rotations of each relator and its inverse, grouped by
-    first letter and deduplicated, in order of first occurrence.
+    first letter and deduplicated, in order of first occurrence.  Every
+    relator must be short: at most ``LONG_PERIOD`` distinct rotations.
 
     A rotation is stored as ``(ww, start, end)``: the letters
     ``ww[start..end]`` (inclusive) of the doubled word ``ww = w + w``,
     which all rotations of w share, so storage is linear in the relator
     lengths.  Two words have a rotation in common exactly when they have
-    the same least rotation, so a word whose least rotation was seen
-    before adds nothing; otherwise its rotations at offsets below its
-    period are new and pairwise distinct, and the later ones repeat them.
+    the same least rotation, the least of the first p for a word with p
+    distinct rotations.  So a word whose least rotation was seen before
+    adds nothing; otherwise its rotations at offsets below p are new and
+    pairwise distinct, and the later ones repeat them.
     """
     buckets = [[] for _ in range(ncols)]
     seen = set()
     for r in relators:
+        p = _short_period(r)
         inv = tuple(c ^ 1 for c in reversed(r))
         for w in (r, inv):
             n = len(w)
             ww = w + w
-            k = _least_rotation(w)
-            key = ww[k:k + n]
+            key = min(ww[i:i + n] for i in range(p))
             if key in seen:
                 continue
             seen.add(key)
-            for i in range(_period(w)):
+            for i in range(p):
                 buckets[w[i]].append((ww, i, i + n - 1))
     return [tuple(b) for b in buckets]
-
-
-# relators with more distinct rotations than this are closed once per
-# coset instead of scanned at every new edge; see _enumerate_cosets
-LONG_PERIOD = 16
 
 
 def _enumerate_cosets(ncols, relators, cap):
@@ -176,9 +151,9 @@ def _enumerate_cosets(ncols, relators, cap):
     paths, so they stay closed.  ``enumerate_group`` checks the table
     against the presentation all the same.
     """
-    long_relators = [r for r in relators if _period(r) > LONG_PERIOD]
+    long_relators = [r for r in relators if _short_period(r) is None]
     rot_by_col = _rotations_by_column(
-        [r for r in relators if _period(r) <= LONG_PERIOD], ncols)
+        [r for r in relators if _short_period(r) is not None], ncols)
     rows = [[-1] * ncols]
     parent = [0]
     stack = []
@@ -403,9 +378,11 @@ def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
     equal to others (a torus group defines up to about 1.4 times its
     order), and ValueError for an empty generator list or for relators
     (cyclically reduced, duplicates dropped) of more than ``cap`` letters
-    in all, since every deduction may scan each of their rotations.  The
-    completed table is checked against the presentation: columns are
-    mutually inverse permutations and every relator fixes every coset.
+    in all, since the work at each coset grows with their letters: each
+    deduction scans up to 16 rotations of every short relator, and each
+    coset walks every long relator once.  The completed table is checked
+    against the presentation: columns are mutually inverse permutations
+    and every relator fixes every coset.
     """
     if p.ngens == 0:
         raise ValueError("presentation has no generators")
@@ -466,13 +443,16 @@ class GroupRep:
     """A finite group given by a complete coset table over the trivial
     subgroup.  Elements are coset indices 0..order-1 with 0 the identity;
     ``element_word`` returns a Schreier representative for any index.
-    ``cap`` is the coset cap ``enumerate_group`` ran under.  Extensions
+    ``cap`` is the coset cap ``enumerate_group`` ran under, and
+    ``DEFAULT_CAP`` for a group built directly from a table.  Extensions
     and quotients built from this group's table (``extend``,
     ``quotient``) carry it on, and an extension of more than ``cap``
     elements is refused; rotation subgroups enumerate under it.
 
     Instances are immutable; all queries are pure.
     """
+
+    cap = DEFAULT_CAP
 
     def __init__(self, presentation: Presentation, table: CosetTable):
         self.presentation = presentation
@@ -745,10 +725,10 @@ class GroupRep:
     def _label_ints(self, size) -> list:
         """The int objects 0..size-1, size at least the order, to label a
         derived table with: for k below the order, the one object this
-        table holds for k.  Those lie together in memory, while ints made
-        afresh fill freed slots all over the heap, and walks over a table
-        of scattered ints ran about 10 % slower (ex2's extension and
-        Petrie quotient, CPython 3.11)."""
+        table holds for k.  The derived table then shares those objects
+        instead of holding an int of its own per element: without them
+        the benchmark's ``peak_rss_mb`` rose by 0.3 to 0.65 MB on catalog,
+        petrie-scan and map-search (2-core Xeon, CPython 3.11)."""
         ints = [0] * self.order + list(range(self.order, size))
         for row in self.table.rows:
             ints[row[0]] = row[0]

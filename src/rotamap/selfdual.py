@@ -153,7 +153,7 @@ def _adjoin_duality(base, gens, kind: DualityKind, relators, z: Word) -> Extende
     pres = base.rep.presentation
     d = Word.gen(pres.ngens)
     pres = pres.with_generator(_fresh_name(pres.names)).with_relators(*relators(d))
-    rep = base.rep.extend(Presentation(pres.generators, pres.relators), alpha, z)
+    rep = base.rep.extend(Presentation(pres.names, pres.relators), alpha, z)
     return ExtendedGroup(rep=rep, kind=kind, base=base, duality=d)
 
 

@@ -167,36 +167,26 @@ def substitute(w: Word, images) -> Word:
 
 
 @dataclass(frozen=True)
-class GeneratorSymbol:
-    name: str
-    index: int
-
-    def __post_init__(self):
-        if not _NAME_RE.fullmatch(self.name):
-            raise ValueError(f"bad generator name: {self.name!r}")
-
-
-@dataclass(frozen=True)
 class Presentation:
-    """Generators, relator words, and optional distinguished generators.
+    """Generator names, relator words, and optional distinguished
+    generators; generator i is ``names[i]``.
 
     ``distinguished_kind`` is "sigma" for rotation generators or "rho"
     for involutory reflection generators, mirroring the input line used.
     """
 
-    generators: tuple
+    names: tuple[str, ...]
     relators: tuple = ()
     distinguished: tuple | None = None
     distinguished_kind: str | None = None
 
     def __post_init__(self):
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
+        for name in self.names:
+            if not _NAME_RE.fullmatch(name):
+                raise ValueError(f"bad generator name: {name!r}")
+        if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate generator names")
-        for i, g in enumerate(self.generators):
-            if g.index != i:
-                raise ValueError("generator indices must match positions")
-        ngens = len(self.generators)
+        ngens = len(self.names)
         for w in self.relators:
             if w.max_gen() >= ngens:
                 raise ValueError("relator references undeclared generator")
@@ -213,37 +203,34 @@ class Presentation:
 
     @classmethod
     def build(cls, names, relators=(), distinguished=None, kind=None):
-        gens = tuple(GeneratorSymbol(n, i) for i, n in enumerate(names))
         return cls(
-            gens,
+            tuple(names),
             tuple(relators),
             tuple(distinguished) if distinguished is not None else None,
             kind,
         )
 
     @property
-    def names(self) -> tuple:
-        return tuple(g.name for g in self.generators)
-
-    @property
     def ngens(self) -> int:
-        return len(self.generators)
+        return len(self.names)
 
     def with_relators(self, *extra: Word) -> "Presentation":
         for w in extra:
             if w.max_gen() >= self.ngens:
                 raise ValueError("relator references undeclared generator")
         return Presentation(
-            self.generators,
+            self.names,
             self.relators + tuple(w.reduce() for w in extra),
             self.distinguished,
             self.distinguished_kind,
         )
 
     def with_generator(self, name: str) -> "Presentation":
-        gens = self.generators + (GeneratorSymbol(name, self.ngens),)
         return Presentation(
-            gens, self.relators, self.distinguished, self.distinguished_kind
+            self.names + (name,),
+            self.relators,
+            self.distinguished,
+            self.distinguished_kind,
         )
 
 

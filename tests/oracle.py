@@ -10,7 +10,9 @@ that loop.
 
 ``felsch_reference`` is pure Felsch enumeration: every relator is scanned
 at every new table edge, where ``enumerate_group`` closes a relator of
-more than 16 distinct rotations once per coset instead.
+more than 16 distinct rotations once per coset instead.  It scans
+materialised rotations (``naive_rotations_by_column``), not the engine's
+shared doubled words, and takes relators of any period.
 ``felsch_table`` puts its table in row-scan form, which
 ``enumerate_group``'s tables take whatever order cosets are defined in.
 """
@@ -19,7 +21,29 @@ from collections import deque
 from itertools import combinations
 
 from rotamap import CapExceededError, GroupRep, Presentation, Word, substitute
-from rotamap.engine import _bounded_relators, _rotations_by_column
+from rotamap.words import _reduce_cols
+
+
+def naive_cyclic_reduce(cols):
+    cols = list(_reduce_cols(cols))
+    while len(cols) >= 2 and cols[0] == cols[-1] ^ 1:
+        cols = cols[1:-1]
+    return tuple(cols)
+
+
+def naive_rotations_by_column(relators, ncols):
+    """Every rotation of every relator and inverse relator materialised
+    as its own tuple ``rot``, grouped by first letter, first occurrence
+    kept.  Each is stored as ``(rot, 0, len(rot) - 1)``, the layout of
+    the engine's buckets."""
+    buckets = [dict() for _ in range(ncols)]
+    for r in relators:
+        inv = tuple(c ^ 1 for c in reversed(r))
+        for w in (r, inv):
+            for i in range(len(w)):
+                rot = w[i:] + w[:i]
+                buckets[rot[0]][rot] = None
+    return [tuple((rot, 0, len(rot) - 1) for rot in b) for b in buckets]
 
 
 def felsch_reference(ncols, relators, cap):
@@ -35,7 +59,7 @@ def felsch_reference(ncols, relators, cap):
     rotation starting with x at c is in the buckets too.  Pushing
     ``(d, x^-1)`` as well would only scan the same cycles again.
     """
-    rot_by_col = _rotations_by_column(relators, ncols)
+    rot_by_col = naive_rotations_by_column(relators, ncols)
     rows = [[-1] * ncols]
     parent = [0]
     stack = []
@@ -149,7 +173,8 @@ def felsch_table(p: Presentation, cap: int) -> tuple:
     in row-scan order: coset 0 keeps label 0, and every other coset gets
     the next label where it first appears when the relabelled rows are
     read in order."""
-    raw, _, find = felsch_reference(2 * p.ngens, _bounded_relators(p, cap), cap)
+    relators = [naive_cyclic_reduce(w.cols()) for w in p.relators]
+    raw, _, find = felsch_reference(2 * p.ngens, relators, cap)
     label = {0: 0}
     order = [0]
     out = []

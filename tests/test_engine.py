@@ -15,11 +15,18 @@ from rotamap import (
     simplex_presentation,
     torus_presentation,
 )
-from rotamap.engine import _cyclic_reduce, _rotations_by_column
-from rotamap.words import _reduce_cols
+from rotamap.engine import (
+    DEFAULT_CAP,
+    GroupRep,
+    _cyclic_reduce,
+    _rotations_by_column,
+    _short_period,
+)
 from oracle import (
+    naive_cyclic_reduce,
     naive_is_automorphism,
     naive_normal_closure,
+    naive_rotations_by_column,
     naive_subgroup_closure,
     perm_mulclose,
     simplex_rotation_permutations,
@@ -63,6 +70,22 @@ class TestEnumerate:
             enumerate_group(free, cap=50)
         assert exc.value.cap == 50
         assert exc.value.cosets_in_use > 0
+
+    def test_group_built_from_a_table_has_the_default_cap(self):
+        # a GroupRep built directly, not by enumerate_group, derives
+        # quotients and extensions under DEFAULT_CAP
+        p = simplex_presentation()
+        g = GroupRep(p, enumerate_group(p).table)
+        assert g.cap == DEFAULT_CAP
+        q = g.quotient(s1 * s3)
+        assert q.cap == DEFAULT_CAP
+        assert q.table == enumerate_group(p.with_relators(s1 * s3)).table
+        # the direct product with a group of order 2: alpha = 1, z = 1
+        d = Word.gen(p.ngens)
+        commute = [~d * Word.gen(i) * d * ~Word.gen(i) for i in range(p.ngens)]
+        e = g.extend(p.with_generator("d").with_relators(*commute, d ** 2),
+                     range(g.order), Word.identity())
+        assert (e.order, e.cap) == (2 * g.order, DEFAULT_CAP)
 
     def test_proper_power_relator_is_scanned_at_every_edge(self):
         # (s1 s3)^29 has 58 letters but 2 distinct rotations, so it is
@@ -284,29 +307,8 @@ class TestStructure:
         assert g.center().size == 1
 
 
-def _naive_rotations_by_column(relators, ncols):
-    """Oracle: every rotation of every relator and inverse relator
-    materialised as its own tuple, grouped by first letter, first
-    occurrence kept."""
-    buckets = [dict() for _ in range(ncols)]
-    for r in relators:
-        inv = tuple(c ^ 1 for c in reversed(r))
-        for w in (r, inv):
-            for i in range(len(w)):
-                rot = w[i:] + w[:i]
-                buckets[rot[0]][rot] = None
-    return [tuple(b) for b in buckets]
-
-
 def _expand(buckets):
     return [tuple(ww[start:end + 1] for ww, start, end in b) for b in buckets]
-
-
-def _naive_cyclic_reduce(cols):
-    cols = list(_reduce_cols(cols))
-    while len(cols) >= 2 and cols[0] == cols[-1] ^ 1:
-        cols = cols[1:-1]
-    return tuple(cols)
 
 
 def _relator_cols(text):
@@ -327,7 +329,7 @@ class TestRotationBuckets:
     def test_matches_materialised_rotations(self, text):
         ncols, relators = _relator_cols(text)
         assert _expand(_rotations_by_column(relators, ncols)) == (
-            _naive_rotations_by_column(relators, ncols))
+            _expand(naive_rotations_by_column(relators, ncols)))
 
     def test_random_relators_match(self):
         rng = random.Random(5)
@@ -338,13 +340,17 @@ class TestRotationBuckets:
                 relators.append(_cyclic_reduce(base * rng.randrange(1, 4)))
             relators = [r for r in relators if r]
             assert _expand(_rotations_by_column(relators, 4)) == (
-                _naive_rotations_by_column(relators, 4))
+                _expand(naive_rotations_by_column(relators, 4)))
 
     def test_long_relator_storage_is_linear(self):
+        # a 20,000-letter power of a primitive 16-letter word: the
+        # longest period the buckets take
         n = 20_000
-        r = (0,) * (n - 3) + (2, 1, 3)
+        r = ((0,) * 15 + (2,)) * (n // 16)
+        assert _short_period(r) == 16
         entries = [e for b in _rotations_by_column([r], 4) for e in b]
-        assert len(entries) <= 2 * n
+        # 16 rotations of r and 16 of its inverse
+        assert len(entries) == 32
         # one doubled word for r and one for its inverse, shared by
         # every rotation instead of copied into it
         assert len({id(ww) for ww, _, _ in entries}) == 2
@@ -359,7 +365,7 @@ class TestRotationBuckets:
             for _ in range(500)
         ]
         for cols in cases:
-            assert _cyclic_reduce(cols) == _naive_cyclic_reduce(cols)
+            assert _cyclic_reduce(cols) == naive_cyclic_reduce(cols)
 
 
 _EX1 = locally_toroidal_presentation(

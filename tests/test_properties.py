@@ -27,7 +27,7 @@ from rotamap import (
     torus_presentation,
 )
 from rotamap.cli import analyze_presentation
-from rotamap.engine import _row_scan
+from rotamap.engine import LONG_PERIOD, _short_period
 from oracle import felsch_table, naive_normal_closure, word_bfs_closure
 from test_queries import rot333
 
@@ -75,10 +75,6 @@ def test_parser_raises_only_parse_errors(text):
         pass
 
 
-def _standard(rep):
-    return _row_scan(rep.table.rows.__getitem__, range(rep.order))
-
-
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(
     st.sampled_from(["ex1", "ex3"]),
@@ -91,7 +87,8 @@ def test_quotient_matches_enumeration(ex1_pipe, ex3_chain, name, w):
     q = rep.quotient(w)
     oracle = enumerate_group(rep.presentation.with_relators(w))
     assert q.presentation == oracle.presentation
-    assert _standard(q) == _standard(oracle)
+    # both tables are in row-scan standard form
+    assert q.table == oracle.table
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -170,6 +167,21 @@ def test_von_dyck_orders(case):
 
 def _rotation_count(w):
     return len({w[i:] + w[:i] for i in range(len(w))})
+
+
+_letters = st.integers(0, 3)
+
+
+@PROPERTY
+@given(st.one_of(
+    st.builds(lambda u, k: tuple(u) * k,
+              st.lists(_letters, min_size=1, max_size=20), st.integers(1, 6)),
+    st.lists(_letters, min_size=1, max_size=40).map(tuple),
+))
+def test_short_period_counts_rotations(w):
+    # the distinct rotations of w when there are at most 16, else None
+    count = _rotation_count(w)
+    assert _short_period(w) == (count if count <= LONG_PERIOD else None)
 
 
 @st.composite
