@@ -26,9 +26,7 @@ from .errors import (
 from .words import (
     Presentation,
     Word,
-    invert,
     parse_presentation,
-    reduce,
     serialize_presentation,
     substitute,
 )
@@ -57,6 +55,7 @@ from .rotary import (
     map_report3,
     map_report_regular,
     petrie4,
+    rank4_report,
     rotation_subgroup,
     schlafli,
     zigzag_length,

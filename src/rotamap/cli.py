@@ -39,15 +39,13 @@ from .errors import (
 from .rotary import (
     SCHEMA_VERSION,
     AnalysisReport,
-    Chirality,
     RegularCGroup4,
     RegularMap3,
     RotationGroup3,
     RotationGroup4,
-    classify4,
     group_class,
     petrie4,
-    schlafli,
+    rank4_report,
 )
 # perfbench/spans.py traces these names here; tests/test_benchmark_api.py keeps them
 from .rotary import map_report3 as report_rotation3
@@ -70,7 +68,7 @@ def _nominal_warnings(pres: Presentation, rep) -> list:
     out = []
     for r in pres.relators:
         cols = r.cols()
-        if len(cols) >= 2 and len(set(cols)) == 1 and cols[0] % 2 == 0:
+        if len(cols) >= 2 and len(set(cols)) == 1:
             g = cols[0] >> 1
             actual = rep.element_order(Word.gen(g))
             if actual != len(cols):
@@ -82,37 +80,17 @@ def _nominal_warnings(pres: Presentation, rep) -> list:
 
 
 def report_rotation4(m: RotationGroup4, warnings=()) -> AnalysisReport:
-    left, right = petrie4(m)
-    cls = classify4(m)
     w = list(warnings)
     sd = None
     try:
         sd = detect_self_duality(m).kind.value
     except InconsistencyError as exc:
         w.append(f"self-duality detection inconsistent: {exc}")
-    return AnalysisReport(
-        group_order=m.order,
-        schlafli=schlafli(m),
-        polytopal=cls is not Chirality.NOT_POLYTOPAL,
-        chirality=cls.value,
-        self_duality=sd,
-        petrie={"left": left, "right": right},
-        warnings=w,
-    )
+    return rank4_report(m, sd, w)
 
 
 def report_cgroup4(c: RegularCGroup4, warnings=()) -> AnalysisReport:
-    sd = find_polarity(c).kind.value
-    left, right = petrie4(c)
-    return AnalysisReport(
-        group_order=c.order,
-        schlafli=schlafli(c),
-        polytopal=True,
-        chirality=Chirality.REGULAR.value,
-        self_duality=sd,
-        petrie={"left": left, "right": right},
-        warnings=list(warnings),
-    )
+    return rank4_report(c, find_polarity(c).kind.value, warnings)
 
 
 def _report(g, warnings=()) -> AnalysisReport:

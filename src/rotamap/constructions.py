@@ -19,7 +19,7 @@ and right Petrie lengths of the locally toroidal examples).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .engine import DEFAULT_CAP, _cyclic_reduce, enumerate_group
 from .errors import (
@@ -29,13 +29,13 @@ from .errors import (
     NotSelfDualError,
 )
 from .rotary import (
+    AnalysisReport,
     Chirality,
     RegularCGroup4,
     RegularMap3,
     RotationGroup3,
     RotationGroup4,
     _c_group_condition,
-    check_polytopal3,
     check_polytopal4,
     classify3,
     classify4,
@@ -44,6 +44,7 @@ from .rotary import (
     map_report3,
     map_report_regular,
     petrie4,
+    rank4_report,
     rotation_subgroup,
     schlafli,
 )
@@ -307,8 +308,9 @@ def pc_map_improper(e: ExtendedGroup) -> RotationGroup3:
     _require(rep.element_order((k1 * ~k2).reduce()) == p, f"k1 k2^-1 has order {p}")
 
     m = RotationGroup3(rep, (k1, k2))
-    _require(check_polytopal3(m), "skew map is polytopal")
-    cls, base_cls = classify3(m), classify4(e.base)
+    cls = classify3(m)
+    _require(cls is not Chirality.NOT_POLYTOPAL, "skew map is polytopal")
+    base_cls = classify4(e.base)
     if base_cls in (Chirality.CHIRAL, Chirality.REGULAR):
         _require(
             cls == base_cls,
@@ -625,28 +627,32 @@ def catalog() -> dict:
 # -- catalog verification --------------------------------------------------------
 
 
-def _map_dict(m) -> dict:
-    """A map's ``AnalysisReport`` keyed like the catalog: ``order`` for
-    ``group_order``, and the involution fields flattened, with
-    ``gen_by_involutions`` for ``group_gen_by_involutions``."""
-    r = map_report3(m) if isinstance(m, RotationGroup3) else map_report_regular(m)
-    out = asdict(r)
+def _catalog_view(report: AnalysisReport) -> dict:
+    """An ``AnalysisReport`` keyed like the catalog: ``order`` for
+    ``group_order``, ``petrie`` as a (left, right) pair, and the
+    involution fields flattened, with ``gen_by_involutions`` for
+    ``group_gen_by_involutions``."""
+    out = dict(vars(report))
     out["order"] = out.pop("group_order")
+    if report.petrie is not None:
+        out["petrie"] = (report.petrie["left"], report.petrie["right"])
     involutions = out.pop("involutions")
     if involutions is not None:
-        involutions["gen_by_involutions"] = involutions.pop("group_gen_by_involutions")
         out.update(involutions)
+        out["gen_by_involutions"] = out.pop("group_gen_by_involutions")
     return out
 
 
 def compute_entry_report(entry: CatalogEntry, cap: int = DEFAULT_CAP) -> dict:
-    """Recompute everything the catalog stores expectations for."""
+    """Recompute everything the catalog stores expectations for.  A
+    rank-4 entry's self-duality is the kind ``petrie_coxeter`` detected,
+    so it is detected once."""
     pres = entry.presentation
     cls = group_class(pres.distinguished, pres.distinguished_kind)
     rep = enumerate_group(pres, cap=cap)
     g = cls(rep, pres.distinguished)
     if cls is RotationGroup3:
-        out = _map_dict(g)
+        out = _catalog_view(map_report3(g))
         # classify3 has decided reflexibility for a polytopal map already
         if out["polytopal"]:
             out["reflexible"] = out["chirality"] == Chirality.REGULAR.value
@@ -654,26 +660,20 @@ def compute_entry_report(entry: CatalogEntry, cap: int = DEFAULT_CAP) -> dict:
             out["reflexible"] = is_reflexible3(g)
         return out
 
-    out = {"order": g.order}
     try:
         ext, pc_map = petrie_coxeter(g)
     except NotSelfDualError:
-        out["self_duality"] = DualityKind.NONE.value
-    else:
-        out["self_duality"] = ext.kind.value
+        ext = None
+    kind = DualityKind.NONE if ext is None else ext.kind
+    out = _catalog_view(rank4_report(g, kind.value))
+    if ext is not None:
         out["extended_order"] = ext.order
-        out["map"] = _map_dict(pc_map)
+        build = map_report3 if isinstance(pc_map, RotationGroup3) else map_report_regular
+        out["map"] = _catalog_view(build(pc_map))
     if cls is RegularCGroup4:
-        out["polarity"] = "map" in out
-        if "rotation_subgroup_order" in entry.expected:
-            out["rotation_subgroup_order"] = rotation_subgroup(g).order
-        return out
-
-    chirality = classify4(g)
-    out["schlafli"] = schlafli(g)
-    out["polytopal"] = chirality is not Chirality.NOT_POLYTOPAL
-    out["chirality"] = chirality.value
-    out["petrie"] = petrie4(g)
+        out["polarity"] = ext is not None
+    if "rotation_subgroup_order" in entry.expected:
+        out["rotation_subgroup_order"] = rotation_subgroup(g).order
     if "center_size" in entry.expected:
         out["center_size"] = rep.center().size
     if "derived_index" in entry.expected:

@@ -13,8 +13,8 @@ subgroups; chirality is decided by testing whether the orientation
 reversing generator correspondence extends to a group automorphism.
 
 ``AnalysisReport`` is the one report type: ``map_report3`` and
-``map_report_regular`` build it for maps, for the CLI and for catalog
-verification alike.
+``map_report_regular`` build it for maps, ``rank4_report`` for rank-4
+groups, for the CLI and for catalog verification alike.
 """
 
 from __future__ import annotations
@@ -470,6 +470,25 @@ def map_report_regular(m: RegularMap3, warnings=()) -> AnalysisReport:
         holes=inv.holes,
         zigzags=inv.zigzags,
         warnings=w,
+    )
+
+
+def rank4_report(g, self_duality, warnings=()) -> AnalysisReport:
+    """The report of a rank-4 rotation group, or of a regular C-group
+    (polytopal and regular by construction), after the given
+    ``warnings``.  ``self_duality`` is the detected ``DualityKind``
+    value, or None; a string, because this module cannot import
+    ``selfdual``."""
+    cls = Chirality.REGULAR if isinstance(g, RegularCGroup4) else classify4(g)
+    left, right = petrie4(g)
+    return AnalysisReport(
+        group_order=g.order,
+        schlafli=schlafli(g),
+        polytopal=cls is not Chirality.NOT_POLYTOPAL,
+        chirality=cls.value,
+        self_duality=self_duality,
+        petrie={"left": left, "right": right},
+        warnings=list(warnings),
     )
 
 

@@ -72,23 +72,8 @@ class Word:
     def identity(cls) -> "Word":
         return cls(())
 
-    @classmethod
-    def from_letters(cls, letters) -> "Word":
-        """Build from (generator index, sign) pairs with sign in {+1, -1}."""
-        cols = []
-        for g, s in letters:
-            if s not in (1, -1):
-                raise ValueError(f"sign must be +1 or -1, got {s}")
-            cols.append(2 * g + (0 if s == 1 else 1))
-        return cls(cols)
-
     def cols(self) -> tuple:
         return self._cols
-
-    @property
-    def letters(self) -> tuple:
-        """Letters as (generator index, sign) pairs."""
-        return tuple((c >> 1, -1 if c & 1 else 1) for c in self._cols)
 
     def reduce(self) -> "Word":
         return Word(_reduce_cols(self._cols))
@@ -138,16 +123,6 @@ class Word:
             parts.append(names[g] if exp == 1 else f"{names[g]}^{exp}")
             i = j
         return " ".join(parts)
-
-
-def reduce(w: Word) -> Word:
-    """Freely reduced form of w."""
-    return w.reduce()
-
-
-def invert(w: Word) -> Word:
-    """Inverse word: reversed letters with flipped signs."""
-    return ~w
 
 
 def substitute(w: Word, images) -> Word:

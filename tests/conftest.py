@@ -9,21 +9,21 @@ sys.path.insert(0, str(Path(__file__).parent))
 from rotamap import (
     ExtendedGroup,
     LocallyToroidalSpec,
-    RegularCGroup4,
     RegularMap3,
     RotationGroup3,
     RotationGroup4,
     TorusFamily,
+    catalog,
     enumerate_group,
     extend_improper,
     extend_polarity,
     extend_proper,
+    group_class,
     locally_toroidal,
     pc_map_improper,
     pc_map_proper,
     pc_map_regular,
     petrie_quotient,
-    simplex_presentation,
 )
 
 
@@ -51,19 +51,52 @@ def _proper_pipe(base: RotationGroup4) -> ProperPipe:
     return ProperPipe(base, ext, pc_map_proper(ext))
 
 
-@pytest.fixture(scope="session")
-def ex1_pipe() -> ImproperPipe:
-    base = locally_toroidal(
-        LocallyToroidalSpec(TorusFamily("44", 1, 3), TorusFamily("44", 1, 3))
-    )
-    return _improper_pipe(base)
+# the locally toroidal catalog entries, with the torus maps they are built from
+LOCALLY_TOROIDAL = {
+    "ex1": LocallyToroidalSpec(TorusFamily("44", 1, 3), TorusFamily("44", 1, 3)),
+    "ex2": LocallyToroidalSpec(TorusFamily("63", 1, 2), TorusFamily("36", 2, 1)),
+    "ex3": LocallyToroidalSpec(TorusFamily("36", 1, 2), TorusFamily("63", 1, 2)),
+}
+
+
+class CatalogGroups:
+    """Catalog groups enumerated once and shared by every test that only
+    reads them; a ``GroupRep`` is immutable and its queries are pure.
+    The locally toroidal entries are built by ``locally_toroidal``, so its
+    reference-order check runs on them.  Tests that enumerate on purpose
+    (criterion 7, the CLI through ``main``, the enumeration oracles of
+    ``test_derived``) do not use this store."""
+
+    def __init__(self):
+        self.entries = catalog()
+        self._groups = {}
+
+    def group(self, name):
+        if name not in self._groups:
+            pres = self.entries[name].presentation
+            if name in LOCALLY_TOROIDAL:
+                g = locally_toroidal(LOCALLY_TOROIDAL[name])
+                assert g.rep.presentation == pres
+            else:
+                cls = group_class(pres.distinguished, pres.distinguished_kind)
+                g = cls(enumerate_group(pres), pres.distinguished)
+            self._groups[name] = g
+        return self._groups[name]
 
 
 @pytest.fixture(scope="session")
-def ex2_chain() -> dict:
-    base = locally_toroidal(
-        LocallyToroidalSpec(TorusFamily("63", 1, 2), TorusFamily("36", 2, 1))
-    )
+def catalog_groups() -> CatalogGroups:
+    return CatalogGroups()
+
+
+@pytest.fixture(scope="session")
+def ex1_pipe(catalog_groups) -> ImproperPipe:
+    return _improper_pipe(catalog_groups.group("ex1"))
+
+
+@pytest.fixture(scope="session")
+def ex2_chain(catalog_groups) -> dict:
+    base = catalog_groups.group("ex2")
     return {
         "base": _improper_pipe(base),
         "q14": _improper_pipe(petrie_quotient(base, 14)),
@@ -72,10 +105,8 @@ def ex2_chain() -> dict:
 
 
 @pytest.fixture(scope="session")
-def ex3_chain() -> dict:
-    base = locally_toroidal(
-        LocallyToroidalSpec(TorusFamily("36", 1, 2), TorusFamily("63", 1, 2))
-    )
+def ex3_chain(catalog_groups) -> dict:
+    base = catalog_groups.group("ex3")
     center = base.rep.center()
     z = max(center.elements)
     quotient_pres = base.rep.presentation.with_relators(base.rep.element_word(z))
@@ -87,8 +118,7 @@ def ex3_chain() -> dict:
 
 
 @pytest.fixture(scope="session")
-def simplex_pipe() -> dict:
-    pres = simplex_presentation()
-    c = RegularCGroup4(enumerate_group(pres), pres.distinguished)
+def simplex_pipe(catalog_groups) -> dict:
+    c = catalog_groups.group("simplex333")
     ext = extend_polarity(c)
     return {"cgroup": c, "ext": ext, "map3": pc_map_regular(ext)}

@@ -60,6 +60,17 @@ class TestAnalyze:
         assert main(["analyze", str(f)]) == 0
         assert re.search(r"^genus +-$", capsys.readouterr().out, re.M)
 
+    @pytest.mark.parametrize("power", ["a^4", "a^-4"])
+    def test_collapsed_power_of_either_sign_is_flagged(self, tmp_path, capsys, power):
+        f = tmp_path / "collapsed.pres"
+        f.write_text(f"gens a b\nrel {power}\nrel a^6\nrel b^2\nrel (a b)^2\nsigma a b\n")
+        assert main(["analyze", str(f), "--json"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["warnings"] == [
+            "nominal order 4 of generator a collapsed to 2",
+            "nominal order 6 of generator a collapsed to 2",
+        ]
+
     def test_text_and_json_agree(self, workdir, capsys):
         assert main(["analyze", str(workdir / "torus-44-1-3.pres"), "--json"]) == 0
         d = json.loads(capsys.readouterr().out)

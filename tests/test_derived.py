@@ -18,7 +18,6 @@ from rotamap import (
     RotationGroup4,
     catalog,
     enumerate_group,
-    group_class,
     petrie_coxeter,
 )
 from rotamap.selfdual import extend_proper
@@ -49,16 +48,10 @@ def _recorded(tables, rep):
 
 
 @pytest.fixture(scope="module")
-def catalog_extensions():
+def catalog_extensions(catalog_groups):
     """The extended group of each self-dual catalog entry, built the way
     ``compute_entry_report`` builds it."""
-    entries = catalog()
-    out = {}
-    for name in EXTENDED:
-        pres = entries[name].presentation
-        cls = group_class(pres.distinguished, pres.distinguished_kind)
-        out[name] = petrie_coxeter(cls(enumerate_group(pres), pres.distinguished))[0]
-    return out
+    return {name: petrie_coxeter(catalog_groups.group(name))[0] for name in EXTENDED}
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from rotamap import Word, catalog, enumerate_group, parse_presentation
+from rotamap import Word, enumerate_group, parse_presentation
 from rotamap.selfdual import DualityKind, _form_images
 from oracle import naive_generator_map, naive_is_automorphism, word_bfs_closure
 
@@ -194,16 +194,10 @@ CATALOG_SIZES = {
 }
 
 
-@pytest.fixture(scope="module")
-def catalog_entries():
-    return catalog()
-
-
 @pytest.mark.parametrize("name", sorted(CATALOG_SIZES))
-def test_catalog_subgroup_sizes(catalog_entries, name):
-    p = catalog_entries[name].presentation
-    rep = enumerate_group(p)
-    d = p.distinguished
+def test_catalog_subgroup_sizes(catalog_groups, name):
+    rep = catalog_groups.group(name).rep
+    d = rep.presentation.distinguished
     got = (
         rep.center().size,
         rep.derived_subgroup().size,

@@ -1,7 +1,7 @@
 """Catalog verification and the CLI must report the same numbers: the
 ``map`` dict that ``compute_entry_report`` checks against the catalog
 equals the ``construct petrie-coxeter --json`` report of that entry, and
-a rank-3 entry's dict equals its ``analyze --json`` report."""
+a rank-3 or rank-4 entry's dict equals its ``analyze --json`` report."""
 
 import json
 
@@ -47,6 +47,39 @@ def _cli_view(d: dict) -> dict:
     }
 
 
+def _rank4_catalog_view(d: dict) -> dict:
+    """The compared rank-4 fields of a catalog dict."""
+    return {
+        "order": d["order"],
+        "schlafli": tuple(d["schlafli"]),
+        "polytopal": d["polytopal"],
+        "chirality": d["chirality"],
+        "self_duality": d["self_duality"],
+        "petrie": tuple(d["petrie"]),
+    }
+
+
+def _rank4_cli_view(d: dict) -> dict:
+    """The same fields of a schema-1 JSON report."""
+    return {
+        "order": d["group_order"],
+        "schlafli": tuple(d["schlafli"]),
+        "polytopal": d["polytopal"],
+        "chirality": d["chirality"],
+        "self_duality": d["self_duality"],
+        "petrie": (d["petrie"]["left"], d["petrie"]["right"]),
+    }
+
+
+@pytest.fixture(scope="module")
+def entry_reports():
+    entries = catalog()
+    return {
+        name: compute_entry_report(entries[name])
+        for name in MAP_ENTRIES + ["torus-44-1-3"]
+    }
+
+
 @pytest.fixture(scope="module")
 def entries_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("agreement")
@@ -62,8 +95,8 @@ def _cli_json(capsys, argv) -> dict:
 
 
 @pytest.mark.parametrize("name", MAP_ENTRIES)
-def test_catalog_map_matches_construct(entries_dir, tmp_path, capsys, name):
-    got = compute_entry_report(catalog()[name])["map"]
+def test_catalog_map_matches_construct(entry_reports, entries_dir, tmp_path, capsys, name):
+    got = entry_reports[name]["map"]
     d = _cli_json(capsys, [
         "construct", "petrie-coxeter", str(entries_dir / f"{name}.pres"),
         "--json", "--out", str(tmp_path / "pc.pres"),
@@ -71,8 +104,15 @@ def test_catalog_map_matches_construct(entries_dir, tmp_path, capsys, name):
     assert _catalog_view(got) == _cli_view(d)
 
 
-def test_catalog_rank3_entry_matches_analyze(entries_dir, capsys):
+def test_catalog_rank3_entry_matches_analyze(entry_reports, entries_dir, capsys):
     name = "torus-44-1-3"
-    got = compute_entry_report(catalog()[name])
+    got = entry_reports[name]
     d = _cli_json(capsys, ["analyze", str(entries_dir / f"{name}.pres"), "--json"])
     assert _catalog_view(got) == _cli_view(d)
+
+
+@pytest.mark.parametrize("name", MAP_ENTRIES)
+def test_catalog_rank4_entry_matches_analyze(entry_reports, entries_dir, capsys, name):
+    got = entry_reports[name]
+    d = _cli_json(capsys, ["analyze", str(entries_dir / f"{name}.pres"), "--json"])
+    assert _rank4_catalog_view(got) == _rank4_cli_view(d)

@@ -13,7 +13,6 @@ from rotamap import (
     RotationGroup4,
     TorusFamily,
     Word,
-    catalog,
     classify4,
     detect_self_duality,
     enumerate_group,
@@ -245,18 +244,14 @@ def _conjugate_triple(m, rng, length):
 
 
 @pytest.fixture(scope="module")
-def duality_cases():
+def duality_cases(catalog_groups):
     """Rotation groups of every duality kind, each with its sigma triple
     conjugated by a seeded word of one and of two letters."""
-    cat = catalog()
-    groups = {}
-    for name in ("ex1", "ex3", "ex3-central-quotient", "ex2q7"):
-        pres = cat[name].presentation
-        groups[name] = RotationGroup4(enumerate_group(pres), pres.distinguished)
-    pres = simplex_presentation()
-    groups["simplex-rotations"] = rotation_subgroup(
-        RegularCGroup4(enumerate_group(pres), pres.distinguished)
-    )
+    groups = {
+        name: catalog_groups.group(name)
+        for name in ("ex1", "ex3", "ex3-central-quotient", "ex2q7")
+    }
+    groups["simplex-rotations"] = rotation_subgroup(catalog_groups.group("simplex333"))
     groups["44-13/44-31"] = locally_toroidal(
         LocallyToroidalSpec(TorusFamily("44", 1, 3), TorusFamily("44", 3, 1))
     )
