@@ -35,7 +35,6 @@ from .rotary import (
     RegularMap3,
     RotationGroup3,
     RotationGroup4,
-    _c_group_condition,
     check_polytopal4,
     classify3,
     classify4,
@@ -350,7 +349,7 @@ def pc_map_proper(e: ExtendedGroup) -> RegularMap3:
         f"t0 (t1 t2)^2 has order {q}",
     )
     m = RegularMap3(rep, (t0, t1, t2))
-    _require(_c_group_condition(rep, m.rho), "reflection intersection condition")
+    _require(m.polytopal, "reflection intersection condition")
     return m
 
 
@@ -382,7 +381,7 @@ def pc_map_regular(e: ExtendedGroup) -> RegularMap3:
     )
 
     m = RegularMap3(rep, (r0, d, r2))
-    _require(_c_group_condition(rep, m.rho), "reflection intersection condition")
+    _require(m.polytopal, "reflection intersection condition")
     return m
 
 

@@ -36,14 +36,17 @@ feeding each migrated entry back into the deduction stack.
 Groups derived from a complete table, an index-2 extension
 (``GroupRep.extend``) or a quotient (``GroupRep.quotient``), are built
 from that table without enumerating, and put in row-scan standard form
-too; ``tests/test_derived.py`` compares the two row for row.
+too; ``tests/test_derived.py`` compares the two row for row.  An
+extension is certified from the generators and the identity row (see
+``extend``); a quotient, whose table is right only if ``normal_closure``
+is, is checked row by row like an enumerated table.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .errors import CapExceededError, InconsistencyError
+from .errors import CapExceededError, CollapseError, InconsistencyError
 from .words import DEFAULT_CAP, Presentation, Word, _reduce_cols
 
 
@@ -647,39 +650,63 @@ class GroupRep:
 
     # -- derived groups ---------------------------------------------------
 
-    def extend(self, presentation: Presentation, alpha, z: Word) -> "GroupRep":
+    def extend(self, presentation: Presentation, sources, images, z: Word) -> "GroupRep":
         """The extension E of this group G by one generator d, built from
         G's table.  ``presentation`` is G's with d appended last and
         relators fixing each d^-1 h d, h a generator of G, and d^2 as
-        words in G's generators; they must say d^-1 x d = alpha(x) and
-        d^2 = z, for an automorphism alpha of G with alpha(z) = z and
-        alpha^2 = conjugation by z, given as a permutation of element
-        indices.
+        words in G's generators: d^-1 s d = u for each source word s and
+        its image u, and d^2 = z.
 
         Element g of G keeps its index and g d gets index |G| + g.  With
-        beta = alpha^-1, (g d) h = g beta(h) d = beta(alpha(g) h) d,
+        alpha the automorphism s -> u (``generator_map_automorphism``)
+        and beta = alpha^-1, (g d) h = g beta(h) d = beta(alpha(g) h) d,
         g d^-1 = g z^-1 d (d commutes with z = d^2) and (g d) d = g z, so
-        every row is read off G's table, alpha, beta and a walk of z.  The
-        table is put in row-scan form and checked against
-        ``presentation``.
+        every row is read off G's table, alpha, beta and a walk of z, and
+        the table is put in row-scan form.
 
-        It is E's table: the relators put each d^-1 h d and d^2 into the
-        image N of G, so N has index at most 2 in E, and N, generated by
-        elements that satisfy G's relators, is a quotient of G; hence
-        |E| <= 2|G|.  E acts transitively on the 2|G| rows, so the action
-        is regular.  Raises CapExceededError, before building anything,
-        if 2|G| exceeds ``cap``, and ValueError, as ``enumerate_group``
-        does, if the relators hold more than ``cap`` letters in all."""
+        No row but the identity's is checked.  Instead ``extend`` checks
+        that alpha exists (else CollapseError), that alpha(z) = z, that
+        alpha^2 is x -> z^-1 x z on G's generators (so everywhere, both
+        being automorphisms) and that every relator fixes row 0 (else
+        InconsistencyError).  Then it is E's table:
+
+        * Ê = (G x| <t>)/<c>, t of infinite order acting as alpha and
+          c = z^-1 t^2, has order 2|G|: c is central, as t^-1 c t =
+          alpha(z)^-1 t^2 = c and c^-1 x c = alpha^2(z x z^-1) = x, and
+          <c> meets G trivially.  The image d of t has d^2 = z and
+          d^-1 x d = alpha(x), so the rows are Ê's right-regular action.
+        * Only the identity of Ê fixes a row, so a relator that fixes
+          row 0 is trivial in Ê and fixes every row.  Ê is generated by
+          G's generators and d (the rows are one orbit, as ``GroupRep``
+          checks), so it is a quotient of E (von Dyck).
+        * |E| <= 2|G|: the relators put each d^-1 h d and d^2 into the
+          image N of G, so N has index at most 2 in E, and N, generated
+          by elements that satisfy G's relators, is a quotient of G.
+          So E is Ê.
+
+        Raises CapExceededError, before building anything, if 2|G|
+        exceeds ``cap``, and ValueError, as ``enumerate_group`` does, if
+        the relators hold more than ``cap`` letters in all."""
         n = self.order
         if 2 * n > self.cap:
             raise CapExceededError(self.cap, 2 * n)
         _bounded_relators(presentation, self.cap)
+        alpha = self.generator_map_automorphism(sources, images)
+        if alpha is None:
+            raise CollapseError("the duality images are not an automorphism of the group")
         rows = self.table.rows
+        walk = self._walk
+        z_cols, z_inv = z.cols(), (~z).cols()
+        zx = walk(0, z_cols)
+        if alpha[zx] != zx:
+            raise InconsistencyError("alpha moves z")
+        zi = walk(0, z_inv)
+        for h in range(0, self.table.ncols, 2):
+            if alpha[alpha[rows[0][h]]] != walk(rows[zi][h], z_cols):
+                raise InconsistencyError("alpha^2 is not conjugation by z")
         beta = [0] * n
         for x, y in enumerate(alpha):
             beta[y] = x
-        z_cols, z_inv = z.cols(), (~z).cols()
-        walk = self._walk
 
         def raw_row(e):
             if e < n:
@@ -687,7 +714,16 @@ class GroupRep:
             g = e - n
             return tuple([n + beta[y] for y in rows[alpha[g]]]) + (walk(g, z_cols), g)
 
-        return self._derived(presentation, _row_scan(raw_row, self._label_ints(2 * n)))
+        table = _row_scan(raw_row, self._label_ints(2 * n))
+        for r in presentation.relators:
+            x = 0
+            for c in r.cols():
+                x = table[x][c]
+            if x != 0:
+                raise InconsistencyError(f"{r.text(presentation.names)} does not fix coset 0")
+        rep = GroupRep(presentation, CosetTable(table, presentation.ngens))
+        rep.cap = self.cap
+        return rep
 
     def quotient(self, w: Word) -> "GroupRep":
         """The quotient G/N of this group G by the normal closure N of w,
@@ -720,7 +756,10 @@ class GroupRep:
                         label[y] = b
                     blocks.append(block)
             out.append(tuple([label[t] for t in row]))
-        return self._derived(presentation, tuple(out))
+        rep = GroupRep(presentation, CosetTable(tuple(out), presentation.ngens))
+        rep._verify()
+        rep.cap = self.cap
+        return rep
 
     def _label_ints(self, size) -> list:
         """The int objects 0..size-1, size at least the order, to label a
@@ -733,12 +772,6 @@ class GroupRep:
         for row in self.table.rows:
             ints[row[0]] = row[0]
         return ints
-
-    def _derived(self, presentation: Presentation, rows) -> "GroupRep":
-        rep = GroupRep(presentation, CosetTable(rows, presentation.ngens))
-        rep._verify()
-        rep.cap = self.cap
-        return rep
 
     # -- structure tests --------------------------------------------------
 

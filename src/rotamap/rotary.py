@@ -122,6 +122,8 @@ class RegularMap3:
                 raise ConstructionError(f"rho{i} is not an involution")
         _check_trivial_word(rep, (r0 * r2) ** 2, "(rho0 rho2)^2")
         _check_generates(rep, self.rho, "rho generators")
+        # the intersection condition, tested once for constructions and reports
+        self.polytopal = _c_group_condition(rep, self.rho)
 
     @property
     def order(self):
@@ -462,7 +464,7 @@ def map_report_regular(m: RegularMap3, warnings=()) -> AnalysisReport:
     return AnalysisReport(
         group_order=m.order,
         schlafli=inv.schlafli,
-        polytopal=_c_group_condition(m.rep, m.rho),
+        polytopal=m.polytopal,
         chirality=inv.chirality.value,
         f_vector=inv.f_vector,
         euler=inv.euler,

@@ -28,10 +28,11 @@ needed.  The square conditions need no test of their own:
   is conjugation by z = d^2, and alpha fixes z.
 
 Extension adjoins the duality to the presentation and builds the
-extension's table from the base group's (``GroupRep.extend``).  It
-needs the automorphism alpha of the form, which one automorphism test
-on the same images gives; when that test fails, the form does not act
-and an ``extend_*`` call of the wrong kind raises ``CollapseError``.
+extension's table from the base group's.  ``GroupRep.extend`` runs the
+automorphism test of the form's images itself, so an ``extend_*`` call
+of the wrong kind raises ``CollapseError``.  It does not check the
+extension row by row: it checks the two conditions above on the
+generators, as it accepts any images, and each relator at the identity.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .engine import GroupRep
-from .errors import CollapseError, InconsistencyError
+from .errors import InconsistencyError
 from .rotary import Chirality, RegularCGroup4, RotationGroup4, classify4, schlafli
 from .words import Presentation, Word
 
@@ -133,27 +134,22 @@ def _adjoin_duality(base, gens, kind: DualityKind, relators, z: Word) -> Extende
     extension from the base table (``GroupRep.extend``) under the cap of
     ``base``.
 
-    alpha comes from one automorphism test.  If it fails, the form does
-    not act and ``CollapseError`` is raised: then no extension of order
-    2|G| satisfies the relators, since in one the base generators embed G
-    with index 2 and conjugation by d would be that automorphism.  If it
-    passes, alpha^2 is conjugation by z and alpha(z) = z (the module
-    docstring shows both), which is what ``GroupRep.extend`` needs; its
-    table has order 2|G| by construction and satisfies the relators of
-    the presented group E, and |E| <= 2|G|, so the table is E's.
+    ``GroupRep.extend`` finds alpha with one automorphism test and
+    certifies the table (its docstring gives the argument).  Without
+    alpha it raises ``CollapseError``: then no extension of order 2|G|
+    satisfies the relators, since in one the base generators embed G
+    with index 2 and conjugation by d would be that automorphism.
 
     As G embeds, the identities its wrapper checked (the rotation or
     C-group relations) hold in the extension.  With the adjoined
-    relators, which the extension's table is verified against on every
-    element, they imply the identities derived in the ``extend_*`` and
-    ``pc_map_*`` docstrings, so those are not tested again."""
-    alpha = base.rep.generator_map_automorphism(gens, _form_images(kind, gens))
-    if alpha is None:
-        raise CollapseError(f"the {kind} form is not an automorphism of the group")
+    relators, which hold in the extension, they imply the identities
+    derived in the ``extend_*`` and ``pc_map_*`` docstrings, so those are
+    not tested again."""
     pres = base.rep.presentation
     d = Word.gen(pres.ngens)
     pres = pres.with_generator(_fresh_name(pres.names)).with_relators(*relators(d))
-    rep = base.rep.extend(Presentation(pres.names, pres.relators), alpha, z)
+    pres = Presentation(pres.names, pres.relators)
+    rep = base.rep.extend(pres, gens, _form_images(kind, gens), z)
     return ExtendedGroup(rep=rep, kind=kind, base=base, duality=d)
 
 

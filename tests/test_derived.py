@@ -3,9 +3,12 @@
 Duality extensions (``GroupRep.extend``) and Petrie quotients
 (``GroupRep.quotient``) are derived from the base group's coset table;
 ``enumerate_group`` of the same presentation is the oracle, and the two
-tables must agree row for row.  The coset-table digests the benchmark
-recorded from enumeration (``perfbench/tables.json``, read only) cover
-every Petrie quotient its petrie-scan workload can draw."""
+tables must agree row for row.  ``extend`` certifies its table from the
+generators and the identity row, so the whole-table check it skips runs
+here, and broken certificate premises must make it raise.  The
+coset-table digests the benchmark recorded from enumeration
+(``perfbench/tables.json``, read only) cover every Petrie quotient its
+petrie-scan workload can draw."""
 
 import importlib.util
 import json
@@ -15,12 +18,17 @@ import pytest
 
 from rotamap import (
     CapExceededError,
+    CollapseError,
+    DualityKind,
+    GroupRep,
+    InconsistencyError,
     RotationGroup4,
+    Word,
     catalog,
     enumerate_group,
     petrie_coxeter,
 )
-from rotamap.selfdual import extend_proper
+from rotamap.selfdual import _form_images, extend_proper
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -77,6 +85,11 @@ class TestExtension:
         assert ext.rep.table == oracle.table
 
     @pytest.mark.parametrize("name", EXTENDED)
+    def test_passes_the_whole_table_check(self, catalog_extensions, name):
+        # columns mutually inverse, every relator fixing every row
+        catalog_extensions[name].rep._verify()
+
+    @pytest.mark.parametrize("name", EXTENDED)
     def test_matches_recorded_digest(self, catalog_extensions, recorded_tables, name):
         rep = catalog_extensions[name].rep
         assert _recorded(recorded_tables, rep) == spans.table_digest(rep.table)
@@ -89,6 +102,79 @@ class TestExtension:
         assert (exc.value.cap, exc.value.cosets_in_use) == (1343, 1344)
         m = RotationGroup4(enumerate_group(pres, cap=1344), pres.distinguished)
         assert extend_proper(m).order == 1344
+
+
+def _adjoined(m, kind, square):
+    """The presentation ``_adjoin_duality`` builds for ``kind``, but with
+    d^2 = ``square``."""
+    pres = m.rep.presentation
+    d = Word.gen(pres.ngens)
+    d_inv = d if kind is DualityKind.PROPER else ~d  # the proper d is an involution
+    images = _form_images(kind, m.sigma)
+    return pres.with_generator("d").with_relators(
+        *(d_inv * w * d * ~u for w, u in zip(m.sigma, images)), d * d * ~square
+    )
+
+
+# (base, kind of the images, z, d^2 in the presentation, error, message);
+# each breaks exactly one premise of extend's certificate
+BROKEN = {
+    # ex3 is properly, not improperly, self-dual
+    "images are no automorphism": (
+        "ex3", DualityKind.IMPROPER, "z", "z", CollapseError, "not an automorphism"),
+    # the improper alpha sends s1 to s3^-1
+    "alpha moves z": (
+        "ex1", DualityKind.IMPROPER, "s1", "s1", InconsistencyError, "moves z"),
+    # alpha^2 is conjugation by s1 s2 s3, which is not central in ex1
+    "alpha^2 is not inn(z)": (
+        "ex1", DualityKind.IMPROPER, "1", "1", InconsistencyError, "conjugation by z"),
+    # alpha and z are sound but the relators say d^2 = 1: the proper
+    # alpha fixes the central involution c of ex3, and alpha^2 = 1 = inn(c)
+    "wrong d^2 relator": (
+        "ex3", DualityKind.PROPER, "c", "1", InconsistencyError, "does not fix coset 0"),
+    "wrong improper d^2 relator": (
+        "ex1", DualityKind.IMPROPER, "z", "1", InconsistencyError, "does not fix coset 0"),
+}
+
+
+def _spy_on_builds(monkeypatch):
+    """A list of every GroupRep constructed from now on in the test."""
+    made = []
+    init = GroupRep.__init__
+
+    def spy(rep, *args):
+        made.append(rep)
+        init(rep, *args)
+
+    monkeypatch.setattr(GroupRep, "__init__", spy)
+    return made
+
+
+class TestExtensionCertificate:
+    @pytest.mark.parametrize("case", BROKEN)
+    def test_broken_premise_raises_before_building(self, catalog_groups, monkeypatch, case):
+        name, kind, z, square, error, message = BROKEN[case]
+        m = catalog_groups.group(name)
+        s1, s2, s3 = m.sigma
+        center = m.rep.center().elements
+        words = {
+            "z": (s1 * s2 * s3).reduce(), "s1": s1, "1": Word.identity(),
+            "c": m.rep.element_word(max(center)),
+        }
+        pres = _adjoined(m, kind, words[square])
+        built = _spy_on_builds(monkeypatch)
+        with pytest.raises(error, match=message):
+            m.rep.extend(pres, m.sigma, _form_images(kind, m.sigma), words[z])
+        assert built == []
+
+    def test_sound_premises_build_the_extension(self, catalog_groups, monkeypatch):
+        # the spy sees the one table a sound extension builds
+        m = catalog_groups.group("ex1")
+        z = m.sigma[0] * m.sigma[1] * m.sigma[2]
+        pres = _adjoined(m, DualityKind.IMPROPER, z)
+        built = _spy_on_builds(monkeypatch)
+        rep = m.rep.extend(pres, m.sigma, _form_images(DualityKind.IMPROPER, m.sigma), z)
+        assert built == [rep] and rep.order == 2 * m.order
 
 
 class TestPetrieQuotient:

@@ -82,10 +82,12 @@ class TestEnumerate:
         assert q.table == enumerate_group(p.with_relators(s1 * s3)).table
         # the direct product with a group of order 2: alpha = 1, z = 1
         d = Word.gen(p.ngens)
-        commute = [~d * Word.gen(i) * d * ~Word.gen(i) for i in range(p.ngens)]
-        e = g.extend(p.with_generator("d").with_relators(*commute, d ** 2),
-                     range(g.order), Word.identity())
+        gens = [Word.gen(i) for i in range(p.ngens)]
+        commute = [~d * h * d * ~h for h in gens]
+        product = p.with_generator("d").with_relators(*commute, d ** 2)
+        e = g.extend(product, gens, gens, Word.identity())
         assert (e.order, e.cap) == (2 * g.order, DEFAULT_CAP)
+        assert e.table.rows == enumerate_group(product).table.rows
 
     def test_proper_power_relator_is_scanned_at_every_edge(self):
         # (s1 s3)^29 has 58 letters but 2 distinct rotations, so it is
