@@ -22,6 +22,7 @@ from rotamap import (
     DualityKind,
     GroupRep,
     InconsistencyError,
+    Presentation,
     RotationGroup4,
     Word,
     catalog,
@@ -175,6 +176,44 @@ class TestExtensionCertificate:
         built = _spy_on_builds(monkeypatch)
         rep = m.rep.extend(pres, m.sigma, _form_images(DualityKind.IMPROPER, m.sigma), z)
         assert built == [rep] and rep.order == 2 * m.order
+
+
+    @pytest.mark.parametrize("drop,message", [
+        # ex1's three conjugation relators without d^2 present the
+        # infinite G x| <d>, d acting as alpha; the parent built a
+        # 4,000-row table for it
+        ("d^2", "no relator d\\^2 v"),
+        ("s2", "for the source s = s2"),
+        ("group", "drops a relator of the group"),
+    ])
+    def test_misshapen_presentation_is_value_error(self, catalog_groups, monkeypatch, drop, message):
+        m = catalog_groups.group("ex1")
+        z = (m.sigma[0] * m.sigma[1] * m.sigma[2]).reduce()
+        full = _adjoined(m, DualityKind.IMPROPER, z)
+        base = m.rep.presentation.relators
+        adjoined = full.relators[len(base):]  # three conjugations, then d^2
+        kept = {
+            "d^2": base + adjoined[:3],
+            "s2": base + adjoined[:1] + adjoined[2:],
+            "group": base[1:] + adjoined,
+        }[drop]
+        pres = Presentation(full.names, kept)
+        built = _spy_on_builds(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            m.rep.extend(pres, m.sigma, _form_images(DualityKind.IMPROPER, m.sigma), z)
+        assert built == []
+
+    def test_relators_are_read_cyclically(self, catalog_groups):
+        # each adjoined relator rotated to start after its first d letter
+        m = catalog_groups.group("ex1")
+        z = (m.sigma[0] * m.sigma[1] * m.sigma[2]).reduce()
+        images = _form_images(DualityKind.IMPROPER, m.sigma)
+        full = _adjoined(m, DualityKind.IMPROPER, z)
+        n = len(m.rep.presentation.relators)
+        rotated = tuple(Word(r.cols()[1:] + r.cols()[:1]) for r in full.relators[n:])
+        pres = Presentation(full.names, full.relators[:n] + rotated)
+        rep = m.rep.extend(pres, m.sigma, images, z)
+        assert rep.table == m.rep.extend(full, m.sigma, images, z).table
 
 
 class TestPetrieQuotient:

@@ -1,10 +1,13 @@
 import hashlib
 import random
+import re
 
 import pytest
 
 from rotamap import (
     CapExceededError,
+    CosetTable,
+    InconsistencyError,
     LocallyToroidalSpec,
     Presentation,
     TorusFamily,
@@ -125,6 +128,34 @@ class TestEnumerate:
             cols = [rng.randrange(4) for _ in range(rng.randrange(1, 6))]
             smaller = enumerate_group(base.with_relators(Word(cols)))
             assert smaller.order <= g.order
+
+
+class TestVerify:
+    """Mutations of a table that the whole-table check must reject."""
+
+    def test_swapped_column_entries_are_not_inverse(self):
+        g = rot333()
+        cols = list(g.table.cols)
+        col = list(cols[2])
+        col[3], col[7] = col[7], col[3]
+        cols[2] = tuple(col)
+        bad = GroupRep(g.presentation, CosetTable(tuple(cols), g.table.ngens))
+        with pytest.raises(InconsistencyError, match="table columns are not inverse"):
+            bad._verify()
+        g._verify()
+
+    @pytest.mark.parametrize("relator,coset", [("a", 2), ("b", 0), ("b a b^-1", 1)])
+    def test_failing_relator_names_the_first_coset_it_moves(self, relator, coset):
+        # S4 acting on four points, a = (2 3) and b = (0 1 2 3): a
+        # transitive table that is not regular, so a relator can fix
+        # coset 0 and still fail at a later coset
+        a_col, b_col, b_inv = (0, 1, 3, 2), (1, 2, 3, 0), (3, 0, 1, 2)
+        table = CosetTable((a_col, a_col, b_col, b_inv), 2)
+        pres = parse_presentation(f"gens a b\nrel a^2\nrel b^4\nrel {relator}\n")
+        rep = GroupRep(pres, table)
+        message = re.escape(f"relator {relator} does not fix coset {coset}")
+        with pytest.raises(InconsistencyError, match=message + "$"):
+            rep._verify()
 
 
 class TestElements:

@@ -5,7 +5,9 @@ analysis and of enumeration against pure Felsch, with Hypothesis.
 Examples are derandomized and their number is fixed, so the suite stays
 deterministic."""
 
+import contextlib
 import dataclasses
+import io
 import random
 
 import pytest
@@ -26,7 +28,7 @@ from rotamap import (
     serialize_presentation,
     torus_presentation,
 )
-from rotamap.cli import analyze_presentation
+from rotamap.cli import analyze_presentation, main
 from rotamap.engine import LONG_PERIOD, _short_period
 from oracle import felsch_table, naive_normal_closure, word_bfs_closure
 from test_queries import rot333
@@ -73,6 +75,47 @@ def test_parser_raises_only_parse_errors(text):
         parse_presentation(text)
     except ParseError:
         pass
+
+
+_SMALL_TORI = [TorusFamily(*t) for t in (("44", 1, 2), ("44", 2, 2), ("36", 1, 1), ("63", 2, 1), ("36", 2, 0))]
+
+
+@st.composite
+def _analyze_inputs(draw):
+    """A small torus presentation with some relators dropped (which may
+    make it infinite or break its sigma identities) and others added
+    (which may collapse it), maybe with random text spliced in."""
+    t = draw(st.sampled_from(_SMALL_TORI))
+    gens, *lines = serialize_presentation(torus_presentation(t)).splitlines()
+    lines = [line for line in lines if draw(st.integers(0, 3))]
+    letters = st.tuples(st.sampled_from(gens.split()[1:]), st.integers(-3, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        word = draw(st.lists(letters, min_size=1, max_size=6))
+        lines.append("rel " + " ".join(f"{n}^{k}" for n, k in word))
+    text = "\n".join([gens] + lines) + "\n"
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(_grammar_text) + text[i:]
+    return text
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("analyze") / "input.pres"
+
+
+@PROPERTY
+@given(st.one_of(st.text(max_size=80), _grammar_text, _analyze_inputs()))
+def test_analyze_cli_exits_cleanly(input_file, text):
+    # any file: a report (0), a verdict (1) or an input error (2), and
+    # never an exception out of main, which the console script would
+    # print as a traceback
+    input_file.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["analyze", str(input_file), "--max-cosets", "200"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)

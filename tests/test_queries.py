@@ -160,6 +160,60 @@ class TestGeneratorMapMatchesNaive:
         _check_generator_maps(m.rep, m.sigma, 4, 16, 6)
 
 
+class TestFrontierPasses:
+    """The closure and the automorphism test on ex2q7 (order 5,040), whose
+    breadth-first levels hold up to hundreds of elements, and on cyclic
+    groups, whose levels hold one element each."""
+
+    def test_closures_of_conjugated_sigma(self, ex2_chain):
+        # c = 1 gives sigma itself, and t[:2] then gives <sigma1, sigma2>
+        m = ex2_chain["q7"].base
+        rng = random.Random(7)
+        conjugators = [Word()] + [_random_word(rng, 3, rng.randrange(1, 9)) for _ in range(4)]
+        for c in conjugators:
+            t = [~c * s * c for s in m.sigma]
+            for words in (t, t[:2]):
+                h = m.rep.subgroup_closure(words)
+                assert h.elements == word_bfs_closure(m.rep, words), words
+                assert h.size == (m.order if len(words) == 3 else 42)
+
+    @pytest.mark.parametrize("extra", ["far element", "sigma3 conjugated"])
+    def test_conflict_after_the_first_level(self, ex2_chain, extra):
+        m = ex2_chain["q7"].base
+        rep = m.rep
+        s1, s2, s3 = m.sigma
+        if extra == "far element":
+            # element 4098 lies 12 sigma-steps from the identity; its
+            # wrong image is first contradicted at level 3
+            far = rep.element_word(4098)
+            sources, images = [s1, s2, s3, far], [s1, s2, s3, far * s1]
+        else:
+            # first contradicted at level 4, a level of 24 elements
+            sources, images = [s1, s2, s3], [s1, s2, ~s2 * s3 * s2]
+        # the first level cannot conflict: the sources are distinct
+        # elements other than the identity
+        assert len({rep.element_of(w) for w in sources} - {0}) == len(sources)
+        assert rep.generator_map_automorphism(sources, images) is None
+        assert naive_generator_map(rep, sources, images) is None
+        # the same map without the wrong image is an automorphism
+        images[-1] = sources[-1] if extra == "far element" else s3
+        assert rep.generator_map_automorphism(sources, images) == list(range(rep.order))
+
+    def test_single_element_levels(self, ex2_chain):
+        rep = ex2_chain["q7"].base.rep
+        s1 = ex2_chain["q7"].base.sigma[0]
+        h = rep.subgroup_closure([s1])
+        assert h.elements == word_bfs_closure(rep, [s1])
+        assert h.size == rep.element_order(s1) == 6
+        cyclic = enumerate_group(parse_presentation("gens a\nrel a^12\n"))
+        a = Word.gen(0)
+        for k in range(12):
+            want = naive_generator_map(cyclic, [a], [a ** k])
+            assert cyclic.generator_map_automorphism([a], [a ** k]) == want
+            assert (want is not None) == (k in (1, 5, 7, 11))
+            assert cyclic.subgroup_closure([a ** k]).elements == word_bfs_closure(cyclic, [a ** k])
+
+
 def test_undeclared_generator_is_value_error():
     g = rot333()
     s1, s2, s3 = (Word.gen(i) for i in range(3))
