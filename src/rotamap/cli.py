@@ -15,8 +15,9 @@ without NAME every entry.
 Exit codes: 0 success, 1 mathematical verdict failure (not polytopal
 under --require-polytopal, not self-dual, verification mismatch),
 2 operational error (parse failure, including a word of more than
-DEFAULT_CAP letters; coset cap; bad invocation; input sigma/rho words
-that break their identities).
+DEFAULT_CAP letters; coset cap; bad invocation, such as ``--petrie`` for
+``construct petrie-coxeter``; input sigma/rho words that break their
+identities).
 """
 
 from __future__ import annotations
@@ -179,6 +180,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.what == "petrie-coxeter" and args.petrie is not None:
+        raise RotamapError("--petrie applies to construct quotient only")
     pres = _load(args.file)
     cls = group_class(pres.distinguished, pres.distinguished_kind)
     warnings = []

@@ -44,6 +44,7 @@ from .rotary import (
     map_report_regular,
     petrie4,
     rank4_report,
+    rotation_relators,
     rotation_subgroup,
     schlafli,
 )
@@ -115,10 +116,10 @@ class LocallyToroidalSpec:
 
 def _translation_words(family, g1, g2):
     if family == "44":
-        return ((~g2 * g1).reduce(), (g2 * ~g1).reduce())
+        return (~g2 * g1, g2 * ~g1)
     if family == "36":
-        return ((~g2 * ~g2 * g1).reduce(), (g2 * ~g1 * g2).reduce())
-    return ((g1 * g1 * ~g2).reduce(), (~g1 * g2 * ~g1).reduce())
+        return (~g2 * ~g2 * g1, g2 * ~g1 * g2)
+    return (g1 * g1 * ~g2, ~g1 * g2 * ~g1)
 
 
 def _translation_relators(family, b, c, g1, g2):
@@ -129,14 +130,8 @@ def _translation_relators(family, b, c, g1, g2):
     bb, cc = c, b
     t1, t2 = _translation_words(family, g1, g2)
     if family == "44":
-        return [
-            (t1 ** bb * t2 ** cc).reduce(),
-            (t1 ** (-cc) * t2 ** bb).reduce(),
-        ]
-    return [
-        (t1 ** (bb + cc) * t2 ** cc).reduce(),
-        (t1 ** (-cc) * t2 ** bb).reduce(),
-    ]
+        return [t1 ** bb * t2 ** cc, t1 ** -cc * t2 ** bb]
+    return [t1 ** (bb + cc) * t2 ** cc, t1 ** -cc * t2 ** bb]
 
 
 def torus_presentation(t: TorusFamily) -> Presentation:
@@ -217,14 +212,7 @@ def locally_toroidal_presentation(spec: LocallyToroidalSpec) -> Presentation:
     p, q = ft.type_pq
     q2, r = vt.type_pq
     s1, s2, s3 = Word.gen(0), Word.gen(1), Word.gen(2)
-    rels = [
-        s1 ** p,
-        s2 ** q,
-        s3 ** r,
-        (s1 * s2) ** 2,
-        (s2 * s3) ** 2,
-        (s1 * s2 * s3) ** 2,
-    ]
+    rels = rotation_relators(p, q, r)
     rels += _translation_relators(ft.family, ft.b, ft.c, s1, s2)
     rels += _translation_relators(vt.family, vt.b, vt.c, s2, s3)
     return Presentation.build(["s1", "s2", "s3"], rels, [s1, s2, s3], "sigma")
@@ -256,13 +244,13 @@ def petrie_quotient(m: RotationGroup4, k: int) -> RotationGroup4:
     if k < 1:
         raise ValueError("k must be positive")
     w1, w2, w3 = m.sigma
-    u = (w1 * w3).reduce()
+    u = w1 * w3
     letters = k * len(_cyclic_reduce(u.cols()))
     if letters > m.rep.cap:
         raise ValueError(
             f"relator (s1 s3)^{k} holds {letters} letters, more than the cap {m.rep.cap}"
         )
-    rep = m.rep.quotient((u ** k).reduce())
+    rep = m.rep.quotient(u ** k)
     q = RotationGroup4(rep, m.sigma)
     if not check_polytopal4(q):
         raise NotPolytopalError(
@@ -299,12 +287,12 @@ def pc_map_improper(e: ExtendedGroup) -> RotationGroup3:
     rep = e.rep
     p, q, _ = schlafli(e.base)
     k1 = d
-    k2 = (w1 * w2 * ~d).reduce()
+    k2 = w1 * w2 * ~d
 
     _require(rep.element_order(k1) == 4, "k1 has order 4")
     _require(rep.element_order(k2) == 2 * q, f"k2 has order {2 * q}")
-    _require(rep.element_order((k1 * k2).reduce()) == 2, "k1 k2 is an involution")
-    _require(rep.element_order((k1 * ~k2).reduce()) == p, f"k1 k2^-1 has order {p}")
+    _require(rep.element_order(k1 * k2) == 2, "k1 k2 is an involution")
+    _require(rep.element_order(k1 * ~k2) == p, f"k1 k2^-1 has order {p}")
 
     m = RotationGroup3(rep, (k1, k2))
     cls = classify3(m)
@@ -332,22 +320,16 @@ def pc_map_proper(e: ExtendedGroup) -> RegularMap3:
     rep = e.rep
     p, q, _ = schlafli(e.base)
     s, t = petrie4(e.base)
-    t0 = (w1 * w2 * w3).reduce()
-    t1 = (w1 * w2).reduce()
+    t0 = w1 * w2 * w3
+    t1 = w1 * w2
     t2 = d
 
     for i, w in enumerate((t0, t1, t2)):
         _require(rep.element_order(w) == 2, f"t{i} is an involution")
-    _require(rep.element_order((t0 * t1).reduce()) == p, f"t0 t1 has order {p}")
-    _require(rep.element_order((t1 * t2).reduce()) == 2 * s, f"t1 t2 has order {2 * s}")
-    _require(
-        rep.element_order((t0 * t1 * t2).reduce()) == 2 * t,
-        f"t0 t1 t2 has order {2 * t}",
-    )
-    _require(
-        rep.element_order((t0 * (t1 * t2) ** 2).reduce()) == q,
-        f"t0 (t1 t2)^2 has order {q}",
-    )
+    _require(rep.element_order(t0 * t1) == p, f"t0 t1 has order {p}")
+    _require(rep.element_order(t1 * t2) == 2 * s, f"t1 t2 has order {2 * s}")
+    _require(rep.element_order(t0 * t1 * t2) == 2 * t, f"t0 t1 t2 has order {2 * t}")
+    _require(rep.element_order(t0 * (t1 * t2) ** 2) == q, f"t0 (t1 t2)^2 has order {q}")
     m = RegularMap3(rep, (t0, t1, t2))
     _require(m.polytopal, "reflection intersection condition")
     return m
@@ -371,14 +353,10 @@ def pc_map_regular(e: ExtendedGroup) -> RegularMap3:
     rep = e.rep
     p, q, _ = schlafli(e.base)
 
-    _require(rep.element_order((r0 * d).reduce()) == 4, "r0 w has order 4")
-    _require(rep.element_order((d * r2).reduce()) == 2 * q, f"w r2 has order {2 * q}")
-    sig1 = (r0 * d).reduce()
-    sig2 = (d * r2).reduce()
-    _require(
-        rep.element_order((sig1 * ~sig2).reduce()) == p,
-        f"2-holes have length {p}",
-    )
+    sig1, sig2 = r0 * d, d * r2
+    _require(rep.element_order(sig1) == 4, "r0 w has order 4")
+    _require(rep.element_order(sig2) == 2 * q, f"w r2 has order {2 * q}")
+    _require(rep.element_order(sig1 * ~sig2) == p, f"2-holes have length {p}")
 
     m = RegularMap3(rep, (r0, d, r2))
     _require(m.polytopal, "reflection intersection condition")
@@ -616,8 +594,6 @@ def catalog() -> dict:
         }),
     ]
     for fam, expected in torus_expect:
-        expected = dict(expected)
-        expected.setdefault("order", lattice_torus_oracle(fam)[0])
         entries.append(CatalogEntry(fam.name, torus_presentation(fam), expected))
 
     return {e.name: e for e in entries}

@@ -592,23 +592,33 @@ class GroupRep:
             x = cols[c][x]
         return x
 
-    def element_of(self, w: Word) -> int:
-        """Element index of the word w (evaluated from the identity)."""
+    def _check_word(self, w: Word):
         if w.max_gen() >= self.presentation.ngens:
             raise ValueError("word uses undeclared generators")
+
+    def _check_index(self, x: int):
+        if not 0 <= x < self.order:
+            raise ValueError(f"element index {x} out of range")
+
+    def element_of(self, w: Word) -> int:
+        """Element index of the word w (evaluated from the identity)."""
+        self._check_word(w)
         return self._walk(0, w.cols())
 
     def multiply(self, x: int, w: Word) -> int:
         """Right action of the word w on element x."""
-        if not 0 <= x < self.order:
-            raise ValueError(f"element index {x} out of range")
+        self._check_index(x)
+        self._check_word(w)
         return self._walk(x, w.cols())
 
     def product(self, x: int, y: int) -> int:
         """Group product x * y of two element indices."""
+        self._check_index(x)
+        self._check_index(y)
         return self._walk(x, self._schreier_cols(y))
 
     def inverse_element(self, x: int) -> int:
+        self._check_index(x)
         cols = tuple(c ^ 1 for c in reversed(self._schreier_cols(x)))
         return self._walk(0, cols)
 
@@ -621,11 +631,11 @@ class GroupRep:
 
     def element_word(self, x: int) -> Word:
         """Schreier representative word for element index x."""
-        if not 0 <= x < self.order:
-            raise ValueError(f"element index {x} out of range")
+        self._check_index(x)
         return Word(self._schreier_cols(x))
 
     def element_order(self, w: Word) -> int:
+        self._check_word(w)
         cols = w.cols()
         x = self._walk(0, cols)
         k = 1
@@ -686,6 +696,7 @@ class GroupRep:
 
     def conjugacy_class(self, x: int):
         """Orbit of element x under conjugation by the generators."""
+        self._check_index(x)
         cols = self.table.cols
         ngens = self.presentation.ngens
         gen_pairs = [(cols[2 * g + 1][0], cols[2 * g]) for g in range(ngens)]

@@ -107,7 +107,7 @@ class RegularCGroup4:
         """The rotations (ρ0 ρ1, ρ1 ρ2, ρ2 ρ3), so that ``schlafli`` and
         ``petrie4`` apply to C-groups too."""
         r0, r1, r2, r3 = self.rho
-        return ((r0 * r1).reduce(), (r1 * r2).reduce(), (r2 * r3).reduce())
+        return (r0 * r1, r1 * r2, r2 * r3)
 
 
 class RegularMap3:
@@ -132,7 +132,7 @@ class RegularMap3:
     @property
     def rotations(self):
         r0, r1, r2 = self.rho
-        return ((r0 * r1).reduce(), (r1 * r2).reduce())
+        return (r0 * r1, r1 * r2)
 
 
 _GROUP_CLASSES = {
@@ -207,14 +207,14 @@ def is_reflexible3(m: RotationGroup3) -> bool:
     """True iff σ1 -> σ1^-1, σ2 -> σ1^2 σ2 extends to an automorphism
     (conjugation by the base-face reflection of the reflexible cover)."""
     s1, s2 = m.sigma
-    images = [(~s1).reduce(), (s1 * s1 * s2).reduce()]
+    images = [~s1, s1 * s1 * s2]
     return m.rep.generator_map_automorphism(m.sigma, images) is not None
 
 
 def is_reflexible4(m: RotationGroup4) -> bool:
     """True iff σ1 -> σ1, σ2 -> σ2 σ3^2, σ3 -> σ3^-1 extends."""
     s1, s2, s3 = m.sigma
-    images = [s1, (s2 * s3 * s3).reduce(), (~s3).reduce()]
+    images = [s1, s2 * s3 * s3, ~s3]
     return m.rep.generator_map_automorphism(m.sigma, images) is not None
 
 
@@ -276,7 +276,7 @@ def hole_length(m: RotationGroup3, j: int) -> int:
     q = m.rep.element_order(s2)
     if not 1 <= j <= max(1, q // 2):
         raise ValueError(f"hole index {j} out of range for valence {q}")
-    return m.rep.element_order((s1 * s2 ** (1 - j)).reduce())
+    return m.rep.element_order(s1 * s2 ** (1 - j))
 
 
 def zigzag_length(m: RegularMap3, j: int) -> int:
@@ -285,16 +285,13 @@ def zigzag_length(m: RegularMap3, j: int) -> int:
     if j < 1:
         raise ValueError("zigzag index must be >= 1")
     r0, r1, r2 = m.rho
-    return m.rep.element_order((r0 * (r1 * r2) ** j).reduce())
+    return m.rep.element_order(r0 * (r1 * r2) ** j)
 
 
 def petrie4(m: RotationGroup4) -> tuple:
     """(left, right) Petrie lengths: periods of σ1 σ3 and σ1 σ3^-1."""
     s1, _, s3 = m.sigma
-    return (
-        m.rep.element_order(s1 * s3),
-        m.rep.element_order((s1 * ~s3).reduce()),
-    )
+    return (m.rep.element_order(s1 * s3), m.rep.element_order(s1 * ~s3))
 
 
 @dataclass(frozen=True)
@@ -314,7 +311,7 @@ class InvolutionReport:
 
 def involution_report(m: RotationGroup3) -> InvolutionReport:
     s1, s2 = m.sigma
-    n = m.rep.normal_closure((s1 * s2).reduce())
+    n = m.rep.normal_closure(s1 * s2)
     index = m.order // n.size
     gbi = m.rep.generated_by_involutions()
     return InvolutionReport(
@@ -439,10 +436,7 @@ def map_invariants_regular(m: RegularMap3) -> MapInvariants:
         if chi % 2 != 0:
             raise InconsistencyError(f"odd Euler characteristic {chi}")
         genus = (2 - chi) // 2
-    holes = {
-        j: rep.element_order((s1 * s2 ** (1 - j)).reduce())
-        for j in range(2, q // 2 + 1)
-    }
+    holes = {j: rep.element_order(s1 * s2 ** (1 - j)) for j in range(2, q // 2 + 1)}
     zigzags = {j: zigzag_length(m, j) for j in range(1, max(1, q // 2) + 1)}
     return MapInvariants(
         schlafli=(p, q),
@@ -497,6 +491,16 @@ def rank4_report(g, self_duality, warnings=()) -> AnalysisReport:
 # -- rotation subgroup of a regular C-group -----------------------------------
 
 
+def rotation_relators(p: int, q: int, r: int) -> list:
+    """The relators s1^p, s2^q, s3^r, (s1 s2)^2, (s2 s3)^2 and
+    (s1 s2 s3)^2 of a rank-4 rotation group of type {p, q, r}, over the
+    first three generators."""
+    s1, s2, s3 = (Word.gen(i) for i in range(3))
+    return [
+        s1 ** p, s2 ** q, s3 ** r, (s1 * s2) ** 2, (s2 * s3) ** 2, (s1 * s2 * s3) ** 2
+    ]
+
+
 def rotation_subgroup(c: RegularCGroup4) -> RotationGroup4:
     """The subgroup generated by σi = ρ(i-1) ρi, re-enumerated on its own
     presentation (the standard rotation relations at the computed orders)
@@ -512,20 +516,9 @@ def rotation_subgroup(c: RegularCGroup4) -> RotationGroup4:
         raise ConstructionError(
             f"rotation subgroup has index {index}, expected 1 or 2"
         )
-    orders = schlafli(c)
-    s1, s2, s3 = (Word.gen(i) for i in range(3))
+    sigma = tuple(Word.gen(i) for i in range(3))
     pres = Presentation.build(
-        ["s1", "s2", "s3"],
-        [
-            s1 ** orders[0],
-            s2 ** orders[1],
-            s3 ** orders[2],
-            (s1 * s2) ** 2,
-            (s2 * s3) ** 2,
-            (s1 * s2 * s3) ** 2,
-        ],
-        [s1, s2, s3],
-        "sigma",
+        ["s1", "s2", "s3"], rotation_relators(*schlafli(c)), sigma, "sigma"
     )
     rep = enumerate_group(pres, cap=c.rep.cap)
     if rep.order != sub.size:
@@ -533,4 +526,4 @@ def rotation_subgroup(c: RegularCGroup4) -> RotationGroup4:
             f"standard rotation relations present a group of order "
             f"{rep.order}, but the rotation subgroup has order {sub.size}"
         )
-    return RotationGroup4(rep, (s1, s2, s3))
+    return RotationGroup4(rep, sigma)

@@ -85,10 +85,10 @@ def _form_images(kind: DualityKind, gens) -> tuple:
     proper and improper forms, (rho0, ..., rho3) for the polarity."""
     if kind is DualityKind.IMPROPER:
         s1, s2, s3 = gens
-        return ((~s3).reduce(), (s1 * s2 * ~s1).reduce(), s1)
+        return (~s3, s1 * s2 * ~s1, s1)
     if kind is DualityKind.PROPER:
         s1, s2, s3 = gens
-        return ((~s3).reduce(), (~s2).reduce(), (~s1).reduce())
+        return (~s3, ~s2, ~s1)
     return tuple(reversed(gens))
 
 

@@ -6,6 +6,12 @@ contributes 2*i, its inverse 2*i + 1, so flipping a sign is ``col ^ 1``.
 This encoding doubles as the column index of a coset table, which keeps
 the enumeration engine free of translation layers.
 
+Word arithmetic (``u * v``, ``~w``, ``w ** k``) returns freely reduced
+words, so a product of generator words reads as the formula it stands
+for.  ``Word(cols)`` keeps its letters exactly as given; ``reduce()``
+reduces such a word.  The parser freely reduces relators but keeps the
+words of a ``sigma``/``rho`` line as written.
+
 The file format is line oriented, UTF-8, with ``#`` starting a comment:
 
     gens s1 s2 s3          # exactly one such line, first in the file
@@ -46,10 +52,12 @@ def _reduce_cols(cols) -> tuple:
 
 
 class Word:
-    """A word in the free group; not reduced automatically.
+    """A word in the free group.
 
-    Multiplication concatenates, ``~w`` inverts, ``w ** k`` repeats.
-    ``reduce()`` returns the freely reduced form and is idempotent.
+    ``u * v``, ``~w`` and ``w ** k`` return the freely reduced product,
+    inverse and power.  ``Word(cols)`` keeps the letters it is given,
+    reduced or not; ``reduce()`` returns the freely reduced form and is
+    idempotent.
     """
 
     __slots__ = ("_cols",)
@@ -83,15 +91,15 @@ class Word:
         return max((c >> 1 for c in self._cols), default=-1)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self._cols + other._cols)
+        return Word(_reduce_cols(self._cols + other._cols))
 
     def __invert__(self) -> "Word":
-        return Word(tuple(c ^ 1 for c in reversed(self._cols)))
+        return Word(_reduce_cols(c ^ 1 for c in reversed(self._cols)))
 
     def __pow__(self, k: int) -> "Word":
-        if k >= 0:
-            return Word(self._cols * k)
-        return Word((~self)._cols * (-k))
+        if k < 0:
+            return (~self) ** -k
+        return Word(_reduce_cols(self._cols * k))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self._cols == other._cols
@@ -346,7 +354,7 @@ def parse_presentation(text: str) -> Presentation:
                 relators.append(sides[0].reduce())
             else:
                 for u, v in zip(sides, sides[1:]):
-                    relators.append((u * ~v).reduce())
+                    relators.append(u * ~v)
         elif head in ("sigma", "rho"):
             if distinguished is not None:
                 raise ParseError(lineno, "duplicate sigma/rho line")

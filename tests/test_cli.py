@@ -258,6 +258,16 @@ class TestConstruct:
         assert "--petrie must be at least 1" in capsys.readouterr().err
         assert not (workdir / "ex3-bad.pres").exists()
 
+    def test_petrie_coxeter_rejects_petrie_exit_2(self, workdir, capsys):
+        out = workdir / "ex3-petrie-flag.pres"
+        rc = main([
+            "construct", "petrie-coxeter", str(workdir / "ex3.pres"),
+            "--petrie", "3", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "--petrie applies to construct quotient only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_not_self_dual_exit_1(self, tmp_path, capsys):
         f = tmp_path / "cube.pres"
         f.write_text(

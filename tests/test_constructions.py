@@ -302,6 +302,14 @@ class TestCatalog:
         assert cat["ex3"].expected["map"]["zigzags"][1] == 28
         assert cat["simplex333"].expected["map"]["holes"][2] == 3
 
+    def test_torus_orders_match_the_lattice_oracle(self):
+        tori = {n: e for n, e in catalog().items() if n.startswith("torus-")}
+        assert len(tori) == 6
+        for name, entry in tori.items():
+            _, family, b, c = name.split("-")
+            want = lattice_torus_oracle(TorusFamily(family, int(b), int(c)))[0]
+            assert entry.expected["order"] == want, name
+
     def test_ex3_central_quotient_word_is_the_central_involution(self):
         cat = catalog()
         ex3 = cat["ex3"].presentation

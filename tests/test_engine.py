@@ -212,6 +212,41 @@ class TestElements:
         assert g.product(x, g.inverse_element(x)) == 0
 
 
+class TestElementInputChecks:
+    """Out-of-range element indices and undeclared generators are a
+    ValueError; a negative index used to wrap around silently."""
+
+    @pytest.fixture(scope="class")
+    def g(self):
+        return enumerate_group(simplex_presentation())
+
+    def test_product(self, g):
+        assert g.order == 120
+        for bad in (-1, g.order):
+            with pytest.raises(ValueError, match="out of range"):
+                g.product(0, bad)
+            with pytest.raises(ValueError, match="out of range"):
+                g.product(bad, 0)
+
+    def test_inverse_element(self, g):
+        for bad in (-1, g.order):
+            with pytest.raises(ValueError, match="out of range"):
+                g.inverse_element(bad)
+
+    def test_conjugacy_class(self, g):
+        for bad in (-1, g.order):
+            with pytest.raises(ValueError, match="out of range"):
+                g.conjugacy_class(bad)
+
+    def test_element_order(self, g):
+        with pytest.raises(ValueError, match="undeclared"):
+            g.element_order(Word.gen(4))
+
+    def test_multiply(self, g):
+        with pytest.raises(ValueError, match="undeclared"):
+            g.multiply(0, Word.gen(4))
+
+
 class TestSubgroups:
     def test_empty_generating_set(self):
         g = rot333()

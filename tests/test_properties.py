@@ -62,6 +62,18 @@ def test_serialize_parse_roundtrip(p):
     assert parse_presentation(serialize_presentation(p)) == p
 
 
+@PROPERTY
+@given(_words(2, reduced=False), _words(2, reduced=False), st.integers(-4, 4))
+def test_word_arithmetic_reduces_concatenated_letters(u, v, k):
+    """Products, powers and inverses are the free reductions of the
+    letters they concatenate; over two generators most draws cancel."""
+    inverse_letters = tuple(c ^ 1 for c in reversed(u.cols()))
+    power_letters = u.cols() * k if k >= 0 else inverse_letters * -k
+    assert u * v == Word(u.cols() + v.cols()).reduce()
+    assert ~u == Word(inverse_letters).reduce()
+    assert u ** k == Word(power_letters).reduce()
+
+
 _grammar_text = st.text(
     alphabet=st.sampled_from(list("gens rel sigma rho ab()^-=#\n0123456789_")) | st.characters(),
     max_size=80,

@@ -27,11 +27,17 @@ def _random_word(rng, ngens, length):
     return Word(tuple(rng.randrange(2 * ngens) for _ in range(length)))
 
 
+def _conjugated(c, w):
+    """The letters of c^-1, w and c concatenated, left unreduced (Word
+    arithmetic would reduce them)."""
+    return Word(tuple(x ^ 1 for x in reversed(c.cols())) + w.cols() + c.cols())
+
+
 def _conjugate(rng, ngens):
     """~c w c with |c| <= 10 and 1 <= |w| <= 10: at most 30 letters,
     left unreduced."""
     c = _random_word(rng, ngens, rng.randrange(11))
-    return ~c * _random_word(rng, ngens, rng.randrange(1, 11)) * c
+    return _conjugated(c, _random_word(rng, ngens, rng.randrange(1, 11)))
 
 
 def _word_lists(rep, distinguished, seed):
@@ -96,7 +102,7 @@ def test_extends_to_automorphism_matches_naive():
         else:
             c = _random_word(rng, 3, rng.randrange(6))
             base = mirror if k % 4 else s
-            triples.append([~c * w * c for w in base])
+            triples.append([_conjugated(c, w) for w in base])
     # well-defined but not onto: the trivial map
     triples.append([Word(), s[0] ** 3, ~s[1] * s[1]])
     verdicts = []
@@ -114,8 +120,8 @@ def _sigma_maps(rng, sigma, conjugators, max_len):
     out = []
     for _ in range(conjugators):
         c = _random_word(rng, 3, rng.randrange(max_len + 1))
-        t1, t2, t3 = t = [~c * s * c for s in sigma]
-        out.append((t, [t1, (t2 * t3 * t3).reduce(), (~t3).reduce()]))
+        t1, t2, t3 = t = [_conjugated(c, s) for s in sigma]
+        out.append((t, [t1, t2 * t3 * t3, ~t3]))
         for kind in (DualityKind.IMPROPER, DualityKind.PROPER):
             out.append((t, list(_form_images(kind, t))))
     return out
@@ -171,7 +177,7 @@ class TestFrontierPasses:
         rng = random.Random(7)
         conjugators = [Word()] + [_random_word(rng, 3, rng.randrange(1, 9)) for _ in range(4)]
         for c in conjugators:
-            t = [~c * s * c for s in m.sigma]
+            t = [_conjugated(c, s) for s in m.sigma]
             for words in (t, t[:2]):
                 h = m.rep.subgroup_closure(words)
                 assert h.elements == word_bfs_closure(m.rep, words), words

@@ -171,34 +171,40 @@ class TestDeepNesting:
 
 
 def random_expression(rng, depth=0):
-    """Random word text over s1 s2 s3 and the Word it denotes, built
-    with Word arithmetic (unreduced)."""
-    parts, word = [], Word.identity()
+    """Random word text over s1 s2 s3, the word of its letters as
+    written, built by concatenating letters with ``Word(...)``, and the
+    reduced word that Word arithmetic gives for it."""
+    parts, letters, word = [], [], Word.identity()
     for _ in range(rng.randrange(1, 4)):
         if depth < 3 and rng.random() < 0.3:
-            text, w = random_expression(rng, depth + 1)
-            text = f"({text})"
+            text, written, w = random_expression(rng, depth + 1)
+            text, term = f"({text})", list(written.cols())
         else:
             g = rng.randrange(3)
-            text, w = f"s{g + 1}", Word.gen(g)
+            text, term, w = f"s{g + 1}", [2 * g], Word.gen(g)
         if rng.random() < 0.5:
             k = rng.randrange(-4, 5)
             text, w = f"{text}^{k}", w ** k
+            if k < 0:
+                term = [c ^ 1 for c in reversed(term)]
+            term = term * abs(k)
         parts.append(text)
+        letters += term
         word = word * w
-    return " ".join(parts), word
+    return " ".join(parts), Word(letters), word
 
 
 class TestParserAgainstWordArithmetic:
     def test_random_nested_expressions(self):
         rng = random.Random(5)
         for _ in range(200):
-            (t1, w1), (t2, w2) = random_expression(rng), random_expression(rng)
+            (t1, l1, w1), (t2, l2, w2) = random_expression(rng), random_expression(rng)
             p = parse_presentation(
                 f"gens s1 s2 s3\nrel {t1} = {t2}\nsigma ({t1}) ({t2})\n"
             )
-            assert p.distinguished == (w1, w2)
-            assert p.relators == ((w1 * ~w2).reduce(),)
+            assert p.distinguished == (l1, l2)
+            assert tuple(w.reduce() for w in p.distinguished) == (w1, w2)
+            assert p.relators == (w1 * ~w2,)
 
 
 class TestWordLengthBound:
