@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import DEFAULT_CAP, _cyclic_reduce, enumerate_group
+from .engine import DEFAULT_CAP, enumerate_group
 from .errors import (
     ConstructionError,
     InconsistencyError,
@@ -57,7 +57,7 @@ from .selfdual import (
     extend_proper,
     find_polarity,
 )
-from .words import Presentation, Word
+from .words import Presentation, Word, _cyclic_reduce
 
 _FAMILY_ALIASES = {
     "44": "44", "4,4": "44", "{4,4}": "44",

@@ -6,9 +6,11 @@ strategy is a Felsch/HLT hybrid (Havas, "Coset enumeration strategies",
 ISSAC 1991).  Cosets are defined at the first missing table entry
 (scanning rows in index order, columns in generator order), and a
 deduction stack closes the consequences of each new entry before the
-next definition.  A relator with more than ``LONG_PERIOD`` (16) distinct
+next definition.  A relator with more than ``LONG_PERIOD`` (8) distinct
 rotations is instead closed once at each coset, HLT style, when the
-definition loop reaches it; see ``_enumerate_cosets``.
+definition loop reaches it; see ``_enumerate_cosets``.  The table being
+built is stored by column too, one list per column, so a scan binds the
+column lists of its letters once and takes each step as ``col[f]``.
 
 The live cosets are then numbered in row-scan order: the identity is 0,
 and every other element gets the next number where it first appears
@@ -47,10 +49,11 @@ descriptor shadows.
 
 Each new table edge ``c --x--> d`` is one deduction, ``(c, x)``: it is
 checked against every rotation of a short relator or its inverse that
-starts with x, at most 16 of each.  Those rotations are grouped by first
-letter and stored as index ranges into one doubled copy ``w + w`` of
-each distinct cyclic word, so they take space linear in the relator
-lengths.
+starts with x, at most ``LONG_PERIOD`` of each.  Those rotations are
+grouped by first letter and stored as index ranges into one doubled copy
+``w + w`` of each distinct cyclic word, with the column lists of its
+letters bound once per doubled word, so they take space linear in the
+relator lengths.
 
 Coincidences (two cosets proved equal) are processed eagerly with a
 union-find structure, migrating table entries to the surviving coset and
@@ -70,21 +73,12 @@ from __future__ import annotations
 from collections import deque
 
 from .errors import CapExceededError, CollapseError, InconsistencyError
-from .words import DEFAULT_CAP, Presentation, Word, _reduce_cols
-
-
-def _cyclic_reduce(cols) -> tuple:
-    cols = _reduce_cols(cols)
-    i, j = 0, len(cols) - 1
-    while i < j and cols[i] == cols[j] ^ 1:
-        i += 1
-        j -= 1
-    return cols[i:j + 1]
+from .words import DEFAULT_CAP, Presentation, Word, _cyclic_reduce, _reduce_cols
 
 
 # relators with more distinct rotations than this are closed once per
 # coset instead of scanned at every new edge; see _enumerate_cosets
-LONG_PERIOD = 16
+LONG_PERIOD = 8
 
 
 def _short_period(w):
@@ -98,21 +92,28 @@ def _short_period(w):
     return None
 
 
-def _rotations_by_column(relators, ncols):
+def _bind(w, cols):
+    """The column lists of the letters of w, and of their inverses."""
+    return tuple([cols[c] for c in w]), tuple([cols[c ^ 1] for c in w])
+
+
+def _rotations_by_column(relators, cols):
     """All cyclic rotations of each relator and its inverse, grouped by
     first letter and deduplicated, in order of first occurrence.  Every
     relator must be short: at most ``LONG_PERIOD`` distinct rotations.
+    ``cols`` holds one list per table column.
 
-    A rotation is stored as ``(ww, start, end)``: the letters
+    A rotation is stored as ``(ww, fw, bw, start, end)``: the letters
     ``ww[start..end]`` (inclusive) of the doubled word ``ww = w + w``,
-    which all rotations of w share, so storage is linear in the relator
-    lengths.  Two words have a rotation in common exactly when they have
-    the same least rotation, the least of the first p for a word with p
-    distinct rotations.  So a word whose least rotation was seen before
-    adds nothing; otherwise its rotations at offsets below p are new and
+    which all rotations of w share, and ``fw, bw = _bind(ww, cols)``,
+    shared the same way, so storage is linear in the relator lengths.
+    Two words have a rotation in common exactly when they have the same
+    least rotation, the least of the first p for a word with p distinct
+    rotations.  So a word whose least rotation was seen before adds
+    nothing; otherwise its rotations at offsets below p are new and
     pairwise distinct, and the later ones repeat them.
     """
-    buckets = [[] for _ in range(ncols)]
+    buckets = [[] for _ in cols]
     seen = set()
     for r in relators:
         p = _short_period(r)
@@ -124,14 +125,16 @@ def _rotations_by_column(relators, ncols):
             if key in seen:
                 continue
             seen.add(key)
+            fw, bw = _bind(ww, cols)
             for i in range(p):
-                buckets[w[i]].append((ww, i, i + n - 1))
+                buckets[w[i]].append((ww, fw, bw, i, i + n - 1))
     return [tuple(b) for b in buckets]
 
 
 def _enumerate_cosets(ncols, relators, cap):
-    """Run the enumeration; returns (rows, parent) before compression.
-    A coset c is live when ``parent[c] == c``; a coincidence points the
+    """Run the enumeration; returns (cols, parent) before compression,
+    ``cols[x][c]`` the raw table entry of coset c in column x, or -1.  A
+    coset c is live when ``parent[c] == c``; a coincidence points the
     larger coset at the smaller, so ``parent[c] <= c`` always.
 
     A relator with at most ``LONG_PERIOD`` distinct rotations is short
@@ -157,19 +160,40 @@ def _enumerate_cosets(ncols, relators, cap):
     relator of period L costs about n L^2 table steps on n cosets, and
     the HLT scan about n L.  On the 468 torus groups {4,4}, {3,6} and
     {6,3}(b,c) with b <= 12 and c <= 12, whose translation relators have
-    up to 106 letters, enumeration took 9.6 s instead of 91 s, with at
-    most 1.38 times the order defined (2-core Xeon, CPython 3.11).
+    up to 106 letters, enumeration took 4.6 s instead of 54 s under pure
+    Felsch, with at most 1.38 times the order defined.  The bound of 8
+    also sends the torus translation relators of the rank-4 entries, of
+    9 to 13 rotations, to HLT: ex2 (order 20,160) defines 22,508 rows
+    instead of 20,648 but enumerates in 0.30 s instead of 0.53 s, and ex3
+    (order 672) 716 rows instead of 675 in 7 ms instead of 14 ms, against
+    a bound of 16 (fastest of 15 runs).  The 13 catalog entries took
+    0.89 s in all at a bound of 8, 1.37 to 1.43 s at 10 or 12 and 1.55 s
+    at 16; below 8, ex1's period-8 translation relators would change
+    strategy too.
 
     The period, not the length, decides.  A proper power u^k has only
     |u| rotations, so Felsch scans it cheaply, while closing it once per
     coset where it makes a quotient collapse defines far more rows: ex1
     with (s1 s3)^29, of order 4, took 68,243 rows under a 16-letter rule
     and takes Felsch's 1,736 under this one.  Every Petrie relator
-    (s1 s3)^k has period 2, so those presentations run pure Felsch.  The
-    cost: a long primitive relator that makes a group collapse can define
-    more rows than Felsch (ex2q7 with a random 60-letter relator that
-    collapses it: 10,686 rows against 2,703, in about the same time).
-    The cap still bounds the run.
+    (s1 s3)^k has period 2, so it stays in the Felsch buckets whatever k
+    is.  The cost: a long primitive relator that makes a group collapse
+    can define more rows than Felsch (ex2q7 with six random 60-letter
+    relators that collapse it: 3,010 to 9,630 rows against Felsch's 746
+    to 3,036, in 28 to 81 ms against 45 to 312 ms).  The cap still bounds
+    the run.
+
+    The table is kept by column, ``cols[x][c]``, and every rotation and
+    long relator binds the column lists of its letters, and of their
+    inverses, once (``_bind``), so a scan step is ``fw[i][f]``.  Every
+    rotation in the bucket of a deduction ``(c, x)`` starts with the edge
+    ``c --x--> d``, so d is read once and read again only after the
+    bucket's scans change the table.  That is the work of a table kept
+    as one list per coset, in the same order, so it defines the same
+    rows and builds the same table, in about half the memory and faster:
+    ex2 took 0.30 s instead of 0.33 s at this bound, and 0.53 s instead
+    of 0.72 s at a bound of 16.  Times on a shared 2-core Xeon, CPython
+    3.11.7.
 
     Sound: Felsch closes every short relator cycle.  A coset live at the
     end was live when the loop reached it, and it closed every long
@@ -177,11 +201,12 @@ def _enumerate_cosets(ncols, relators, cap):
     paths, so they stay closed.  ``enumerate_group`` checks the table
     against the presentation all the same.
     """
-    long_relators = [r for r in relators if _short_period(r) is None]
-    rot_by_col = _rotations_by_column(
-        [r for r in relators if _short_period(r) is not None], ncols)
-    rows = [[-1] * ncols]
+    cols = [[-1] for _ in range(ncols)]
     parent = [0]
+    long_relators = [(w, *_bind(w, cols)) for w in relators if _short_period(w) is None]
+    rot_by_col = _rotations_by_column(
+        [r for r in relators if _short_period(r) is not None], cols)
+    columns = [(x, cols[x], cols[x ^ 1]) for x in range(ncols)]
     stack = []
     push = stack.append
 
@@ -201,30 +226,29 @@ def _enumerate_cosets(ncols, relators, cap):
         q = deque((b,))
         while q:
             g = q.popleft()
-            grow = rows[g]
-            for x in range(ncols):
-                d = grow[x]
+            for x, col, inv in columns:
+                d = col[g]
                 if d < 0:
                     continue
-                rows[d][x ^ 1] = -1
+                inv[d] = -1
                 mu = find(g)
                 nu = find(d)
-                e = rows[mu][x]
+                e = col[mu]
                 if e >= 0:
                     e = find(e)
                     if e != nu:
                         u, v = (e, nu) if e < nu else (nu, e)
                         parent[v] = u
                         q.append(v)
-                elif rows[nu][x ^ 1] >= 0:
-                    e = find(rows[nu][x ^ 1])
+                elif inv[nu] >= 0:
+                    e = find(inv[nu])
                     if e != mu:
                         u, v = (e, mu) if e < mu else (mu, e)
                         parent[v] = u
                         q.append(v)
                 else:
-                    rows[mu][x] = nu
-                    rows[nu][x ^ 1] = mu
+                    col[mu] = nu
+                    inv[nu] = mu
                     push((mu, x))
 
     def drain():
@@ -232,12 +256,19 @@ def _enumerate_cosets(ncols, relators, cap):
             c, x = stack.pop()
             while parent[c] != c:
                 c = parent[c]
-            for w, i, j in rot_by_col[x]:
-                # scan the relator rotation w[i..j] from coset c; it must
+            # every rotation in the bucket starts with the edge c --x--> d
+            cx = cols[x]
+            d = cx[c]
+            for ww, fw, bw, i, j in rot_by_col[x]:
+                # scan the relator rotation ww[i..j] from coset c; it must
                 # close up
-                f = c
+                if d < 0:
+                    f = c
+                else:
+                    f = d
+                    i += 1
                 while i <= j:
-                    nxt = rows[f][w[i]]
+                    nxt = fw[i][f]
                     if nxt < 0:
                         break
                     f = nxt
@@ -247,10 +278,11 @@ def _enumerate_cosets(ncols, relators, cap):
                         coincide(f, c)
                         while parent[c] != c:
                             c = parent[c]
+                        d = cx[c]
                     continue
                 b = c
                 while j >= i:
-                    nxt = rows[b][w[j] ^ 1]
+                    nxt = bw[j][b]
                     if nxt < 0:
                         break
                     b = nxt
@@ -259,26 +291,28 @@ def _enumerate_cosets(ncols, relators, cap):
                     coincide(f, b)
                     while parent[c] != c:
                         c = parent[c]
+                    d = cx[c]
                 elif j == i:
-                    x2 = w[i]
-                    rows[f][x2] = b
-                    rows[b][x2 ^ 1] = f
-                    push((f, x2))
+                    fw[i][f] = b
+                    bw[i][b] = f
+                    push((f, ww[i]))
+                    d = cx[c]
 
     def define(c, x):
         # a new coset at the empty entry c --x-->, and its deductions
-        if len(rows) >= cap:
-            live = sum(1 for k in range(len(parent)) if parent[k] == k)
+        n = len(parent)
+        if n >= cap:
+            live = sum(1 for k in range(n) if parent[k] == k)
             raise CapExceededError(cap, live)
-        n = len(rows)
-        rows.append([-1] * ncols)
+        for col in cols:
+            col.append(-1)
         parent.append(n)
-        rows[c][x] = n
-        rows[n][x ^ 1] = c
+        cols[x][c] = n
+        cols[x ^ 1][n] = c
         push((c, x))
         drain()
 
-    def close(c, w):
+    def close(c, w, fw, bw):
         # close the cycle of the long relator w at coset c, or stop when
         # c dies in a coincidence
         last = len(w) - 1
@@ -286,7 +320,7 @@ def _enumerate_cosets(ncols, relators, cap):
             f = c
             i = 0
             while i <= last:
-                nxt = rows[f][w[i]]
+                nxt = fw[i][f]
                 if nxt < 0:
                     break
                 f = nxt
@@ -299,7 +333,7 @@ def _enumerate_cosets(ncols, relators, cap):
             b = c
             j = last
             while j >= i:
-                nxt = rows[b][w[j] ^ 1]
+                nxt = bw[j][b]
                 if nxt < 0:
                     break
                 b = nxt
@@ -311,26 +345,24 @@ def _enumerate_cosets(ncols, relators, cap):
             if j < i:
                 coincide(f, b)
             else:
-                x = w[i]
-                rows[f][x] = b
-                rows[b][x ^ 1] = f
-                push((f, x))
+                fw[i][f] = b
+                bw[i][b] = f
+                push((f, w[i]))
             drain()
             return
 
     i = 0
-    while i < len(rows):
+    while i < len(parent):
         if parent[i] == i:
-            for w in long_relators:
-                close(i, w)
-            row = rows[i]
-            for x in range(ncols):
+            for w, fw, bw in long_relators:
+                close(i, w, fw, bw)
+            for x, col, _ in columns:
                 if parent[i] != i:
                     break
-                if row[x] < 0:
+                if col[i] < 0:
                     define(i, x)
         i += 1
-    return rows, parent
+    return cols, parent
 
 
 class CosetTable:
@@ -445,10 +477,10 @@ def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
     order), and ValueError for an empty generator list or for relators
     (cyclically reduced, duplicates dropped) of more than ``cap`` letters
     in all, since the work at each coset grows with their letters: each
-    deduction scans up to 16 rotations of every short relator, and each
-    coset walks every long relator once.  The completed table is checked
-    against the presentation: columns are mutually inverse permutations
-    and every relator fixes every coset.
+    deduction scans up to ``LONG_PERIOD`` rotations of every short
+    relator, and each coset walks every long relator once.  The completed
+    table is checked against the presentation: columns are mutually
+    inverse permutations and every relator fixes every coset.
     """
     if p.ngens == 0:
         raise ValueError("presentation has no generators")
@@ -456,28 +488,32 @@ def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
         raise ValueError("cap must be positive")
     ncols = 2 * p.ngens
     relators = _bounded_relators(p, cap)
-    raw_rows, parent = _enumerate_cosets(ncols, relators, cap)
+    raw_cols, parent = _enumerate_cosets(ncols, relators, cap)
 
     # every coset to its live one: parent[c] <= c, so one forward pass
     for c, q in enumerate(parent):
         parent[c] = parent[q]
     # number the live cosets by the _row_scan rule, then relabel every
-    # entry through one list from raw index to label
-    label = [-1] * len(raw_rows)
+    # entry through one list from raw index to label, dropping each raw
+    # column once its relabelled column is built
+    label = [-1] * len(parent)
     label[0] = 0
     order = [0]
     for c in order:
-        row = raw_rows[c]
-        if min(row) < 0:
-            raise InconsistencyError("undefined entry survived enumeration")
-        for e in row:
+        for col in raw_cols:
+            e = col[c]
+            if e < 0:
+                raise InconsistencyError("undefined entry survived enumeration")
             t = parent[e]
             if label[t] < 0:
                 label[t] = len(order)
                 order.append(t)
     relabel = [label[q] for q in parent]
-    live = [raw_rows[c] for c in order]
-    cols = tuple([tuple([relabel[row[x]] for row in live]) for x in range(ncols)])
+    cols = []
+    for x, col in enumerate(raw_cols):
+        raw_cols[x] = None
+        cols.append(tuple([relabel[col[c]] for c in order]))
+    cols = tuple(cols)
     rep = GroupRep(p, CosetTable(cols, p.ngens), cap)
     rep._verify()
     return rep
@@ -941,18 +977,22 @@ class GroupRep:
             return None  # a homomorphism but not onto
         return alpha
 
-    def involutions(self):
-        """Indices of all elements of order exactly 2."""
-        out = []
+    def _involutions(self):
+        # the elements of order exactly 2, in index order, found lazily
         for x in range(1, self.order):
             if self._walk(x, self._schreier_cols(x)) == 0:
-                out.append(x)
-        return out
+                yield x
+
+    def involutions(self):
+        """Indices of all elements of order exactly 2."""
+        return list(self._involutions())
 
     def generated_by_involutions(self) -> bool:
         """True iff the order-2 elements generate the whole group.  The
-        trivial group counts as generated by the empty set."""
-        return len(self._incremental_closure(self.involutions())) == self.order
+        trivial group counts as generated by the empty set.  The closure
+        takes the involutions as they are found and stops once it is the
+        whole group, so a True answer need not find them all."""
+        return len(self._incremental_closure(self._involutions())) == self.order
 
     def center(self) -> SubgroupHandle:
         """Elements commuting with every generator."""

@@ -51,6 +51,17 @@ def _reduce_cols(cols) -> tuple:
     return tuple(out)
 
 
+def _cyclic_reduce(cols) -> tuple:
+    """The freely reduced cols written as a c a^-1 with c cyclically
+    reduced: returns c."""
+    cols = _reduce_cols(cols)
+    i, j = 0, len(cols) - 1
+    while i < j and cols[i] == cols[j] ^ 1:
+        i += 1
+        j -= 1
+    return cols[i:j + 1]
+
+
 class Word:
     """A word in the free group.
 
@@ -97,9 +108,16 @@ class Word:
         return Word(_reduce_cols(c ^ 1 for c in reversed(self._cols)))
 
     def __pow__(self, k: int) -> "Word":
+        # w = a c a^-1 with c cyclically reduced, so w^k = a c^k a^-1 is
+        # freely reduced as written: its letters are built once
         if k < 0:
             return (~self) ** -k
-        return Word(_reduce_cols(self._cols * k))
+        w = _reduce_cols(self._cols)
+        if k == 0 or not w or w[0] != w[-1] ^ 1:
+            return Word(w * k)
+        c = _cyclic_reduce(w)
+        i = (len(w) - len(c)) // 2
+        return Word(w[:i] + c * k + w[len(w) - i:])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self._cols == other._cols

@@ -10,9 +10,10 @@ that loop.
 
 ``felsch_reference`` is pure Felsch enumeration: every relator is scanned
 at every new table edge, where ``enumerate_group`` closes a relator of
-more than 16 distinct rotations once per coset instead.  It scans
-materialised rotations (``naive_rotations_by_column``), not the engine's
-shared doubled words, and takes relators of any period.
+more than ``LONG_PERIOD`` (8) distinct rotations once per coset instead.
+It keeps one row list per coset and scans materialised rotations
+(``naive_rotations_by_column``), not the engine's columns and shared
+doubled words, and takes relators of any period.
 ``felsch_table`` puts its table in row-scan form, which
 ``enumerate_group``'s tables take whatever order cosets are defined in.
 """

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from rotamap import (
@@ -109,6 +111,22 @@ class TestPetrieQuotient:
         with pytest.raises(ValueError):
             petrie_quotient(ex3_chain["base"].base, 0)
 
+    def test_conjugated_sigma_at_the_cap_fails_fast(self, ex3_chain):
+        # sigma conjugated by a 1,000-letter word: s1 s3 has 2,002
+        # letters but a 2-letter cyclic core, so k = 500,000 passes the
+        # bound on (s1 s3)^k at the cap, and the power must not build
+        # its 10^9 unreduced letters before the quotient rejects it
+        m = ex3_chain["base"].base
+        g = Word([2, 4] * 500)
+        sigma = tuple(~g * s * g for s in m.sigma)
+        conjugated = RotationGroup4(m.rep, sigma)
+        assert len(sigma[0] * sigma[2]) == 2002
+        assert 500_000 * 2 == m.rep.cap
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="more than the cap"):
+            petrie_quotient(conjugated, 500_000)
+        assert time.perf_counter() - t0 < 5.0
+
 
 
 class TestCapInheritance:
@@ -121,7 +139,8 @@ class TestCapInheritance:
         return RotationGroup4(enumerate_group(pres, cap=cap), pres.distinguished)
 
     def test_extension_hits_the_base_cap(self):
-        # the ex3 base needs 675 coset rows, its extension 1347
+        # the ex3 base defines 716 coset rows, and its extension has
+        # 1,344 elements, more than the cap
         m = self.ex3(1000)
         assert m.rep.cap == 1000
         with pytest.raises(CapExceededError):

@@ -12,6 +12,7 @@ from rotamap import (
     Presentation,
     TorusFamily,
     Word,
+    catalog,
     enumerate_group,
     locally_toroidal_presentation,
     parse_presentation,
@@ -21,6 +22,7 @@ from rotamap import (
 from rotamap.engine import (
     DEFAULT_CAP,
     GroupRep,
+    LONG_PERIOD,
     _cyclic_reduce,
     _rotations_by_column,
     _short_period,
@@ -376,7 +378,13 @@ class TestStructure:
 
 
 def _expand(buckets):
-    return [tuple(ww[start:end + 1] for ww, start, end in b) for b in buckets]
+    # the letters of each rotation: both layouts start an entry with its
+    # word and end it with the first and last index into that word
+    return [tuple(e[0][e[-2]:e[-1] + 1] for e in b) for b in buckets]
+
+
+def _empty_cols(ncols):
+    return [[] for _ in range(ncols)]
 
 
 def _relator_cols(text):
@@ -396,7 +404,7 @@ class TestRotationBuckets:
     ], ids=["periodic", "rotated-pair", "inverse-repeat", "rot333", "mixed"])
     def test_matches_materialised_rotations(self, text):
         ncols, relators = _relator_cols(text)
-        assert _expand(_rotations_by_column(relators, ncols)) == (
+        assert _expand(_rotations_by_column(relators, _empty_cols(ncols))) == (
             _expand(naive_rotations_by_column(relators, ncols)))
 
     def test_random_relators_match(self):
@@ -407,23 +415,32 @@ class TestRotationBuckets:
                 base = [rng.randrange(4) for _ in range(rng.randrange(1, 5))]
                 relators.append(_cyclic_reduce(base * rng.randrange(1, 4)))
             relators = [r for r in relators if r]
-            assert _expand(_rotations_by_column(relators, 4)) == (
+            assert _expand(_rotations_by_column(relators, _empty_cols(4))) == (
                 _expand(naive_rotations_by_column(relators, 4)))
 
     def test_long_relator_storage_is_linear(self):
-        # a 20,000-letter power of a primitive 16-letter word: the
-        # longest period the buckets take
+        # a 20,000-letter power of a primitive word of LONG_PERIOD
+        # letters: the longest period the buckets take
         n = 20_000
-        r = ((0,) * 15 + (2,)) * (n // 16)
-        assert _short_period(r) == 16
-        entries = [e for b in _rotations_by_column([r], 4) for e in b]
-        # 16 rotations of r and 16 of its inverse
-        assert len(entries) == 32
+        r = ((0,) * (LONG_PERIOD - 1) + (2,)) * (n // LONG_PERIOD)
+        assert _short_period(r) == LONG_PERIOD
+        cols = _empty_cols(4)
+        entries = [e for b in _rotations_by_column([r], cols) for e in b]
+        # LONG_PERIOD rotations of r and as many of its inverse
+        assert len(entries) == 2 * LONG_PERIOD
         # one doubled word for r and one for its inverse, shared by
         # every rotation instead of copied into it
-        assert len({id(ww) for ww, _, _ in entries}) == 2
+        assert len({id(ww) for ww, _, _, _, _ in entries}) == 2
         assert all(len(ww) == 2 * n and end - start == n - 1
-                   for ww, start, end in entries)
+                   for ww, _, _, start, end in entries)
+        # so are the column lists bound to its letters: one tuple per
+        # doubled word and direction, holding the table's own lists
+        assert len({id(fw) for _, fw, _, _, _ in entries}) == 2
+        assert len({id(bw) for _, _, bw, _, _ in entries}) == 2
+        for ww, fw, bw, _, _ in entries:
+            assert len(fw) == len(bw) == 2 * n
+            assert all(f is cols[c] and b is cols[c ^ 1]
+                       for c, f, b in zip(ww, fw, bw))
 
     def test_cyclic_reduce_matches_naive(self):
         rng = random.Random(11)
@@ -469,3 +486,20 @@ class TestGoldenTables:
         assert rep.order == order
         rows = rep.table.rows
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+class TestRowsDefined:
+    """Rows the engine defines, counting those later found equal to
+    others, pinned through the cap, which counts them: an enumeration
+    under a cap of that many rows finishes, and one row fewer does not.
+    The cap tests rest on these counts; a change of strategy moves them,
+    while the tables stay pinned above."""
+
+    @pytest.mark.parametrize("name,rows,order", [
+        ("ex1", 2070, 2000), ("ex3", 716, 672), ("ex2q7", 6051, 5040),
+    ])
+    def test_rows_defined(self, name, rows, order):
+        p = catalog()[name].presentation
+        assert enumerate_group(p, cap=rows).order == order
+        with pytest.raises(CapExceededError):
+            enumerate_group(p, cap=rows - 1)

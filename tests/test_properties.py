@@ -66,12 +66,16 @@ def test_serialize_parse_roundtrip(p):
 @given(_words(2, reduced=False), _words(2, reduced=False), st.integers(-4, 4))
 def test_word_arithmetic_reduces_concatenated_letters(u, v, k):
     """Products, powers and inverses are the free reductions of the
-    letters they concatenate; over two generators most draws cancel."""
+    letters they concatenate; over two generators most draws cancel.  A
+    power of the conjugate v u v^-1, which ``**`` builds without
+    concatenating its copies, is checked too."""
     inverse_letters = tuple(c ^ 1 for c in reversed(u.cols()))
     power_letters = u.cols() * k if k >= 0 else inverse_letters * -k
     assert u * v == Word(u.cols() + v.cols()).reduce()
     assert ~u == Word(inverse_letters).reduce()
     assert u ** k == Word(power_letters).reduce()
+    conjugate = v.cols() + u.cols() + tuple(c ^ 1 for c in reversed(v.cols()))
+    assert Word(conjugate) ** abs(k) == Word(conjugate * abs(k)).reduce()
 
 
 _grammar_text = st.text(
@@ -234,7 +238,8 @@ _letters = st.integers(0, 3)
     st.lists(_letters, min_size=1, max_size=40).map(tuple),
 ))
 def test_short_period_counts_rotations(w):
-    # the distinct rotations of w when there are at most 16, else None
+    # the distinct rotations of w when there are at most LONG_PERIOD,
+    # else None
     count = _rotation_count(w)
     assert _short_period(w) == (count if count <= LONG_PERIOD else None)
 
@@ -242,16 +247,16 @@ def test_short_period_counts_rotations(w):
 @st.composite
 def long_relator_presentations(draw):
     """<s1, s2 | s1^p, s2^q, (s1 s2)^2, w>, w a cyclically reduced word
-    of 17 to 60 letters with more than 16 distinct rotations, which
-    ``enumerate_group`` closes once per coset.  Most of these groups
-    collapse to a few elements; some are infinite."""
+    of LONG_PERIOD + 1 to 60 letters with more than LONG_PERIOD distinct
+    rotations, which ``enumerate_group`` closes once per coset.  Most of
+    these groups collapse to a few elements; some are infinite."""
     s1, s2 = Word.gen(0), Word.gen(1)
     p, q = draw(st.integers(2, 6)), draw(st.integers(2, 6))
     w = [draw(st.integers(0, 3))]
-    for k in draw(st.lists(st.integers(1, 3), min_size=16, max_size=59)):
+    for k in draw(st.lists(st.integers(1, 3), min_size=LONG_PERIOD, max_size=59)):
         w.append(((w[-1] ^ 1) + k) % 4)  # any letter but the last one's inverse
     w = tuple(w)
-    assume(w[-1] != w[0] ^ 1 and _rotation_count(w) > 16)
+    assume(w[-1] != w[0] ^ 1 and _rotation_count(w) > LONG_PERIOD)
     return Presentation.build(["s1", "s2"], [s1 ** p, s2 ** q, (s1 * s2) ** 2, Word(w)])
 
 
