@@ -16,8 +16,9 @@ Exit codes: 0 success, 1 mathematical verdict failure (not polytopal
 under --require-polytopal, not self-dual, verification mismatch),
 2 operational error (parse failure, including a word of more than
 DEFAULT_CAP letters; coset cap; bad invocation, such as ``--petrie`` for
-``construct petrie-coxeter``; input sigma/rho words that break their
-identities).
+``construct petrie-coxeter``, or a ``generate torus`` vector whose map
+has more than DEFAULT_CAP elements; input sigma/rho words that break
+their identities).
 """
 
 from __future__ import annotations
@@ -232,8 +233,9 @@ def cmd_generate(args) -> int:
     outdir = Path(args.out) if args.out else Path.cwd()
     if args.what == "torus":
         fam = TorusFamily(args.family, args.b, args.c)
-        pres = torus_presentation(fam)
+        # the oracle bounds the order before the relator words are built
         order, v, e, f = lattice_torus_oracle(fam)
+        pres = torus_presentation(fam)
         path = outdir / f"{fam.name}.pres"
         path.write_text(serialize_presentation(pres), encoding="utf-8")
         manifest = {

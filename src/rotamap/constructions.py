@@ -147,7 +147,9 @@ def lattice_torus_oracle(t: TorusFamily) -> tuple:
 
     Counts residues of the identification sublattice by breadth-first
     closure with canonical reduction; the group is those residues paired
-    with a rotation part, so the order is 4 or 6 times the count."""
+    with a rotation part, so the order is 4 or 6 times the count, |det|.
+    Raises ValueError, before the closure, when that order is more than
+    ``DEFAULT_CAP``."""
     b, c = t.b, t.c
     if t.family == "44":
         u1, u2 = (b, c), (-c, b)
@@ -156,6 +158,8 @@ def lattice_torus_oracle(t: TorusFamily) -> tuple:
         u1, u2 = (b, c), (-c, b + c)
         n = 6
     det = u1[0] * u2[1] - u1[1] * u2[0]
+    if n * abs(det) > DEFAULT_CAP:
+        raise ValueError(f"{t.name} has order {n * abs(det)}, more than {DEFAULT_CAP}")
 
     def reduce_vec(v):
         f1 = (v[0] * u2[1] - v[1] * u2[0]) // det
@@ -189,9 +193,9 @@ def lattice_torus_oracle(t: TorusFamily) -> tuple:
 def torus_map(t: TorusFamily, cap: int = DEFAULT_CAP) -> RotationGroup3:
     """Rotation group of the (b,c) torus map; the enumerated order is
     cross-checked against the lattice oracle."""
+    want = lattice_torus_oracle(t)[0]
     pres = torus_presentation(t)
     rep = enumerate_group(pres, cap=cap)
-    want = lattice_torus_oracle(t)[0]
     if rep.order != want:
         raise ConstructionError(
             f"{t.name}: enumerated order {rep.order} != lattice order {want}"

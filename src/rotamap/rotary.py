@@ -6,15 +6,22 @@ base vertex, and σ1 σ2 is the half-turn about the base edge.  Rank 4
 adds σ3 with the relations (σ2 σ3)^2 = (σ1 σ2 σ3)^2 = 1.  The wrappers
 hold a finite GroupRep plus the distinguished generator words, which
 need not be the presentation generators (mixing constructions produce
-maps whose generators are compound words in a larger group).
+maps whose generators are compound words in a larger group).  A private
+base gives every wrapper its ``order``; a second one, shared by
+``RegularMap3`` and ``RegularCGroup4``, checks the reflections ρi
+(involutions, non-adjacent pairs commuting, generating the group) and
+defines their rotations ``sigma`` = (ρ0 ρ1, ρ1 ρ2, …), so the rotation
+invariants (``schlafli``, ``hole_length``, ``petrie4``) apply to
+reflection groups too.
 
 Polytopality is the intersection condition on the cyclic/dihedral
 subgroups; chirality is decided by testing whether the orientation
 reversing generator correspondence extends to a group automorphism.
 
 ``AnalysisReport`` is the one report type: ``map_report3`` and
-``map_report_regular`` build it for maps, ``rank4_report`` for rank-4
-groups, for the CLI and for catalog verification alike.
+``map_report_regular`` build it for maps from their ``MapInvariants``
+through one constructor, ``rank4_report`` for rank-4 groups, for the CLI
+and for catalog verification alike.
 """
 
 from __future__ import annotations
@@ -46,7 +53,15 @@ def _check_trivial_word(rep: GroupRep, w: Word, what: str):
         raise ConstructionError(f"{what} does not evaluate to the identity")
 
 
-class RotationGroup3:
+class _Group:
+    """A finite ``GroupRep`` with distinguished generator words."""
+
+    @property
+    def order(self):
+        return self.rep.order
+
+
+class RotationGroup3(_Group):
     """A map given by its rotation group and the pair (σ1, σ2)."""
 
     def __init__(self, rep: GroupRep, sigma):
@@ -56,12 +71,8 @@ class RotationGroup3:
         _check_trivial_word(rep, (s1 * s2) ** 2, "(sigma1 sigma2)^2")
         _check_generates(rep, self.sigma, "sigma generators")
 
-    @property
-    def order(self):
-        return self.rep.order
 
-
-class RotationGroup4:
+class RotationGroup4(_Group):
     """A rank-4 rotation group with distinguished triple (σ1, σ2, σ3)."""
 
     def __init__(self, rep: GroupRep, sigma):
@@ -73,66 +84,44 @@ class RotationGroup4:
         _check_trivial_word(rep, (s1 * s2 * s3) ** 2, "(sigma1 sigma2 sigma3)^2")
         _check_generates(rep, self.sigma, "sigma generators")
 
-    @property
-    def order(self):
-        return self.rep.order
+
+class _ReflectionGroup(_Group):
+    """Involutions ρ0, ρ1, … with commuting non-adjacent pairs that
+    generate the group.  Their rotations σ = (ρ0 ρ1, ρ1 ρ2, …) let
+    ``schlafli``, ``hole_length`` and ``petrie4`` apply."""
+
+    def __init__(self, rep: GroupRep, rho):
+        self.rep = rep
+        self.rho = rho
+        for i, r in enumerate(rho):
+            if rep.element_order(r) != 2:
+                raise ConstructionError(f"rho{i} is not an involution")
+        for i in range(len(rho)):
+            for j in range(i + 2, len(rho)):
+                _check_trivial_word(rep, (rho[i] * rho[j]) ** 2, f"(rho{i} rho{j})^2")
+        _check_generates(rep, rho, "rho generators")
+        self.sigma = tuple(a * b for a, b in zip(rho, rho[1:]))
 
 
-class RegularCGroup4:
+class RegularCGroup4(_ReflectionGroup):
     """A rank-4 string C-group: four involutions ρ0..ρ3 with commuting
     non-adjacent pairs and the full intersection condition."""
 
     def __init__(self, rep: GroupRep, rho):
         r0, r1, r2, r3 = rho
-        self.rep = rep
-        self.rho = (r0, r1, r2, r3)
-        for i, r in enumerate(self.rho):
-            if rep.element_order(r) != 2:
-                raise ConstructionError(f"rho{i} is not an involution")
-        for i in range(4):
-            for j in range(i + 2, 4):
-                _check_trivial_word(
-                    rep, (self.rho[i] * self.rho[j]) ** 2, f"(rho{i} rho{j})^2"
-                )
-        _check_generates(rep, self.rho, "rho generators")
+        super().__init__(rep, (r0, r1, r2, r3))
         if not _c_group_condition(rep, self.rho):
             raise ConstructionError("intersection condition fails")
 
-    @property
-    def order(self):
-        return self.rep.order
 
-    @property
-    def sigma(self):
-        """The rotations (ρ0 ρ1, ρ1 ρ2, ρ2 ρ3), so that ``schlafli`` and
-        ``petrie4`` apply to C-groups too."""
-        r0, r1, r2, r3 = self.rho
-        return (r0 * r1, r1 * r2, r2 * r3)
-
-
-class RegularMap3:
+class RegularMap3(_ReflectionGroup):
     """A regular map given by its full group and reflections (ρ0, ρ1, ρ2)."""
 
     def __init__(self, rep: GroupRep, rho):
         r0, r1, r2 = rho
-        self.rep = rep
-        self.rho = (r0, r1, r2)
-        for i, r in enumerate(self.rho):
-            if rep.element_order(r) != 2:
-                raise ConstructionError(f"rho{i} is not an involution")
-        _check_trivial_word(rep, (r0 * r2) ** 2, "(rho0 rho2)^2")
-        _check_generates(rep, self.rho, "rho generators")
+        super().__init__(rep, (r0, r1, r2))
         # the intersection condition, tested once for constructions and reports
         self.polytopal = _c_group_condition(rep, self.rho)
-
-    @property
-    def order(self):
-        return self.rep.order
-
-    @property
-    def rotations(self):
-        r0, r1, r2 = self.rho
-        return (r0 * r1, r1 * r2)
 
 
 _GROUP_CLASSES = {
@@ -259,18 +248,20 @@ def euler_genus(m: RotationGroup3, diagnostic: bool = False) -> tuple:
     return _euler_genus(fv, not diagnostic or check_polytopal3(m))
 
 
-def _euler_genus(f_vector, polytopal: bool) -> tuple:
-    """(Euler characteristic, genus) of a rank-3 f-vector."""
+def _euler_genus(f_vector, strict: bool) -> tuple:
+    """(Euler characteristic, genus) of a rank-3 f-vector.  An odd
+    characteristic is an error when ``strict`` (a polytopal rotation map,
+    an orientable regular map); otherwise its genus is None."""
     v, e, f = f_vector
     chi = v - e + f
     if chi % 2 != 0:
-        if not polytopal:
+        if not strict:
             return chi, None
         raise InconsistencyError(f"odd Euler characteristic {chi}")
     return chi, (2 - chi) // 2
 
 
-def hole_length(m: RotationGroup3, j: int) -> int:
+def hole_length(m, j: int) -> int:
     """Length of the j-holes: the period of σ1 σ2^(1-j)."""
     s1, s2 = m.sigma
     q = m.rep.element_order(s2)
@@ -382,6 +373,20 @@ class AnalysisReport:
         return cls(**keep)
 
 
+def _map_report(
+    m, inv: MapInvariants, polytopal: bool, warnings, involutions=None
+) -> AnalysisReport:
+    """The ``AnalysisReport`` of a map ``m``: the fields of its invariants
+    ``inv``, with the chirality as its string value."""
+    return AnalysisReport(
+        group_order=m.order,
+        polytopal=polytopal,
+        involutions=involutions,
+        warnings=warnings,
+        **dict(vars(inv), chirality=inv.chirality.value),
+    )
+
+
 def map_invariants3(m: RotationGroup3) -> MapInvariants:
     cls = classify3(m)
     p, q = schlafli(m)
@@ -406,43 +411,27 @@ def map_report3(m: RotationGroup3, warnings=()) -> AnalysisReport:
     w = list(warnings)
     if not polytopal:
         w.append("intersection condition fails; counts are diagnostic only")
-    return AnalysisReport(
-        group_order=m.order,
-        schlafli=inv.schlafli,
-        polytopal=polytopal,
-        chirality=inv.chirality.value,
-        f_vector=inv.f_vector,
-        euler=inv.euler,
-        genus=inv.genus,
-        holes=inv.holes,
-        involutions=asdict(involution_report(m)),
-        warnings=w,
-    )
+    return _map_report(m, inv, polytopal, w, asdict(involution_report(m)))
 
 
 def map_invariants_regular(m: RegularMap3) -> MapInvariants:
+    """Invariants of a regular map; its genus is None when the rotation
+    subgroup has index 1 (the surface is not orientable)."""
     r0, r1, r2 = m.rho
     rep = m.rep
-    p = rep.element_order(r0 * r1)
-    q = rep.element_order(r1 * r2)
+    p, q = schlafli(m)
     v = m.order // rep.subgroup_closure([r1, r2]).size
     e = m.order // rep.subgroup_closure([r0, r2]).size
     f = m.order // rep.subgroup_closure([r0, r1]).size
-    chi = v - e + f
-    s1, s2 = m.rotations
-    orientable = rep.subgroup_closure([s1, s2]).size * 2 == m.order
-    genus = None
-    if orientable:
-        if chi % 2 != 0:
-            raise InconsistencyError(f"odd Euler characteristic {chi}")
-        genus = (2 - chi) // 2
-    holes = {j: rep.element_order(s1 * s2 ** (1 - j)) for j in range(2, q // 2 + 1)}
+    orientable = rep.subgroup_closure(m.sigma).size * 2 == m.order
+    chi, genus = _euler_genus((v, e, f), orientable)
+    holes = {j: hole_length(m, j) for j in range(2, q // 2 + 1)}
     zigzags = {j: zigzag_length(m, j) for j in range(1, max(1, q // 2) + 1)}
     return MapInvariants(
         schlafli=(p, q),
         f_vector=(v, e, f),
         euler=chi,
-        genus=genus,
+        genus=genus if orientable else None,
         holes=holes,
         zigzags=zigzags,
         chirality=Chirality.REGULAR,
@@ -455,18 +444,7 @@ def map_report_regular(m: RegularMap3, warnings=()) -> AnalysisReport:
     w = list(warnings)
     if inv.genus is None:
         w.append("rotation subgroup has index 1; genus not reported")
-    return AnalysisReport(
-        group_order=m.order,
-        schlafli=inv.schlafli,
-        polytopal=m.polytopal,
-        chirality=inv.chirality.value,
-        f_vector=inv.f_vector,
-        euler=inv.euler,
-        genus=inv.genus,
-        holes=inv.holes,
-        zigzags=inv.zigzags,
-        warnings=w,
-    )
+    return _map_report(m, inv, m.polytopal, w)
 
 
 def rank4_report(g, self_duality, warnings=()) -> AnalysisReport:

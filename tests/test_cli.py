@@ -171,6 +171,22 @@ class TestAnalyze:
         assert "parse error: line 2: missing ')'" in capsys.readouterr().err
 
 
+def _run_limited(argv):
+    """``rotamap argv`` in a child process whose address-space limit turns
+    a runaway build into a MemoryError instead of exhausting the machine."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "rotamap.cli", *argv],
+        capture_output=True, text=True, env=env,
+        preexec_fn=limit_memory, timeout=60,
+    )
+
+
 class TestConstruct:
     def test_petrie_coxeter_proper(self, workdir, capsys):
         rc = main([
@@ -225,24 +241,13 @@ class TestConstruct:
             assert rc == 1  # collapse diagnosed
 
     def test_huge_petrie_exponent_fails_fast(self, workdir, tmp_path):
-        # the relator's length is bounded before its 2K letters are built;
-        # the child's address-space limit turns building them into a
-        # MemoryError instead of exhausting the machine
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # the relator's length is bounded before its 2K letters are built
         out = tmp_path / "q.pres"
         t0 = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "rotamap.cli", "construct", "quotient",
-             str(workdir / "ex3.pres"), "--petrie", "10000000000",
-             "--out", str(out)],
-            capture_output=True, text=True, env=env,
-            preexec_fn=limit_memory, timeout=60,
-        )
+        proc = _run_limited([
+            "construct", "quotient", str(workdir / "ex3.pres"),
+            "--petrie", "10000000000", "--out", str(out),
+        ])
         assert time.perf_counter() - t0 < 2.0
         assert proc.returncode == 2, proc.stderr
         assert "20000000000 letters, more than the cap" in proc.stderr
@@ -319,6 +324,16 @@ class TestGenerate:
                 "--out", str(tmp_path),
             ])
         assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_huge_torus_vector_fails_fast(self, tmp_path):
+        # the lattice order 4 (b^2 + c^2) is bounded before the relator
+        # words are built or the residues enumerated
+        t0 = time.perf_counter()
+        proc = _run_limited(["generate", "torus", "4,4", "100000", "0", "--out", str(tmp_path)])
+        assert time.perf_counter() - t0 < 5.0
+        assert proc.returncode == 2, proc.stderr
+        assert "order 40000000000, more than 1000000" in proc.stderr
         assert not list(tmp_path.iterdir())
 
     def test_unknown_catalog_name(self, tmp_path):

@@ -27,6 +27,7 @@ from rotamap import (
     Word,
     catalog,
     enumerate_group,
+    parse_presentation,
     petrie_coxeter,
 )
 from rotamap.selfdual import _form_images, extend_proper
@@ -216,15 +217,35 @@ class TestExtensionCertificate:
         assert rep.table == m.rep.extend(full, m.sigma, images, z).table
 
 
+def _relator(m, relator):
+    """(s1 s3)^relator for an int; for "z" the relator of the
+    ex3-central-quotient catalog entry; else the word in s1, s2, s3
+    written in ``relator``."""
+    if isinstance(relator, int):
+        return _petrie_relator(m, relator)
+    if relator == "z":
+        return catalog()["ex3-central-quotient"].presentation.relators[-1]
+    return parse_presentation(f"gens s1 s2 s3\nrel {relator}\n").relators[0]
+
+
 class TestPetrieQuotient:
-    @pytest.mark.parametrize("name,k", [
+    # Petrie relators (s1 s3)^k, then other words: the central involution
+    # z of ex3, 2-holes (s1 s2^-1)^2 and powers of s1^2 s3^-1 whose
+    # quotients keep 400, 336 and 10080 of the 2000, 672 and 20160
+    # elements of ex1, ex3 and ex2
+    @pytest.mark.parametrize("name,relator", [
         *(("ex1", k) for k in range(2, 31)),
         *(("ex3", k) for k in range(2, 31)),
         *(("ex2", k) for k in (2, 3, 5, 7, 14, 28)),
+        ("ex3", "z"),
+        *((name, "(s1 s2^-1)^2") for name in ("ex1", "ex3", "ex2")),
+        ("ex1", "(s1^2 s3^-1)^4"),
+        ("ex3", "(s1^2 s3^-1)^4"),
+        ("ex2", "(s1^2 s3^-1)^6"),
     ])
-    def test_matches_enumeration(self, petrie_bases, name, k):
+    def test_matches_enumeration(self, petrie_bases, name, relator):
         m = petrie_bases[name]
-        w = _petrie_relator(m, k)
+        w = _relator(m, relator)
         q = m.rep.quotient(w)
         oracle = enumerate_group(m.rep.presentation.with_relators(w))
         assert q.presentation == oracle.presentation

@@ -23,6 +23,7 @@ from rotamap import (
     hole_length,
     involution_report,
     is_reflexible3,
+    map_invariants_regular,
     parse_presentation,
     petrie4,
     rotation_subgroup,
@@ -248,6 +249,25 @@ class TestZigzag:
         )
 
 
+class TestRegularMapSigma:
+    @pytest.fixture(params=["ex3", "ex3-central-quotient", "simplex333"])
+    def pc_map(self, request, ex3_chain, simplex_pipe):
+        return {
+            "ex3": ex3_chain["base"].map3,
+            "ex3-central-quotient": ex3_chain["quotient"].map3,
+            "simplex333": simplex_pipe["map3"],
+        }[request.param]
+
+    def test_rotation_invariants_match_the_report(self, pc_map):
+        r0, r1, r2 = pc_map.rho
+        assert pc_map.sigma == (r0 * r1, r1 * r2)
+        inv = map_invariants_regular(pc_map)
+        p, q = schlafli(pc_map)
+        assert inv.schlafli == (p, q)
+        assert inv.holes == {j: hole_length(pc_map, j) for j in range(2, q // 2 + 1)}
+        assert hole_length(pc_map, 1) == p
+
+
 class TestGroupClass:
     @pytest.mark.parametrize("kind,n,cls", [
         ("sigma", 2, RotationGroup3),
@@ -266,3 +286,63 @@ class TestGroupClass:
     def test_missing_line(self):
         with pytest.raises(RotamapError, match="sigma or rho line"):
             group_class(None, None)
+
+
+# groups given by relators alone; each case below appends a sigma or rho
+# line whose words break exactly one identity its wrapper checks
+A4 = "gens s1 s2\nrel s1^3\nrel s2^3\nrel (s1 s2)^2\n"
+A5 = "gens s1 s2 s3\nrel s1^3\nrel s2^3\nrel s3^3\nrel (s1 s2)^2\nrel (s2 s3)^2\nrel (s1 s2 s3)^2\n"
+A5xC2 = A5.replace("gens s1 s2 s3", "gens s1 s2 s3 t") + (
+    "rel t^2\nrel s1 t = t s1\nrel s2 t = t s2\nrel s3 t = t s3\n"
+)
+S4 = "gens a b c\nrel a^2\nrel b^2\nrel c^2\nrel (a b)^3\nrel (b c)^3\nrel (a c)^2\n"
+S5 = (
+    "gens r0 r1 r2 r3\nrel r0^2\nrel r1^2\nrel r2^2\nrel r3^2\n"
+    "rel (r0 r1)^3\nrel (r1 r2)^3\nrel (r2 r3)^3\n"
+    "rel (r0 r2)^2\nrel (r0 r3)^2\nrel (r1 r3)^2\n"
+)
+
+BROKEN_WORDS = {
+    "rank-3 half-turn": (
+        RotationGroup3, A4 + "sigma s1 s1", "(sigma1 sigma2)^2 does not evaluate to the identity"),
+    "rank-3 generation": (
+        RotationGroup3, A4 + "sigma s1 s1^-1", "sigma generators do not generate the whole group"),
+    "rank-4 s1 s2": (
+        RotationGroup4, A5 + "sigma s1 s1 s3", "(sigma1 sigma2)^2 does not evaluate to the identity"),
+    "rank-4 s2 s3": (
+        RotationGroup4, A5 + "sigma s1 s2 s2", "(sigma2 sigma3)^2 does not evaluate to the identity"),
+    "rank-4 s1 s2 s3": (
+        RotationGroup4, A5 + "sigma s1 s2 s2^-1",
+        "(sigma1 sigma2 sigma3)^2 does not evaluate to the identity"),
+    "rank-4 generation": (
+        RotationGroup4, A5xC2 + "sigma s1 s2 s3", "sigma generators do not generate the whole group"),
+    "map involution": (RegularMap3, S4 + "rho (a b) b c", "rho0 is not an involution"),
+    "map commuting pair": (
+        RegularMap3, S4 + "rho a c b", "(rho0 rho2)^2 does not evaluate to the identity"),
+    "map generation": (RegularMap3, S4 + "rho a c a", "rho generators do not generate the whole group"),
+    "c-group involution": (RegularCGroup4, S5 + "rho (r0 r1) r1 r2 r3", "rho0 is not an involution"),
+    "c-group commuting pair": (
+        RegularCGroup4, S5 + "rho r0 r1 r3 r2", "(rho1 rho3)^2 does not evaluate to the identity"),
+    "c-group generation": (
+        RegularCGroup4, S5 + "rho r0 r2 r0 r2", "rho generators do not generate the whole group"),
+    "c-group intersection": (
+        RegularCGroup4, S5 + "rel (r0 r1)^2 r2 r3\nrho r0 r1 r2 r3", "intersection condition fails"),
+}
+
+
+class TestWrapperChecks:
+    @pytest.mark.parametrize("case", BROKEN_WORDS)
+    def test_broken_identity_raises_its_message(self, case):
+        cls, text, message = BROKEN_WORDS[case]
+        pres = parse_presentation(text + "\n")
+        rep = enumerate_group(pres)
+        with pytest.raises(ConstructionError) as exc:
+            cls(rep, pres.distinguished)
+        assert str(exc.value) == message
+
+    def test_map_failing_the_intersection_condition_is_not_polytopal(self):
+        # a dihedral group with rho0 = rho2: <rho0> and <rho2> meet in <rho0>
+        pres = parse_presentation("gens a b\nrel a^2\nrel b^2\nrel (a b)^5\nrho a b a\n")
+        m = RegularMap3(enumerate_group(pres), pres.distinguished)
+        assert m.order == 10
+        assert m.polytopal is False
