@@ -263,10 +263,15 @@ def _euler_genus(f_vector, strict: bool) -> tuple:
 
 def hole_length(m, j: int) -> int:
     """Length of the j-holes: the period of σ1 σ2^(1-j)."""
-    s1, s2 = m.sigma
-    q = m.rep.element_order(s2)
+    return _hole_length(m, j, m.rep.element_order(m.sigma[1]))
+
+
+def _hole_length(m, j: int, q: int) -> int:
+    """``hole_length`` of a map whose valence q, the period of σ2, is
+    known."""
     if not 1 <= j <= max(1, q // 2):
         raise ValueError(f"hole index {j} out of range for valence {q}")
+    s1, s2 = m.sigma
     return m.rep.element_order(s1 * s2 ** (1 - j))
 
 
@@ -392,7 +397,7 @@ def map_invariants3(m: RotationGroup3) -> MapInvariants:
     p, q = schlafli(m)
     fv = f_vector3(m, diagnostic=True)
     chi, genus = _euler_genus(fv, cls is not Chirality.NOT_POLYTOPAL)
-    holes = {j: hole_length(m, j) for j in range(2, q // 2 + 1)}
+    holes = {j: _hole_length(m, j, q) for j in range(2, q // 2 + 1)}
     return MapInvariants(
         schlafli=(p, q),
         f_vector=fv,
@@ -425,7 +430,7 @@ def map_invariants_regular(m: RegularMap3) -> MapInvariants:
     f = m.order // rep.subgroup_closure([r0, r1]).size
     orientable = rep.subgroup_closure(m.sigma).size * 2 == m.order
     chi, genus = _euler_genus((v, e, f), orientable)
-    holes = {j: hole_length(m, j) for j in range(2, q // 2 + 1)}
+    holes = {j: _hole_length(m, j, q) for j in range(2, q // 2 + 1)}
     zigzags = {j: zigzag_length(m, j) for j in range(1, max(1, q // 2) + 1)}
     return MapInvariants(
         schlafli=(p, q),

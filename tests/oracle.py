@@ -16,12 +16,17 @@ It keeps one row list per coset and scans materialised rotations
 doubled words, and takes relators of any period.
 ``felsch_table`` puts its table in row-scan form, which
 ``enumerate_group``'s tables take whatever order cosets are defined in.
+
+``verify_reference`` composes every relator over every element, where
+``GroupRep._verify`` certifies that the table is a regular representation
+and then walks each relator from the identity only.
 """
 
 from collections import deque
 from itertools import combinations
 
-from rotamap import CapExceededError, GroupRep, Presentation, Word, substitute
+from rotamap import CapExceededError, GroupRep, InconsistencyError, Presentation, Word, substitute
+from rotamap.engine import _act
 from rotamap.words import _reduce_cols
 
 
@@ -187,6 +192,28 @@ def felsch_table(p: Presentation, cap: int) -> tuple:
                 order.append(e)
         out.append(tuple(label[e] for e in row))
     return tuple(out)
+
+
+def verify_reference(rep: GroupRep):
+    """The whole-table check ``GroupRep._verify`` made before it certified
+    regularity: the columns are mutually inverse permutations and every
+    relator fixes every element, composing columns over all elements at
+    once; a failing relator names the first element it moves.  It accepts
+    a consistent table that is not a regular representation."""
+    cols = rep.table.cols
+    identity = list(range(rep.order))
+    for x, col in enumerate(cols):
+        inverse = cols[x ^ 1]
+        if [inverse[y] for y in col] != identity:
+            raise InconsistencyError("table columns are not inverse")
+    for r in rep.presentation.relators:
+        images = _act(identity, [cols[c] for c in r.cols()])
+        if images != identity:
+            a = next(a for a, y in enumerate(images) if y != a)
+            raise InconsistencyError(
+                f"relator {r.text(rep.presentation.names)} does not "
+                f"fix coset {a}"
+            )
 
 
 def perm_mul(a, b):

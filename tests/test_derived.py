@@ -8,10 +8,15 @@ generators and the identity row, so the whole-table check it skips runs
 here, and broken certificate premises must make it raise.  The
 coset-table digests the benchmark recorded from enumeration
 (``perfbench/tables.json``, read only) cover every Petrie quotient its
-petrie-scan workload can draw."""
+petrie-scan workload can draw.  ``GroupRep._verify``, which certifies a
+table's regularity and walks each relator from the identity only, gives
+the verdict of the whole-table ``oracle.verify_reference`` on these
+tables, on the same tables relabelled out of standard form and on
+mutants of both."""
 
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -19,18 +24,22 @@ import pytest
 from rotamap import (
     CapExceededError,
     CollapseError,
+    CosetTable,
     DualityKind,
     GroupRep,
     InconsistencyError,
     Presentation,
     RotationGroup4,
+    TorusFamily,
     Word,
     catalog,
     enumerate_group,
     parse_presentation,
     petrie_coxeter,
+    torus_presentation,
 )
 from rotamap.selfdual import _form_images, extend_proper
+from oracle import verify_reference
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -258,3 +267,97 @@ class TestPetrieQuotient:
                 q = m.rep.quotient(_petrie_relator(m, k))
                 assert q.cap == m.rep.cap
                 assert _recorded(recorded_tables, q) == spans.table_digest(q.table), (name, k)
+
+
+def _relabelled(cols, rng):
+    """The table with elements 1..n-1 renamed by a random permutation: a
+    valid table, but not in row-scan standard form."""
+    n = len(cols[0])
+    new = [0] + rng.sample(range(1, n), n - 1)
+    old = [0] * n
+    for e, e_new in enumerate(new):
+        old[e_new] = e
+    return tuple(tuple([new[col[e]] for e in old]) for col in cols)
+
+
+def _mutant(cols, rng):
+    """The table with two entries of a generator column swapped and its
+    inverse column fixed up to match."""
+    cols = list(cols)
+    x = 2 * rng.randrange(len(cols) // 2)
+    col, inv = list(cols[x]), list(cols[x + 1])
+    i, j = rng.sample(range(len(col)), 2)
+    col[i], col[j] = col[j], col[i]
+    inv[col[i]], inv[col[j]] = i, j
+    cols[x], cols[x + 1] = tuple(col), tuple(inv)
+    return tuple(cols)
+
+
+def _verdicts(presentation, cols):
+    """What ``GroupRep._verify`` and ``verify_reference`` say of the table
+    ``cols`` under the presentation: None to accept, else the message
+    raised, which for both is that of building the ``GroupRep`` if that
+    fails."""
+    try:
+        rep = GroupRep(presentation, CosetTable(cols, presentation.ngens))
+    except InconsistencyError as exc:
+        return [str(exc)] * 2
+    out = []
+    for check in (GroupRep._verify, verify_reference):
+        try:
+            check(rep)
+        except InconsistencyError as exc:
+            out.append(str(exc))
+        else:
+            out.append(None)
+    return out
+
+
+def _assert_same_verdicts(rep, seed):
+    """Both checks accept the table and the table relabelled, and give
+    the same verdict on the table under the presentation with the first
+    generator as one more relator, and on a mutant of each table, which
+    the reference rejects.  A table of one or two elements gets no
+    mutant: swapping its entries can give another valid table."""
+    rng = random.Random(seed)
+    pres = rep.presentation
+    relabelled = _relabelled(rep.table.cols, rng)
+    assert _verdicts(pres, rep.table.cols) == [None, None]
+    assert _verdicts(pres, relabelled) == [None, None]
+    new, reference = _verdicts(pres.with_relators(Word.gen(0)), rep.table.cols)
+    assert new == reference
+    assert (reference is None) == (rep.element_of(Word.gen(0)) == 0)
+    if rep.order < 3:
+        return
+    for cols in (rep.table.cols, relabelled):
+        new, reference = _verdicts(pres, _mutant(cols, rng))
+        assert reference is not None
+        assert new == reference
+
+
+TORI = [
+    TorusFamily(*v) for v in (
+        ("44", 1, 0), ("44", 1, 1), ("44", 2, 1), ("44", 3, 2), ("44", 0, 5),
+        ("36", 1, 1), ("36", 2, 1), ("36", 3, 0), ("63", 1, 2), ("63", 4, 1),
+    )
+]
+
+
+class TestVerifyAgainstReference:
+    @pytest.mark.parametrize("name", list(catalog()))
+    def test_catalog_table(self, catalog_groups, name):
+        _assert_same_verdicts(catalog_groups.group(name).rep, name)
+
+    @pytest.mark.parametrize("name", EXTENDED)
+    def test_catalog_extension(self, catalog_extensions, name):
+        _assert_same_verdicts(catalog_extensions[name].rep, f"{name}-pc")
+
+    @pytest.mark.parametrize("name", ["ex1", "ex3"])
+    def test_petrie_quotients(self, petrie_bases, name):
+        m = petrie_bases[name]
+        for k in range(2, 31):
+            _assert_same_verdicts(m.rep.quotient(_petrie_relator(m, k)), f"{name}/{k}")
+
+    @pytest.mark.parametrize("t", TORI, ids=lambda t: t.name)
+    def test_torus_table(self, t):
+        _assert_same_verdicts(enumerate_group(torus_presentation(t)), t.name)

@@ -35,6 +35,7 @@ from oracle import (
     naive_subgroup_closure,
     perm_mulclose,
     simplex_rotation_permutations,
+    verify_reference,
 )
 
 a = Word.gen(0)
@@ -157,6 +158,27 @@ class TestVerify:
         rep = GroupRep(pres, table)
         message = re.escape(f"relator {relator} does not fix coset {coset}")
         with pytest.raises(InconsistencyError, match=message + "$"):
+            rep._verify()
+
+    def test_inverse_column_that_is_not_the_inverse_is_rejected(self):
+        # C3 with a copy of a's column as a^-1's: the columns are
+        # permutations that commute and a^3 fixes every coset, so only
+        # the column check rejects the table
+        a_col = (1, 2, 0)
+        rep = GroupRep(parse_presentation("gens a\nrel a^3\n"), CosetTable((a_col, a_col), 1))
+        with pytest.raises(InconsistencyError, match="table columns are not inverse"):
+            rep._verify()
+
+    def test_consistent_table_that_is_not_regular_is_rejected(self):
+        # S3 acting on three points, a = (1 2) and b = (0 1 2): every
+        # relator fixes every point, which the whole-table check accepts,
+        # but the six elements of S3 do not act regularly on three points
+        a_col, b_col, b_inv = (0, 2, 1), (1, 2, 0), (2, 0, 1)
+        table = CosetTable((a_col, a_col, b_col, b_inv), 2)
+        pres = parse_presentation("gens a b\nrel a^2\nrel b^3\nrel (a b)^2\n")
+        rep = GroupRep(pres, table)
+        verify_reference(rep)
+        with pytest.raises(InconsistencyError, match="not a regular representation"):
             rep._verify()
 
 
