@@ -33,11 +33,25 @@ a pass over many elements apply one letter to all of them at once, ``ys =
 letter.  ``_verify`` checks a table with such passes, a few per
 generator: it certifies that the table is a regular representation and
 then walks each relator from the identity only.  The whole-group passes,
-``_incremental_closure`` and ``generator_map_automorphism``, go one
+``_incremental_closure`` and ``_automorphism_closure``, go one
 breadth-first level at a time: each Schreier word is applied letter by
 letter to the whole level, and one loop merges the images (and, for an
-automorphism, checks them for conflicts), so a test that fails within
-its first levels stays cheap.  ``rows`` is only a view built on demand.
+automorphism, checks them for conflicts and repeated images), so a test
+that fails within its first levels stays cheap.  ``rows`` is only a view
+built on demand.
+
+Both passes stop once they have reached more than a given number of
+elements, so the two yes/no queries built on them answer from just past
+half the group.  ``generates`` stops at more than half the elements, as
+no proper subgroup is that large (Lagrange).  ``automorphism_exists``
+stops once more than half the elements have distinct images, reads each
+generator's image off two of them and checks that those images satisfy
+every relator (von Dyck) and send every source word to its image word;
+that certifies the automorphism, and its verdict is the full closure's.
+The certificate needs the presentation to present the table's group,
+which every ``GroupRep`` built here does (see its docstring).
+``generator_map_automorphism``, whose full permutation ``extend`` needs,
+runs its closure to the end.
 
 Every ``GroupRep`` attribute is set in ``__init__``, and none is added
 or cached later; the coset cap is an ``__init__`` argument for that
@@ -607,6 +621,16 @@ class GroupRep:
     extension of more than ``cap`` elements is refused; rotation
     subgroups enumerate under it.
 
+    The presentation presents the table's group: ``enumerate_group``
+    enumerates it, ``extend`` certifies that its table is the group its
+    presentation presents, and ``quotient`` adds to G's relators the word
+    whose normal closure it factors out (von Dyck's theorem).
+    ``automorphism_exists`` relies on that: it reads a homomorphism off
+    the relators, so a group built directly from a table must keep it
+    too.  That query and ``generates`` stop once their closure holds
+    more than half the group; ``generator_map_automorphism`` and
+    ``subgroup_closure`` close over all of it.
+
     Instances are immutable; all queries are pure.
     """
 
@@ -734,8 +758,10 @@ class GroupRep:
 
     def inverse_element(self, x: int) -> int:
         self._check_index(x)
-        cols = tuple(c ^ 1 for c in reversed(self._schreier_cols(x)))
-        return self._walk(0, cols)
+        return self._inverse(x)
+
+    def _inverse(self, x: int) -> int:
+        return self._walk(0, [c ^ 1 for c in reversed(self._schreier_cols(x))])
 
     def _schreier_cols(self, x: int) -> tuple:
         out = []
@@ -767,7 +793,7 @@ class GroupRep:
             self._incremental_closure([self.element_of(w) for w in gens])
         )
 
-    def _incremental_closure(self, candidate_indices) -> list:
+    def _incremental_closure(self, candidate_indices, bound=None) -> list:
         """Elements of the subgroup generated by the candidate element
         indices, identity first.  Candidates join one at a time, as
         Schreier words, and members are skipped.
@@ -781,33 +807,52 @@ class GroupRep:
         A new generator first multiplies all of E; then the elements new
         at each level are multiplied by every generator so far, one word
         letter at a time over the whole level (``_act``), and the images
-        not yet in E form the next level."""
+        not yet in E form the next level.
+
+        The loop stops, reading no further candidate, once E holds more
+        than ``bound`` elements, by default all but one: then E is the
+        whole group.  ``_generates`` passes half the order."""
         cols = self.table.cols
+        if bound is None:
+            bound = self.order - 1
         member = bytearray(self.order)
         member[0] = 1
         elements = [0]
+        add = elements.append
         words = []
         for t in candidate_indices:
             if member[t]:
                 continue
             words.append([cols[c] for c in self._schreier_cols(t)])
-            level = []
+            start = len(elements)
             for y in _act(elements, words[-1]):
                 if not member[y]:
                     member[y] = 1
-                    level.append(y)
-            while level:
-                elements += level
-                new = []
+                    add(y)
+            while start < len(elements) <= bound:
+                level = elements[start:]
+                start = len(elements)
                 for w in words:
                     for y in _act(level, w):
                         if not member[y]:
                             member[y] = 1
-                            new.append(y)
-                level = new
-            if len(elements) == self.order:
+                            add(y)
+                    if len(elements) > bound:
+                        break
+            if len(elements) > bound:
                 break
         return elements
+
+    def _generates(self, candidate_indices) -> bool:
+        # a subgroup of more than half the elements is the group (Lagrange)
+        half = self.order // 2
+        return len(self._incremental_closure(candidate_indices, half)) > half
+
+    def generates(self, gens) -> bool:
+        """True iff the given words generate the whole group.  The closure
+        stops once it holds more than half the group, since no proper
+        subgroup is that large."""
+        return self._generates([self.element_of(w) for w in gens])
 
     def conjugacy_class(self, x: int):
         """Orbit of element x under conjugation by the generators."""
@@ -983,14 +1028,13 @@ class GroupRep:
 
     def extends_to_automorphism(self, images) -> bool:
         """True iff mapping generator i to images[i] defines a group
-        automorphism.  In a finite group a well-defined map onto the
-        group is one, which ``generator_map_automorphism`` decides."""
+        automorphism (``automorphism_exists``)."""
         images = tuple(images)
         ngens = self.presentation.ngens
         if len(images) != ngens:
             raise ValueError(f"need {ngens} images, got {len(images)}")
         gens = [Word.gen(i) for i in range(ngens)]
-        return self.generator_map_automorphism(gens, images) is not None
+        return self.automorphism_exists(gens, images)
 
     def generator_map_automorphism(self, sources, images):
         """The automorphism sending each source word to its image word,
@@ -1000,7 +1044,67 @@ class GroupRep:
         Works for any generating set, not just the presentation
         generators: the closure of the pairs (source_i, image_i) in
         G x G is the graph of an automorphism exactly when it is a
-        bijective function, which the breadth-first closure detects.
+        bijective function, which the breadth-first closure
+        (``_automorphism_closure``) detects."""
+        alpha = self._automorphism_closure(sources, images, self.order)[0]
+        if alpha is None or min(alpha) < 0:
+            return None  # a conflict, or sources that do not generate
+        return alpha
+
+    def automorphism_exists(self, sources, images) -> bool:
+        """True iff some automorphism sends each source word to its image
+        word: ``generator_map_automorphism(sources, images) is not None``,
+        decided from just over half the group.
+
+        The closure (``_automorphism_closure``) stops once more than half
+        the elements have images, all distinct; if it ends first, the
+        sources generate a proper subgroup.  Each presentation generator
+        g then gets the image phi(g) = alpha(y)^-1 alpha(y g) for the
+        first y reached with y g reached too; one exists, as the reached
+        set R and R g^-1 each hold more than half the group.  If every
+        relator maps to 1 under phi, phi extends to a homomorphism of the
+        group (von Dyck's theorem, as the presentation presents the
+        group; see ``GroupRep``).  If phi also maps each source word to
+        its image word, it agrees with alpha on R, each element of R
+        being reached as a product of sources whose image is the same
+        product of images.  Then phi is one-to-one on R, so its image, a
+        subgroup, holds more than half the group and is all of it: phi
+        is onto, so it is the automorphism.  Conversely, an automorphism
+        passes every step, so the verdict is that of the full closure."""
+        sources = tuple(sources)
+        images = tuple(images)
+        half = self.order // 2
+        alpha, reached = self._automorphism_closure(sources, images, half)
+        if alpha is None or len(reached) <= half:
+            return False
+        cols = self.table.cols
+        walk = self._walk
+        letters = []
+        for g in cols[::2]:
+            y = next(y for y in reached if alpha[g[y]] >= 0)
+            x = walk(self._inverse(alpha[y]), self._schreier_cols(alpha[g[y]]))
+            w = self._schreier_cols(x)
+            letters.append([cols[c] for c in w])
+            letters.append([cols[c ^ 1] for c in reversed(w)])
+
+        def phi(word):
+            x = 0
+            for c in word.cols():
+                for col in letters[c]:
+                    x = col[x]
+            return x
+
+        return (
+            all(phi(r) == 0 for r in self.presentation.relators)
+            and all(phi(s) == walk(0, u.cols()) for s, u in zip(sources, images))
+        )
+
+    def _automorphism_closure(self, sources, images, bound):
+        """The breadth-first closure of the pairs (source_i, image_i),
+        stopped once more than ``bound`` elements have images: ``(alpha,
+        reached)``, alpha[a] the image of element a or -1 and reached the
+        elements with an image, in the order they got it, or ``(None,
+        None)`` once a condition fails or two elements get one image.
 
         Each word is evaluated to its element s_i or u_i once, and the
         closure walks their Schreier words, forward only; a word acts on
@@ -1018,8 +1122,11 @@ class GroupRep:
         checks the others.  Each condition alpha(a s_i) = alpha(a) u_i is
         checked once against values that are never changed, so the
         verdict does not depend on the order of the checks, and a
-        conflict within the first levels costs only those levels.
-        """
+        conflict within the first levels costs only those levels.  Each
+        image is marked as it is assigned, so a map that is not one to
+        one fails at its first repeated image.  With a ``bound`` of the
+        order the closure runs to the end, and alpha, if every element
+        has an image, is the automorphism."""
         sources = tuple(sources)
         images = tuple(images)
         if len(sources) != len(images):
@@ -1034,24 +1141,27 @@ class GroupRep:
         ]
         alpha = [-1] * self.order
         alpha[0] = 0
-        level = [0]
-        while level:
+        taken = bytearray(self.order)
+        taken[0] = 1
+        reached = [0]
+        add = reached.append
+        start = 0
+        while start < len(reached) <= bound:
+            level = reached[start:]
+            start = len(reached)
             level_images = [alpha[a] for a in level]
-            new = []
             for sw, uw in pairs:
                 for a, b in zip(_act(level, sw), _act(level_images, uw)):
                     cur = alpha[a]
                     if cur != b:
-                        if cur >= 0:
-                            return None
+                        if cur >= 0 or taken[b]:
+                            return None, None
                         alpha[a] = b
-                        new.append(a)
-            level = new
-        if min(alpha) < 0:
-            return None  # sources do not generate the group
-        if len(set(alpha)) != self.order:
-            return None  # a homomorphism but not onto
-        return alpha
+                        taken[b] = 1
+                        add(a)
+                if len(reached) > bound:
+                    break
+        return alpha, reached
 
     def _involutions(self):
         # the elements of order exactly 2, in index order, found lazily
@@ -1066,9 +1176,10 @@ class GroupRep:
     def generated_by_involutions(self) -> bool:
         """True iff the order-2 elements generate the whole group.  The
         trivial group counts as generated by the empty set.  The closure
-        takes the involutions as they are found and stops once it is the
-        whole group, so a True answer need not find them all."""
-        return len(self._incremental_closure(self._involutions())) == self.order
+        takes the involutions as they are found and stops once it holds
+        more than half the group (``_generates``), so a True answer need
+        neither find them all nor close over the whole group."""
+        return self._generates(self._involutions())
 
     def center(self) -> SubgroupHandle:
         """Elements commuting with every generator."""

@@ -44,7 +44,7 @@ class Chirality(Enum):
 
 
 def _check_generates(rep: GroupRep, words, what: str):
-    if rep.subgroup_closure(words).size != rep.order:
+    if not rep.generates(words):
         raise ConstructionError(f"{what} do not generate the whole group")
 
 
@@ -197,14 +197,14 @@ def is_reflexible3(m: RotationGroup3) -> bool:
     (conjugation by the base-face reflection of the reflexible cover)."""
     s1, s2 = m.sigma
     images = [~s1, s1 * s1 * s2]
-    return m.rep.generator_map_automorphism(m.sigma, images) is not None
+    return m.rep.automorphism_exists(m.sigma, images)
 
 
 def is_reflexible4(m: RotationGroup4) -> bool:
     """True iff σ1 -> σ1, σ2 -> σ2 σ3^2, σ3 -> σ3^-1 extends."""
     s1, s2, s3 = m.sigma
     images = [s1, s2 * s3 * s3, ~s3]
-    return m.rep.generator_map_automorphism(m.sigma, images) is not None
+    return m.rep.automorphism_exists(m.sigma, images)
 
 
 def classify3(m: RotationGroup3) -> Chirality:

@@ -109,7 +109,7 @@ def detect_self_duality(m: RotationGroup4) -> SelfDualityClass:
              for kind in (DualityKind.IMPROPER, DualityKind.PROPER)]
     certified = [
         (kind, images) for kind, images in forms
-        if m.rep.generator_map_automorphism(m.sigma, images) is not None
+        if m.rep.automorphism_exists(m.sigma, images)
     ]
     if not certified:
         return SelfDualityClass(DualityKind.NONE)
@@ -190,7 +190,7 @@ def find_polarity(c: RegularCGroup4) -> SelfDualityClass:
     reverses the generator sequence rho_i -> rho_(3-i).  It is an
     involution on the generators, so no square condition is tested."""
     images = _form_images(DualityKind.REGULAR_POLARITY, c.rho)
-    if c.rep.generator_map_automorphism(c.rho, images) is None:
+    if not c.rep.automorphism_exists(c.rho, images):
         return SelfDualityClass(DualityKind.NONE)
     return SelfDualityClass(DualityKind.REGULAR_POLARITY, images)
 

@@ -1,14 +1,24 @@
 """Differential tests of the GroupRep query layer: the one closure loop
 against a word-walking breadth-first closure, the automorphism test
 against an element-by-element check and, on arbitrary generating sets,
-against a literal-word map, and subgroup sizes on the catalog's base
-groups."""
+against a literal-word map, the half-group certificate of
+``automorphism_exists`` against the full automorphism test, and subgroup
+sizes on the catalog's base groups."""
 
+import math
 import random
 
 import pytest
 
-from rotamap import Word, enumerate_group, parse_presentation
+from rotamap import (
+    RotationGroup3,
+    RotationGroup4,
+    TorusFamily,
+    Word,
+    enumerate_group,
+    parse_presentation,
+    torus_presentation,
+)
 from rotamap.selfdual import DualityKind, _form_images
 from oracle import naive_generator_map, naive_is_automorphism, word_bfs_closure
 
@@ -66,6 +76,7 @@ def _check_closures(rep, distinguished, seed):
     for words in _word_lists(rep, distinguished, seed):
         h = rep.subgroup_closure(words)
         assert h.elements == word_bfs_closure(rep, words), words
+        assert rep.generates(words) == (h.size == rep.order), words
         sizes.add(h.size)
     # the lists reach the trivial group, the whole group and something
     # in between
@@ -120,10 +131,8 @@ def _sigma_maps(rng, sigma, conjugators, max_len):
     out = []
     for _ in range(conjugators):
         c = _random_word(rng, 3, rng.randrange(max_len + 1))
-        t1, t2, t3 = t = [_conjugated(c, s) for s in sigma]
-        out.append((t, [t1, t2 * t3 * t3, ~t3]))
-        for kind in (DualityKind.IMPROPER, DualityKind.PROPER):
-            out.append((t, list(_form_images(kind, t))))
+        t = [_conjugated(c, s) for s in sigma]
+        out += [(t, images) for images in _caller_maps(t)]
     return out
 
 
@@ -232,6 +241,10 @@ def test_undeclared_generator_is_value_error():
         g.generator_map_automorphism([s1, s2, s3], [s1, s2, bad])
     with pytest.raises(ValueError):
         g.generator_map_automorphism([s1, s2, bad], [s1, s2, s3])
+    with pytest.raises(ValueError):
+        g.automorphism_exists([s1, s2, s3], [s1, s2, bad])
+    with pytest.raises(ValueError):
+        g.generates([s1, bad])
 
 
 # (center, derived subgroup, normal closure of each distinguished word
@@ -264,3 +277,131 @@ def test_catalog_subgroup_sizes(catalog_groups, name):
         tuple(rep.normal_closure(w).size for w in list(d) + [d[0] * d[-1]]),
     )
     assert got == CATALOG_SIZES[name]
+
+
+# -- the half-group automorphism certificate ----------------------------------
+
+CERTIFICATE_TORI = [
+    TorusFamily(*v) for v in (
+        ("44", 1, 0), ("44", 1, 1), ("44", 2, 1), ("44", 3, 2), ("44", 0, 5),
+        ("36", 1, 1), ("36", 2, 1), ("36", 3, 0), ("63", 1, 2), ("63", 4, 1),
+    )
+]
+
+# naive_is_automorphism walks every element; it runs up to this order
+NAIVE_ORDER = 700
+
+
+def _caller_maps(d):
+    """The images the callers test for the distinguished words d: the
+    reflexibility map of a rank-3 or rank-4 rotation group
+    (``is_reflexible3``/``4``), both duality forms of a rank-4 one
+    (``detect_self_duality``), and the polarity of a C-group
+    (``find_polarity``)."""
+    if len(d) == 2:
+        s1, s2 = d
+        return [[~s1, s1 * s1 * s2]]
+    if len(d) == 3:
+        s1, s2, s3 = d
+        return [[s1, s2 * s3 * s3, ~s3]] + [
+            list(_form_images(kind, d)) for kind in (DualityKind.IMPROPER, DualityKind.PROPER)
+        ]
+    return [list(reversed(d))]
+
+
+def _certificate_inputs(rep, word_lists, conjugators, random_maps, seed):
+    """(sources, images) pairs for ``automorphism_exists``.  Each list d
+    of distinguished words gets the images its callers give it, as is
+    and with d conjugated by random words of 1 to 16 letters, as
+    map-search draws them, and an inner automorphism; d's first word
+    alone generates a proper subgroup.  Random maps of random elements
+    follow: on small groups a few of them pass the closure's first half
+    and are caught only by the relator or the source-word check."""
+    rng = random.Random(seed)
+    n, ngens = rep.order, rep.presentation.ngens
+    out = []
+    for d in word_lists:
+        d = list(d)
+        conjugates = [[_conjugated(_random_word(rng, ngens, rng.randrange(1, 17)), s) for s in d]
+                      for _ in range(conjugators)]
+        for t in [d] + conjugates:
+            out += [(t, images) for images in _caller_maps(t)]
+        g = rep.element_word(rng.randrange(n))
+        out.append((d, [~g * s * g for s in d]))
+        out.append((d[:1], d[:1]))
+    for _ in range(random_maps):
+        k = rng.randrange(1, 4)
+        out.append(tuple([rep.element_word(rng.randrange(n)) for _ in range(k)] for _ in "su"))
+    return out
+
+
+def _check_certificate(rep, inputs):
+    """``automorphism_exists`` against ``generator_map_automorphism`` on
+    every input and, where the sources are the presentation generators,
+    against ``extends_to_automorphism`` and, on small groups,
+    ``naive_is_automorphism``.  Returns the verdicts."""
+    gens = [Word.gen(i) for i in range(rep.presentation.ngens)]
+    verdicts = []
+    for sources, images in inputs:
+        got = rep.automorphism_exists(sources, images)
+        assert got == (rep.generator_map_automorphism(sources, images) is not None), (sources, images)
+        if list(sources) == gens:
+            assert rep.extends_to_automorphism(images) == got
+            if rep.order <= NAIVE_ORDER:
+                assert naive_is_automorphism(rep, images) == got, images
+        verdicts.append(got)
+    return verdicts
+
+
+def _distinguished(m):
+    return [m.sigma] + ([m.rho] if hasattr(m, "rho") else [])
+
+
+class TestAutomorphismCertificate:
+    """The half-group certificate gives the full closure's verdict."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_SIZES))
+    def test_catalog_group(self, catalog_groups, name):
+        m = catalog_groups.group(name)
+        conjugators = 2 if m.order > 10_000 else 4
+        inputs = _certificate_inputs(m.rep, _distinguished(m), conjugators, 40, name)
+        verdicts = _check_certificate(m.rep, inputs)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("name", ["ex1", "ex3"])
+    def test_extension(self, ex1_pipe, ex3_chain, name):
+        # the base's sigma generates exactly half the extension, and
+        # conjugation by the duality d is an automorphism of it
+        ext = (ex1_pipe if name == "ex1" else ex3_chain["base"]).ext
+        sigma = list(ext.base.sigma)
+        d = ext.duality
+        inputs = _certificate_inputs(ext.rep, [sigma + [d]], 4, 40, name)
+        inputs.append((sigma, [~d * s * d for s in sigma]))
+        inputs.append((sigma + [d], [~d * s * d for s in sigma + [d]]))
+        verdicts = _check_certificate(ext.rep, inputs)
+        assert verdicts[-2:] == [False, True]
+
+    @pytest.mark.parametrize("name,k", [("ex1", 2), ("ex1", 4), ("ex3", 2), ("ex3", 4)])
+    def test_petrie_quotient(self, catalog_groups, name, k):
+        m = catalog_groups.group(name)
+        s1, _, s3 = m.sigma
+        q = RotationGroup4(m.rep.quotient((s1 * s3) ** k), m.sigma)
+        assert q.order in (2, 8, 336, 400)
+        _check_certificate(q.rep, _certificate_inputs(q.rep, [q.sigma], 4, 40, f"{name}/{k}"))
+
+    @pytest.mark.parametrize("t", CERTIFICATE_TORI, ids=lambda t: t.name)
+    def test_torus(self, t):
+        p = torus_presentation(t)
+        m = RotationGroup3(enumerate_group(p), p.distinguished)
+        inputs = _certificate_inputs(m.rep, [m.sigma], 4, 300, t.name)
+        verdicts = _check_certificate(m.rep, inputs)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("n", [12, 15, 16])
+    def test_cyclic_powers(self, n):
+        # a -> a^k is a homomorphism for every k, one to one exactly when
+        # gcd(k, n) = 1
+        cyclic = enumerate_group(parse_presentation(f"gens a\nrel a^{n}\n"))
+        a = Word.gen(0)
+        verdicts = _check_certificate(cyclic, [([a], [a ** k]) for k in range(n)])
+        assert verdicts == [math.gcd(k, n) == 1 for k in range(n)]
