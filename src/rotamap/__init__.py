@@ -50,6 +50,7 @@ from .rotary import (
     involution_report,
     is_reflexible3,
     is_reflexible4,
+    load_group,
     map_invariants3,
     map_invariants_regular,
     map_report3,
@@ -84,6 +85,7 @@ from .constructions import (
     pc_map_regular,
     petrie_coxeter,
     petrie_quotient,
+    report,
     simplex_presentation,
     torus_map,
     torus_presentation,

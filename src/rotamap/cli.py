@@ -12,6 +12,10 @@ presentation.  ``construct quotient`` adds the Petrie relator (s1 s3)^K
 for K >= 1.  ``generate catalog NAME --verify`` verifies that one entry,
 without NAME every entry.
 
+``analyze`` and ``construct`` load with ``rotary.load_group`` and print
+``constructions.report`` of the result; ``generate`` writes each ``.pres``
+and its manifest with ``_write_entry``.
+
 Exit codes: 0 success, 1 mathematical verdict failure (not polytopal
 under --require-polytopal, not self-dual, verification mismatch),
 2 operational error (parse failure, including a word of more than
@@ -29,7 +33,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import DEFAULT_CAP, enumerate_group
+from .engine import DEFAULT_CAP
 from .errors import (
     CapExceededError,
     ConstructionError,
@@ -42,23 +46,26 @@ from .rotary import (
     SCHEMA_VERSION,
     AnalysisReport,
     RegularCGroup4,
-    RegularMap3,
     RotationGroup3,
     RotationGroup4,
     group_class,
+    load_group,
     petrie4,
-    rank4_report,
 )
-# perfbench/spans.py traces these names here; tests/test_benchmark_api.py keeps them
+# perfbench/spans.py traces these names here, and the report_rotation4 and
+# report_cgroup4 re-imported from constructions below;
+# tests/test_benchmark_api.py keeps them
 from .rotary import map_report3 as report_rotation3
 from .rotary import map_report_regular as report_regular_map
-from .selfdual import detect_self_duality, find_polarity
 from .constructions import (
     TorusFamily,
     catalog,
     lattice_torus_oracle,
     petrie_coxeter,
     petrie_quotient,
+    report,
+    report_cgroup4,
+    report_rotation4,
     torus_presentation,
     verify_catalog_entry,
 )
@@ -81,45 +88,9 @@ def _nominal_warnings(pres: Presentation, rep) -> list:
     return out
 
 
-def report_rotation4(m: RotationGroup4, warnings=()) -> AnalysisReport:
-    w = list(warnings)
-    sd = None
-    try:
-        sd = detect_self_duality(m).kind.value
-    except InconsistencyError as exc:
-        w.append(f"self-duality detection inconsistent: {exc}")
-    return rank4_report(m, sd, w)
-
-
-def report_cgroup4(c: RegularCGroup4, warnings=()) -> AnalysisReport:
-    return rank4_report(c, find_polarity(c).kind.value, warnings)
-
-
-def _report(g, warnings=()) -> AnalysisReport:
-    if isinstance(g, RotationGroup3):
-        return report_rotation3(g, warnings)
-    if isinstance(g, RotationGroup4):
-        return report_rotation4(g, warnings)
-    if isinstance(g, RegularMap3):
-        return report_regular_map(g, warnings)
-    return report_cgroup4(g, warnings)
-
-
-def _input_group(cls, rep, pres: Presentation):
-    """Wrap the group of an input file.  Distinguished words that break
-    their identities are an input error (exit 2), not a verdict."""
-    try:
-        return cls(rep, pres.distinguished)
-    except ConstructionError as exc:
-        raise RotamapError(
-            f"input {pres.distinguished_kind} words: {exc}"
-        ) from exc
-
-
 def analyze_presentation(pres: Presentation, cap: int = DEFAULT_CAP) -> AnalysisReport:
-    cls = group_class(pres.distinguished, pres.distinguished_kind)
-    rep = enumerate_group(pres, cap=cap)
-    return _report(_input_group(cls, rep, pres), _nominal_warnings(pres, rep))
+    g = load_group(pres, cap)
+    return report(g, _nominal_warnings(pres, g.rep))
 
 
 def format_text(report: AnalysisReport) -> str:
@@ -194,8 +165,7 @@ def cmd_construct(args) -> int:
             raise RotamapError(f"--petrie must be at least 1, got {args.petrie}")
         if cls is not RotationGroup4:
             raise RotamapError("quotient input must be a rank-4 sigma file")
-        rep = enumerate_group(pres, cap=args.max_cosets)
-        m = _input_group(cls, rep, pres)
+        m = load_group(pres, args.max_cosets)
         period = petrie4(m)[0]
         if period % args.petrie != 0:
             warnings.append(
@@ -211,8 +181,7 @@ def cmd_construct(args) -> int:
                 "petrie-coxeter input must be rank-4 (sigma with 3 words or "
                 "rho with 4 words)"
             )
-        rep = enumerate_group(pres, cap=args.max_cosets)
-        ext, result = petrie_coxeter(_input_group(cls, rep, pres))
+        ext, result = petrie_coxeter(load_group(pres, args.max_cosets))
         if isinstance(result, RotationGroup3):
             words, kind = result.sigma, "sigma"
         else:
@@ -225,7 +194,7 @@ def cmd_construct(args) -> int:
     out_path = Path(args.out) if args.out else Path(args.file).parent / default_name
     out_path.write_text(serialize_presentation(out_pres), encoding="utf-8")
     print(f"wrote {out_path}", file=sys.stderr)
-    _emit(_report(result, warnings), args.json)
+    _emit(report(result, warnings), args.json)
     return 0
 
 
@@ -235,20 +204,11 @@ def cmd_generate(args) -> int:
         fam = TorusFamily(args.family, args.b, args.c)
         # the oracle bounds the order before the relator words are built
         order, v, e, f = lattice_torus_oracle(fam)
-        pres = torus_presentation(fam)
-        path = outdir / f"{fam.name}.pres"
-        path.write_text(serialize_presentation(pres), encoding="utf-8")
-        manifest = {
-            "schema": SCHEMA_VERSION,
-            "name": fam.name,
+        _write_entry(outdir, fam.name, torus_presentation(fam), {
             "order": order,
             "f_vector": [v, e, f],
             "expect_regular": fam.expect_regular,
-        }
-        (outdir / f"{fam.name}.expected.json").write_text(
-            json.dumps(manifest, indent=2), encoding="utf-8"
-        )
-        print(f"wrote {path}", file=sys.stderr)
+        })
         return 0
 
     if args.what == "catalog":
@@ -271,19 +231,23 @@ def cmd_generate(args) -> int:
             return 1 if failures else 0
         for name in names:
             entry = entries[name]
-            path = outdir / f"{name}.pres"
-            path.write_text(
-                serialize_presentation(entry.presentation), encoding="utf-8"
-            )
-            manifest = {"schema": SCHEMA_VERSION, "name": name}
-            manifest.update(_jsonable(entry.expected))
-            (outdir / f"{name}.expected.json").write_text(
-                json.dumps(manifest, indent=2), encoding="utf-8"
-            )
-            print(f"wrote {path}", file=sys.stderr)
+            _write_entry(outdir, name, entry.presentation, entry.expected)
         return 0
 
     raise RotamapError(f"unknown generate subcommand {args.what!r}")
+
+
+def _write_entry(outdir: Path, name: str, pres: Presentation, fields: dict):
+    """Write ``name.pres`` and its manifest ``name.expected.json``: the
+    schema, the name, then ``fields``."""
+    path = outdir / f"{name}.pres"
+    path.write_text(serialize_presentation(pres), encoding="utf-8")
+    manifest = {"schema": SCHEMA_VERSION, "name": name}
+    manifest.update(_jsonable(fields))
+    (outdir / f"{name}.expected.json").write_text(
+        json.dumps(manifest, indent=2), encoding="utf-8"
+    )
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def _jsonable(v):

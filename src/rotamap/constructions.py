@@ -1,5 +1,6 @@
 """Generative constructions: torus maps, locally toroidal rank-4 groups,
-Petrie-relator quotients, and the skew-map mixing operations.
+Petrie-relator quotients, the skew-map mixing operations, the catalog,
+and ``report``, which maps any wrapped group to its ``AnalysisReport``.
 
 Torus translation words.  The rotation group of the square or triangular
 tessellation is translations extended by a single vertex rotation; the
@@ -38,8 +39,8 @@ from .rotary import (
     check_polytopal4,
     classify3,
     classify4,
-    group_class,
     is_reflexible3,
+    load_group,
     map_report3,
     map_report_regular,
     petrie4,
@@ -603,6 +604,35 @@ def catalog() -> dict:
     return {e.name: e for e in entries}
 
 
+# -- reports --------------------------------------------------------------------
+
+
+def report_rotation4(m: RotationGroup4, warnings=()) -> AnalysisReport:
+    w = list(warnings)
+    sd = None
+    try:
+        sd = detect_self_duality(m).kind.value
+    except InconsistencyError as exc:
+        w.append(f"self-duality detection inconsistent: {exc}")
+    return rank4_report(m, sd, w)
+
+
+def report_cgroup4(c: RegularCGroup4, warnings=()) -> AnalysisReport:
+    return rank4_report(c, find_polarity(c).kind.value, warnings)
+
+
+def report(g, warnings=()) -> AnalysisReport:
+    """The ``AnalysisReport`` of any wrapped group, after the given
+    ``warnings``; ``report(g).to_dict()`` is what ``--json`` prints."""
+    if isinstance(g, RotationGroup3):
+        return map_report3(g, warnings)
+    if isinstance(g, RegularMap3):
+        return map_report_regular(g, warnings)
+    if isinstance(g, RotationGroup4):
+        return report_rotation4(g, warnings)
+    return report_cgroup4(g, warnings)
+
+
 # -- catalog verification --------------------------------------------------------
 
 
@@ -626,17 +656,15 @@ def compute_entry_report(entry: CatalogEntry, cap: int = DEFAULT_CAP) -> dict:
     """Recompute everything the catalog stores expectations for.  A
     rank-4 entry's self-duality is the kind ``petrie_coxeter`` detected,
     so it is detected once."""
-    pres = entry.presentation
-    cls = group_class(pres.distinguished, pres.distinguished_kind)
-    rep = enumerate_group(pres, cap=cap)
-    g = cls(rep, pres.distinguished)
-    if cls is RotationGroup3:
-        out = _catalog_view(map_report3(g))
-        # classify3 has decided reflexibility for a polytopal map already
-        if out["polytopal"]:
-            out["reflexible"] = out["chirality"] == Chirality.REGULAR.value
-        else:
-            out["reflexible"] = is_reflexible3(g)
+    g = load_group(entry.presentation, cap)
+    if isinstance(g, (RotationGroup3, RegularMap3)):
+        out = _catalog_view(report(g))
+        if isinstance(g, RotationGroup3):
+            # classify3 has decided reflexibility for a polytopal map already
+            if out["polytopal"]:
+                out["reflexible"] = out["chirality"] == Chirality.REGULAR.value
+            else:
+                out["reflexible"] = is_reflexible3(g)
         return out
 
     try:
@@ -647,16 +675,15 @@ def compute_entry_report(entry: CatalogEntry, cap: int = DEFAULT_CAP) -> dict:
     out = _catalog_view(rank4_report(g, kind.value))
     if ext is not None:
         out["extended_order"] = ext.order
-        build = map_report3 if isinstance(pc_map, RotationGroup3) else map_report_regular
-        out["map"] = _catalog_view(build(pc_map))
-    if cls is RegularCGroup4:
+        out["map"] = _catalog_view(report(pc_map))
+    if isinstance(g, RegularCGroup4):
         out["polarity"] = ext is not None
     if "rotation_subgroup_order" in entry.expected:
         out["rotation_subgroup_order"] = rotation_subgroup(g).order
     if "center_size" in entry.expected:
-        out["center_size"] = rep.center().size
+        out["center_size"] = g.rep.center().size
     if "derived_index" in entry.expected:
-        out["derived_index"] = rep.order // rep.derived_subgroup().size
+        out["derived_index"] = g.order // g.rep.derived_subgroup().size
     return out
 
 

@@ -18,10 +18,11 @@ Polytopality is the intersection condition on the cyclic/dihedral
 subgroups; chirality is decided by testing whether the orientation
 reversing generator correspondence extends to a group automorphism.
 
+``load_group`` turns a presentation into its wrapped group.
 ``AnalysisReport`` is the one report type: ``map_report3`` and
 ``map_report_regular`` build it for maps from their ``MapInvariants``
-through one constructor, ``rank4_report`` for rank-4 groups, for the CLI
-and for catalog verification alike.
+through one constructor, ``rank4_report`` for rank-4 groups, and
+``constructions.report`` picks among them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
-from .engine import GroupRep, enumerate_group
+from .engine import DEFAULT_CAP, GroupRep, enumerate_group
 from .errors import ConstructionError, InconsistencyError, NotPolytopalError, RotamapError
 from .words import Presentation, Word
 
@@ -133,9 +134,9 @@ _GROUP_CLASSES = {
 
 
 def group_class(distinguished, kind):
-    """The wrapper class a presentation's sigma or rho line asks for; a
-    caller builds the group as ``group_class(d, kind)(rep, d)``, and can
-    reject a wrong rank before it enumerates anything."""
+    """The wrapper class a presentation's sigma or rho line asks for;
+    ``load_group`` builds the group with it, and a caller can reject a
+    wrong rank with it before anything is enumerated."""
     if distinguished is None:
         raise RotamapError(
             "presentation needs a sigma or rho line to fix rank semantics"
@@ -146,6 +147,20 @@ def group_class(distinguished, kind):
             f"unsupported input: {kind} line with {len(distinguished)} words"
         )
     return cls
+
+
+def load_group(pres: Presentation, cap: int = DEFAULT_CAP):
+    """The wrapped group of ``pres``, its class read off the sigma or rho
+    line before anything is enumerated.  Distinguished words that break
+    their identities are an input error (``RotamapError``), not a verdict."""
+    cls = group_class(pres.distinguished, pres.distinguished_kind)
+    rep = enumerate_group(pres, cap=cap)
+    try:
+        return cls(rep, pres.distinguished)
+    except ConstructionError as exc:
+        raise RotamapError(
+            f"input {pres.distinguished_kind} words: {exc}"
+        ) from exc
 
 
 def _c_group_condition(rep: GroupRep, gens) -> bool:
@@ -364,18 +379,6 @@ class AnalysisReport:
         if self.zigzags is not None:
             d["zigzags"] = {str(j): v for j, v in sorted(self.zigzags.items())}
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalysisReport":
-        keep = {k: d.get(k) for k in cls.__dataclass_fields__}
-        keep["schlafli"] = tuple(keep["schlafli"] or ())
-        if keep.get("f_vector") is not None:
-            keep["f_vector"] = tuple(keep["f_vector"])
-        for name in ("holes", "zigzags"):
-            if keep.get(name) is not None:
-                keep[name] = {int(j): v for j, v in keep[name].items()}
-        keep["warnings"] = list(keep.get("warnings") or [])
-        return cls(**keep)
 
 
 def _map_report(

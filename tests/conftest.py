@@ -18,7 +18,7 @@ from rotamap import (
     extend_improper,
     extend_polarity,
     extend_proper,
-    group_class,
+    load_group,
     locally_toroidal,
     pc_map_improper,
     pc_map_proper,
@@ -78,8 +78,7 @@ class CatalogGroups:
                 g = locally_toroidal(LOCALLY_TOROIDAL[name])
                 assert g.rep.presentation == pres
             else:
-                cls = group_class(pres.distinguished, pres.distinguished_kind)
-                g = cls(enumerate_group(pres), pres.distinguished)
+                g = load_group(pres)
             self._groups[name] = g
         return self._groups[name]
 

@@ -1,16 +1,24 @@
 """Catalog verification and the CLI must report the same numbers: the
 ``map`` dict that ``compute_entry_report`` checks against the catalog
 equals the ``construct petrie-coxeter --json`` report of that entry, and
-a rank-3 or rank-4 entry's dict equals its ``analyze --json`` report."""
+a rank-3 or rank-4 entry's dict equals its ``analyze --json`` report.  So
+does the dict of a user-built entry given by the reflections of a
+regular map."""
 
 import json
 
 import pytest
 
-from rotamap import catalog, compute_entry_report
+from rotamap import CatalogEntry, catalog, compute_entry_report, parse_presentation
 from rotamap.cli import main
 
 MAP_ENTRIES = ["ex1", "ex3", "ex3-central-quotient", "simplex333"]
+
+# a regular {4,4} map on the torus, given by its three reflections
+REGULAR_MAP = (
+    "gens r0 r1 r2\nrel r0^2\nrel r1^2\nrel r2^2\nrel (r0 r1)^4\n"
+    "rel (r1 r2)^4\nrel (r0 r2)^2\nrel (r0 r1 r2)^4\nrho r0 r1 r2\n"
+)
 
 
 def _catalog_view(d: dict) -> dict:
@@ -116,3 +124,16 @@ def test_catalog_rank4_entry_matches_analyze(entry_reports, entries_dir, capsys,
     got = entry_reports[name]
     d = _cli_json(capsys, ["analyze", str(entries_dir / f"{name}.pres"), "--json"])
     assert _rank4_catalog_view(got) == _rank4_cli_view(d)
+
+
+def test_regular_map_entry_matches_analyze(tmp_path, capsys):
+    entry = CatalogEntry("regular-map", parse_presentation(REGULAR_MAP), {})
+    got = _catalog_view(compute_entry_report(entry))
+    path = tmp_path / "regular-map.pres"
+    path.write_text(REGULAR_MAP)
+    assert got == _cli_view(_cli_json(capsys, ["analyze", str(path), "--json"]))
+    assert got["order"] == 64
+    assert got["schlafli"] == (4, 4)
+    assert got["chirality"] == "regular"
+    assert got["f_vector"] == (8, 16, 8)
+    assert got["genus"] == 1

@@ -1,6 +1,8 @@
 import pytest
 
+import rotamap.rotary
 from rotamap import (
+    CatalogEntry,
     Chirality,
     ConstructionError,
     NotPolytopalError,
@@ -16,6 +18,7 @@ from rotamap import (
     check_polytopal4,
     classify3,
     classify4,
+    compute_entry_report,
     enumerate_group,
     euler_genus,
     f_vector3,
@@ -23,6 +26,7 @@ from rotamap import (
     hole_length,
     involution_report,
     is_reflexible3,
+    load_group,
     map_invariants_regular,
     parse_presentation,
     petrie4,
@@ -32,6 +36,7 @@ from rotamap import (
     torus_map,
     zigzag_length,
 )
+from rotamap.cli import analyze_presentation
 from oracle import naive_normal_closure
 
 s1, s2, s3 = Word.gen(0), Word.gen(1), Word.gen(2)
@@ -339,6 +344,11 @@ class TestWrapperChecks:
         with pytest.raises(ConstructionError) as exc:
             cls(rep, pres.distinguished)
         assert str(exc.value) == message
+        # load_group reports the same break as an input error
+        with pytest.raises(RotamapError) as exc:
+            load_group(pres)
+        assert not isinstance(exc.value, ConstructionError)
+        assert str(exc.value) == f"input {pres.distinguished_kind} words: {message}"
 
     def test_map_failing_the_intersection_condition_is_not_polytopal(self):
         # a dihedral group with rho0 = rho2: <rho0> and <rho2> meet in <rho0>
@@ -346,3 +356,33 @@ class TestWrapperChecks:
         m = RegularMap3(enumerate_group(pres), pres.distinguished)
         assert m.order == 10
         assert m.polytopal is False
+
+
+class TestLoadGroup:
+    """``load_group`` is the one way from a presentation to a wrapped
+    group, for the CLI and for catalog verification alike."""
+
+    @pytest.mark.parametrize("load", [
+        analyze_presentation,
+        lambda pres: compute_entry_report(CatalogEntry("user", pres, {})),
+    ], ids=["analyze_presentation", "compute_entry_report"])
+    def test_broken_sigma_words_are_input_errors(self, load):
+        # A5 = <a, b | a^3, b^2, (a b)^5>, where (a b)^2 is not 1
+        pres = parse_presentation("gens a b\nrel a^3\nrel b^2\nrel (a b)^5\nsigma a b\n")
+        with pytest.raises(RotamapError) as exc:
+            load(pres)
+        assert not isinstance(exc.value, ConstructionError)
+        assert str(exc.value) == (
+            "input sigma words: (sigma1 sigma2)^2 does not evaluate to the identity"
+        )
+
+    def test_unsupported_line_fails_before_enumeration(self, monkeypatch):
+        # the free group on a and b: enumerating it first would run for
+        # seconds into the coset cap
+        calls = []
+        monkeypatch.setattr(
+            rotamap.rotary, "enumerate_group", lambda *a, **k: calls.append(a)
+        )
+        with pytest.raises(RotamapError, match="unsupported input: rho line with 2 words"):
+            load_group(parse_presentation("gens a b\nrho a b\n"))
+        assert calls == []
