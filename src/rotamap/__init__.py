@@ -8,6 +8,7 @@ groups into skew maps.
 
 from .engine import (
     DEFAULT_CAP,
+    Basis,
     CosetTable,
     GroupRep,
     SubgroupHandle,

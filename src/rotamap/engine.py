@@ -32,26 +32,33 @@ a pass over many elements apply one letter to all of them at once, ``ys =
 [col[y] for y in ys]``, instead of one interpreted lookup per element and
 letter.  ``_verify`` checks a table with such passes, a few per
 generator: it certifies that the table is a regular representation and
-then walks each relator from the identity only.  The whole-group passes,
-``_incremental_closure`` and ``_automorphism_closure``, go one
-breadth-first level at a time: each Schreier word is applied letter by
-letter to the whole level, and one loop merges the images (and, for an
-automorphism, checks them for conflicts and repeated images), so a test
-that fails within its first levels stays cheap.  ``rows`` is only a view
-built on demand.
+then walks each relator from the identity only.  The one whole-group
+closure, ``_incremental_closure``, goes one breadth-first level at a
+time: each Schreier word is applied letter by letter to the whole level,
+and one loop merges the images.  It marks each element with the pass
+(block) that reached it, so the marks spell every element reached as a
+word in the generators it closed over, with no parent list.  ``rows`` is
+only a view built on demand.
 
-Both passes stop once they have reached more than a given number of
-elements, so the two yes/no queries built on them answer from just past
-half the group.  ``generates`` stops at more than half the elements, as
-no proper subgroup is that large (Lagrange).  ``automorphism_exists``
-stops once more than half the elements have distinct images, reads each
-generator's image off two of them and checks that those images satisfy
-every relator (von Dyck) and send every source word to its image word;
-that certifies the automorphism, and its verdict is the full closure's.
-The certificate needs the presentation to present the table's group,
-which every ``GroupRep`` built here does (see its docstring).
+The yes/no queries stop the closure once it holds more than half the
+group, as no proper subgroup is that large (Lagrange).  ``basis(words)``
+keeps that half ball and its marks, or gives None if the words generate
+a proper subgroup (``generates``).  An automorphism question is then a
+homomorphism check read off a basis, with no closure of its own: each
+generator's image phi(g) = psi(y)^-1 psi(y g) comes from two reached
+elements y and y g, psi substituting the images into their words, and
+phi must send every relator to 1 (von Dyck) and every source word to its
+image word.  The verdict is exact: some endomorphism sends the sources
+to the images exactly when the check passes.  It needs the presentation
+to present the table's group, which every ``GroupRep`` built here does
+(see its docstring).  ``endomorphism_exists`` is that check alone, for
+callers whose maps are one to one whenever they are endomorphisms (the
+rank-3 and rank-4 form tests, on the basis their wrapper's generation
+check built).  ``automorphism_exists`` adds a half closure over the
+images, as a homomorphism onto a finite group is one to one, and
 ``generator_map_automorphism``, whose full permutation ``extend`` needs,
-runs its closure to the end.
+spreads phi along the Schreier tree and checks that its images are
+distinct.
 
 Every ``GroupRep`` attribute is set in ``__init__``, and none is added
 or cached later; the coset cap is an ``__init__`` argument for that
@@ -432,6 +439,40 @@ class SubgroupHandle:
         return x in self.elements
 
 
+class Basis:
+    """The half ball of a generating tuple of words (``GroupRep.basis``):
+    the words ``sources`` and the ``mark`` and ``blocks`` of their
+    closure, stopped once it held more than half the group (see
+    ``GroupRep._incremental_closure``).  An element y is reached when
+    ``mark[y]`` is not 0.  ``back[j]`` is the column tuples of a word for
+    the inverse of source j, which steps back from an element that
+    source's block reached."""
+
+    __slots__ = ("sources", "mark", "blocks", "back")
+
+    def __init__(self, sources, mark, blocks, back):
+        self.sources = sources
+        self.mark = mark
+        self.blocks = blocks
+        self.back = back
+
+    def word(self, y) -> list:
+        """Source positions j1, ..., jk with y = s_j1 ... s_jk, for a
+        reached element y: read back from its mark, the block that
+        reached y used source jk, and y s_jk^-1 has a smaller mark."""
+        mark = self.mark
+        if not mark[y]:
+            raise ValueError(f"element {y} is not in the half ball")
+        out = []
+        while y != 0:
+            j = self.blocks[mark[y]]
+            out.append(j)
+            for col in self.back[j]:
+                y = col[y]
+        out.reverse()
+        return out
+
+
 def _bounded_relators(p: Presentation, cap: int) -> list:
     """The relators of p cyclically reduced, duplicates dropped; raises
     ValueError if they hold more than ``cap`` letters in all."""
@@ -598,6 +639,35 @@ def _schreier_tree(cols, n):
     return parent_coset, parent_col, order
 
 
+def _tree_parents(cols, n):
+    """The parent elements and columns of ``_schreier_tree(cols, n)``,
+    found without its order list for a table in row-scan standard form.
+    There the breadth-first search reaches the elements in index order, so
+    it reads the rows in index order and each element it reaches is the
+    next index.  A table where that fails, or whose inverse column does
+    not lead back, goes to ``_schreier_tree``.  The parent is stored as
+    the table's own int object, read off the inverse column, not as a
+    new one: new ints cost 0.38 MB on ex2's table."""
+    parent_coset = [-1] * n
+    parent_col = [-1] * n
+    reached = 1
+    numbered = tuple((x, col, cols[x ^ 1]) for x, col in enumerate(cols))
+    for c in range(n):
+        if c == reached:
+            break
+        for x, col, inv in numbered:
+            y = col[c]
+            if y >= reached:
+                if y != reached or inv[y] != c:
+                    return _schreier_tree(cols, n)[:2]
+                parent_coset[y] = inv[y]
+                parent_col[y] = x
+                reached += 1
+    if reached != n:
+        return _schreier_tree(cols, n)[:2]
+    return parent_coset, parent_col
+
+
 def _moving_relator(cols, relators):
     """The first of the relators that moves element 0 of the table with
     columns ``cols``, or None if each fixes it."""
@@ -624,12 +694,13 @@ class GroupRep:
     The presentation presents the table's group: ``enumerate_group``
     enumerates it, ``extend`` certifies that its table is the group its
     presentation presents, and ``quotient`` adds to G's relators the word
-    whose normal closure it factors out (von Dyck's theorem).
-    ``automorphism_exists`` relies on that: it reads a homomorphism off
-    the relators, so a group built directly from a table must keep it
-    too.  That query and ``generates`` stop once their closure holds
-    more than half the group; ``generator_map_automorphism`` and
-    ``subgroup_closure`` close over all of it.
+    whose normal closure it factors out (von Dyck's theorem).  The
+    automorphism queries rely on that: they read a homomorphism off the
+    relators (``_phi_words``), so a group built directly from a table
+    must keep it too.  They read it off the half ball of the source
+    words (``basis``), which ``generates`` builds too and which stops
+    once it holds more than half the group; ``subgroup_closure`` closes
+    over all of the subgroup.
 
     Instances are immutable; all queries are pure.
     """
@@ -639,7 +710,7 @@ class GroupRep:
         self.table = table
         self.order = len(table)
         self.cap = cap
-        self._parent_coset, self._parent_col, _ = _schreier_tree(table.cols, self.order)
+        self._parent_coset, self._parent_col = _tree_parents(table.cols, self.order)
 
     def _verify(self):
         """Check that the columns are mutually inverse permutations and
@@ -693,10 +764,7 @@ class GroupRep:
         )
         if regular:
             parent = self._parent_coset
-            if all(map(lt, parent, range(n))):
-                order = range(1, n)
-            else:
-                order = _schreier_tree(cols, n)[2][1:]
+            order = self._tree_order()
             tree_cols = [cols[x] for x in self._parent_col]
             for g in gens:
                 left = [g[0]] * n
@@ -722,6 +790,15 @@ class GroupRep:
                     f"fix coset {a}"
                 )
         raise InconsistencyError("the table is not a regular representation")
+
+    def _tree_order(self):
+        """Every element but the identity, each after its tree parent:
+        index order when every parent has a smaller index, as in row-scan
+        standard form, else the tree's breadth-first order."""
+        n = self.order
+        if all(map(lt, self._parent_coset, range(n))):
+            return range(1, n)
+        return _schreier_tree(self.table.cols, n)[2][1:]
 
     # -- element arithmetic --------------------------------------------
 
@@ -790,13 +867,14 @@ class GroupRep:
     def subgroup_closure(self, gens) -> SubgroupHandle:
         """Subgroup generated by the given words."""
         return SubgroupHandle(
-            self._incremental_closure([self.element_of(w) for w in gens])
+            self._incremental_closure([self.element_of(w) for w in gens])[0]
         )
 
-    def _incremental_closure(self, candidate_indices, bound=None) -> list:
+    def _incremental_closure(self, candidate_indices, bound=None) -> tuple:
         """Elements of the subgroup generated by the candidate element
-        indices, identity first.  Candidates join one at a time, as
-        Schreier words, and members are skipped.
+        indices, identity first, and the marks that say how each was
+        reached: ``(elements, mark, blocks)``.  Candidates join one at a
+        time, as Schreier words, and members are skipped.
 
         The set E is closed under right multiplication by each generator
         t only, not by t^-1: on the finite set E, x -> x t is injective,
@@ -809,50 +887,89 @@ class GroupRep:
         letter at a time over the whole level (``_act``), and the images
         not yet in E form the next level.
 
+        Each such pass of one generator's word is a block, numbered from
+        2 in the order they run; ``blocks[b]`` is the position of block
+        b's generator among the candidates.  ``mark[y]`` is the block
+        that reached y, 1 for the identity and 0 for an element not in
+        E.  The element x that a block's new element y came from is
+        y t^-1, t its generator, and x was in E before the block ran, so
+        mark[x] < mark[y]: walking back from y ends at the identity and
+        spells y as a word in the candidates (``Basis.word``).
+
         The loop stops, reading no further candidate, once E holds more
         than ``bound`` elements, by default all but one: then E is the
-        whole group.  ``_generates`` passes half the order."""
+        whole group.  ``_generates`` and ``basis`` pass half the order."""
         cols = self.table.cols
         if bound is None:
             bound = self.order - 1
-        member = bytearray(self.order)
-        member[0] = 1
+        mark = [0] * self.order
+        mark[0] = 1
+        blocks = [-1, -1]
+        block = blocks.append
         elements = [0]
         add = elements.append
         words = []
-        for t in candidate_indices:
-            if member[t]:
+        for j, t in enumerate(candidate_indices):
+            if mark[t]:
                 continue
-            words.append([cols[c] for c in self._schreier_cols(t)])
+            w = [cols[c] for c in self._schreier_cols(t)]
+            words.append((j, w))
             start = len(elements)
-            for y in _act(elements, words[-1]):
-                if not member[y]:
-                    member[y] = 1
+            b = len(blocks)
+            block(j)
+            for y in _act(elements, w):
+                if not mark[y]:
+                    mark[y] = b
                     add(y)
             while start < len(elements) <= bound:
                 level = elements[start:]
                 start = len(elements)
-                for w in words:
+                for i, w in words:
+                    b = len(blocks)
+                    block(i)
                     for y in _act(level, w):
-                        if not member[y]:
-                            member[y] = 1
+                        if not mark[y]:
+                            mark[y] = b
                             add(y)
                     if len(elements) > bound:
                         break
             if len(elements) > bound:
                 break
-        return elements
+        return elements, mark, blocks
 
     def _generates(self, candidate_indices) -> bool:
         # a subgroup of more than half the elements is the group (Lagrange)
         half = self.order // 2
-        return len(self._incremental_closure(candidate_indices, half)) > half
+        return len(self._incremental_closure(candidate_indices, half)[0]) > half
 
     def generates(self, gens) -> bool:
-        """True iff the given words generate the whole group.  The closure
-        stops once it holds more than half the group, since no proper
-        subgroup is that large."""
-        return self._generates([self.element_of(w) for w in gens])
+        """True iff the given words generate the whole group:
+        ``basis(gens) is not None``."""
+        return self.basis(gens) is not None
+
+    def basis(self, words):
+        """The half ball of the given words, a ``Basis``, or None if they
+        generate a proper subgroup.  Their closure stops once it holds
+        more than half the group, as no proper subgroup is that large
+        (Lagrange); the basis keeps its marks, which spell each element
+        it reached as a word in ``words``."""
+        words = tuple(words)
+        return self._basis(words, [self.element_of(w) for w in words])
+
+    def _basis(self, words, indices):
+        half = self.order // 2
+        elements, mark, blocks = self._incremental_closure(indices, half)
+        if len(elements) <= half:
+            return None
+        cols = self.table.cols
+        back = tuple(
+            [cols[c ^ 1] for c in reversed(self._schreier_cols(t))] for t in indices
+        )
+        if len(blocks) <= 256:
+            # a wrapper keeps its basis, and a list of marks takes 8 bytes
+            # an element: 161 KB on ex2, whose sigma needs 43 blocks
+            mark = bytes(mark)
+        return Basis(words, mark, blocks, back)
 
     def conjugacy_class(self, x: int):
         """Orbit of element x under conjugation by the generators."""
@@ -882,7 +999,7 @@ class GroupRep:
         """Smallest normal subgroup containing w: the closure of its
         conjugacy class under generation."""
         x = self.element_of(w)
-        return SubgroupHandle(self._incremental_closure(self.conjugacy_class(x)))
+        return SubgroupHandle(self._incremental_closure(self.conjugacy_class(x))[0])
 
     def derived_subgroup(self) -> SubgroupHandle:
         """Commutator subgroup: normal closure of generator commutators."""
@@ -894,7 +1011,7 @@ class GroupRep:
                 x = self.element_of(~a * ~b * a * b)
                 if x != 0:
                     candidates.extend(self.conjugacy_class(x))
-        return SubgroupHandle(self._incremental_closure(sorted(set(candidates))))
+        return SubgroupHandle(self._incremental_closure(sorted(set(candidates)))[0])
 
     # -- derived groups ---------------------------------------------------
 
@@ -1042,47 +1159,108 @@ class GroupRep:
         automorphism exists.
 
         Works for any generating set, not just the presentation
-        generators: the closure of the pairs (source_i, image_i) in
-        G x G is the graph of an automorphism exactly when it is a
-        bijective function, which the breadth-first closure
-        (``_automorphism_closure``) detects."""
-        alpha = self._automorphism_closure(sources, images, self.order)[0]
-        if alpha is None or min(alpha) < 0:
-            return None  # a conflict, or sources that do not generate
+        generators.  The homomorphism phi that sends each source to its
+        image, if there is one, is read off the sources' half ball
+        (``_phi_words``; None if they do not generate), and is then spread
+        along the Schreier tree, parents first as ``_verify`` builds L:
+        alpha(y) = alpha(p) phi(x) for the tree edge p --x--> y, so alpha
+        is phi as a permutation.  phi is an automorphism exactly when
+        those images are distinct."""
+        sources, s, u = self._map_elements(sources, images)
+        basis = self._basis(sources, s)
+        letters = None if basis is None else self._phi_words(basis, u)
+        if letters is None:
+            return None
+        parent, parent_col = self._parent_coset, self._parent_col
+        alpha = [0] * self.order
+        for y in self._tree_order():
+            a = alpha[parent[y]]
+            for col in letters[parent_col[y]]:
+                a = col[a]
+            alpha[y] = a
+        taken = bytearray(self.order)
+        for a in alpha:
+            taken[a] = 1
+        if 0 in taken:
+            return None
         return alpha
 
     def automorphism_exists(self, sources, images) -> bool:
         """True iff some automorphism sends each source word to its image
         word: ``generator_map_automorphism(sources, images) is not None``,
-        decided from just over half the group.
+        decided from two half balls.  The sources' half ball (``basis``;
+        False if they do not generate) decides whether a homomorphism phi
+        sends each source to its image (``_phi_words``), and the images'
+        closure, stopped just past half the group too, whether phi is
+        onto.  A homomorphism of a finite group onto itself is one to one,
+        so it is the automorphism."""
+        sources, s, u = self._map_elements(sources, images)
+        basis = self._basis(sources, s)
+        return (
+            basis is not None
+            and self._phi_words(basis, u) is not None
+            and self._generates(u)
+        )
 
-        The closure (``_automorphism_closure``) stops once more than half
-        the elements have images, all distinct; if it ends first, the
-        sources generate a proper subgroup.  Each presentation generator
-        g then gets the image phi(g) = alpha(y)^-1 alpha(y g) for the
-        first y reached with y g reached too; one exists, as the reached
-        set R and R g^-1 each hold more than half the group.  If every
-        relator maps to 1 under phi, phi extends to a homomorphism of the
-        group (von Dyck's theorem, as the presentation presents the
-        group; see ``GroupRep``).  If phi also maps each source word to
-        its image word, it agrees with alpha on R, each element of R
-        being reached as a product of sources whose image is the same
-        product of images.  Then phi is one-to-one on R, so its image, a
-        subgroup, holds more than half the group and is all of it: phi
-        is onto, so it is the automorphism.  Conversely, an automorphism
-        passes every step, so the verdict is that of the full closure."""
+    def endomorphism_exists(self, basis, images) -> bool:
+        """True iff some endomorphism sends each source word of ``basis``
+        (``basis(sources)``) to its image word, read off the basis
+        without a closure (``_phi_words``).  A caller that knows every
+        endomorphism with these images to be one to one, say because its
+        square is the identity or an inner automorphism, gets the verdict
+        of ``automorphism_exists`` at the cost of a few words."""
+        u = self._map_elements(basis.sources, images)[2]
+        return self._phi_words(basis, u) is not None
+
+    def _map_elements(self, sources, images):
+        """The source words as a tuple, and the elements of the source and
+        of the image words; raises ValueError unless there is one image
+        per source and every word uses declared generators only."""
         sources = tuple(sources)
         images = tuple(images)
-        half = self.order // 2
-        alpha, reached = self._automorphism_closure(sources, images, half)
-        if alpha is None or len(reached) <= half:
-            return False
+        if len(sources) != len(images):
+            raise ValueError("need one image per source word")
+        if any(w.max_gen() >= self.presentation.ngens for w in sources + images):
+            raise ValueError("word uses undeclared generators")
+        walk = self._walk
+        return (
+            sources,
+            [walk(0, w.cols()) for w in sources],
+            [walk(0, w.cols()) for w in images],
+        )
+
+    def _phi_words(self, basis, image_indices):
+        """For each column x, the column tuples of a word for phi(x), phi
+        the homomorphism sending source j of ``basis`` to the element
+        ``image_indices[j]``, or None if there is no such homomorphism.
+
+        Each element y the basis reached is a word in the sources
+        (``Basis.word``); substituting the images gives an element
+        psi(y).  Each presentation generator g gets the image
+        phi(g) = psi(y)^-1 psi(y g) for the first y reached with y g
+        reached too; one exists, as the reached set R and R g^-1 each
+        hold more than half the group.  If every relator maps to 1, phi
+        extends to a homomorphism of the group (von Dyck's theorem, as
+        the presentation presents the group; see ``GroupRep``), and it
+        is checked to send each source word to its image.  Conversely, a
+        homomorphism h with those images has h(y) = psi(y) for every y
+        in R, so h(g) = phi(g) and h passes both checks: the verdict is
+        exact."""
         cols = self.table.cols
         walk = self._walk
+        mark = basis.mark
+        image_words = [self._schreier_cols(u) for u in image_indices]
+
+        def psi(y):
+            x = 0
+            for j in basis.word(y):
+                x = walk(x, image_words[j])
+            return x
+
         letters = []
         for g in cols[::2]:
-            y = next(y for y in reached if alpha[g[y]] >= 0)
-            x = walk(self._inverse(alpha[y]), self._schreier_cols(alpha[g[y]]))
+            y = next(y for y in range(self.order) if mark[y] and mark[g[y]])
+            x = walk(self._inverse(psi(y)), self._schreier_cols(psi(g[y])))
             w = self._schreier_cols(x)
             letters.append([cols[c] for c in w])
             letters.append([cols[c ^ 1] for c in reversed(w)])
@@ -1094,74 +1272,11 @@ class GroupRep:
                     x = col[x]
             return x
 
-        return (
-            all(phi(r) == 0 for r in self.presentation.relators)
-            and all(phi(s) == walk(0, u.cols()) for s, u in zip(sources, images))
-        )
-
-    def _automorphism_closure(self, sources, images, bound):
-        """The breadth-first closure of the pairs (source_i, image_i),
-        stopped once more than ``bound`` elements have images: ``(alpha,
-        reached)``, alpha[a] the image of element a or -1 and reached the
-        elements with an image, in the order they got it, or ``(None,
-        None)`` once a condition fails or two elements get one image.
-
-        Each word is evaluated to its element s_i or u_i once, and the
-        closure walks their Schreier words, forward only; a word acts on
-        the right only through its element.  Forward is enough because G
-        is finite.  The set E of elements reached is closed under right
-        multiplication by each s_i, which is injective, so E s_i = E and
-        E is closed under s_i^-1 too: E is the subgroup the s_i generate.
-        And if alpha(a s_i) = alpha(a) u_i holds for every a, putting
-        a = a' s_i^-1 gives alpha(a' s_i^-1) = alpha(a') u_i^-1, so the
-        pairs (s_i^-1, u_i^-1) add no condition.
-
-        The closure goes one breadth-first level at a time: both words of
-        each pair are applied letter by letter to the whole level and to
-        its images (``_act``), and one loop assigns the new elements and
-        checks the others.  Each condition alpha(a s_i) = alpha(a) u_i is
-        checked once against values that are never changed, so the
-        verdict does not depend on the order of the checks, and a
-        conflict within the first levels costs only those levels.  Each
-        image is marked as it is assigned, so a map that is not one to
-        one fails at its first repeated image.  With a ``bound`` of the
-        order the closure runs to the end, and alpha, if every element
-        has an image, is the automorphism."""
-        sources = tuple(sources)
-        images = tuple(images)
-        if len(sources) != len(images):
-            raise ValueError("need one image per source word")
-        if any(w.max_gen() >= self.presentation.ngens for w in sources + images):
-            raise ValueError("word uses undeclared generators")
-        cols = self.table.cols
-        pairs = [
-            ([cols[c] for c in self._schreier_cols(self._walk(0, s.cols()))],
-             [cols[c] for c in self._schreier_cols(self._walk(0, u.cols()))])
-            for s, u in zip(sources, images)
-        ]
-        alpha = [-1] * self.order
-        alpha[0] = 0
-        taken = bytearray(self.order)
-        taken[0] = 1
-        reached = [0]
-        add = reached.append
-        start = 0
-        while start < len(reached) <= bound:
-            level = reached[start:]
-            start = len(reached)
-            level_images = [alpha[a] for a in level]
-            for sw, uw in pairs:
-                for a, b in zip(_act(level, sw), _act(level_images, uw)):
-                    cur = alpha[a]
-                    if cur != b:
-                        if cur >= 0 or taken[b]:
-                            return None, None
-                        alpha[a] = b
-                        taken[b] = 1
-                        add(a)
-                if len(reached) > bound:
-                    break
-        return alpha, reached
+        if all(phi(r) == 0 for r in self.presentation.relators) and all(
+            phi(s) == u for s, u in zip(basis.sources, image_indices)
+        ):
+            return letters
+        return None
 
     def _involutions(self):
         # the elements of order exactly 2, in index order, found lazily

@@ -45,8 +45,13 @@ class Chirality(Enum):
 
 
 def _check_generates(rep: GroupRep, words, what: str):
-    if not rep.generates(words):
+    """The basis of ``words`` (``GroupRep.basis``), which the wrapper
+    keeps for its automorphism tests (``_form_exists``); raises
+    ConstructionError if they do not generate the whole group."""
+    basis = rep.basis(words)
+    if basis is None:
         raise ConstructionError(f"{what} do not generate the whole group")
+    return basis
 
 
 def _check_trivial_word(rep: GroupRep, w: Word, what: str):
@@ -55,7 +60,9 @@ def _check_trivial_word(rep: GroupRep, w: Word, what: str):
 
 
 class _Group:
-    """A finite ``GroupRep`` with distinguished generator words."""
+    """A finite ``GroupRep`` with distinguished generator words.  Each
+    wrapper keeps the ``basis`` its generation check built: that of
+    ``sigma`` for a rotation group, of ``rho`` for a reflection group."""
 
     @property
     def order(self):
@@ -70,7 +77,7 @@ class RotationGroup3(_Group):
         self.rep = rep
         self.sigma = (s1, s2)
         _check_trivial_word(rep, (s1 * s2) ** 2, "(sigma1 sigma2)^2")
-        _check_generates(rep, self.sigma, "sigma generators")
+        self.basis = _check_generates(rep, self.sigma, "sigma generators")
 
 
 class RotationGroup4(_Group):
@@ -83,7 +90,7 @@ class RotationGroup4(_Group):
         _check_trivial_word(rep, (s1 * s2) ** 2, "(sigma1 sigma2)^2")
         _check_trivial_word(rep, (s2 * s3) ** 2, "(sigma2 sigma3)^2")
         _check_trivial_word(rep, (s1 * s2 * s3) ** 2, "(sigma1 sigma2 sigma3)^2")
-        _check_generates(rep, self.sigma, "sigma generators")
+        self.basis = _check_generates(rep, self.sigma, "sigma generators")
 
 
 class _ReflectionGroup(_Group):
@@ -100,7 +107,7 @@ class _ReflectionGroup(_Group):
         for i in range(len(rho)):
             for j in range(i + 2, len(rho)):
                 _check_trivial_word(rep, (rho[i] * rho[j]) ** 2, f"(rho{i} rho{j})^2")
-        _check_generates(rep, rho, "rho generators")
+        self.basis = _check_generates(rep, rho, "rho generators")
         self.sigma = tuple(a * b for a, b in zip(rho, rho[1:]))
 
 
@@ -207,19 +214,35 @@ def check_polytopal4(m: RotationGroup4) -> bool:
     return left & right == c2 and c1 & c2 == {0} and c2 & c3 == {0}
 
 
+def _form_exists(m, words, images) -> bool:
+    """True iff some automorphism sends the generating ``words`` of the
+    wrapper ``m`` to ``images``, for a form whose square α² is the
+    identity or an inner automorphism on every endomorphism α with these
+    images.  Then such an α is one to one, so it is an automorphism, and
+    the homomorphism check on the wrapper's basis decides
+    (``GroupRep.endomorphism_exists``), with no closure.  A wrapper whose
+    basis is over other words, as a C-group's is over ρ when its σ are
+    mapped, takes the full test (``automorphism_exists``)."""
+    if m.basis.sources != tuple(words):
+        return m.rep.automorphism_exists(words, images)
+    return m.rep.endomorphism_exists(m.basis, images)
+
+
 def is_reflexible3(m: RotationGroup3) -> bool:
-    """True iff σ1 -> σ1^-1, σ2 -> σ1^2 σ2 extends to an automorphism
-    (conjugation by the base-face reflection of the reflexible cover)."""
+    """True iff α: σ1 -> σ1^-1, σ2 -> σ1^2 σ2 extends to an automorphism
+    (conjugation by the base-face reflection of the reflexible cover).
+    α² is the identity: α²(σ1) = α(σ1)^-1 = σ1 and α²(σ2) = α(σ1)^2 α(σ2)
+    = σ1^-2 σ1^2 σ2 = σ2 (``_form_exists``)."""
     s1, s2 = m.sigma
-    images = [~s1, s1 * s1 * s2]
-    return m.rep.automorphism_exists(m.sigma, images)
+    return _form_exists(m, m.sigma, [~s1, s1 * s1 * s2])
 
 
 def is_reflexible4(m: RotationGroup4) -> bool:
-    """True iff σ1 -> σ1, σ2 -> σ2 σ3^2, σ3 -> σ3^-1 extends."""
+    """True iff α: σ1 -> σ1, σ2 -> σ2 σ3^2, σ3 -> σ3^-1 extends.  α² is
+    the identity: it fixes σ1, α²(σ3) = α(σ3)^-1 = σ3 and α²(σ2) =
+    α(σ2) α(σ3)^2 = σ2 σ3^2 σ3^-2 = σ2 (``_form_exists``)."""
     s1, s2, s3 = m.sigma
-    images = [s1, s2 * s3 * s3, ~s3]
-    return m.rep.automorphism_exists(m.sigma, images)
+    return _form_exists(m, m.sigma, [s1, s2 * s3 * s3, ~s3])
 
 
 def classify3(m: RotationGroup3) -> Chirality:

@@ -12,10 +12,14 @@ The improper form is a period-4 duality d with
     d^-1 s1 d = s3^-1,  d^-1 s2 d = s1 s2 s1^-1,  d^-1 s3 d = s1,
     d^2 = s1 s2 s3.
 
-Detection certifies each form with one automorphism test of its action
-alpha on the generators; whenever any duality of the given kind exists,
-it can be normalised to one of them, so no automorphism search is
-needed.  The square conditions need no test of their own:
+Detection certifies each form with one homomorphism check of its action
+alpha on the generators, read off the half ball that the wrapper's
+generation check built (``rotary._form_exists``); whenever any duality
+of the given kind exists, it can be normalised to one of them, so no
+automorphism search is needed.  The square conditions need no test of
+their own, and they make that check enough: alpha^2 is the identity or
+conjugation by z, so any endomorphism with the form's images is one to
+one, hence an automorphism.
 
 * proper: alpha^2(s1) = alpha(s3)^-1 = s1, alpha^2(s2) = alpha(s2)^-1 = s2
   and alpha^2(s3) = alpha(s1)^-1 = s3, so alpha^2 = 1.
@@ -42,7 +46,9 @@ from enum import Enum
 
 from .engine import GroupRep
 from .errors import InconsistencyError
-from .rotary import Chirality, RegularCGroup4, RotationGroup4, classify4, schlafli
+from .rotary import (
+    Chirality, RegularCGroup4, RotationGroup4, _form_exists, classify4, schlafli,
+)
 from .words import Presentation, Word
 
 
@@ -95,10 +101,11 @@ def _form_images(kind: DualityKind, gens) -> tuple:
 def detect_self_duality(m: RotationGroup4) -> SelfDualityClass:
     """Classify the self-duality of a rank-4 rotation group.
 
-    Each normal form is certified by one automorphism test; the witness
-    is its tuple of generator images.  For chiral groups the two kinds
-    are mutually exclusive (both at once would force regularity) and
-    that exclusivity is enforced.  For regular groups both normal forms
+    Each normal form is certified by one homomorphism check on the
+    wrapper's basis (``_form_exists``); the witness is its tuple of
+    generator images.  For chiral groups the two kinds are mutually
+    exclusive (both at once would force regularity) and that
+    exclusivity is enforced.  For regular groups both normal forms
     typically certify; the improper form is reported because the mixing
     construction consumes it.
     """
@@ -109,7 +116,7 @@ def detect_self_duality(m: RotationGroup4) -> SelfDualityClass:
              for kind in (DualityKind.IMPROPER, DualityKind.PROPER)]
     certified = [
         (kind, images) for kind, images in forms
-        if m.rep.automorphism_exists(m.sigma, images)
+        if _form_exists(m, m.sigma, images)
     ]
     if not certified:
         return SelfDualityClass(DualityKind.NONE)
@@ -188,9 +195,10 @@ def extend_proper(m: RotationGroup4) -> ExtendedGroup:
 def find_polarity(c: RegularCGroup4) -> SelfDualityClass:
     """Detect the polarity of a regular C-group: the automorphism that
     reverses the generator sequence rho_i -> rho_(3-i).  It is an
-    involution on the generators, so no square condition is tested."""
+    involution on the generators, so no square condition is tested, and
+    the homomorphism check on the basis decides (``_form_exists``)."""
     images = _form_images(DualityKind.REGULAR_POLARITY, c.rho)
-    if not c.rep.automorphism_exists(c.rho, images):
+    if not _form_exists(c, c.rho, images):
         return SelfDualityClass(DualityKind.NONE)
     return SelfDualityClass(DualityKind.REGULAR_POLARITY, images)
 

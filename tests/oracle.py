@@ -20,6 +20,10 @@ doubled words, and takes relators of any period.
 ``verify_reference`` composes every relator over every element, where
 ``GroupRep._verify`` certifies that the table is a regular representation
 and then walks each relator from the identity only.
+
+``automorphism_reference`` closes the pairs (source, image) over the
+whole group, checking every condition, where ``GroupRep`` reads a
+homomorphism off the sources' half ball and checks it on the relators.
 """
 
 from collections import deque
@@ -214,6 +218,50 @@ def verify_reference(rep: GroupRep):
                 f"relator {r.text(rep.presentation.names)} does not "
                 f"fix coset {a}"
             )
+
+
+def automorphism_reference(rep: GroupRep, sources, images):
+    """The automorphism sending each source word to its image word, as a
+    list indexed by element, or None: the breadth-first closure of the
+    pairs (source_i, image_i) that ``GroupRep.generator_map_automorphism``
+    ran before it read the homomorphism off the sources' half ball.
+
+    Each word is evaluated to its element s_i or u_i once, and the
+    closure walks their Schreier words, forward only: the set E of
+    elements reached is closed under right multiplication by each s_i,
+    which is injective, so E s_i = E, and alpha(a s_i) = alpha(a) u_i for
+    every a gives alpha(a s_i^-1) = alpha(a) u_i^-1.  The closure goes
+    one breadth-first level at a time; each condition
+    alpha(a s_i) = alpha(a) u_i is checked once against values that are
+    never changed, and each image is marked as it is assigned, so a map
+    that is not one to one fails at its first repeated image.  Sources
+    that generate a proper subgroup leave elements without an image."""
+    cols = rep.table.cols
+
+    def schreier(w):
+        return [cols[c] for c in rep.element_word(rep.element_of(w)).cols()]
+
+    pairs = [(schreier(s), schreier(u)) for s, u in zip(sources, images)]
+    alpha = [-1] * rep.order
+    alpha[0] = 0
+    taken = bytearray(rep.order)
+    taken[0] = 1
+    reached = [0]
+    start = 0
+    while start < len(reached):
+        level = reached[start:]
+        start = len(reached)
+        level_images = [alpha[a] for a in level]
+        for sw, uw in pairs:
+            for a, b in zip(_act(level, sw), _act(level_images, uw)):
+                cur = alpha[a]
+                if cur != b:
+                    if cur >= 0 or taken[b]:
+                        return None
+                    alpha[a] = b
+                    taken[b] = 1
+                    reached.append(a)
+    return alpha if len(reached) == rep.order else None
 
 
 def perm_mul(a, b):

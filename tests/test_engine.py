@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from operator import lt
 
 import pytest
 
@@ -25,7 +26,9 @@ from rotamap.engine import (
     LONG_PERIOD,
     _cyclic_reduce,
     _rotations_by_column,
+    _schreier_tree,
     _short_period,
+    _tree_parents,
 )
 from oracle import (
     naive_cyclic_reduce,
@@ -37,6 +40,7 @@ from oracle import (
     simplex_rotation_permutations,
     verify_reference,
 )
+from test_derived import _relabelled
 
 a = Word.gen(0)
 s1, s2, s3 = Word.gen(0), Word.gen(1), Word.gen(2)
@@ -180,6 +184,35 @@ class TestVerify:
         verify_reference(rep)
         with pytest.raises(InconsistencyError, match="not a regular representation"):
             rep._verify()
+
+
+class TestTreeParents:
+    """``GroupRep`` finds its tree's parents without the order list on a
+    table in row-scan standard form; on every table they are those of
+    the breadth-first search ``_schreier_tree``."""
+
+    @pytest.mark.parametrize("name", ["ex3", "simplex333", "torus-44-1-3"])
+    def test_match_the_breadth_first_search(self, catalog_groups, name):
+        cols = catalog_groups.group(name).rep.table.cols
+        n = len(cols[0])
+        relabelled = _relabelled(cols, random.Random(name))
+        for table in (cols, relabelled):
+            assert _tree_parents(table, n) == _schreier_tree(table, n)[:2]
+        assert all(map(lt, _tree_parents(cols, n)[0], range(n)))
+        assert not all(map(lt, _tree_parents(relabelled, n)[0], range(n)))
+
+    def test_inverse_column_that_is_not_the_inverse(self):
+        # C3 with a copy of a's column as a^-1's: the elements are still
+        # reached in index order, but a parent cannot be read off a^-1's
+        # column
+        table = ((1, 2, 0), (1, 2, 0))
+        assert _tree_parents(table, 3) == _schreier_tree(table, 3)[:2] == ([-1, 0, 1], [-1, 0, 0])
+
+    def test_intransitive_table_is_rejected(self):
+        # two copies of C2: the identity's row reaches only element 1
+        table = ((1, 0, 3, 2),) * 2
+        with pytest.raises(InconsistencyError, match="not transitive"):
+            _tree_parents(table, 4)
 
 
 class TestElements:

@@ -30,7 +30,7 @@ from rotamap import (
 )
 from rotamap.cli import analyze_presentation, main
 from rotamap.engine import LONG_PERIOD, _short_period
-from oracle import felsch_table, naive_normal_closure, word_bfs_closure
+from oracle import felsch_table, naive_normal_closure, naive_subgroup_closure, word_bfs_closure
 from test_queries import rot333
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -187,6 +187,33 @@ def test_subgroup_closure_matches_word_bfs(small_groups, ex1_pipe, name, words):
     closure = word_bfs_closure(rep, words)
     assert rep.subgroup_closure(words).elements == closure
     assert rep.generates(words) == (len(closure) == rep.order)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["rot333", "simplex333", "torus-44-1-3", "torus-63-1-2"]),
+    st.lists(st.lists(st.integers(0, 7), max_size=8), min_size=1, max_size=3),
+)
+def test_basis_spells_every_reached_element(small_groups, name, letter_lists):
+    """``basis`` is None exactly when the words generate a proper
+    subgroup, and the word its marks spell for each reached element
+    evaluates to that element, each step back landing on a smaller mark."""
+    rep = small_groups[name]
+    words = [Word(tuple(c % rep.table.ncols for c in letters)) for letters in letter_lists]
+    sources = [rep.element_of(w) for w in words]
+    basis = rep.basis(words)
+    assert (basis is None) == (len(naive_subgroup_closure(rep, sources)) < rep.order)
+    if basis is None:
+        return
+    reached = [y for y in range(rep.order) if basis.mark[y]]
+    assert 2 * len(reached) > rep.order
+    for y in reached:
+        x = 0
+        for j in basis.word(y):
+            step = rep.product(x, sources[j])
+            assert 0 < basis.mark[x] < basis.mark[step]
+            x = step
+        assert x == y
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -1,9 +1,10 @@
 """Differential tests of the GroupRep query layer: the one closure loop
 against a word-walking breadth-first closure, the automorphism test
 against an element-by-element check and, on arbitrary generating sets,
-against a literal-word map, the half-group certificate of
-``automorphism_exists`` against the full automorphism test, and subgroup
-sizes on the catalog's base groups."""
+against a literal-word map, the automorphism queries and the callers'
+form tests, which read the sources' half ball, against the full closure
+of ``oracle.automorphism_reference``, and subgroup sizes on the catalog's
+base groups."""
 
 import math
 import random
@@ -11,16 +12,27 @@ import random
 import pytest
 
 from rotamap import (
+    RegularCGroup4,
     RotationGroup3,
     RotationGroup4,
     TorusFamily,
     Word,
+    detect_self_duality,
     enumerate_group,
+    find_polarity,
+    is_reflexible3,
+    is_reflexible4,
     parse_presentation,
+    schlafli,
     torus_presentation,
 )
 from rotamap.selfdual import DualityKind, _form_images
-from oracle import naive_generator_map, naive_is_automorphism, word_bfs_closure
+from oracle import (
+    automorphism_reference,
+    naive_generator_map,
+    naive_is_automorphism,
+    word_bfs_closure,
+)
 
 ROT333 = (
     "gens s1 s2 s3\n"
@@ -336,15 +348,21 @@ def _certificate_inputs(rep, word_lists, conjugators, random_maps, seed):
 
 
 def _check_certificate(rep, inputs):
-    """``automorphism_exists`` against ``generator_map_automorphism`` on
-    every input and, where the sources are the presentation generators,
-    against ``extends_to_automorphism`` and, on small groups,
-    ``naive_is_automorphism``.  Returns the verdicts."""
+    """``automorphism_exists`` and ``generator_map_automorphism``, which
+    both read the sources' half ball, against the full closure of
+    ``automorphism_reference`` on every input and, on small groups,
+    against ``naive_generator_map``; where the sources are the
+    presentation generators, ``extends_to_automorphism`` and, on small
+    groups, ``naive_is_automorphism`` too.  Returns the verdicts."""
     gens = [Word.gen(i) for i in range(rep.presentation.ngens)]
     verdicts = []
     for sources, images in inputs:
+        want = automorphism_reference(rep, sources, images)
         got = rep.automorphism_exists(sources, images)
-        assert got == (rep.generator_map_automorphism(sources, images) is not None), (sources, images)
+        assert got == (want is not None), (sources, images)
+        assert rep.generator_map_automorphism(sources, images) == want, (sources, images)
+        if rep.order <= NAIVE_ORDER:
+            assert naive_generator_map(rep, sources, images) == want, (sources, images)
         if list(sources) == gens:
             assert rep.extends_to_automorphism(images) == got
             if rep.order <= NAIVE_ORDER:
@@ -355,6 +373,45 @@ def _check_certificate(rep, inputs):
 
 def _distinguished(m):
     return [m.sigma] + ([m.rho] if hasattr(m, "rho") else [])
+
+
+def _conjugated_wrappers(m, count, seed):
+    """m and ``count`` copies of it whose basis words, sigma or rho, are
+    conjugated by random words of 1 to 16 letters."""
+    rng = random.Random(seed)
+    ngens = m.rep.presentation.ngens
+    out = [m]
+    for _ in range(count):
+        c = _random_word(rng, ngens, rng.randrange(1, 17))
+        out.append(type(m)(m.rep, tuple(_conjugated(c, w) for w in m.basis.sources)))
+    return out
+
+
+def _check_forms(m):
+    """Every form test the callers run on the wrapper m against the full
+    closure: the homomorphism check on m's basis of each caller map of
+    its basis words (``_caller_maps``), and ``is_reflexible3``/``4``,
+    ``detect_self_duality`` or ``find_polarity``, which read it.
+    Returns the reference verdicts."""
+    d = list(m.basis.sources)
+    maps = _caller_maps(d)
+    want = [automorphism_reference(m.rep, d, images) is not None for images in maps]
+    assert [m.rep.endomorphism_exists(m.basis, images) for images in maps] == want, d
+    if len(d) == 2:
+        assert is_reflexible3(m) == want[0]
+    elif len(d) == 3:
+        assert is_reflexible4(m) == want[0]
+        p, _, r = schlafli(m)
+        kind = DualityKind.NONE
+        if p == r and want[1]:
+            kind = DualityKind.IMPROPER
+        elif p == r and want[2]:
+            kind = DualityKind.PROPER
+        assert detect_self_duality(m).kind == kind, d
+    else:
+        polarity = DualityKind.REGULAR_POLARITY if want[0] else DualityKind.NONE
+        assert find_polarity(m).kind == polarity
+    return want
 
 
 class TestAutomorphismCertificate:
@@ -405,3 +462,108 @@ class TestAutomorphismCertificate:
         a = Word.gen(0)
         verdicts = _check_certificate(cyclic, [([a], [a ** k]) for k in range(n)])
         assert verdicts == [math.gcd(k, n) == 1 for k in range(n)]
+
+
+def test_basis_of_more_than_256_blocks():
+    # a cyclic group's half ball takes one block per element, too many
+    # for the marks to be kept as bytes
+    cyclic = enumerate_group(parse_presentation("gens a\nrel a^601\n"))
+    a = Word.gen(0)
+    basis = cyclic.basis([a])
+    assert not isinstance(basis.mark, bytes) and len(basis.blocks) > 256
+    for k in (1, 2, 150, 299, 300):
+        x = cyclic.element_of(a ** k)
+        assert basis.mark[x] and basis.word(x) == [0] * k
+    for k in (0, 1, 2, 300, 600):
+        # 601 is prime: a -> a^k is an automorphism for every k but 0
+        want = automorphism_reference(cyclic, [a], [a ** k])
+        assert (want is not None) == (k != 0)
+        assert cyclic.generator_map_automorphism([a], [a ** k]) == want
+        assert cyclic.automorphism_exists([a], [a ** k]) == (k != 0)
+
+
+# -- the form tests on the wrappers' bases -------------------------------------
+
+# the reference verdicts of _caller_maps on each catalog group: the
+# reflexibility map, then the improper and proper forms (rank 4) or the
+# polarity (a C-group)
+CATALOG_FORMS = {
+    "ex1": [False, True, False],
+    "ex2": [False, True, False],
+    "ex2q14": [False, True, False],
+    "ex2q7": [False, True, False],
+    "ex3": [False, False, True],
+    "ex3-central-quotient": [False, False, True],
+    "simplex333": [True],
+    "torus-44-1-0": [True],
+    "torus-44-1-1": [True],
+    "torus-44-2-0": [True],
+    "torus-44-1-3": [False],
+    "torus-36-1-2": [False],
+    "torus-63-1-2": [False],
+}
+
+
+class TestFormTests:
+    """``is_reflexible3``/``4``, both forms of ``detect_self_duality`` and
+    ``find_polarity`` read a homomorphism off the wrapper's basis; each
+    gives the full closure's verdict, also with the basis words
+    conjugated, as map-search draws them."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_FORMS))
+    def test_catalog_group(self, catalog_groups, name):
+        m = catalog_groups.group(name)
+        count = 2 if m.order > 10_000 else 4
+        for w in _conjugated_wrappers(m, count, name):
+            assert _check_forms(w) == CATALOG_FORMS[name]
+
+    @pytest.mark.parametrize("name,k", [("ex1", 2), ("ex1", 4), ("ex3", 2), ("ex3", 4)])
+    def test_petrie_quotient(self, catalog_groups, name, k):
+        m = catalog_groups.group(name)
+        s1, _, s3 = m.sigma
+        q = RotationGroup4(m.rep.quotient((s1 * s3) ** k), m.sigma)
+        verdicts = [_check_forms(w) for w in _conjugated_wrappers(q, 4, f"{name}/{k}")]
+        assert all(v == verdicts[0] for v in verdicts)
+
+    @pytest.mark.parametrize("t", CERTIFICATE_TORI, ids=lambda t: t.name)
+    def test_torus(self, t):
+        p = torus_presentation(t)
+        m = RotationGroup3(enumerate_group(p), p.distinguished)
+        verdicts = [_check_forms(w) for w in _conjugated_wrappers(m, 4, t.name)]
+        # b c = 0 or b = c gives a reflexible torus map
+        assert verdicts == [[t.b * t.c == 0 or t.b == t.c]] * 5
+
+
+# the 11-cell {3,5,3}: its group L2(11) is simple, so sigma generates all
+# of it, where the simplex's sigma generates half
+ELEVEN_CELL = (
+    "gens r0 r1 r2 r3\n"
+    "rel r0^2\nrel r1^2\nrel r2^2\nrel r3^2\n"
+    "rel (r0 r1)^3\nrel (r1 r2)^5\nrel (r2 r3)^3\n"
+    "rel (r0 r2)^2\nrel (r0 r3)^2\nrel (r1 r3)^2\n"
+    "rel (r0 r1 r2)^5\nrel (r1 r2 r3)^5\n"
+    "rho r0 r1 r2 r3\n"
+)
+
+
+@pytest.mark.parametrize("name,want", [
+    ("simplex333", (False, DualityKind.NONE)),
+    ("11-cell", (True, DualityKind.IMPROPER)),
+])
+def test_c_group_sigma_forms(catalog_groups, name, want):
+    """A C-group's basis is over rho, so ``is_reflexible4`` and
+    ``detect_self_duality``, which map its sigma, take the full test;
+    their verdicts are pinned as they were before the basis."""
+    if name == "11-cell":
+        p = parse_presentation(ELEVEN_CELL)
+        c = RegularCGroup4(enumerate_group(p), p.distinguished)
+        assert (c.order, c.rep.subgroup_closure(c.sigma).size) == (660, 660)
+    else:
+        c = catalog_groups.group(name)
+    assert c.basis.sources == c.rho
+    assert (is_reflexible4(c), detect_self_duality(c).kind) == want
+    reflexible, improper, proper = (
+        automorphism_reference(c.rep, c.sigma, images) is not None
+        for images in _caller_maps(list(c.sigma))
+    )
+    assert (reflexible, improper) == (want[0], want[1] is DualityKind.IMPROPER)
