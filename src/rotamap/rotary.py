@@ -345,11 +345,13 @@ class InvolutionReport:
 
 def involution_report(m: RotationGroup3) -> InvolutionReport:
     s1, s2 = m.sigma
-    n = m.rep.normal_closure(s1 * s2)
-    index = m.order // n.size
+    # keep only the size: the closure's elements would stay live through
+    # the involution closure below
+    n_tau = m.rep.normal_closure(s1 * s2).size
+    index = m.order // n_tau
     gbi = m.rep.generated_by_involutions()
     return InvolutionReport(
-        n_tau_order=n.size,
+        n_tau_order=n_tau,
         n_tau_index=index,
         group_gen_by_involutions=gbi,
         prop62_consistent=not (gbi and index > 2),

@@ -17,6 +17,12 @@ doubled words, and takes relators of any period.
 ``felsch_table`` puts its table in row-scan form, which
 ``enumerate_group``'s tables take whatever order cosets are defined in.
 
+``hlt_reference`` is the engine's hybrid enumeration as it was before
+the definition loop checked long relator cycles a window of cosets at a
+time and resumed each HLT scan after its definition; the engine must
+return the same raw table and parents, so both shortcuts only skip work
+that does nothing.
+
 ``verify_reference`` composes every relator over every element, where
 ``GroupRep._verify`` certifies that the table is a regular representation
 and then walks each relator from the identity only.
@@ -30,7 +36,7 @@ from collections import deque
 from itertools import combinations
 
 from rotamap import CapExceededError, GroupRep, InconsistencyError, Presentation, Word, substitute
-from rotamap.engine import _act
+from rotamap.engine import _act, _bind, _rotations_by_column, _short_period
 from rotamap.words import _reduce_cols
 
 
@@ -404,3 +410,175 @@ def simplex_rotation_permutations():
         (0, 1, 2, 4, 3),
     ]
     return [perm_mul(r[0], r[1]), perm_mul(r[1], r[2]), perm_mul(r[2], r[3])]
+
+
+def hlt_reference(ncols, relators, cap):
+    """``rotamap.engine._enumerate_cosets`` as it was before it checked
+    long relator cycles a window of cosets at a time and resumed each
+    HLT scan after its definition: every long relator is closed at every
+    live coset the definition loop reaches, and after a definition the
+    scan starts afresh from that coset.  Returns the raw ``(cols,
+    parent)``, which the engine must match exactly: the same definitions
+    in the same order."""
+    cols = [[-1] for _ in range(ncols)]
+    parent = [0]
+    long_relators = [(w, *_bind(w, cols)) for w in relators if _short_period(w) is None]
+    rot_by_col = _rotations_by_column(
+        [r for r in relators if _short_period(r) is not None], cols)
+    columns = [(x, cols[x], cols[x ^ 1]) for x in range(ncols)]
+    stack = []
+    push = stack.append
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def coincide(a, b):
+        a, b = find(a), find(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        q = deque((b,))
+        while q:
+            g = q.popleft()
+            for x, col, inv in columns:
+                d = col[g]
+                if d < 0:
+                    continue
+                inv[d] = -1
+                mu = find(g)
+                nu = find(d)
+                e = col[mu]
+                if e >= 0:
+                    e = find(e)
+                    if e != nu:
+                        u, v = (e, nu) if e < nu else (nu, e)
+                        parent[v] = u
+                        q.append(v)
+                elif inv[nu] >= 0:
+                    e = find(inv[nu])
+                    if e != mu:
+                        u, v = (e, mu) if e < mu else (mu, e)
+                        parent[v] = u
+                        q.append(v)
+                else:
+                    col[mu] = nu
+                    inv[nu] = mu
+                    push((mu, x))
+
+    def drain():
+        while stack:
+            c, x = stack.pop()
+            while parent[c] != c:
+                c = parent[c]
+            # every rotation in the bucket starts with the edge c --x--> d
+            cx = cols[x]
+            d = cx[c]
+            for ww, fw, bw, i, j in rot_by_col[x]:
+                # scan the relator rotation ww[i..j] from coset c; it must
+                # close up
+                if d < 0:
+                    f = c
+                else:
+                    f = d
+                    i += 1
+                while i <= j:
+                    nxt = fw[i][f]
+                    if nxt < 0:
+                        break
+                    f = nxt
+                    i += 1
+                if i > j:
+                    if f != c:
+                        coincide(f, c)
+                        while parent[c] != c:
+                            c = parent[c]
+                        d = cx[c]
+                    continue
+                b = c
+                while j >= i:
+                    nxt = bw[j][b]
+                    if nxt < 0:
+                        break
+                    b = nxt
+                    j -= 1
+                if j < i:
+                    coincide(f, b)
+                    while parent[c] != c:
+                        c = parent[c]
+                    d = cx[c]
+                elif j == i:
+                    fw[i][f] = b
+                    bw[i][b] = f
+                    push((f, ww[i]))
+                    d = cx[c]
+
+    def define(c, x):
+        # a new coset at the empty entry c --x-->, and its deductions
+        n = len(parent)
+        if n >= cap:
+            live = sum(1 for k in range(n) if parent[k] == k)
+            raise CapExceededError(cap, live)
+        for col in cols:
+            col.append(-1)
+        parent.append(n)
+        cols[x][c] = n
+        cols[x ^ 1][n] = c
+        push((c, x))
+        drain()
+
+    def close(c, w, fw, bw):
+        # close the cycle of the long relator w at coset c, or stop when
+        # c dies in a coincidence
+        last = len(w) - 1
+        while parent[c] == c:
+            f = c
+            i = 0
+            while i <= last:
+                nxt = fw[i][f]
+                if nxt < 0:
+                    break
+                f = nxt
+                i += 1
+            if i > last:
+                if f != c:
+                    coincide(f, c)
+                    drain()
+                return
+            b = c
+            j = last
+            while j >= i:
+                nxt = bw[j][b]
+                if nxt < 0:
+                    break
+                b = nxt
+                j -= 1
+            if j > i:
+                # one definition, then scan afresh
+                define(f, w[i])
+                continue
+            if j < i:
+                coincide(f, b)
+            else:
+                fw[i][f] = b
+                bw[i][b] = f
+                push((f, w[i]))
+            drain()
+            return
+
+    i = 0
+    while i < len(parent):
+        if parent[i] == i:
+            for w, fw, bw in long_relators:
+                close(i, w, fw, bw)
+            for x, col, _ in columns:
+                if parent[i] != i:
+                    break
+                if col[i] < 0:
+                    define(i, x)
+        i += 1
+    return cols, parent

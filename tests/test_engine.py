@@ -24,13 +24,16 @@ from rotamap.engine import (
     DEFAULT_CAP,
     GroupRep,
     LONG_PERIOD,
+    _bounded_relators,
     _cyclic_reduce,
+    _enumerate_cosets,
     _rotations_by_column,
     _schreier_tree,
     _short_period,
     _tree_parents,
 )
 from oracle import (
+    hlt_reference,
     naive_cyclic_reduce,
     naive_is_automorphism,
     naive_normal_closure,
@@ -558,3 +561,43 @@ class TestRowsDefined:
         assert enumerate_group(p, cap=rows).order == order
         with pytest.raises(CapExceededError):
             enumerate_group(p, cap=rows - 1)
+
+    @pytest.mark.parametrize("family,b,c,rows,order", [
+        ("36", 12, 12, 2845, 2592), ("63", 7, 9, 1269, 1158),
+    ])
+    def test_torus_rows_defined(self, family, b, c, rows, order):
+        # long translation relators, closed once per coset
+        p = torus_presentation(TorusFamily(family, b, c))
+        assert enumerate_group(p, cap=rows).order == order
+        with pytest.raises(CapExceededError):
+            enumerate_group(p, cap=rows - 1)
+
+
+def enumeration_outcome(enumerate_cosets, p, cap=DEFAULT_CAP):
+    """The raw ``(cols, parent)`` that ``enumerate_cosets`` returns for p,
+    or the cap and live count of the CapExceededError it raises."""
+    try:
+        return enumerate_cosets(2 * p.ngens, _bounded_relators(p, cap), cap)
+    except CapExceededError as e:
+        return e.cap, e.cosets_in_use
+
+
+class TestMatchesHltReference:
+    """The engine walks the long relators from a window of cosets at once
+    and closes only the cycles found open, and resumes an HLT scan after
+    its definition.  Both skip only work that does nothing, so it defines
+    the same cosets in the same order as ``oracle.hlt_reference``, which
+    closes every long relator at every coset and rescans after each
+    definition: the raw tables and parents are identical."""
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_catalog(self, name):
+        p = catalog()[name].presentation
+        assert enumeration_outcome(_enumerate_cosets, p) == enumeration_outcome(hlt_reference, p)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6, 7, 8, 12, 29])
+    @pytest.mark.parametrize("base", ["ex1", "ex3"])
+    def test_petrie(self, base, k):
+        # most of these collapse, so coincidences interrupt the scans
+        p = catalog()[base].presentation.with_relators((s1 * s3) ** k)
+        assert enumeration_outcome(_enumerate_cosets, p) == enumeration_outcome(hlt_reference, p)

@@ -29,8 +29,9 @@ from rotamap import (
     torus_presentation,
 )
 from rotamap.cli import analyze_presentation, main
-from rotamap.engine import LONG_PERIOD, _short_period
-from oracle import felsch_table, naive_normal_closure, naive_subgroup_closure, word_bfs_closure
+from rotamap.engine import LONG_PERIOD, _enumerate_cosets, _short_period
+from oracle import felsch_table, hlt_reference, naive_normal_closure, naive_subgroup_closure, word_bfs_closure
+from test_engine import enumeration_outcome
 from test_queries import rot333
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -304,6 +305,17 @@ def test_enumeration_matches_felsch_reference(p):
     except CapExceededError:
         return
     assert enumerate_group(p).table.rows == want
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(long_relator_presentations(), _small_tori))
+def test_enumeration_matches_hlt_reference(p):
+    # the same definitions in the same order as a loop that closes every
+    # long relator at every coset and rescans after each definition, so
+    # the same raw table, or the same cap error on the infinite ones; the
+    # collapsing ones run the rescan after a coincidence
+    cap = 5_000
+    assert enumeration_outcome(_enumerate_cosets, p, cap) == enumeration_outcome(hlt_reference, p, cap)
 
 
 _STANDARD_FORM_CASES = (
