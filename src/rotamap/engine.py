@@ -94,7 +94,12 @@ from that table without enumerating, and put in row-scan standard form
 too; ``tests/test_derived.py`` compares the two row for row.  An
 extension is certified from the generators and the identity row (see
 ``extend``); a quotient, whose table is right only if ``normal_closure``
-is, is checked by ``_verify`` like an enumerated table.
+is, is checked by ``_verify`` like an enumerated table.  A quotient by a
+word that is already the identity is the group itself (von Dyck), so it
+keeps the group's table and Schreier tree, shared and not copied.  Any
+other quotient labels its blocks in row-scan order, which meets each
+label first on its breadth-first tree edge, and hands that tree to
+``GroupRep`` instead of having ``_tree_parents`` find it again.
 """
 
 from __future__ import annotations
@@ -770,7 +775,14 @@ def _moving_relator(cols, relators):
 class GroupRep:
     """A finite group given by a complete coset table over the trivial
     subgroup.  Elements are coset indices 0..order-1 with 0 the identity;
-    ``element_word`` returns a Schreier representative for any index.
+    ``element_word`` returns a Schreier representative for any index,
+    read off the breadth-first Schreier tree from 0 (``_schreier_tree``).
+    ``tree``, an internal argument, is that tree as its parent elements
+    and parent columns, for a caller that already has it: ``quotient``
+    passes this group's own tree when it keeps this group's table, and
+    the tree its block labelling found otherwise.  Every other table,
+    built directly, enumerated or extended, gets it from
+    ``_tree_parents``.
     ``cap`` is the coset cap ``enumerate_group`` ran under, and
     ``DEFAULT_CAP``, the default of the ``cap`` argument, for a group
     built directly from a table.  Extensions and quotients built from
@@ -792,12 +804,20 @@ class GroupRep:
     Instances are immutable; all queries are pure.
     """
 
-    def __init__(self, presentation: Presentation, table: CosetTable, cap: int = DEFAULT_CAP):
+    def __init__(
+        self,
+        presentation: Presentation,
+        table: CosetTable,
+        cap: int = DEFAULT_CAP,
+        tree=None,
+    ):
         self.presentation = presentation
         self.table = table
         self.order = len(table)
         self.cap = cap
-        self._parent_coset, self._parent_col = _tree_parents(table.cols, self.order)
+        if tree is None:
+            tree = _tree_parents(table.cols, self.order)
+        self._parent_coset, self._parent_col = tree
 
     def _verify(self):
         """Check that the columns are mutually inverse permutations and
@@ -1192,15 +1212,37 @@ class GroupRep:
     def quotient(self, w: Word) -> "GroupRep":
         """The quotient G/N of this group G by the normal closure N of w,
         presented by G's presentation with w added as a relator (von
-        Dyck's theorem).  Built from G's table: N gets label 0, and as the
-        labels are read in order, each generator column maps the coset of
-        the current label onto a coset, which gets the next label if it
-        has none yet.  The labels are therefore in row-scan form, and the
-        table is checked against the new presentation (``_verify``).
-        Raises ValueError, as ``enumerate_group`` does, if its relators
-        hold more than ``cap`` letters in all."""
+        Dyck's theorem).  If w is the identity of G, that presentation
+        presents G itself: G satisfies w, so G is a quotient of the group
+        it presents (von Dyck), which is in turn a quotient of G.  The
+        quotient then keeps G's table and Schreier tree, shared and not
+        copied.  G's table is the regular representation of G (see the
+        class docstring), so it is the quotient's; its labels are G's, so
+        it is in row-scan form whenever G's is, as every table this
+        package builds is.  Otherwise the table is built from G's by
+        ``_block_table``.  Either table is checked against the new
+        presentation (``_verify``).  Raises ValueError, as
+        ``enumerate_group`` does, if its relators hold more than ``cap``
+        letters in all."""
         presentation = self.presentation.with_relators(w)
         _bounded_relators(presentation, self.cap)
+        if self.element_of(w) == 0:
+            table, tree = self.table, (self._parent_coset, self._parent_col)
+        else:
+            table, tree = self._block_table(w, presentation.ngens)
+        rep = GroupRep(presentation, table, self.cap, tree)
+        rep._verify()
+        return rep
+
+    def _block_table(self, w: Word, ngens: int) -> tuple:
+        """The table of G/N, N the normal closure of w, and its Schreier
+        tree (``tree`` of ``GroupRep``).  N gets label 0, and as the labels
+        are read in order, each generator column maps the coset of the
+        current label onto a coset, which gets the next label if it has
+        none yet.  The labels are therefore in row-scan form, and each
+        label is created at the row and column of its breadth-first tree
+        edge, the edge ``_tree_parents`` would find; the parent is stored
+        as the table's own int object, as there."""
         cols = self.table.cols
         ints = self._label_ints(self.order)
         label = [-1] * self.order
@@ -1208,22 +1250,25 @@ class GroupRep:
         for x in blocks[0]:
             label[x] = 0
         out = [[] for _ in cols]
+        numbered = tuple(zip(range(len(cols)), cols, out))
+        parent_coset = [-1]
+        parent_col = [-1]
         for i, members in enumerate(blocks):
             blocks[i] = None
             m = members[0]
-            for col, out_col in zip(cols, out):
+            for x, col, out_col in numbered:
                 t = col[m]
                 if label[t] < 0:
-                    block = [col[x] for x in members]
+                    block = [col[y] for y in members]
                     b = ints[len(blocks)]
                     for y in block:
                         label[y] = b
                     blocks.append(block)
+                    parent_coset.append(ints[i])
+                    parent_col.append(x)
                 out_col.append(label[t])
-        table = CosetTable(tuple(map(tuple, out)), presentation.ngens)
-        rep = GroupRep(presentation, table, self.cap)
-        rep._verify()
-        return rep
+        table = CosetTable(tuple(map(tuple, out)), ngens)
+        return table, (parent_coset, parent_col)
 
     def _label_ints(self, size) -> list:
         """The int objects 0..size-1, size at least the order, to label a

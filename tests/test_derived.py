@@ -38,6 +38,7 @@ from rotamap import (
     petrie_coxeter,
     torus_presentation,
 )
+from rotamap.engine import _schreier_tree
 from rotamap.selfdual import _form_images, extend_proper
 from oracle import verify_reference
 
@@ -259,6 +260,10 @@ class TestPetrieQuotient:
         oracle = enumerate_group(m.rep.presentation.with_relators(w))
         assert q.presentation == oracle.presentation
         assert q.table == oracle.table
+        # the quotient's tree is handed over (or shared), the oracle's
+        # found by _tree_parents
+        assert q._parent_coset == oracle._parent_coset
+        assert q._parent_col == oracle._parent_col
 
     def test_every_petrie_scan_pair_matches_recorded_digest(self, petrie_bases, recorded_tables):
         # the 87 (base, k) pairs the petrie-scan workload draws from
@@ -267,6 +272,32 @@ class TestPetrieQuotient:
                 q = m.rep.quotient(_petrie_relator(m, k))
                 assert q.cap == m.rep.cap
                 assert _recorded(recorded_tables, q) == spans.table_digest(q.table), (name, k)
+                tree = tuple(_schreier_tree(q.table.cols, q.order)[:2])
+                assert (q._parent_coset, q._parent_col) == tree, (name, k)
+
+    # k a multiple of the Petrie length (20, 28 and 8): (s1 s3)^k is
+    # already 1, so the quotient is the group itself
+    @pytest.mark.parametrize("name,k", [
+        ("ex1", 20), ("ex2", 28), ("ex3", 8), ("ex3", 16), ("ex3", 24),
+    ])
+    def test_trivial_word_shares_the_table(self, petrie_bases, name, k):
+        m = petrie_bases[name]
+        w = _petrie_relator(m, k)
+        q = m.rep.quotient(w)
+        assert q.table is m.rep.table
+        assert q._parent_coset is m.rep._parent_coset
+        assert q._parent_col is m.rep._parent_col
+        assert q.cap == m.rep.cap
+        assert q.presentation == m.rep.presentation.with_relators(w)
+
+    def test_trivial_word_on_a_broken_table_is_inconsistent(self):
+        # the cyclic table of order 4 does not satisfy a^2: a^4 is 1 in
+        # it, and the shared table must still be checked against the
+        # presentation
+        table = CosetTable(((1, 2, 3, 0), (3, 0, 1, 2)), 1)
+        rep = GroupRep(parse_presentation("gens a\nrel a^2\n"), table)
+        with pytest.raises(InconsistencyError, match=r"relator a\^2 does not fix coset 0"):
+            rep.quotient(Word.gen(0) ** 4)
 
 
 def _relabelled(cols, rng):
