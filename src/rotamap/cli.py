@@ -20,9 +20,10 @@ Exit codes: 0 success, 1 mathematical verdict failure (not polytopal
 under --require-polytopal, not self-dual, verification mismatch),
 2 operational error (parse failure, including a word of more than
 DEFAULT_CAP letters; coset cap; bad invocation, such as ``--petrie`` for
-``construct petrie-coxeter``, or a ``generate torus`` vector whose map
-has more than DEFAULT_CAP elements; input sigma/rho words that break
-their identities).
+``construct petrie-coxeter``, ``--out`` for ``generate catalog --verify``,
+which writes nothing, or a ``generate torus`` vector whose map has more
+than DEFAULT_CAP elements; input sigma/rho words that break their
+identities).
 """
 
 from __future__ import annotations
@@ -212,6 +213,8 @@ def cmd_generate(args) -> int:
         return 0
 
     if args.what == "catalog":
+        if args.verify and args.out is not None:
+            raise RotamapError("--out does not apply to generate catalog --verify")
         entries = catalog()
         names = [args.name] if args.name else list(entries)
         for name in names:

@@ -653,26 +653,25 @@ def _catalog_view(report: AnalysisReport) -> dict:
 
 
 def compute_entry_report(entry: CatalogEntry, cap: int = DEFAULT_CAP) -> dict:
-    """Recompute everything the catalog stores expectations for.  A
-    rank-4 entry's self-duality is the kind ``petrie_coxeter`` detected,
-    so it is detected once."""
+    """Recompute everything the catalog stores expectations for: the
+    ``report`` that ``analyze`` prints, in the catalog's keys, and for a
+    rank-4 entry the Petrie-Coxeter map and the extra subgroup sizes the
+    entry asks for."""
     g = load_group(entry.presentation, cap)
+    out = _catalog_view(report(g))
+    if isinstance(g, RotationGroup3):
+        # classify3 has decided reflexibility for a polytopal map already
+        if out["polytopal"]:
+            out["reflexible"] = out["chirality"] == Chirality.REGULAR.value
+        else:
+            out["reflexible"] = is_reflexible3(g)
     if isinstance(g, (RotationGroup3, RegularMap3)):
-        out = _catalog_view(report(g))
-        if isinstance(g, RotationGroup3):
-            # classify3 has decided reflexibility for a polytopal map already
-            if out["polytopal"]:
-                out["reflexible"] = out["chirality"] == Chirality.REGULAR.value
-            else:
-                out["reflexible"] = is_reflexible3(g)
         return out
 
     try:
         ext, pc_map = petrie_coxeter(g)
     except NotSelfDualError:
         ext = None
-    kind = DualityKind.NONE if ext is None else ext.kind
-    out = _catalog_view(rank4_report(g, kind.value))
     if ext is not None:
         out["extended_order"] = ext.order
         out["map"] = _catalog_view(report(pc_map))

@@ -49,22 +49,25 @@ only a view built on demand.
 The yes/no queries stop the closure once it holds more than half the
 group, as no proper subgroup is that large (Lagrange).  ``basis(words)``
 keeps that half ball and its marks, or gives None if the words generate
-a proper subgroup (``generates``).  An automorphism question is then a
-homomorphism check read off a basis, with no closure of its own: each
-generator's image phi(g) = psi(y)^-1 psi(y g) comes from two reached
-elements y and y g, psi substituting the images into their words, and
-phi must send every relator to 1 (von Dyck) and every source word to its
-image word.  The verdict is exact: some endomorphism sends the sources
-to the images exactly when the check passes.  It needs the presentation
-to present the table's group, which every ``GroupRep`` built here does
-(see its docstring).  ``endomorphism_exists`` is that check alone, for
-callers whose maps are one to one whenever they are endomorphisms (the
-rank-3 and rank-4 form tests, on the basis their wrapper's generation
-check built).  ``automorphism_exists`` adds a half closure over the
-images, as a homomorphism onto a finite group is one to one, and
-``generator_map_automorphism``, whose full permutation ``extend`` needs,
-spreads phi along the Schreier tree and checks that its images are
-distinct.
+a proper subgroup.  An automorphism question is then a homomorphism
+check read off a basis, with no closure of its own: each generator's
+image phi(g) = psi(y)^-1 psi(y g) comes from two reached elements y and
+y g, psi substituting the images into their words, and phi must send
+every relator to 1 (von Dyck) and every source word to its image word.
+The verdict is exact: some endomorphism sends the sources to the images
+exactly when the check passes.  It needs the presentation to present the
+table's group, which every ``GroupRep`` built here does (see its
+docstring).  Two queries answer automorphism questions with it.
+``endomorphism_exists`` is the check alone on a given basis, for callers
+whose maps are one to one whenever they are endomorphisms (the rank-3
+and rank-4 form tests).  ``generator_map_automorphism`` builds the
+sources' basis, spreads phi along the Schreier tree and checks that its
+images are distinct, which gives the full permutation that ``extend``
+needs.
+
+Every table's Schreier tree comes from one breadth-first search,
+``_schreier_tree``, unless a quotient hands over the tree its labelling
+found (below).
 
 Every ``GroupRep`` attribute is set in ``__init__``, and none is added
 or cached later; the coset cap is an ``__init__`` argument for that
@@ -99,7 +102,7 @@ word that is already the identity is the group itself (von Dyck), so it
 keeps the group's table and Schreier tree, shared and not copied.  Any
 other quotient labels its blocks in row-scan order, which meets each
 label first on its breadth-first tree edge, and hands that tree to
-``GroupRep`` instead of having ``_tree_parents`` find it again.
+``GroupRep`` instead of having ``_schreier_tree`` search for it again.
 """
 
 from __future__ import annotations
@@ -731,35 +734,6 @@ def _schreier_tree(cols, n):
     return parent_coset, parent_col, order
 
 
-def _tree_parents(cols, n):
-    """The parent elements and columns of ``_schreier_tree(cols, n)``,
-    found without its order list for a table in row-scan standard form.
-    There the breadth-first search reaches the elements in index order, so
-    it reads the rows in index order and each element it reaches is the
-    next index.  A table where that fails, or whose inverse column does
-    not lead back, goes to ``_schreier_tree``.  The parent is stored as
-    the table's own int object, read off the inverse column, not as a
-    new one: new ints cost 0.38 MB on ex2's table."""
-    parent_coset = [-1] * n
-    parent_col = [-1] * n
-    reached = 1
-    numbered = tuple((x, col, cols[x ^ 1]) for x, col in enumerate(cols))
-    for c in range(n):
-        if c == reached:
-            break
-        for x, col, inv in numbered:
-            y = col[c]
-            if y >= reached:
-                if y != reached or inv[y] != c:
-                    return _schreier_tree(cols, n)[:2]
-                parent_coset[y] = inv[y]
-                parent_col[y] = x
-                reached += 1
-    if reached != n:
-        return _schreier_tree(cols, n)[:2]
-    return parent_coset, parent_col
-
-
 def _moving_relator(cols, relators):
     """The first of the relators that moves element 0 of the table with
     columns ``cols``, or None if each fixes it."""
@@ -782,7 +756,7 @@ class GroupRep:
     passes this group's own tree when it keeps this group's table, and
     the tree its block labelling found otherwise.  Every other table,
     built directly, enumerated or extended, gets it from
-    ``_tree_parents``.
+    ``_schreier_tree``.
     ``cap`` is the coset cap ``enumerate_group`` ran under, and
     ``DEFAULT_CAP``, the default of the ``cap`` argument, for a group
     built directly from a table.  Extensions and quotients built from
@@ -797,9 +771,10 @@ class GroupRep:
     automorphism queries rely on that: they read a homomorphism off the
     relators (``_phi_words``), so a group built directly from a table
     must keep it too.  They read it off the half ball of the source
-    words (``basis``), which ``generates`` builds too and which stops
-    once it holds more than half the group; ``subgroup_closure`` closes
-    over all of the subgroup.
+    words (``basis``), which stops once it holds more than half the
+    group; ``subgroup_closure`` closes over all of the subgroup.  The
+    two automorphism queries are ``endomorphism_exists``, on a basis the
+    caller keeps, and ``generator_map_automorphism``.
 
     Instances are immutable; all queries are pure.
     """
@@ -816,7 +791,7 @@ class GroupRep:
         self.order = len(table)
         self.cap = cap
         if tree is None:
-            tree = _tree_parents(table.cols, self.order)
+            tree = _schreier_tree(table.cols, self.order)[:2]
         self._parent_coset, self._parent_col = tree
 
     def _verify(self):
@@ -1014,7 +989,8 @@ class GroupRep:
 
         The loop stops, reading no further candidate, once E holds more
         than ``bound`` elements, by default all but one: then E is the
-        whole group.  ``_generates`` and ``basis`` pass half the order."""
+        whole group.  ``basis`` and ``generated_by_involutions`` pass half
+        the order."""
         cols = self.table.cols
         if bound is None:
             bound = self.order - 1
@@ -1052,16 +1028,6 @@ class GroupRep:
             if len(elements) > bound:
                 break
         return elements, mark, blocks
-
-    def _generates(self, candidate_indices) -> bool:
-        # a subgroup of more than half the elements is the group (Lagrange)
-        half = self.order // 2
-        return len(self._incremental_closure(candidate_indices, half)[0]) > half
-
-    def generates(self, gens) -> bool:
-        """True iff the given words generate the whole group:
-        ``basis(gens) is not None``."""
-        return self.basis(gens) is not None
 
     def basis(self, words):
         """The half ball of the given words, a ``Basis``, or None if they
@@ -1241,8 +1207,8 @@ class GroupRep:
         current label onto a coset, which gets the next label if it has
         none yet.  The labels are therefore in row-scan form, and each
         label is created at the row and column of its breadth-first tree
-        edge, the edge ``_tree_parents`` would find; the parent is stored
-        as the table's own int object, as there."""
+        edge, the edge ``_schreier_tree`` would find; the parent is
+        stored as one of the table's own int objects (``_label_ints``)."""
         cols = self.table.cols
         ints = self._label_ints(self.order)
         label = [-1] * self.order
@@ -1286,13 +1252,13 @@ class GroupRep:
 
     def extends_to_automorphism(self, images) -> bool:
         """True iff mapping generator i to images[i] defines a group
-        automorphism (``automorphism_exists``)."""
+        automorphism (``generator_map_automorphism``)."""
         images = tuple(images)
         ngens = self.presentation.ngens
         if len(images) != ngens:
             raise ValueError(f"need {ngens} images, got {len(images)}")
         gens = [Word.gen(i) for i in range(ngens)]
-        return self.automorphism_exists(gens, images)
+        return self.generator_map_automorphism(gens, images) is not None
 
     def generator_map_automorphism(self, sources, images):
         """The automorphism sending each source word to its image word,
@@ -1326,30 +1292,14 @@ class GroupRep:
             return None
         return alpha
 
-    def automorphism_exists(self, sources, images) -> bool:
-        """True iff some automorphism sends each source word to its image
-        word: ``generator_map_automorphism(sources, images) is not None``,
-        decided from two half balls.  The sources' half ball (``basis``;
-        False if they do not generate) decides whether a homomorphism phi
-        sends each source to its image (``_phi_words``), and the images'
-        closure, stopped just past half the group too, whether phi is
-        onto.  A homomorphism of a finite group onto itself is one to one,
-        so it is the automorphism."""
-        sources, s, u = self._map_elements(sources, images)
-        basis = self._basis(sources, s)
-        return (
-            basis is not None
-            and self._phi_words(basis, u) is not None
-            and self._generates(u)
-        )
-
     def endomorphism_exists(self, basis, images) -> bool:
         """True iff some endomorphism sends each source word of ``basis``
         (``basis(sources)``) to its image word, read off the basis
         without a closure (``_phi_words``).  A caller that knows every
         endomorphism with these images to be one to one, say because its
         square is the identity or an inner automorphism, gets the verdict
-        of ``automorphism_exists`` at the cost of a few words."""
+        of ``generator_map_automorphism(sources, images) is not None`` at
+        the cost of a few words."""
         u = self._map_elements(basis.sources, images)[2]
         return self._phi_words(basis, u) is not None
 
@@ -1361,8 +1311,8 @@ class GroupRep:
         images = tuple(images)
         if len(sources) != len(images):
             raise ValueError("need one image per source word")
-        if any(w.max_gen() >= self.presentation.ngens for w in sources + images):
-            raise ValueError("word uses undeclared generators")
+        for w in sources + images:
+            self._check_word(w)
         walk = self._walk
         return (
             sources,
@@ -1434,9 +1384,11 @@ class GroupRep:
         """True iff the order-2 elements generate the whole group.  The
         trivial group counts as generated by the empty set.  The closure
         takes the involutions as they are found and stops once it holds
-        more than half the group (``_generates``), so a True answer need
-        neither find them all nor close over the whole group."""
-        return self._generates(self._involutions())
+        more than half the group, which no proper subgroup is (Lagrange),
+        so a True answer need neither find them all nor close over the
+        whole group."""
+        half = self.order // 2
+        return len(self._incremental_closure(self._involutions(), half)[0]) > half
 
     def center(self) -> SubgroupHandle:
         """Elements commuting with every generator."""

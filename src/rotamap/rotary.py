@@ -219,13 +219,15 @@ def _form_exists(m, words, images) -> bool:
     wrapper ``m`` to ``images``, for a form whose square α² is the
     identity or an inner automorphism on every endomorphism α with these
     images.  Then such an α is one to one, so it is an automorphism, and
-    the homomorphism check on the wrapper's basis decides
-    (``GroupRep.endomorphism_exists``), with no closure.  A wrapper whose
-    basis is over other words, as a C-group's is over ρ when its σ are
-    mapped, takes the full test (``automorphism_exists``)."""
-    if m.basis.sources != tuple(words):
-        return m.rep.automorphism_exists(words, images)
-    return m.rep.endomorphism_exists(m.basis, images)
+    one homomorphism check on a basis of ``words`` decides
+    (``GroupRep.endomorphism_exists``), with no closure of its own.  The
+    basis is the wrapper's when it is over ``words``; otherwise, as for
+    a C-group's σ when its basis is over ρ, it is ``rep.basis(words)``,
+    and words that generate a proper subgroup have no basis and give
+    False."""
+    rep = m.rep
+    basis = m.basis if m.basis.sources == tuple(words) else rep.basis(words)
+    return basis is not None and rep.endomorphism_exists(basis, images)
 
 
 def is_reflexible3(m: RotationGroup3) -> bool:

@@ -349,6 +349,16 @@ class TestGenerate:
         assert main(["generate", "catalog", "torus-44-1-3", "--verify"]) == 0
         assert capsys.readouterr().out == "torus-44-1-3: ok\n"
 
+    def test_verify_rejects_out_exit_2(self, tmp_path, capsys):
+        # --verify writes nothing, so an --out directory would stay empty
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        assert main(["generate", "catalog", "ex3", "--verify", "--out", str(outdir)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--out does not apply to generate catalog --verify" in out.err
+        assert list(outdir.iterdir()) == []
+
     def test_generated_file_analyzes_to_expected_order(self, workdir, capsys):
         assert main(["analyze", str(workdir / "torus-44-1-3.pres"), "--json"]) == 0
         d = json.loads(capsys.readouterr().out)

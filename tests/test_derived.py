@@ -17,6 +17,7 @@ mutants of both."""
 import importlib.util
 import json
 import random
+from operator import lt
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,13 @@ def petrie_bases(ex1_pipe, ex2_chain, ex3_chain):
     }
 
 
+def _parents_first(rep):
+    """Every tree parent has a smaller index than its child, so
+    ``GroupRep._tree_order`` walks the tree in index order instead of
+    searching for its breadth-first order."""
+    return all(map(lt, rep._parent_coset, range(rep.order)))
+
+
 def _petrie_relator(m, k):
     s1, _, s3 = m.sigma
     return ((s1 * s3) ** k).reduce()
@@ -95,6 +103,7 @@ class TestExtension:
         assert ext.order == 2 * ext.base.order
         oracle = enumerate_group(ext.rep.presentation)
         assert ext.rep.table == oracle.table
+        assert _parents_first(ext.rep)
 
     @pytest.mark.parametrize("name", EXTENDED)
     def test_passes_the_whole_table_check(self, catalog_extensions, name):
@@ -261,7 +270,7 @@ class TestPetrieQuotient:
         assert q.presentation == oracle.presentation
         assert q.table == oracle.table
         # the quotient's tree is handed over (or shared), the oracle's
-        # found by _tree_parents
+        # found by _schreier_tree
         assert q._parent_coset == oracle._parent_coset
         assert q._parent_col == oracle._parent_col
 
@@ -274,6 +283,7 @@ class TestPetrieQuotient:
                 assert _recorded(recorded_tables, q) == spans.table_digest(q.table), (name, k)
                 tree = tuple(_schreier_tree(q.table.cols, q.order)[:2])
                 assert (q._parent_coset, q._parent_col) == tree, (name, k)
+                assert _parents_first(q), (name, k)
 
     # k a multiple of the Petrie length (20, 28 and 8): (s1 s3)^k is
     # already 1, so the quotient is the group itself
@@ -377,7 +387,9 @@ TORI = [
 class TestVerifyAgainstReference:
     @pytest.mark.parametrize("name", list(catalog()))
     def test_catalog_table(self, catalog_groups, name):
-        _assert_same_verdicts(catalog_groups.group(name).rep, name)
+        rep = catalog_groups.group(name).rep
+        _assert_same_verdicts(rep, name)
+        assert _parents_first(rep)
 
     @pytest.mark.parametrize("name", EXTENDED)
     def test_catalog_extension(self, catalog_extensions, name):

@@ -30,7 +30,6 @@ from rotamap.engine import (
     _rotations_by_column,
     _schreier_tree,
     _short_period,
-    _tree_parents,
 )
 from oracle import (
     hlt_reference,
@@ -190,32 +189,36 @@ class TestVerify:
 
 
 class TestTreeParents:
-    """``GroupRep`` finds its tree's parents without the order list on a
-    table in row-scan standard form; on every table they are those of
-    the breadth-first search ``_schreier_tree``."""
+    """The tree ``GroupRep`` holds is that of the breadth-first search
+    ``_schreier_tree`` on every table; in row-scan standard form every
+    parent has a smaller index."""
 
     @pytest.mark.parametrize("name", ["ex3", "simplex333", "torus-44-1-3"])
     def test_match_the_breadth_first_search(self, catalog_groups, name):
-        cols = catalog_groups.group(name).rep.table.cols
+        rep = catalog_groups.group(name).rep
+        cols = rep.table.cols
         n = len(cols[0])
         relabelled = _relabelled(cols, random.Random(name))
-        for table in (cols, relabelled):
-            assert _tree_parents(table, n) == _schreier_tree(table, n)[:2]
-        assert all(map(lt, _tree_parents(cols, n)[0], range(n)))
-        assert not all(map(lt, _tree_parents(relabelled, n)[0], range(n)))
+        tables = (cols, relabelled)
+        held = [GroupRep(rep.presentation, CosetTable(t, rep.presentation.ngens)) for t in tables]
+        for table, h in zip(tables, held):
+            assert (h._parent_coset, h._parent_col) == _schreier_tree(table, n)[:2]
+        assert all(map(lt, held[0]._parent_coset, range(n)))
+        assert not all(map(lt, held[1]._parent_coset, range(n)))
 
     def test_inverse_column_that_is_not_the_inverse(self):
-        # C3 with a copy of a's column as a^-1's: the elements are still
-        # reached in index order, but a parent cannot be read off a^-1's
-        # column
+        # C3 with a copy of a's column as a^-1's: the tree is built from
+        # the columns as given, and only _verify rejects the table
         table = ((1, 2, 0), (1, 2, 0))
-        assert _tree_parents(table, 3) == _schreier_tree(table, 3)[:2] == ([-1, 0, 1], [-1, 0, 0])
+        rep = GroupRep(parse_presentation("gens a\nrel a^3\n"), CosetTable(table, 1))
+        tree = (rep._parent_coset, rep._parent_col)
+        assert tree == _schreier_tree(table, 3)[:2] == ([-1, 0, 1], [-1, 0, 0])
 
     def test_intransitive_table_is_rejected(self):
         # two copies of C2: the identity's row reaches only element 1
         table = ((1, 0, 3, 2),) * 2
         with pytest.raises(InconsistencyError, match="not transitive"):
-            _tree_parents(table, 4)
+            GroupRep(parse_presentation("gens a\nrel a^2\n"), CosetTable(table, 1))
 
 
 class TestElements:

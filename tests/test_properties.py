@@ -187,7 +187,7 @@ def test_subgroup_closure_matches_word_bfs(small_groups, ex1_pipe, name, words):
     rep = small_groups["rot333"] if name == "rot333" else ex1_pipe.base.rep
     closure = word_bfs_closure(rep, words)
     assert rep.subgroup_closure(words).elements == closure
-    assert rep.generates(words) == (len(closure) == rep.order)
+    assert (rep.basis(words) is not None) == (len(closure) == rep.order)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

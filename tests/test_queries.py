@@ -26,6 +26,7 @@ from rotamap import (
     schlafli,
     torus_presentation,
 )
+from rotamap.rotary import _form_exists
 from rotamap.selfdual import DualityKind, _form_images
 from oracle import (
     automorphism_reference,
@@ -88,7 +89,7 @@ def _check_closures(rep, distinguished, seed):
     for words in _word_lists(rep, distinguished, seed):
         h = rep.subgroup_closure(words)
         assert h.elements == word_bfs_closure(rep, words), words
-        assert rep.generates(words) == (h.size == rep.order), words
+        assert (rep.basis(words) is not None) == (h.size == rep.order), words
         sizes.add(h.size)
     # the lists reach the trivial group, the whole group and something
     # in between
@@ -254,9 +255,9 @@ def test_undeclared_generator_is_value_error():
     with pytest.raises(ValueError):
         g.generator_map_automorphism([s1, s2, bad], [s1, s2, s3])
     with pytest.raises(ValueError):
-        g.automorphism_exists([s1, s2, s3], [s1, s2, bad])
+        g.endomorphism_exists(g.basis([s1, s2, s3]), [s1, s2, bad])
     with pytest.raises(ValueError):
-        g.generates([s1, bad])
+        g.basis([s1, bad])
 
 
 # (center, derived subgroup, normal closure of each distinguished word
@@ -322,7 +323,7 @@ def _caller_maps(d):
 
 
 def _certificate_inputs(rep, word_lists, conjugators, random_maps, seed):
-    """(sources, images) pairs for ``automorphism_exists``.  Each list d
+    """(sources, images) pairs for ``generator_map_automorphism``.  Each list d
     of distinguished words gets the images its callers give it, as is
     and with d conjugated by random words of 1 to 16 letters, as
     map-search draws them, and an inner automorphism; d's first word
@@ -348,19 +349,20 @@ def _certificate_inputs(rep, word_lists, conjugators, random_maps, seed):
 
 
 def _check_certificate(rep, inputs):
-    """``automorphism_exists`` and ``generator_map_automorphism``, which
-    both read the sources' half ball, against the full closure of
-    ``automorphism_reference`` on every input and, on small groups,
-    against ``naive_generator_map``; where the sources are the
-    presentation generators, ``extends_to_automorphism`` and, on small
-    groups, ``naive_is_automorphism`` too.  Returns the verdicts."""
+    """``generator_map_automorphism``, which reads the sources' half
+    ball, against the full closure of ``automorphism_reference`` on every
+    input and, on small groups, against ``naive_generator_map``; where
+    the sources are the presentation generators, ``extends_to_automorphism``
+    and, on small groups, ``naive_is_automorphism`` too.  Returns the
+    verdicts."""
     gens = [Word.gen(i) for i in range(rep.presentation.ngens)]
     verdicts = []
     for sources, images in inputs:
         want = automorphism_reference(rep, sources, images)
-        got = rep.automorphism_exists(sources, images)
+        alpha = rep.generator_map_automorphism(sources, images)
+        got = alpha is not None
         assert got == (want is not None), (sources, images)
-        assert rep.generator_map_automorphism(sources, images) == want, (sources, images)
+        assert alpha == want, (sources, images)
         if rep.order <= NAIVE_ORDER:
             assert naive_generator_map(rep, sources, images) == want, (sources, images)
         if list(sources) == gens:
@@ -479,7 +481,7 @@ def test_basis_of_more_than_256_blocks():
         want = automorphism_reference(cyclic, [a], [a ** k])
         assert (want is not None) == (k != 0)
         assert cyclic.generator_map_automorphism([a], [a ** k]) == want
-        assert cyclic.automorphism_exists([a], [a ** k]) == (k != 0)
+        assert (cyclic.generator_map_automorphism([a], [a ** k]) is not None) == (k != 0)
 
 
 # -- the form tests on the wrappers' bases -------------------------------------
@@ -552,8 +554,10 @@ ELEVEN_CELL = (
 ])
 def test_c_group_sigma_forms(catalog_groups, name, want):
     """A C-group's basis is over rho, so ``is_reflexible4`` and
-    ``detect_self_duality``, which map its sigma, take the full test;
-    their verdicts are pinned as they were before the basis."""
+    ``detect_self_duality``, which map its sigma, build a basis of sigma
+    of their own (``_form_exists``); their verdicts are pinned as they
+    were before the basis, and all three sigma forms are compared with
+    the full closure."""
     if name == "11-cell":
         p = parse_presentation(ELEVEN_CELL)
         c = RegularCGroup4(enumerate_group(p), p.distinguished)
@@ -562,8 +566,9 @@ def test_c_group_sigma_forms(catalog_groups, name, want):
         c = catalog_groups.group(name)
     assert c.basis.sources == c.rho
     assert (is_reflexible4(c), detect_self_duality(c).kind) == want
+    maps = _caller_maps(list(c.sigma))
     reflexible, improper, proper = (
-        automorphism_reference(c.rep, c.sigma, images) is not None
-        for images in _caller_maps(list(c.sigma))
+        automorphism_reference(c.rep, c.sigma, images) is not None for images in maps
     )
     assert (reflexible, improper) == (want[0], want[1] is DualityKind.IMPROPER)
+    assert [_form_exists(c, c.sigma, images) for images in maps] == [reflexible, improper, proper]
