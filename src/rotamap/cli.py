@@ -270,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     max_cosets = dict(
         type=int, default=DEFAULT_CAP, metavar="N",
-        help="coset cap for enumerations (default %(default)s)",
+        help="coset cap for enumerations: a bound on the cosets of <g> "
+        "defined times the exponent p of g's power relator g^p, and so on "
+        "the order (default %(default)s)",
     )
 
     def common(p):

@@ -1,10 +1,23 @@
 """Finite group models via Todd-Coxeter coset enumeration.
 
-Enumeration runs over the trivial subgroup, so cosets are group elements
-and the completed table is the regular permutation representation.  The
-strategy is a Felsch/HLT hybrid (Havas, "Coset enumeration strategies",
-ISSAC 1991).  Cosets are defined at the first missing table entry
-(scanning rows in index order, columns in generator order), and a
+Enumeration runs over a cyclic subgroup H = <g>, g the generator with
+the largest pure power relator g^p, or over the trivial subgroup if no
+relator is a power of one letter: the modified Todd-Coxeter procedure
+(Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
+ch. 5; Arrell and Robertson, "A modified Todd-Coxeter algorithm", 1984).
+Each table entry ``t --x--> u`` carries a Schreier label l, with
+r_t x = g^l r_u for the cosets' representatives, and the labels a scan
+adds up around a closed cycle, or a coincidence finds in disagreement,
+prove powers of g trivial: the modulus, the order of g as far as it is
+known, starts at p and falls to their gcd.  About |H| times fewer rows
+are defined and scanned, and ``_lift`` builds the regular table, element
+(k, t) = g^k r_t for each label k modulo the final modulus M, with one
+list comprehension per column and k.  Its docstring proves the order
+m M exact, m the index.  With trivial H, M = 1 and every label is 0.
+
+The strategy is a Felsch/HLT hybrid (Havas, "Coset enumeration
+strategies", ISSAC 1991).  Cosets are defined at the first missing table
+entry (scanning rows in index order, columns in generator order), and a
 deduction stack closes the consequences of each new entry before the
 next definition.  A relator with more than ``LONG_PERIOD`` (8) distinct
 rotations is instead closed once at each coset, HLT style, when the
@@ -13,12 +26,12 @@ cycles are closed already by then, so the loop first walks every long
 relator from a window of cosets at once, one list comprehension per
 letter, and closes only the cycles that walk finds open, and a scan
 interrupted by its one definition resumes where it stopped.  The table
-being built is stored by column too, one list per column, so a scan
-binds the column lists of its letters once and takes each step as
-``col[f]``, and each list ends in a -1 sentinel, so a walk that meets a
-gap stays at -1.
+being built is stored by column too, one list of entries and one of
+labels per column, so a scan binds the lists of its letters once and
+takes each step as ``col[f]``, and each list ends in a sentinel, so a
+walk that meets a gap stays at -1.
 
-The live cosets are then numbered in row-scan order: the identity is 0,
+The lifted elements are then numbered in row-scan order: the identity is 0,
 and every other element gets the next number where it first appears
 when the rows are read in order, each in column order.  That is the
 standard form of Sims (*Computation with Finitely Presented Groups*,
@@ -31,9 +44,7 @@ Column encoding matches rotamap.words: generator i occupies column 2*i,
 its inverse column 2*i + 1, so the inverse column is ``col ^ 1``.  A
 completed table (``CosetTable``) is stored by column: ``cols[x][e]`` is
 element e times letter x, one tuple per column.  That takes one tuple per
-column instead of one per element (the tuples of ex2's table, 20,160
-elements, take 0.97 MB instead of 1.94 MB as rows, and those of its
-extension 2.58 MB instead of 4.52 MB; the ints are shared), and it lets
+column instead of one per element, about half the memory, and it lets
 a pass over many elements apply one letter to all of them at once, ``ys =
 [col[y] for y in ys]``, instead of one interpreted lookup per element and
 letter.  ``_verify`` checks a table with such passes, a few per
@@ -72,23 +83,22 @@ found (below).
 Every ``GroupRep`` attribute is set in ``__init__``, and none is added
 or cached later; the coset cap is an ``__init__`` argument for that
 reason.  Attribute loads are on the hot path of the per-element queries,
-and a lazily cached attribute is slower to load: with the columns held
-in a ``functools.cached_property``, ``involutions`` ran 1.6 times and
-``normal_closure`` 1.25 times as long on four torus groups as with them
-set in ``__init__`` (CPython 3.11.7), likely because CPython 3.11 does
-not specialise the load of an instance attribute that a class-level
+and a lazily cached attribute (``functools.cached_property``) is
+measurably slower to load, likely because CPython 3.11 does not
+specialise the load of an instance attribute that a class-level
 descriptor shadows.
 
 Each new table edge ``c --x--> d`` is one deduction, ``(c, x)``: it is
 checked against every rotation of a short relator or its inverse that
 starts with x, at most ``LONG_PERIOD`` of each.  Those rotations are
 grouped by first letter and stored as index ranges into one doubled copy
-``w + w`` of each distinct cyclic word, with the column lists of its
-letters bound once per doubled word, so they take space linear in the
-relator lengths.
+``w + w`` of each distinct cyclic word, with the column and label lists
+of its letters bound once per doubled word, so they take space linear in
+the relator lengths.
 
 Coincidences (two cosets proved equal) are processed eagerly with a
-union-find structure, migrating table entries to the surviving coset and
+union-find structure, whose offsets relate each coset's representative
+to its parent's, migrating table entries to the surviving coset and
 feeding each migrated entry back into the deduction stack.
 
 Groups derived from a complete table, an index-2 extension
@@ -108,6 +118,7 @@ label first on its breadth-first tree edge, and hands that tree to
 from __future__ import annotations
 
 from collections import deque
+from math import gcd
 from operator import eq, lt
 
 from .errors import CapExceededError, CollapseError, InconsistencyError
@@ -135,25 +146,43 @@ def _short_period(w):
     return None
 
 
-def _bind(w, cols):
-    """The column lists of the letters of w, and of their inverses."""
-    return tuple([cols[c] for c in w]), tuple([cols[c ^ 1] for c in w])
+def _cyclic_subgroup(relators):
+    """``(g, p)`` for the generator column g with the largest pure power
+    relator, g^p or g^-p, the first such column on a tie; None if no
+    relator is a power of one letter."""
+    powers = [(len(r), -(r[0] & ~1)) for r in relators if r.count(r[0]) == len(r)]
+    if not powers:
+        return None
+    p, g = max(powers)
+    return -g, p
 
 
-def _rotations_by_column(relators, cols):
+def _bind(w, cols, labs):
+    """The column lists of the letters of w and their label lists, then
+    those of the inverse letters: ``fw, fl, bw, bl``."""
+    inv = [c ^ 1 for c in w]
+    return (
+        tuple([cols[c] for c in w]),
+        tuple([labs[c] for c in w]),
+        tuple([cols[c] for c in inv]),
+        tuple([labs[c] for c in inv]),
+    )
+
+
+def _rotations_by_column(relators, cols, labs):
     """All cyclic rotations of each relator and its inverse, grouped by
     first letter and deduplicated, in order of first occurrence.  Every
     relator must be short: at most ``LONG_PERIOD`` distinct rotations.
-    ``cols`` holds one list per table column.
+    ``cols`` and ``labs`` hold one list per table column.
 
-    A rotation is stored as ``(ww, fw, bw, start, end)``: the letters
-    ``ww[start..end]`` (inclusive) of the doubled word ``ww = w + w``,
-    which all rotations of w share, and ``fw, bw = _bind(ww, cols)``,
-    shared the same way, so storage is linear in the relator lengths.
-    Two words have a rotation in common exactly when they have the same
-    least rotation, the least of the first p for a word with p distinct
-    rotations.  So a word whose least rotation was seen before adds
-    nothing; otherwise its rotations at offsets below p are new and
+    A rotation is stored as ``(ww, fw, fl, bw, bl, start, end)``: the
+    letters ``ww[start..end]`` (inclusive) of the doubled word
+    ``ww = w + w``, which all rotations of w share, and ``_bind(ww, cols,
+    labs)``, shared the same way, so storage is linear in the relator
+    lengths.  Two words have a rotation in common exactly when they have
+    the same least rotation, the least of the first p for a word with p
+    distinct rotations.  So a word whose least rotation was seen before
+    adds nothing; otherwise its rotations at offsets below p are new and
     pairwise distinct, and the later ones repeat them.
     """
     buckets = [[] for _ in cols]
@@ -168,17 +197,47 @@ def _rotations_by_column(relators, cols):
             if key in seen:
                 continue
             seen.add(key)
-            fw, bw = _bind(ww, cols)
+            bound = _bind(ww, cols, labs)
             for i in range(p):
-                buckets[w[i]].append((ww, fw, bw, i, i + n - 1))
+                buckets[w[i]].append((ww, *bound, i, i + n - 1))
     return [tuple(b) for b in buckets]
 
 
-def _enumerate_cosets(ncols, relators, cap):
-    """Run the enumeration; returns (cols, parent) before compression,
-    ``cols[x][c]`` the raw table entry of coset c in column x, or -1.  A
-    coset c is live when ``parent[c] == c``; a coincidence points the
-    larger coset at the smaller, so ``parent[c] <= c`` always.
+def _enumerate_cosets(ncols, relators, cap, h=None):
+    """Enumerate the cosets of H = <g> for ``h = (g, p)``, g a generator
+    column and g^p a relator, or of the trivial subgroup for None.
+    Returns ``(cols, parent, labs, modulus)`` before compression:
+    ``cols[x][c]`` is the raw table entry of coset c in column x, or -1,
+    and ``labs[x][c]`` its Schreier label.  A coset c is live when
+    ``parent[c] == c``; a coincidence points the larger coset at the
+    smaller, so ``parent[c] <= c`` always.  ``_lift`` builds the regular
+    table from them.
+
+    **Labels.**  Coset c stands for H r_c, r_c its representative, and an
+    entry ``t --x--> u`` holds a label l with r_t x = g^l r_u.  Coset 0 is
+    H itself and starts closed under g: ``0 --g--> 0`` with label 1 and
+    ``0 --g^-1--> 0`` with -1.  A new definition gets 0.  A scan adds up
+    the labels along its walk: from c, a walk by a word v reaching f with
+    sum s says r_c v = g^s r_f.  A gap of one letter x between the
+    forward walk's end f (sum s) and the backward walk's end b (sum t)
+    gets ``f --x--> b`` with t - s, and the inverse entry s - t.  The
+    union-find carries an offset too: r_c = g^off[c] r_parent[c], zero at
+    a live coset.  ``find`` halves paths as it goes, adding the offsets it
+    skips, and a migrated entry takes the offsets of both its ends.
+    Outside a coincidence every entry of a live row points at a live
+    coset: a dying coset's row migrates, clearing the inverse of each of
+    its entries, and those inverses are all the entries that point at
+    it.  So a walk from a live coset meets only live cosets, and a scan
+    that finds a coincidence finds two distinct live cosets.
+
+    **Modulus.**  ``modulus`` starts at p (1 for trivial H) and only
+    shrinks.  A cycle that comes back to its start with a sum k proves
+    g^k = 1, and so do two entries that a coincidence merges into one
+    whose labels, offsets added, disagree by k; either makes it
+    gcd(modulus, k).  Labels are compared
+    modulo the current modulus, and as each new one divides the last, a
+    label taken modulo an earlier one stays right.  Every such k is a
+    relation of the group, so |H| divides the modulus throughout.
 
     A relator with at most ``LONG_PERIOD`` distinct rotations is short
     and is handled Felsch style.  Every new table edge ``c --x--> d`` is
@@ -189,299 +248,359 @@ def _enumerate_cosets(ncols, relators, cap):
     cycle that crosses it backwards, as ``d --x^-1--> c``, is the same
     closed path read in reverse by the inverse relator, whose rotation
     starting with x at c is in the buckets too.  Pushing ``(d, x^-1)``
-    as well would only scan the same cycles again.
+    as well would only scan the same cycles again.  Coset 0's edge
+    ``0 --g--> 0`` is pushed before the loop starts.
 
     A long relator is closed HLT style instead, once per coset: when the
     definition loop reaches a live coset, it first scans each long
     relator there, forward to the first gap and backward to the last.  A
-    closed mismatch is a coincidence and a one-letter gap a deduction; a
-    longer gap gets one definition at its forward end, whose deductions
-    are drained before the scan goes on.  Then the coset's row is filled,
+    closed mismatch is a coincidence, a closed cycle with a nonzero sum
+    shrinks the modulus, and a one-letter gap is a deduction; a longer
+    gap gets one definition at its forward end, whose deductions are
+    drained before the scan goes on.  Then the coset's row is filled,
     each new edge going through the short-relator deductions.
+
+    Why the split: Felsch scans every rotation of a relator at every new
+    edge, so a relator of period L costs about n L^2 table steps on n
+    cosets, and the HLT scan about n L, at the price of some rows
+    defined that Felsch would not.  A bound of 8 sends the torus
+    translation relators of the rank-4 entries, of 9 to 13 rotations,
+    to HLT and keeps ex1's of period 8 with Felsch; higher bounds made
+    the catalog slower (CHANGES.md has the timings).  The period, not
+    the length, decides: a proper power u^k has only |u| rotations, so
+    Felsch scans it cheaply, while closing it once per coset where it
+    makes a quotient collapse defines far more rows.  A long primitive
+    relator that makes a group collapse can still define several times
+    the rows Felsch would; the cap bounds the run.
 
     Two shortcuts skip only scan work that does nothing, so the cosets
     defined, in their order, and the table are those of a loop that
     closes every long relator at every coset and rescans from the coset
     after each definition (``tests/oracle.hlt_reference``; the tests
-    compare the raw tables and parents).
+    compare the raw tables and parents for trivial H).
 
     - **Window.**  Reaching a live coset past the current window, the
       loop opens a new window there: that coset and the ones after it
-      defined so far, ``WINDOW`` (256) at most.  It walks each long
-      relator from all of them at once, ``xs = [col[x] for x in xs]``
-      per letter.  Every column list ends in a -1
-      sentinel (``col[-1] == -1``; each new coset takes the sentinel's
-      slot and appends a new one), so a walk that meets a gap stays at
-      -1.  A coset whose walk comes back to it has its cycle closed, and
-      the loop skips its ``close``.  That call would do nothing: the
-      table only gains entries, and a coincidence maps closed paths to
-      closed paths (see "Sound" below), so the cycle is still closed
-      when the loop gets there, and ``close`` returns at once on a
-      closed cycle.
+      defined so far, ``WINDOW`` (256) at most; windows of 64 to 1,024
+      cosets did as well.  It walks each long
+      relator from all of them at once, one list comprehension per
+      letter, keeping the label sum next to each coset.  Every column
+      list ends in a -1 sentinel (``col[-1] == -1``; each new coset
+      takes the sentinel's slot and appends a new one), so a walk that
+      meets a gap stays at -1.  A coset whose walk comes back to it with
+      a sum of 0 modulo the modulus has its cycle closed, and the loop
+      skips its ``close``.  That call would do nothing: the table only
+      gains entries, and a coincidence maps a closed path of sum 0 to a
+      closed path of sum 0 (see "Sound" below), so the cycle is still
+      closed when the loop gets there, and ``close`` returns at once.
     - **Resume.**  After the definition at the forward end of a gap,
-      the forward scan goes on from where it stopped.  Unless a
-      coincidence ran in that definition's drain (``coincide`` counts
-      its merges), the path walked from the coset is unchanged, so a
-      rescan would retrace it.  After a coincidence the scan starts
-      afresh, or stops if the coset died.
+      the forward scan goes on from where it stopped, with the sum it
+      had.  Unless a coincidence ran in that definition's drain
+      (``coincide`` counts its merges), the path walked from the coset
+      is unchanged, so a rescan would retrace it.  After a coincidence
+      the scan starts afresh, or stops if the coset died.
 
-    Over one pass of the torus-sweep benchmark (85 tori, seed 9001),
-    107,365 of the 110,912 ``close`` calls found the cycle closed, and
-    they walked 5.30M of its 6.56M forward steps; 58,284 scans restarted
-    after a definition.  With a window of 256, 97,322 calls are skipped
-    (101,056 at 64, 93,300 at 1,024) and the remaining ones walk 0.59M
-    forward steps, against 5.83M steps in the windows.  A step in a
-    comprehension is the cheaper one: 33 ns against 53 ns for a step of
-    the scan loop, walking 100 letters from 256 cosets, before the cost
-    of the call.  Over one catalog pass, 133,340 of 145,328 calls
-    found the cycle closed (1.36M of 1.62M steps) and 118,605 are
-    skipped (122,517 at 64, 111,672 at 1,024, 76,175 with one window over
-    all cosets).  Enumerating the 126 tori {4,4}, {3,6} and {6,3}(b, c)
-    with b even and c odd, b, c <= 12, took 0.80 to 0.84 times as long
-    in three sets of alternating rounds, and the 13 catalog presentations
-    0.87 to 0.99 times.  Windows of 64 to 512 were within the host's noise
-    of each other; the small groups that collapse, which pay for windows
-    they do not use, stayed at 0.99 to 1.02 times (ex3) and 0.99 to 1.17
-    times (ex2q7).  Times on a shared 2-core Xeon, CPython 3.11.7.
+    The table is kept by column, ``cols[x][c]`` and ``labs[x][c]``, and
+    every rotation and long relator binds the column and label lists of
+    its letters, and of their inverses, once (``_bind``), so a scan step
+    is ``fw[i][f]`` and ``fl[i][f]``.  Every rotation in the bucket of a
+    deduction ``(c, x)`` starts with the edge ``c --x--> d``, so d is
+    read once and read again only after the bucket's scans change the
+    table.  That is the work of a table kept as one list per coset, in
+    the same order, so it defines the same rows, in about half the
+    memory and in less time.
 
-    Felsch scans every rotation of a relator at every new edge, so a
-    relator of period L costs about n L^2 table steps on n cosets, and
-    the HLT scan about n L.  On the 468 torus groups {4,4}, {3,6} and
-    {6,3}(b,c) with b <= 12 and c <= 12, whose translation relators have
-    up to 106 letters, enumeration took 4.6 s instead of 54 s under pure
-    Felsch, with at most 1.38 times the order defined.  The bound of 8
-    also sends the torus translation relators of the rank-4 entries, of
-    9 to 13 rotations, to HLT: ex2 (order 20,160) defines 22,508 rows
-    instead of 20,648 but enumerates in 0.30 s instead of 0.53 s, and ex3
-    (order 672) 716 rows instead of 675 in 7 ms instead of 14 ms, against
-    a bound of 16 (fastest of 15 runs).  The 13 catalog entries took
-    0.89 s in all at a bound of 8, 1.37 to 1.43 s at 10 or 12 and 1.55 s
-    at 16; below 8, ex1's period-8 translation relators would change
-    strategy too.
+    Sound: Felsch closes every short relator cycle, with sum 0.  A coset
+    live at the end was live when the loop reached it, and every long
+    relator cycle at it was closed with sum 0 then, by ``close`` or
+    already when its window was walked.  A coincidence maps a path to
+    one between the live cosets, the offsets it adds cancel around a
+    cycle, and an entry it merges into another changes a sum by a
+    multiple of the new modulus, so closed paths of sum 0 stay so.  ``enumerate_group``
+    checks the lifted table against the presentation all the same.
 
-    The period, not the length, decides.  A proper power u^k has only
-    |u| rotations, so Felsch scans it cheaply, while closing it once per
-    coset where it makes a quotient collapse defines far more rows: ex1
-    with (s1 s3)^29, of order 4, took 68,243 rows under a 16-letter rule
-    and takes Felsch's 1,736 under this one.  Every Petrie relator
-    (s1 s3)^k has period 2, so it stays in the Felsch buckets whatever k
-    is.  The cost: a long primitive relator that makes a group collapse
-    can define more rows than Felsch (ex2q7 with six random 60-letter
-    relators that collapse it: 3,010 to 9,630 rows against Felsch's 746
-    to 3,036, in 28 to 81 ms against 45 to 312 ms).  The cap still bounds
-    the run.
-
-    The table is kept by column, ``cols[x][c]``, and every rotation and
-    long relator binds the column lists of its letters, and of their
-    inverses, once (``_bind``), so a scan step is ``fw[i][f]``.  Every
-    rotation in the bucket of a deduction ``(c, x)`` starts with the edge
-    ``c --x--> d``, so d is read once and read again only after the
-    bucket's scans change the table.  That is the work of a table kept
-    as one list per coset, in the same order, so it defines the same
-    rows and builds the same table, in about half the memory and faster:
-    ex2 took 0.30 s instead of 0.33 s at this bound, and 0.53 s instead
-    of 0.72 s at a bound of 16.  Times on a shared 2-core Xeon, CPython
-    3.11.7.
-
-    Sound: Felsch closes every short relator cycle.  A coset live at the
-    end was live when the loop reached it, and every long relator cycle
-    at it was closed then, by ``close`` or already when its window was
-    walked.  A coincidence maps closed paths to closed
-    paths, so they stay closed.  ``enumerate_group`` checks the table
-    against the presentation all the same.
+    The cap counts the rows defined, coset 0 included, times p: a
+    definition that would take that past ``cap`` raises
+    CapExceededError, whose count is the live cosets times p.
     """
+    g, p = (None, 1) if h is None else h
     # coset 0's entries and the sentinel: col[-1] == -1 always, as each
     # new coset takes the sentinel's slot, so a walk stays at -1 past a gap
     cols = [[-1, -1] for _ in range(ncols)]
+    labs = [[0, 0] for _ in range(ncols)]
     parent = [0]
-    long_relators = [(w, *_bind(w, cols)) for w in relators if _short_period(w) is None]
+    off = [0]
+    modulus = p
+    long_relators = [(w, *_bind(w, cols, labs)) for w in relators if _short_period(w) is None]
     rot_by_col = _rotations_by_column(
-        [r for r in relators if _short_period(r) is not None], cols)
-    columns = [(x, cols[x], cols[x ^ 1]) for x in range(ncols)]
+        [r for r in relators if _short_period(r) is not None], cols, labs)
+    columns = [(x, cols[x], labs[x], cols[x ^ 1], labs[x ^ 1]) for x in range(ncols)]
     stack = []
     push = stack.append
     merges = 0
 
     def find(c):
+        # the live coset of c and the exponent o with r_c = g^o r_live
+        o = 0
         while parent[c] != c:
-            parent[c] = parent[parent[c]]
+            q = parent[c]
+            off[c] += off[q]
+            parent[c] = parent[q]
+            o += off[c]
             c = parent[c]
-        return c
+        return c, o
 
-    def coincide(a, b):
-        nonlocal merges
-        a, b = find(a), find(b)
-        if a == b:
-            return
+    def join(a, b, k):
+        # live cosets a != b with r_a = g^k r_b are one: the larger dies,
+        # and is returned
+        if a < b:
+            a, b, k = b, a, -k
+        parent[a] = b
+        off[a] = k
+        return a
+
+    def link(c, x, d, l):
+        # the entry c --x--> d of label l, its inverse, and its deduction
+        cols[x][c] = d
+        labs[x][c] = l % modulus
+        cols[x ^ 1][d] = c
+        labs[x ^ 1][d] = -l % modulus
+        push((c, x))
+
+    def coincide(a, b, k):
+        # distinct live cosets a and b with r_a = g^k r_b are one
+        nonlocal merges, modulus
         merges += 1
-        if a > b:
-            a, b = b, a
-        parent[b] = a
-        q = deque((b,))
+        q = deque((join(a, b, k),))
         while q:
-            g = q.popleft()
-            for x, col, inv in columns:
-                d = col[g]
+            dead = q.popleft()
+            for x, col, lab, inv, ilab in columns:
+                d = col[dead]
                 if d < 0:
                     continue
                 inv[d] = -1
-                mu = find(g)
-                nu = find(d)
+                mu, o = find(dead)
+                nu, on = find(d)
+                # r_mu x = g^l r_nu
+                l = lab[dead] - o + on
                 e = col[mu]
                 if e >= 0:
-                    e = find(e)
+                    e, o = find(e)
+                    # r_nu = g^k r_e
+                    k = lab[mu] + o - l
                     if e != nu:
-                        u, v = (e, nu) if e < nu else (nu, e)
-                        parent[v] = u
-                        q.append(v)
+                        q.append(join(nu, e, k))
+                    else:
+                        modulus = gcd(modulus, k)
                 elif inv[nu] >= 0:
-                    e = find(inv[nu])
+                    e, o = find(inv[nu])
+                    # r_mu = g^k r_e
+                    k = l + ilab[nu] + o
                     if e != mu:
-                        u, v = (e, mu) if e < mu else (mu, e)
-                        parent[v] = u
-                        q.append(v)
+                        q.append(join(mu, e, k))
+                    else:
+                        modulus = gcd(modulus, k)
                 else:
-                    col[mu] = nu
-                    inv[nu] = mu
-                    push((mu, x))
+                    link(mu, x, nu, l)
 
     def drain():
+        nonlocal modulus
         while stack:
             c, x = stack.pop()
             while parent[c] != c:
                 c = parent[c]
             # every rotation in the bucket starts with the edge c --x--> d
             cx = cols[x]
+            lx = labs[x]
             d = cx[c]
-            for ww, fw, bw, i, j in rot_by_col[x]:
+            for ww, fw, fl, bw, bl, i, j in rot_by_col[x]:
                 # scan the relator rotation ww[i..j] from coset c; it must
-                # close up
+                # close up with a label sum of 0
                 if d < 0:
                     f = c
+                    s = 0
                 else:
                     f = d
+                    s = lx[c]
                     i += 1
                 while i <= j:
                     nxt = fw[i][f]
                     if nxt < 0:
                         break
+                    s += fl[i][f]
                     f = nxt
                     i += 1
                 if i > j:
                     if f != c:
-                        coincide(f, c)
+                        coincide(f, c, -s)
                         while parent[c] != c:
                             c = parent[c]
                         d = cx[c]
+                    else:
+                        modulus = gcd(modulus, s)
                     continue
                 b = c
+                t = 0
                 while j >= i:
                     nxt = bw[j][b]
                     if nxt < 0:
                         break
+                    t += bl[j][b]
                     b = nxt
                     j -= 1
                 if j < i:
-                    coincide(f, b)
+                    coincide(f, b, t - s)
                     while parent[c] != c:
                         c = parent[c]
                     d = cx[c]
                 elif j == i:
-                    fw[i][f] = b
-                    bw[i][b] = f
-                    push((f, ww[i]))
+                    link(f, ww[i], b, t - s)
                     d = cx[c]
 
     def define(c, x):
         # a new coset at the empty entry c --x-->, and its deductions;
         # it takes the sentinel's slot, and a new sentinel goes after it
         n = len(parent)
-        if n >= cap:
+        if (n + 1) * p > cap:
             live = sum(1 for k in range(n) if parent[k] == k)
-            raise CapExceededError(cap, live)
+            raise CapExceededError(cap, live * p)
         for col in cols:
             col.append(-1)
+        for lab in labs:
+            lab.append(0)
         parent.append(n)
-        cols[x][c] = n
-        cols[x ^ 1][n] = c
-        push((c, x))
+        off.append(0)
+        link(c, x, n, 0)
         drain()
 
-    def close(c, w, fw, bw):
+    def close(c, w, fw, fl, bw, bl):
         # close the cycle of the long relator w at coset c, or stop when
         # c dies in a coincidence
+        nonlocal modulus
         if parent[c] != c:
             return
         last = len(w) - 1
         f = c
+        s = 0
         i = 0
         while True:
             while i <= last:
                 nxt = fw[i][f]
                 if nxt < 0:
                     break
+                s += fl[i][f]
                 f = nxt
                 i += 1
             if i > last:
                 if f != c:
-                    coincide(f, c)
+                    coincide(f, c, -s)
                     drain()
+                else:
+                    modulus = gcd(modulus, s)
                 return
             b = c
+            t = 0
             j = last
             while j >= i:
                 nxt = bw[j][b]
                 if nxt < 0:
                     break
+                t += bl[j][b]
                 b = nxt
                 j -= 1
             if j > i:
-                # one definition; the path from c to f stands unless a
-                # coincidence ran, so the scan resumes at f
+                # one definition; the path from c to f and its sum stand
+                # unless a coincidence ran, so the scan resumes at f
                 seen = merges
                 define(f, w[i])
                 if merges != seen:
                     if parent[c] != c:
                         return
                     f = c
+                    s = 0
                     i = 0
                 continue
             if j < i:
-                coincide(f, b)
+                coincide(f, b, t - s)
             else:
-                fw[i][f] = b
-                bw[i][b] = f
-                push((f, w[i]))
+                link(f, w[i], b, t - s)
             drain()
             return
 
+    if g is not None:
+        cols[g][0] = cols[g ^ 1][0] = 0
+        labs[g][0] = 1 % p
+        labs[g ^ 1][0] = -1 % p
+        push((0, g))
+        drain()
     i = 0
     hi = 0
     while i < len(parent):
         if parent[i] == i:
             if i >= hi:
                 # walk every long relator from a window of cosets at once,
-                # and keep the cycles still open
+                # and keep the cycles still open or of a nonzero sum
                 lo, hi = i, min(i + WINDOW, len(parent))
                 starts = range(lo, hi)
                 todo = []
-                for _, fw, _ in long_relators:
+                for _, fw, fl, _, _ in long_relators:
                     xs = starts
-                    for col in fw:
+                    ss = [0] * (hi - lo)
+                    for col, lab in zip(fw, fl):
+                        ss = [s + lab[x] for s, x in zip(ss, xs)]
                         xs = [col[x] for x in xs]
-                    todo.append([x != s for x, s in zip(xs, starts)])
-            for (w, fw, bw), still_open in zip(long_relators, todo):
+                    todo.append([x != t or s % modulus for x, t, s in zip(xs, starts, ss)])
+            for (w, fw, fl, bw, bl), still_open in zip(long_relators, todo):
                 if still_open[i - lo]:
-                    close(i, w, fw, bw)
-            for x, col, _ in columns:
+                    close(i, w, fw, fl, bw, bl)
+            for x, col, _, _, _ in columns:
                 if parent[i] != i:
                     break
                 if col[i] < 0:
                     define(i, x)
         i += 1
-    for col in cols:
+    for col in cols + labs:
         col.pop()
-    return cols, parent
+    return cols, parent, labs, modulus
+
+
+def _lift(cols, parent, labs, modulus) -> tuple:
+    """The columns of the regular table of the group, in row-scan
+    standard form, from ``_enumerate_cosets``'s result.  With m live
+    cosets, numbered in index order, and final modulus M, element (k, t)
+    = g^k r_t gets index k m + t, and column x sends it to ((k + l) mod
+    M) m + u, u = t x and l the entry's label.  Each column is one
+    comprehension over the M values of k, whose ints are the objects of
+    one shared list; ``_row_scan`` then relabels them.  Every entry of a
+    live row must be defined and point at a live coset (see
+    ``_enumerate_cosets``), else InconsistencyError.
+
+    Why the order m M is exact: ``_verify`` proves the lifted table the
+    regular representation of a quotient of the presented group G, so
+    m M <= |G|.  The enumeration deduces only what holds in G, so
+    m = |G:H|, and every relation it finds holds in G, so |H| divides M.
+    So |G| = m |H| <= m M, and the two are equal.  A false coincidence or
+    a wrong modulus would give a smaller quotient that still passes
+    ``_verify``, as a false coincidence would over the trivial subgroup;
+    the tests compare the tables over H and over the trivial subgroup."""
+    live = [c for c, q in enumerate(parent) if c == q]
+    m = len(live)
+    n = m * modulus
+    # the position of each live coset, -1 for a dead one and for a gap
+    pos = [-1] * (len(parent) + 1)
+    for t, c in enumerate(live):
+        pos[c] = t
+    ints = list(range(n))
+    raw = []
+    for col, lab in zip(cols, labs):
+        targets = [pos[col[t]] for t in live]
+        if -1 in targets:
+            raise InconsistencyError("an entry survived enumeration undefined or dead")
+        image = [(lab[t] * m + u) % n for t, u in zip(live, targets)]
+        # (k, t) goes to image[t] + k m modulo n: ints[v - s] with
+        # s = n - k m wraps round through the negative indices
+        raw.append([ints[v - s] for s in range(n, 0, -m) for v in image])
+    return _row_scan(raw, ints)
 
 
 class CosetTable:
@@ -621,13 +740,17 @@ def _check_extension_shape(base: Presentation, presentation: Presentation, sourc
 
 
 def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
-    """Enumerate the group presented by p over the trivial subgroup.
+    """Enumerate the group presented by p: the cosets of H = <g>, g the
+    generator of the largest pure power relator (``_cyclic_subgroup``;
+    H trivial if there is none), lifted to the regular table
+    (``_lift``).
 
     The table is in row-scan standard form, so it depends only on the
     group and the order of p's generators.  Raises CapExceededError if
-    more than ``cap`` cosets get defined, counting those later found
-    equal to others (a torus group defines up to about 1.4 times its
-    order), and ValueError for an empty generator list or for relators
+    the rows of the coset table of H defined, counting those later found
+    equal to others, times the exponent p of g's power relator (1 for
+    trivial H) would exceed ``cap``; that product bounds the order too.
+    Raises ValueError for an empty generator list or for relators
     (cyclically reduced, duplicates dropped) of more than ``cap`` letters
     in all, since the work at each coset grows with their letters: each
     deduction scans up to ``LONG_PERIOD`` rotations of every short
@@ -641,35 +764,9 @@ def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
         raise ValueError("presentation has no generators")
     if cap < 1:
         raise ValueError("cap must be positive")
-    ncols = 2 * p.ngens
     relators = _bounded_relators(p, cap)
-    raw_cols, parent = _enumerate_cosets(ncols, relators, cap)
-
-    # every coset to its live one: parent[c] <= c, so one forward pass
-    for c, q in enumerate(parent):
-        parent[c] = parent[q]
-    # number the live cosets by the _row_scan rule, then relabel every
-    # entry through one list from raw index to label, dropping each raw
-    # column once its relabelled column is built
-    label = [-1] * len(parent)
-    label[0] = 0
-    order = [0]
-    for c in order:
-        for col in raw_cols:
-            e = col[c]
-            if e < 0:
-                raise InconsistencyError("undefined entry survived enumeration")
-            t = parent[e]
-            if label[t] < 0:
-                label[t] = len(order)
-                order.append(t)
-    relabel = [label[q] for q in parent]
-    cols = []
-    for x, col in enumerate(raw_cols):
-        raw_cols[x] = None
-        cols.append(tuple([relabel[col[c]] for c in order]))
-    cols = tuple(cols)
-    rep = GroupRep(p, CosetTable(cols, p.ngens), cap)
+    cosets = _enumerate_cosets(2 * p.ngens, relators, cap, _cyclic_subgroup(relators))
+    rep = GroupRep(p, CosetTable(_lift(*cosets), p.ngens), cap)
     rep._verify()
     return rep
 
@@ -681,9 +778,8 @@ def _row_scan(raw_cols, ints) -> tuple:
     column order.  ``raw_cols[x][e]`` is the entry of element e in column
     x under the old labels, which lie below ``len(ints)``; label k is the
     object ``ints[k]`` (see ``GroupRep._label_ints``).  Each raw column
-    is dropped from ``raw_cols`` once its relabelled column is built,
-    which kept the catalog benchmark's ``peak_rss_mb`` 0.55 MB lower
-    (2-core Xeon, CPython 3.11)."""
+    is dropped from ``raw_cols`` once its relabelled column is built, to
+    lower the peak memory."""
     label = [-1] * len(ints)
     label[0] = 0
     order = [0]

@@ -17,11 +17,12 @@ doubled words, and takes relators of any period.
 ``felsch_table`` puts its table in row-scan form, which
 ``enumerate_group``'s tables take whatever order cosets are defined in.
 
-``hlt_reference`` is the engine's hybrid enumeration as it was before
-the definition loop checked long relator cycles a window of cosets at a
-time and resumed each HLT scan after its definition; the engine must
-return the same raw table and parents, so both shortcuts only skip work
-that does nothing.
+``hlt_reference`` is the engine's hybrid enumeration over the trivial
+subgroup, without Schreier labels, as it was before the definition loop
+checked long relator cycles a window of cosets at a time and resumed
+each HLT scan after its definition; the engine, run over the trivial
+subgroup, must return the same raw table and parents, so both shortcuts
+only skip work that does nothing.
 
 ``verify_reference`` composes every relator over every element, where
 ``GroupRep._verify`` certifies that the table is a regular representation
@@ -413,18 +414,26 @@ def simplex_rotation_permutations():
 
 
 def hlt_reference(ncols, relators, cap):
-    """``rotamap.engine._enumerate_cosets`` as it was before it checked
-    long relator cycles a window of cosets at a time and resumed each
-    HLT scan after its definition: every long relator is closed at every
-    live coset the definition loop reaches, and after a definition the
-    scan starts afresh from that coset.  Returns the raw ``(cols,
+    """``rotamap.engine._enumerate_cosets`` over the trivial subgroup as
+    it was before it checked long relator cycles a window of cosets at a
+    time and resumed each HLT scan after its definition: every long
+    relator is closed at every live coset the definition loop reaches,
+    and after a definition the scan starts afresh from that coset.  Returns the raw ``(cols,
     parent)``, which the engine must match exactly: the same definitions
     in the same order."""
     cols = [[-1] for _ in range(ncols)]
+    # the engine's bindings take label lists too; over the trivial
+    # subgroup every label is 0, so these are bound and never read
+    labs = [[] for _ in range(ncols)]
     parent = [0]
-    long_relators = [(w, *_bind(w, cols)) for w in relators if _short_period(w) is None]
+
+    def bind(w):
+        fw, _, bw, _ = _bind(w, cols, labs)
+        return w, fw, bw
+
+    long_relators = [bind(w) for w in relators if _short_period(w) is None]
     rot_by_col = _rotations_by_column(
-        [r for r in relators if _short_period(r) is not None], cols)
+        [r for r in relators if _short_period(r) is not None], cols, labs)
     columns = [(x, cols[x], cols[x ^ 1]) for x in range(ncols)]
     stack = []
     push = stack.append
@@ -478,7 +487,7 @@ def hlt_reference(ncols, relators, cap):
             # every rotation in the bucket starts with the edge c --x--> d
             cx = cols[x]
             d = cx[c]
-            for ww, fw, bw, i, j in rot_by_col[x]:
+            for ww, fw, _, bw, _, i, j in rot_by_col[x]:
                 # scan the relator rotation ww[i..j] from coset c; it must
                 # close up
                 if d < 0:
