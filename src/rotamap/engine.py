@@ -81,12 +81,22 @@ Every table's Schreier tree comes from one breadth-first search,
 found (below).
 
 Every ``GroupRep`` attribute is set in ``__init__``, and none is added
-or cached later; the coset cap is an ``__init__`` argument for that
-reason.  Attribute loads are on the hot path of the per-element queries,
-and a lazily cached attribute (``functools.cached_property``) is
-measurably slower to load, likely because CPython 3.11 does not
-specialise the load of an instance attribute that a class-level
-descriptor shadows.
+or cached later but one, below; the coset cap is an ``__init__``
+argument for that reason.  Attribute loads are on the hot path of the
+per-element queries, and a lazily cached attribute
+(``functools.cached_property``) is measurably slower to load, likely
+because CPython 3.11 does not specialise the load of an instance
+attribute that a class-level descriptor shadows.
+
+The exception is ``_left``, None from ``__init__``.  ``_verify`` builds
+L_g, left multiplication by each generator g, to certify a table, and
+keeps the lists when the table passes.  ``enumerate_group`` and
+``quotient`` verify before they return, so no caller sees a group
+without them, and the group stays immutable to its callers.  With L,
+``conjugacy_class`` takes g t g^-1 and ``_involutions`` each inverse as
+table lookups.  Tables that are never verified, extensions and tables
+built directly, keep the Schreier-word walks: building L for them
+costs more than it saves.
 
 Each new table edge ``c --x--> d`` is one deduction, ``(c, x)``: it is
 checked against every rotation of a short relator or its inverse that
@@ -119,7 +129,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import gcd
-from operator import eq, lt
+from operator import eq, lt, ne
 
 from .errors import CapExceededError, CollapseError, InconsistencyError
 from .words import DEFAULT_CAP, Presentation, Word, _cyclic_reduce, _reduce_cols
@@ -284,7 +294,8 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
       defined so far, ``WINDOW`` (256) at most; windows of 64 to 1,024
       cosets did as well.  It walks each long
       relator from all of them at once, one list comprehension per
-      letter, keeping the label sum next to each coset.  Every column
+      letter, keeping the label sum next to each coset, except once the
+      modulus is 1, where every sum is 0 and stays so.  Every column
       list ends in a -1 sentinel (``col[-1] == -1``; each new coset
       takes the sentinel's slot and appends a new one), so a walk that
       meets a gap stays at -1.  A coset whose walk comes back to it with
@@ -544,6 +555,10 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
                 starts = range(lo, hi)
                 todo = []
                 for _, fw, fl, _, _ in long_relators:
+                    if modulus == 1:
+                        # every sum is 0 modulo 1, and the modulus stays 1
+                        todo.append(list(map(ne, _act(starts, fw), starts)))
+                        continue
                     xs = starts
                     ss = [0] * (hi - lo)
                     for col, lab in zip(fw, fl):
@@ -872,7 +887,14 @@ class GroupRep:
     two automorphism queries are ``endomorphism_exists``, on a basis the
     caller keeps, and ``generator_map_automorphism``.
 
-    Instances are immutable; all queries are pure.
+    Instances are immutable; all queries are pure.  Every attribute is
+    set in ``__init__`` but ``_left``, each generator's left
+    multiplication, which ``_verify`` sets when a table passes.
+    ``enumerate_group`` and ``quotient`` verify before they return the
+    group, so no caller sees it change.  ``conjugacy_class`` and
+    ``_involutions`` look conjugates and inverses up in it, and walk
+    Schreier words where it is None: on an extension or a table built
+    directly.
     """
 
     def __init__(
@@ -889,6 +911,9 @@ class GroupRep:
         if tree is None:
             tree = _schreier_tree(table.cols, self.order)[:2]
         self._parent_coset, self._parent_col = tree
+        # left multiplication by each generator, kept by a successful
+        # _verify before the table is handed out; None on any other table
+        self._left = None
 
     def _verify(self):
         """Check that the columns are mutually inverse permutations and
@@ -923,7 +948,10 @@ class GroupRep:
 
         L is built in a parents-first order: index order when every tree
         parent has a smaller index, as in row-scan standard form, else
-        the tree's breadth-first order.
+        the tree's breadth-first order.  If every check passes, the L of
+        each generator, left multiplication by it, is kept as ``_left``
+        for ``conjugacy_class`` and ``_involutions``; it is set nowhere
+        else.
 
         If a step fails, the columns and the relators are composed over
         all elements at once to name the failure: columns that are not
@@ -940,6 +968,7 @@ class GroupRep:
             all(map(eq, [inv[y] for y in col], range(n)))
             for col, inv in zip(gens, cols[1::2])
         )
+        lefts = []
         if regular:
             parent = self._parent_coset
             order = self._tree_order()
@@ -951,8 +980,10 @@ class GroupRep:
                 if any([left[y] for y in col] != [col[y] for y in left] for col in gens):
                     regular = False
                     break
+                lefts.append(left)
         relators = self.presentation.relators
         if regular and _moving_relator(cols, relators) is None:
+            self._left = tuple(lefts)
             return
         identity = list(range(n))
         for x, col in enumerate(cols):
@@ -1150,14 +1181,33 @@ class GroupRep:
         return Basis(words, mark, blocks, back)
 
     def conjugacy_class(self, x: int):
-        """Orbit of element x under conjugation by the generators."""
+        """Orbit of element x under conjugation by the generators, sorted.
+        A table that ``_verify`` left its left multiplications (``_left``)
+        takes each conjugate g t g^-1 as two lookups, ``cols[g^-1][L_g[t]]``,
+        one breadth-first level of the orbit at a time.  Any other table
+        walks t's Schreier word from g^-1 to g^-1 t g; building L for it
+        would cost more than the walks.  Both orbits are the class of x,
+        as conjugation by g^-1 is a power of conjugation by g."""
         self._check_index(x)
         cols = self.table.cols
-        ngens = self.presentation.ngens
-        gen_pairs = [(cols[2 * g + 1][0], cols[2 * g]) for g in range(ngens)]
         member = bytearray(self.order)
         member[x] = 1
         out = [x]
+        if self._left is not None:
+            pairs = tuple(zip(cols[1::2], self._left))
+            level = [x]
+            while level:
+                new = []
+                for ginv, left in pairs:
+                    for y in [ginv[left[t]] for t in level]:
+                        if not member[y]:
+                            member[y] = 1
+                            new.append(y)
+                out += new
+                level = new
+            return sorted(out)
+        ngens = self.presentation.ngens
+        gen_pairs = [(cols[2 * g + 1][0], cols[2 * g]) for g in range(ngens)]
         queue = deque((x,))
         while queue:
             t = queue.popleft()
@@ -1466,23 +1516,44 @@ class GroupRep:
         return None
 
     def _involutions(self):
-        # the elements of order exactly 2, in index order, found lazily
-        inverse = self._inverse
-        for x in range(1, self.order):
-            if inverse(x) == x:
-                yield x
+        """The elements of order exactly 2, found lazily.  A table with
+        ``_left`` searches the group breadth first by left multiplication,
+        from the identity, and takes each inverse as one lookup:
+        (g z)^-1 = z^-1 g^-1, so ``inv[L_g[z]] = cols[g^-1][inv[z]]``.
+        The search reaches every element, as the group is finite.  The
+        involutions come in its order, and are the table's own ints.
+        Any other table yields them in index order, climbing the Schreier
+        tree from each element (``_inverse``)."""
+        if self._left is None:
+            inverse = self._inverse
+            yield from (x for x in range(1, self.order) if inverse(x) == x)
+            return
+        pairs = tuple(zip(self._left, self.table.cols[1::2]))
+        inv = [-1] * self.order
+        inv[0] = 0
+        reached = [0]
+        for z in reached:
+            i = inv[z]
+            for left, ginv in pairs:
+                y = left[z]
+                if inv[y] < 0:
+                    inv[y] = ginv[i]
+                    reached.append(y)
+                    if inv[y] == y:
+                        yield y
 
     def involutions(self):
-        """Indices of all elements of order exactly 2."""
-        return list(self._involutions())
+        """Indices of all elements of order exactly 2, in index order."""
+        return sorted(self._involutions())
 
     def generated_by_involutions(self) -> bool:
         """True iff the order-2 elements generate the whole group.  The
         trivial group counts as generated by the empty set.  The closure
-        takes the involutions as they are found and stops once it holds
-        more than half the group, which no proper subgroup is (Lagrange),
-        so a True answer need neither find them all nor close over the
-        whole group."""
+        takes the involutions as ``_involutions`` finds them and stops
+        once it holds more than half the group, which no proper subgroup
+        is (Lagrange), so a True answer need neither find them all nor
+        close over the whole group.  Both paths of ``_involutions`` find
+        them lazily, on a table with ``_left`` as well."""
         half = self.order // 2
         return len(self._incremental_closure(self._involutions(), half)[0]) > half
 

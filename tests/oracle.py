@@ -28,6 +28,12 @@ only skip work that does nothing.
 ``GroupRep._verify`` certifies that the table is a regular representation
 and then walks each relator from the identity only.
 
+``naive_conjugacy_class``, ``naive_involutions`` and
+``naive_normal_subgroup`` take every conjugate, square and product as
+explicit products along Schreier words, where a ``GroupRep`` that
+``_verify`` certified looks conjugates and inverses up in its left
+multiplications (``_left``).
+
 ``automorphism_reference`` closes the pairs (source, image) over the
 whole group, checking every condition, where ``GroupRep`` reads a
 homomorphism off the sources' half ball and checks it on the relators.
@@ -380,6 +386,56 @@ def naive_normal_closure(rep: GroupRep, w: Word):
         ginv = rep.inverse_element(g)
         conjugates.add(rep.product(rep.product(ginv, x), g))
     return naive_subgroup_closure(rep, conjugates)
+
+
+def naive_conjugacy_class(rep: GroupRep, x: int) -> list:
+    """The conjugacy class of element x, sorted: its orbit under
+    t -> g^-1 t g for each generator g, each conjugate taken as two
+    explicit products (``rep.product``)."""
+    pairs = []
+    for i in range(rep.presentation.ngens):
+        g = rep.element_of(Word.gen(i))
+        pairs.append((rep.inverse_element(g), g))
+    seen = {x}
+    queue = deque((x,))
+    while queue:
+        t = queue.popleft()
+        for ginv, g in pairs:
+            y = rep.product(rep.product(ginv, t), g)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return sorted(seen)
+
+
+def naive_involutions(rep: GroupRep) -> list:
+    """The elements x != 1 with x x = 1, in index order, each found by
+    walking x's word from x."""
+    return [x for x in range(1, rep.order) if rep.multiply(x, rep.element_word(x)) == 0]
+
+
+def naive_normal_subgroup(rep: GroupRep, elements, bound=None) -> set:
+    """The normal closure of the given elements: the elements reached
+    from the identity by right multiplication by one of them and by
+    conjugation y -> g^-1 y g by a generator g, each an explicit product
+    (``rep.product``).  The set S reached lies in the normal closure N,
+    and N lies in S: S is closed under conjugation by every element h,
+    so with y in S it holds h y h^-1, h y h^-1 x and y h^-1 x h, and is
+    closed under right multiplication by every conjugate of each x.
+    The search stops once S holds more than ``bound`` elements."""
+    gens = [rep.element_of(Word.gen(i)) for i in range(rep.presentation.ngens)]
+    pairs = [(rep.inverse_element(g), g) for g in gens]
+    seen = {0}
+    queue = deque((0,))
+    while queue and (bound is None or len(seen) <= bound):
+        y = queue.popleft()
+        images = [rep.product(y, x) for x in elements]
+        images += [rep.product(rep.product(ginv, y), g) for ginv, g in pairs]
+        for z in images:
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
+    return seen
 
 
 def naive_is_automorphism(rep: GroupRep, images) -> bool:

@@ -3,8 +3,10 @@ against a word-walking breadth-first closure, the automorphism test
 against an element-by-element check and, on arbitrary generating sets,
 against a literal-word map, the automorphism queries and the callers'
 form tests, which read the sources' half ball, against the full closure
-of ``oracle.automorphism_reference``, and subgroup sizes on the catalog's
-base groups."""
+of ``oracle.automorphism_reference``, subgroup sizes on the catalog's
+base groups, and the conjugacy classes, involutions and normal closures
+that a verified table reads off its left multiplications against the
+word walks and the naive oracles."""
 
 import math
 import random
@@ -12,6 +14,9 @@ import random
 import pytest
 
 from rotamap import (
+    CosetTable,
+    GroupRep,
+    InconsistencyError,
     RegularCGroup4,
     RotationGroup3,
     RotationGroup4,
@@ -30,8 +35,11 @@ from rotamap.rotary import _form_exists
 from rotamap.selfdual import DualityKind, _form_images
 from oracle import (
     automorphism_reference,
+    naive_conjugacy_class,
     naive_generator_map,
+    naive_involutions,
     naive_is_automorphism,
+    naive_normal_subgroup,
     word_bfs_closure,
 )
 
@@ -572,3 +580,88 @@ def test_c_group_sigma_forms(catalog_groups, name, want):
     )
     assert (reflexible, improper) == (want[0], want[1] is DualityKind.IMPROPER)
     assert [_form_exists(c, c.sigma, images) for images in maps] == [reflexible, improper, proper]
+
+
+# -- the two paths of conjugacy_class and _involutions ------------------------
+
+LEFT_TORI = [
+    TorusFamily(family, b, c)
+    for family in ("44", "36", "63") for b in range(1, 5) for c in range(1, 5)
+]
+
+
+def _check_left_paths(rep, seed):
+    """The verified group, which looks conjugates and inverses up in its
+    left multiplications (``_left``), and the same table built directly,
+    which walks words, give the oracles' classes, involutions, normal
+    closures and derived subgroup."""
+    plain = GroupRep(rep.presentation, rep.table)
+    assert rep._left is not None and plain._left is None
+    rng = random.Random(seed)
+    ngens = rep.presentation.ngens
+    gens = [Word.gen(i) for i in range(ngens)]
+    d = list(rep.presentation.distinguished)
+    half_turn = d[0] * d[1]
+    words = gens + d + [half_turn, _random_word(rng, ngens, 12)]
+    for x in sorted({rep.element_of(w) for w in words} | {rng.randrange(rep.order)}):
+        want = naive_conjugacy_class(rep, x)
+        assert rep.conjugacy_class(x) == want
+        assert plain.conjugacy_class(x) == want
+    involutions = naive_involutions(rep)
+    assert rep.involutions() == involutions
+    assert plain.involutions() == involutions
+    half = rep.order // 2
+    generated = len(naive_normal_subgroup(rep, involutions, half)) > half
+    assert rep.generated_by_involutions() is generated
+    assert plain.generated_by_involutions() is generated
+    want = naive_normal_subgroup(rep, [rep.element_of(half_turn)])
+    assert rep.normal_closure(half_turn).elements == want
+    assert plain.normal_closure(half_turn).elements == want
+    commutators = [
+        rep.element_of(~a * ~b * a * b) for i, a in enumerate(gens) for b in gens[i + 1:]
+    ]
+    want = naive_normal_subgroup(rep, commutators)
+    assert rep.derived_subgroup().elements == want
+    assert plain.derived_subgroup().elements == want
+
+
+class TestLeftMultiplications:
+    """Only ``_verify`` keeps ``_left``, and the queries that read it
+    agree with the word walks and the oracles."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_SIZES))
+    def test_catalog_group(self, catalog_groups, name):
+        _check_left_paths(catalog_groups.group(name).rep, name)
+
+    @pytest.mark.parametrize("t", LEFT_TORI, ids=lambda t: t.name)
+    def test_torus(self, t):
+        _check_left_paths(enumerate_group(torus_presentation(t)), t.name)
+
+    @pytest.mark.parametrize("name", ["ex1", "ex3"])
+    def test_petrie_quotients(self, catalog_groups, name):
+        m = catalog_groups.group(name)
+        s1, _, s3 = m.sigma
+        for k in range(2, 13):
+            _check_left_paths(m.rep.quotient((s1 * s3) ** k), f"{name}/{k}")
+
+    def test_kept_by_verify_only(self, catalog_groups, ex1_pipe):
+        # left multiplication by each generator, on every verified table
+        rep = catalog_groups.group("ex3").rep
+        for i, left in enumerate(rep._left):
+            g = rep.element_of(Word.gen(i))
+            assert left == [rep.product(g, t) for t in range(rep.order)]
+        m = catalog_groups.group("ex1")
+        s1, _, s3 = m.sigma
+        for k in (4, 20):
+            # the block table, and the base's own table for a trivial word
+            assert m.rep.quotient((s1 * s3) ** k)._left is not None
+        assert ex1_pipe.ext.rep._left is None
+        assert GroupRep(rep.presentation, rep.table)._left is None
+
+    def test_not_kept_on_a_rejected_table(self):
+        # the cyclic table of order 4 is regular, but does not satisfy a^2
+        table = CosetTable(((1, 2, 3, 0), (3, 0, 1, 2)), 1)
+        rep = GroupRep(parse_presentation("gens a\nrel a^2\n"), table)
+        with pytest.raises(InconsistencyError, match=r"relator a\^2 does not fix coset 0"):
+            rep._verify()
+        assert rep._left is None
