@@ -91,12 +91,13 @@ attribute that a class-level descriptor shadows.
 The exception is ``_left``, None from ``__init__``.  ``_verify`` builds
 L_g, left multiplication by each generator g, to certify a table, and
 keeps the lists when the table passes.  ``enumerate_group`` and
-``quotient`` verify before they return, so no caller sees a group
-without them, and the group stays immutable to its callers.  With L,
-``conjugacy_class`` takes g t g^-1 and ``_involutions`` each inverse as
-table lookups.  Tables that are never verified, extensions and tables
-built directly, keep the Schreier-word walks: building L for them
-costs more than it saves.
+``quotient`` verify before they return, or, for a quotient that shares
+a verified group's table, hand it that group's lists, so no caller sees
+a group without them, and the group stays immutable to its callers.
+With L, ``conjugacy_class`` takes g t g^-1 and ``_involutions`` each
+inverse as table lookups.  Tables that are never verified, extensions
+and tables built directly, keep the Schreier-word walks: building L for
+them costs more than it saves.
 
 Each new table edge ``c --x--> d`` is one deduction, ``(c, x)``: it is
 checked against every rotation of a short relator or its inverse that
@@ -119,10 +120,12 @@ extension is certified from the generators and the identity row (see
 ``extend``); a quotient, whose table is right only if ``normal_closure``
 is, is checked by ``_verify`` like an enumerated table.  A quotient by a
 word that is already the identity is the group itself (von Dyck), so it
-keeps the group's table and Schreier tree, shared and not copied.  Any
-other quotient labels its blocks in row-scan order, which meets each
-label first on its breadth-first tree edge, and hands that tree to
-``GroupRep`` instead of having ``_schreier_tree`` search for it again.
+keeps the group's table and Schreier tree, shared and not copied, and
+the group's left multiplications, which certify that table, if
+``_verify`` left it some.  Any other quotient labels its blocks in
+row-scan order, which meets each label first on its breadth-first tree
+edge, and hands that tree to ``GroupRep`` instead of having
+``_schreier_tree`` search for it again.
 """
 
 from __future__ import annotations
@@ -889,12 +892,12 @@ class GroupRep:
 
     Instances are immutable; all queries are pure.  Every attribute is
     set in ``__init__`` but ``_left``, each generator's left
-    multiplication, which ``_verify`` sets when a table passes.
-    ``enumerate_group`` and ``quotient`` verify before they return the
-    group, so no caller sees it change.  ``conjugacy_class`` and
-    ``_involutions`` look conjugates and inverses up in it, and walk
-    Schreier words where it is None: on an extension or a table built
-    directly.
+    multiplication, which ``_verify`` sets when a table passes and
+    ``quotient`` hands on with a table it shares.  ``enumerate_group``
+    and ``quotient`` set it before they return the group, so no caller
+    sees it change.  ``conjugacy_class`` and ``_involutions`` look
+    conjugates and inverses up in it, and walk Schreier words where it
+    is None: on an extension or a table built directly.
     """
 
     def __init__(
@@ -950,8 +953,10 @@ class GroupRep:
         parent has a smaller index, as in row-scan standard form, else
         the tree's breadth-first order.  If every check passes, the L of
         each generator, left multiplication by it, is kept as ``_left``
-        for ``conjugacy_class`` and ``_involutions``; it is set nowhere
-        else.
+        for ``conjugacy_class`` and ``_involutions``.  Nothing else
+        builds it: ``_left`` is set only here, or by ``quotient`` to the
+        ``_left`` of a group whose table it shares, and so is a
+        certificate that this check passed on that table.
 
         If a step fails, the columns and the relators are composed over
         all elements at once to name the failure: columns that are not
@@ -1224,10 +1229,29 @@ class GroupRep:
         return sorted(out)
 
     def normal_closure(self, w: Word) -> SubgroupHandle:
-        """Smallest normal subgroup containing w: the closure of its
-        conjugacy class under generation."""
+        """Smallest normal subgroup containing w: the closure of a
+        conjugacy class under generation (``_normal_closure_elements``)."""
+        return SubgroupHandle(self._normal_closure_elements(w))
+
+    def _normal_closure_elements(self, w: Word) -> list:
+        """The elements of the normal closure of w, identity first.  With
+        x = w's element of order d, each power x^j with gcd(j, d) = 1
+        generates <x>, and so has the same normal closure.  The closure's
+        cost depends on which of them it starts from, so it is taken of
+        the conjugacy class of the one with the smallest index, which in
+        row-scan form has the shortest Schreier word.  Only j = 0 is
+        coprime to d = 1, so the identity's closure is {0}, and an
+        involution is its own only such power."""
         x = self.element_of(w)
-        return SubgroupHandle(self._incremental_closure(self.conjugacy_class(x))[0])
+        letters = self._schreier_cols(x)
+        powers = [0]
+        y = x
+        while y != 0:
+            powers.append(y)
+            y = self._walk(y, letters)
+        d = len(powers)
+        t = min(y for j, y in enumerate(powers) if gcd(j, d) == 1)
+        return self._incremental_closure(self.conjugacy_class(t))[0]
 
     def derived_subgroup(self) -> SubgroupHandle:
         """Commutator subgroup: normal closure of generator commutators."""
@@ -1332,18 +1356,30 @@ class GroupRep:
         class docstring), so it is the quotient's; its labels are G's, so
         it is in row-scan form whenever G's is, as every table this
         package builds is.  Otherwise the table is built from G's by
-        ``_block_table``.  Either table is checked against the new
-        presentation (``_verify``).  Raises ValueError, as
-        ``enumerate_group`` does, if its relators hold more than ``cap``
-        letters in all."""
+        ``_block_table``.
+
+        The table is checked against the new presentation (``_verify``),
+        but for a shared table that G's ``_verify`` passed: it is handed
+        G's ``_left``, the same object.  That check proved this very
+        table, which nothing changes, to be a regular representation
+        satisfying G's relators, and the one new relator w fixes row 0,
+        which is what chose the shared table, so by regularity it fixes
+        every row.  A G without ``_left``, such as a table built
+        directly, has had no check pass, and its shared table is
+        verified.  Raises ValueError, as ``enumerate_group`` does, if its
+        relators hold more than ``cap`` letters in all."""
         presentation = self.presentation.with_relators(w)
         _bounded_relators(presentation, self.cap)
-        if self.element_of(w) == 0:
+        shared = self.element_of(w) == 0
+        if shared:
             table, tree = self.table, (self._parent_coset, self._parent_col)
         else:
             table, tree = self._block_table(w, presentation.ngens)
         rep = GroupRep(presentation, table, self.cap, tree)
-        rep._verify()
+        if shared and self._left is not None:
+            rep._left = self._left
+        else:
+            rep._verify()
         return rep
 
     def _block_table(self, w: Word, ngens: int) -> tuple:
@@ -1358,7 +1394,7 @@ class GroupRep:
         cols = self.table.cols
         ints = self._label_ints(self.order)
         label = [-1] * self.order
-        blocks = [list(self.normal_closure(w).elements)]
+        blocks = [self._normal_closure_elements(w)]
         for x in blocks[0]:
             label[x] = 0
         out = [[] for _ in cols]

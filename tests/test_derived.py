@@ -255,7 +255,7 @@ class TestPetrieQuotient:
     @pytest.mark.parametrize("name,relator", [
         *(("ex1", k) for k in range(2, 31)),
         *(("ex3", k) for k in range(2, 31)),
-        *(("ex2", k) for k in (2, 3, 5, 7, 14, 28)),
+        *(("ex2", k) for k in (2, 3, 5, 7, 11, 13, 14, 28)),
         ("ex3", "z"),
         *((name, "(s1 s2^-1)^2") for name in ("ex1", "ex3", "ex2")),
         ("ex1", "(s1^2 s3^-1)^4"),
@@ -297,8 +297,21 @@ class TestPetrieQuotient:
         assert q.table is m.rep.table
         assert q._parent_coset is m.rep._parent_coset
         assert q._parent_col is m.rep._parent_col
+        # G's table passed _verify, which w, fixing row 0, cannot undo
+        assert q._left is m.rep._left
         assert q.cap == m.rep.cap
         assert q.presentation == m.rep.presentation.with_relators(w)
+
+    def test_trivial_word_on_a_table_built_directly_is_verified(self, petrie_bases):
+        # no _verify has passed on a table built directly, so the shared
+        # table is checked and gets left multiplications of its own
+        m = petrie_bases["ex3"]
+        rep = GroupRep(m.rep.presentation, m.rep.table)
+        q = rep.quotient(_petrie_relator(m, 8))
+        assert q.table is rep.table
+        assert rep._left is None
+        assert q._left is not None and q._left is not m.rep._left
+        assert q._left == m.rep._left
 
     def test_trivial_word_on_a_broken_table_is_inconsistent(self):
         # the cyclic table of order 4 does not satisfy a^2: a^4 is 1 in

@@ -626,8 +626,10 @@ def _check_left_paths(rep, seed):
 
 
 class TestLeftMultiplications:
-    """Only ``_verify`` keeps ``_left``, and the queries that read it
-    agree with the word walks and the oracles."""
+    """Only ``_verify`` builds ``_left``, and a quotient by a word that is
+    already trivial is handed the ``_left`` of the group whose table it
+    shares, when that group has one; the queries that read it agree with
+    the word walks and the oracles."""
 
     @pytest.mark.parametrize("name", sorted(CATALOG_SIZES))
     def test_catalog_group(self, catalog_groups, name):
@@ -655,6 +657,8 @@ class TestLeftMultiplications:
         for k in (4, 20):
             # the block table, and the base's own table for a trivial word
             assert m.rep.quotient((s1 * s3) ** k)._left is not None
+        # the base's own table is handed the base's _left, not a copy
+        assert m.rep.quotient((s1 * s3) ** 20)._left is m.rep._left
         assert ex1_pipe.ext.rep._left is None
         assert GroupRep(rep.presentation, rep.table)._left is None
 
@@ -665,3 +669,35 @@ class TestLeftMultiplications:
         with pytest.raises(InconsistencyError, match=r"relator a\^2 does not fix coset 0"):
             rep._verify()
         assert rep._left is None
+
+
+class TestNormalClosureGenerator:
+    """``normal_closure`` takes the closure of the smallest-index
+    generator of <x>, x the word's element; the subgroup is the normal
+    closure of x itself."""
+
+    @pytest.mark.parametrize("name", ["ex1", "ex3"])
+    def test_petrie_words_match_oracle(self, catalog_groups, name):
+        m = catalog_groups.group(name)
+        s1, _, s3 = m.sigma
+        for k in range(2, 31):
+            w = (s1 * s3) ** k
+            want = naive_normal_subgroup(m.rep, [m.rep.element_of(w)])
+            assert m.rep.normal_closure(w).elements == want, (name, k)
+
+    def test_coprime_powers_give_one_closure(self, catalog_groups):
+        m = catalog_groups.group("ex2")
+        s1, _, s3 = m.sigma
+        d = m.rep.element_order(s1 * s3)
+        closures = set()
+        for j in range(1, d):
+            if math.gcd(j, d) == 1:
+                w = (s1 * s3) ** j
+                closure = m.rep.normal_closure(w).elements
+                assert m.rep.element_of(w) in closure, j
+                closures.add(closure)
+        assert d == 28 and len(closures) == 1
+
+    def test_identity(self, catalog_groups):
+        rep = catalog_groups.group("ex3").rep
+        assert rep.normal_closure(Word.identity()).elements == {0}
