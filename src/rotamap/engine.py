@@ -57,13 +57,16 @@ and one loop merges the images.  It marks each element with the pass
 word in the generators it closed over, with no parent list.  ``rows`` is
 only a view built on demand.
 
-The yes/no queries stop the closure once it holds more than half the
-group, as no proper subgroup is that large (Lagrange).  ``basis(words)``
-keeps that half ball and its marks, or gives None if the words generate
-a proper subgroup.  An automorphism question is then a homomorphism
-check read off a basis, with no closure of its own: each generator's
-image phi(g) = psi(y)^-1 psi(y g) comes from two reached elements y and
-y g, psi substituting the images into their words, and phi must send
+The yes/no queries stop the closure once each presentation generator g
+has a reached pair y, y g: then g = y^-1 (y g) lies in the subgroup, so
+the words generate the group.  A pair appears by the time the closure
+holds more than half the group, and usually long before.
+``basis(words)`` keeps that pair for each generator and the closure's
+marks, or gives None if the words generate a proper subgroup.  An
+automorphism question is then a homomorphism check read off a basis,
+with no closure of its own: each generator's image
+phi(g) = psi(y)^-1 psi(y g) comes from its pair y, y g, psi
+substituting the images into their words, and phi must send
 every relator to 1 (von Dyck) and every source word to its image word.
 The verdict is exact: some endomorphism sends the sources to the images
 exactly when the check passes.  It needs the presentation to present the
@@ -672,21 +675,23 @@ class SubgroupHandle:
 
 
 class Basis:
-    """The half ball of a generating tuple of words (``GroupRep.basis``):
-    the words ``sources`` and the ``mark`` and ``blocks`` of their
-    closure, stopped once it held more than half the group (see
-    ``GroupRep._incremental_closure``).  An element y is reached when
-    ``mark[y]`` is not 0.  ``back[j]`` is the column tuples of a word for
-    the inverse of source j, which steps back from an element that
-    source's block reached."""
+    """The generation certificate of a tuple of words
+    (``GroupRep.basis``): the words ``sources``, the ``mark`` and
+    ``blocks`` of their closure, stopped once each presentation generator
+    g had a reached pair y, y g (see ``GroupRep._incremental_closure``),
+    and ``pairs``, that y for each generator in order.  An element y is
+    reached when ``mark[y]`` is not 0.  ``back[j]`` is the column tuples
+    of a word for the inverse of source j, which steps back from an
+    element that source's block reached."""
 
-    __slots__ = ("sources", "mark", "blocks", "back")
+    __slots__ = ("sources", "mark", "blocks", "back", "pairs")
 
-    def __init__(self, sources, mark, blocks, back):
+    def __init__(self, sources, mark, blocks, back, pairs):
         self.sources = sources
         self.mark = mark
         self.blocks = blocks
         self.back = back
+        self.pairs = pairs
 
     def word(self, y) -> list:
         """Source positions j1, ..., jk with y = s_j1 ... s_jk, for a
@@ -694,7 +699,7 @@ class Basis:
         reached y used source jk, and y s_jk^-1 has a smaller mark."""
         mark = self.mark
         if not mark[y]:
-            raise ValueError(f"element {y} is not in the half ball")
+            raise ValueError(f"element {y} was not reached")
         out = []
         while y != 0:
             j = self.blocks[mark[y]]
@@ -884,11 +889,12 @@ class GroupRep:
     whose normal closure it factors out (von Dyck's theorem).  The
     automorphism queries rely on that: they read a homomorphism off the
     relators (``_phi_words``), so a group built directly from a table
-    must keep it too.  They read it off the half ball of the source
-    words (``basis``), which stops once it holds more than half the
-    group; ``subgroup_closure`` closes over all of the subgroup.  The
-    two automorphism queries are ``endomorphism_exists``, on a basis the
-    caller keeps, and ``generator_map_automorphism``.
+    must keep it too.  They read it off the generation certificate of
+    the source words (``basis``), whose closure stops once each generator
+    has a reached pair y, y g; ``subgroup_closure`` closes over all of
+    the subgroup.  The two automorphism queries are
+    ``endomorphism_exists``, on a basis the caller keeps, and
+    ``generator_map_automorphism``.
 
     Instances are immutable; all queries are pure.  Every attribute is
     set in ``__init__`` but ``_left``, each generator's left
@@ -1093,11 +1099,12 @@ class GroupRep:
             self._incremental_closure([self.element_of(w) for w in gens])[0]
         )
 
-    def _incremental_closure(self, candidate_indices, bound=None) -> tuple:
+    def _incremental_closure(self, candidate_indices, certify=False) -> tuple:
         """Elements of the subgroup generated by the candidate element
-        indices, identity first, and the marks that say how each was
-        reached: ``(elements, mark, blocks)``.  Candidates join one at a
-        time, as Schreier words, and members are skipped.
+        indices, identity first, the marks that say how each was reached,
+        and the generation certificate: ``(elements, mark, blocks,
+        pairs)``.  Candidates join one at a time, as Schreier words, and
+        members are skipped.
 
         The set E is closed under right multiplication by each generator
         t only, not by t^-1: on the finite set E, x -> x t is injective,
@@ -1119,13 +1126,20 @@ class GroupRep:
         mark[x] < mark[y]: walking back from y ends at the identity and
         spells y as a word in the candidates (``Basis.word``).
 
-        The loop stops, reading no further candidate, once E holds more
-        than ``bound`` elements, by default all but one: then E is the
-        whole group.  ``basis`` and ``generated_by_involutions`` pass half
-        the order."""
+        Without ``certify`` the closure runs to the end, or until E is
+        the whole group, and ``pairs`` is None.  With it, the yes/no
+        callers' stop rule: after each block the elements it reached are
+        checked, and the loop stops, reading no further candidate, once
+        each presentation generator g has an element y of E with y g in
+        E too, ``pairs[i]`` for g's column 2 i.  Then g = y^-1 (y g) lies
+        in the subgroup, so the candidates generate the group.  A pair
+        first appears in the block that reaches its later element z: z g
+        is in E (y = z) or z g^-1 is (y = z g^-1), so checking each new
+        element both ways finds it.  Once E holds more than half the
+        group, E and E g^-1 meet, so the rule never runs past half the
+        group.  A closure that ends with a generator still unpaired is a
+        proper subgroup, and ``pairs`` is None."""
         cols = self.table.cols
-        if bound is None:
-            bound = self.order - 1
         mark = [0] * self.order
         mark[0] = 1
         blocks = [-1, -1]
@@ -1133,47 +1147,80 @@ class GroupRep:
         elements = [0]
         add = elements.append
         words = []
+        if certify:
+            pairs = [None] * (len(cols) // 2)
+            unpaired = [(i, cols[2 * i], cols[2 * i + 1]) for i in range(len(pairs))]
+
+            def settle(lo):
+                # pair each unpaired generator off the elements reached
+                # since elements[lo]; True once none is left
+                new = elements[lo:]
+                for gen in unpaired[:]:
+                    i, g, ginv = gen
+                    for z in new:
+                        if mark[g[z]]:
+                            pairs[i] = z
+                            break
+                        if mark[ginv[z]]:
+                            pairs[i] = ginv[z]
+                            break
+                    else:
+                        continue
+                    unpaired.remove(gen)
+                return not unpaired
+
+            done = settle(0)
+        else:
+            pairs = None
+            done = False
+
+            def settle(lo):
+                return len(elements) == self.order
+
+        def run(j, w, level):
+            # one block: candidate j's word w applied to the level
+            b = len(blocks)
+            block(j)
+            lo = len(elements)
+            for y in _act(level, w):
+                if not mark[y]:
+                    mark[y] = b
+                    add(y)
+            return len(elements) > lo and settle(lo)
+
         for j, t in enumerate(candidate_indices):
+            if done:
+                break
             if mark[t]:
                 continue
             w = [cols[c] for c in self._schreier_cols(t)]
             words.append((j, w))
             start = len(elements)
-            b = len(blocks)
-            block(j)
-            for y in _act(elements, w):
-                if not mark[y]:
-                    mark[y] = b
-                    add(y)
-            while start < len(elements) <= bound:
+            done = run(j, w, elements)
+            while not done and start < len(elements):
                 level = elements[start:]
                 start = len(elements)
                 for i, w in words:
-                    b = len(blocks)
-                    block(i)
-                    for y in _act(level, w):
-                        if not mark[y]:
-                            mark[y] = b
-                            add(y)
-                    if len(elements) > bound:
+                    done = run(i, w, level)
+                    if done:
                         break
-            if len(elements) > bound:
-                break
-        return elements, mark, blocks
+        if certify and not done:
+            pairs = None
+        return elements, mark, blocks, pairs
 
     def basis(self, words):
-        """The half ball of the given words, a ``Basis``, or None if they
-        generate a proper subgroup.  Their closure stops once it holds
-        more than half the group, as no proper subgroup is that large
-        (Lagrange); the basis keeps its marks, which spell each element
-        it reached as a word in ``words``."""
+        """The generation certificate of the given words, a ``Basis``, or
+        None if they generate a proper subgroup.  Their closure stops once
+        each presentation generator g has a reached pair y, y g
+        (``_incremental_closure``); the basis keeps that pair and the
+        closure's marks, which spell each element it reached as a word in
+        ``words``."""
         words = tuple(words)
         return self._basis(words, [self.element_of(w) for w in words])
 
     def _basis(self, words, indices):
-        half = self.order // 2
-        elements, mark, blocks = self._incremental_closure(indices, half)
-        if len(elements) <= half:
+        _, mark, blocks, pairs = self._incremental_closure(indices, True)
+        if pairs is None:
             return None
         cols = self.table.cols
         back = tuple(
@@ -1181,9 +1228,9 @@ class GroupRep:
         )
         if len(blocks) <= 256:
             # a wrapper keeps its basis, and a list of marks takes 8 bytes
-            # an element: 161 KB on ex2, whose sigma needs 43 blocks
+            # an element: 161 KB on ex2, whose sigma needs 18 blocks
             mark = bytes(mark)
-        return Basis(words, mark, blocks, back)
+        return Basis(words, mark, blocks, back, tuple(pairs))
 
     def conjugacy_class(self, x: int):
         """Orbit of element x under conjugation by the generators, sorted.
@@ -1449,7 +1496,7 @@ class GroupRep:
 
         Works for any generating set, not just the presentation
         generators.  The homomorphism phi that sends each source to its
-        image, if there is one, is read off the sources' half ball
+        image, if there is one, is read off the sources' basis
         (``_phi_words``; None if they do not generate), and is then spread
         along the Schreier tree, parents first as ``_verify`` builds L:
         alpha(y) = alpha(p) phi(x) for the tree edge p --x--> y, so alpha
@@ -1510,9 +1557,8 @@ class GroupRep:
         Each element y the basis reached is a word in the sources
         (``Basis.word``); substituting the images gives an element
         psi(y).  Each presentation generator g gets the image
-        phi(g) = psi(y)^-1 psi(y g) for the first y reached with y g
-        reached too; one exists, as the reached set R and R g^-1 each
-        hold more than half the group.  If every relator maps to 1, phi
+        phi(g) = psi(y)^-1 psi(y g) for its pair y in ``basis.pairs``,
+        which the closure reached with y g.  If every relator maps to 1, phi
         extends to a homomorphism of the group (von Dyck's theorem, as
         the presentation presents the group; see ``GroupRep``), and it
         is checked to send each source word to its image.  Conversely, a
@@ -1521,7 +1567,6 @@ class GroupRep:
         exact."""
         cols = self.table.cols
         walk = self._walk
-        mark = basis.mark
         image_words = [self._schreier_cols(u) for u in image_indices]
 
         def psi(y):
@@ -1531,8 +1576,7 @@ class GroupRep:
             return x
 
         letters = []
-        for g in cols[::2]:
-            y = next(y for y in range(self.order) if mark[y] and mark[g[y]])
+        for g, y in zip(cols[::2], basis.pairs):
             x = walk(self._inverse(psi(y)), self._schreier_cols(psi(g[y])))
             w = self._schreier_cols(x)
             letters.append([cols[c] for c in w])
@@ -1586,12 +1630,13 @@ class GroupRep:
         """True iff the order-2 elements generate the whole group.  The
         trivial group counts as generated by the empty set.  The closure
         takes the involutions as ``_involutions`` finds them and stops
-        once it holds more than half the group, which no proper subgroup
-        is (Lagrange), so a True answer need neither find them all nor
-        close over the whole group.  Both paths of ``_involutions`` find
-        them lazily, on a table with ``_left`` as well."""
-        half = self.order // 2
-        return len(self._incremental_closure(self._involutions(), half)[0]) > half
+        once each generator g has a reached pair y, y g, which puts g in
+        the subgroup (``_incremental_closure``), so a True answer need
+        neither find them all nor close over the whole group.  A False
+        answer closes over the whole subgroup.  Both paths of
+        ``_involutions`` find them lazily, on a table with ``_left`` as
+        well."""
+        return self._incremental_closure(self._involutions(), True)[3] is not None
 
     def center(self) -> SubgroupHandle:
         """Elements commuting with every generator."""

@@ -13,7 +13,7 @@ The improper form is a period-4 duality d with
     d^2 = s1 s2 s3.
 
 Detection certifies each form with one homomorphism check of its action
-alpha on the generators, read off the half ball that the wrapper's
+alpha on the generators, read off the basis that the wrapper's
 generation check built (``rotary._form_exists``); whenever any duality
 of the given kind exists, it can be normalised to one of them, so no
 automorphism search is needed.  The square conditions need no test of

@@ -36,7 +36,8 @@ multiplications (``_left``).
 
 ``automorphism_reference`` closes the pairs (source, image) over the
 whole group, checking every condition, where ``GroupRep`` reads a
-homomorphism off the sources' half ball and checks it on the relators.
+homomorphism off the sources' basis, whose closure stops once each
+generator has a reached pair y, y g, and checks it on the relators.
 """
 
 from collections import deque
@@ -237,7 +238,7 @@ def automorphism_reference(rep: GroupRep, sources, images):
     """The automorphism sending each source word to its image word, as a
     list indexed by element, or None: the breadth-first closure of the
     pairs (source_i, image_i) that ``GroupRep.generator_map_automorphism``
-    ran before it read the homomorphism off the sources' half ball.
+    ran before it read the homomorphism off the sources' basis.
 
     Each word is evaluated to its element s_i or u_i once, and the
     closure walks their Schreier words, forward only: the set E of

@@ -197,8 +197,10 @@ def test_subgroup_closure_matches_word_bfs(small_groups, ex1_pipe, name, words):
 )
 def test_basis_spells_every_reached_element(small_groups, name, letter_lists):
     """``basis`` is None exactly when the words generate a proper
-    subgroup, and the word its marks spell for each reached element
-    evaluates to that element, each step back landing on a smaller mark."""
+    subgroup; otherwise each generator column g has its pair y =
+    ``basis.pairs[i]`` with y and y g reached, and the word the marks
+    spell for each reached element evaluates to that element, each step
+    back landing on a smaller mark."""
     rep = small_groups[name]
     words = [Word(tuple(c % rep.table.ncols for c in letters)) for letters in letter_lists]
     sources = [rep.element_of(w) for w in words]
@@ -206,8 +208,11 @@ def test_basis_spells_every_reached_element(small_groups, name, letter_lists):
     assert (basis is None) == (len(naive_subgroup_closure(rep, sources)) < rep.order)
     if basis is None:
         return
+    cols = rep.table.cols
+    assert len(basis.pairs) == rep.presentation.ngens
+    for g, y in zip(cols[::2], basis.pairs):
+        assert basis.mark[y] and basis.mark[g[y]]
     reached = [y for y in range(rep.order) if basis.mark[y]]
-    assert 2 * len(reached) > rep.order
     for y in reached:
         x = 0
         for j in basis.word(y):

@@ -2,7 +2,7 @@
 against a word-walking breadth-first closure, the automorphism test
 against an element-by-element check and, on arbitrary generating sets,
 against a literal-word map, the automorphism queries and the callers'
-form tests, which read the sources' half ball, against the full closure
+form tests, which read the sources' basis, against the full closure
 of ``oracle.automorphism_reference``, subgroup sizes on the catalog's
 base groups, and the conjugacy classes, involutions and normal closures
 that a verified table reads off its left multiplications against the
@@ -40,6 +40,7 @@ from oracle import (
     naive_involutions,
     naive_is_automorphism,
     naive_normal_subgroup,
+    naive_subgroup_closure,
     word_bfs_closure,
 )
 
@@ -300,7 +301,7 @@ def test_catalog_subgroup_sizes(catalog_groups, name):
     assert got == CATALOG_SIZES[name]
 
 
-# -- the half-group automorphism certificate ----------------------------------
+# -- the automorphism certificate ---------------------------------------------
 
 CERTIFICATE_TORI = [
     TorusFamily(*v) for v in (
@@ -336,8 +337,8 @@ def _certificate_inputs(rep, word_lists, conjugators, random_maps, seed):
     and with d conjugated by random words of 1 to 16 letters, as
     map-search draws them, and an inner automorphism; d's first word
     alone generates a proper subgroup.  Random maps of random elements
-    follow: on small groups a few of them pass the closure's first half
-    and are caught only by the relator or the source-word check."""
+    follow: on small groups a few of them generate the group and are
+    caught only by the relator or the source-word check."""
     rng = random.Random(seed)
     n, ngens = rep.order, rep.presentation.ngens
     out = []
@@ -357,8 +358,8 @@ def _certificate_inputs(rep, word_lists, conjugators, random_maps, seed):
 
 
 def _check_certificate(rep, inputs):
-    """``generator_map_automorphism``, which reads the sources' half
-    ball, against the full closure of ``automorphism_reference`` on every
+    """``generator_map_automorphism``, which reads the sources' basis,
+    against the full closure of ``automorphism_reference`` on every
     input and, on small groups, against ``naive_generator_map``; where
     the sources are the presentation generators, ``extends_to_automorphism``
     and, on small groups, ``naive_is_automorphism`` too.  Returns the
@@ -425,7 +426,8 @@ def _check_forms(m):
 
 
 class TestAutomorphismCertificate:
-    """The half-group certificate gives the full closure's verdict."""
+    """The certificate read off the basis gives the full closure's
+    verdict."""
 
     @pytest.mark.parametrize("name", sorted(CATALOG_SIZES))
     def test_catalog_group(self, catalog_groups, name):
@@ -475,21 +477,116 @@ class TestAutomorphismCertificate:
 
 
 def test_basis_of_more_than_256_blocks():
-    # a cyclic group's half ball takes one block per element, too many
+    # a^2 in C601 reaches one element a block, a^2k at block k + 1, and
+    # first pairs some y with y a at a^600, the 301st: too many blocks
     # for the marks to be kept as bytes
     cyclic = enumerate_group(parse_presentation("gens a\nrel a^601\n"))
     a = Word.gen(0)
-    basis = cyclic.basis([a])
+    basis = cyclic.basis([a * a])
     assert not isinstance(basis.mark, bytes) and len(basis.blocks) > 256
     for k in (1, 2, 150, 299, 300):
-        x = cyclic.element_of(a ** k)
+        x = cyclic.element_of(a ** (2 * k))
         assert basis.mark[x] and basis.word(x) == [0] * k
     for k in (0, 1, 2, 300, 600):
-        # 601 is prime: a -> a^k is an automorphism for every k but 0
-        want = automorphism_reference(cyclic, [a], [a ** k])
+        # 601 is prime: a^2 -> a^k is an automorphism for every k but 0
+        want = automorphism_reference(cyclic, [a * a], [a ** k])
         assert (want is not None) == (k != 0)
-        assert cyclic.generator_map_automorphism([a], [a ** k]) == want
-        assert (cyclic.generator_map_automorphism([a], [a ** k]) is not None) == (k != 0)
+        assert cyclic.generator_map_automorphism([a * a], [a ** k]) == want
+        assert (cyclic.generator_map_automorphism([a * a], [a ** k]) is not None) == (k != 0)
+
+
+# -- the generation certificate ------------------------------------------------
+
+# elements reached by ex2's basis (order 20160) of sigma conjugated by c,
+# c the seeded random word of 0 to 16 letters: a sixth of the group at
+# most, where a closure to half the group reached 10,500 each time
+EX2_REACHED = [84, 84, 126, 252, 126, 336, 168, 84, 168, 84, 84, 504, 3066, 84, 1596, 882, 630]
+
+# the catalog groups small enough for the quadratic naive_subgroup_closure
+SMALL_CATALOG = [
+    "ex3-central-quotient", "simplex333", "torus-44-1-0", "torus-44-1-1",
+    "torus-44-2-0", "torus-44-1-3", "torus-36-1-2", "torus-63-1-2",
+]
+
+
+class TestGenerationCertificate:
+    """``basis`` and ``generated_by_involutions`` stop the closure once
+    each generator g has a reached pair y, y g, and give None or False
+    when it ends with one unpaired."""
+
+    def test_ex2_reached_counts(self, catalog_groups):
+        m = catalog_groups.group("ex2")
+        rng = random.Random("ex2-reached")
+        reached = []
+        for n in range(17):
+            c = _random_word(rng, m.rep.presentation.ngens, n)
+            basis = m.rep.basis([~c * s * c for s in m.sigma])
+            reached.append(m.order - basis.mark.count(0))
+        assert reached == EX2_REACHED
+
+    def test_generated_by_involutions_matches_naive(self, catalog_groups):
+        reps = [enumerate_group(torus_presentation(t)) for t in CERTIFICATE_TORI]
+        reps += [catalog_groups.group(name).rep for name in SMALL_CATALOG]
+        verdicts = []
+        for rep in reps:
+            want = len(naive_subgroup_closure(rep, naive_involutions(rep))) == rep.order
+            assert rep.generated_by_involutions() is want
+            # the same table without _left finds the involutions by walks
+            assert GroupRep(rep.presentation, rep.table).generated_by_involutions() is want
+            verdicts.append(want)
+        assert True in verdicts and False in verdicts
+
+    def test_generated_by_involutions_skew(self, ex1_pipe):
+        # an extension, without _left; naive_subgroup_closure would take
+        # seconds on its 4000 elements, so the involutions' words are
+        # closed breadth first instead
+        rep = ex1_pipe.map3.rep
+        words = [rep.element_word(x) for x in naive_involutions(rep)]
+        assert len(word_bfs_closure(rep, words)) == rep.order // 2
+        assert rep.generated_by_involutions() is False
+
+    def test_generator_fixing_the_identity(self):
+        # b is trivial, so its column fixes 0 and pairs with y = 0 before
+        # any block, and a pairs with 0 in a's first block
+        rep = enumerate_group(parse_presentation("gens a b\nrel a^5\nrel b\n"))
+        a = Word.gen(0)
+        basis = rep.basis([a])
+        assert basis.pairs == (0, 0) and basis.blocks == [-1, -1, 0]
+        for k in range(5):
+            want = automorphism_reference(rep, [a], [a ** k])
+            assert rep.generator_map_automorphism([a], [a ** k]) == want
+            assert (want is not None) == (k != 0)
+        assert rep.generated_by_involutions() is False
+        # the trivial group: every column fixes 0, so no word is needed
+        trivial = enumerate_group(parse_presentation("gens a\nrel a\n"))
+        basis = trivial.basis([])
+        assert basis.pairs == (0,) and basis.blocks == [-1, -1]
+        assert trivial.generated_by_involutions() is True
+
+    def test_identity_source(self, catalog_groups):
+        m = catalog_groups.group("ex3")
+        rep = m.rep
+        e = Word.identity()
+        sources = [e] + list(m.sigma)
+        basis = rep.basis(sources)
+        # the identity is reached already, so it makes no block
+        assert basis is not None and 0 not in basis.blocks[2:]
+        assert rep.basis([e, m.sigma[0]]) is None
+        for images in (sources, [m.sigma[0]] + list(m.sigma), [e] + list(reversed(m.sigma))):
+            want = automorphism_reference(rep, sources, images)
+            assert rep.generator_map_automorphism(sources, images) == want
+            assert rep.endomorphism_exists(basis, images) == (want is not None)
+        assert rep.generator_map_automorphism(sources, sources) == list(range(rep.order))
+
+    def test_paired_generator_of_a_proper_subgroup(self, catalog_groups):
+        # <s1> holds 0 and s1, a pair for s1's column, but no pair for
+        # s2's or s3's, so the closure runs to its end and gives None
+        rep = catalog_groups.group("ex3").rep
+        s1 = Word.gen(0)
+        closure = rep.subgroup_closure([s1]).elements
+        assert 0 in closure and rep.element_of(s1) in closure and len(closure) == 3
+        assert rep.basis([s1]) is None
+        assert rep.generator_map_automorphism([s1], [s1]) is None
 
 
 # -- the form tests on the wrappers' bases -------------------------------------
