@@ -400,7 +400,7 @@ def serialize_presentation(p: Presentation) -> str:
     if p.distinguished is not None:
         parts = []
         for w in p.distinguished:
-            t = w.text(names)
+            t = w.text(names) if w else "()"
             parts.append(f"({t})" if " " in t else t)
         lines.append(f"{p.distinguished_kind} " + " ".join(parts))
     return "\n".join(lines) + "\n"

@@ -380,39 +380,6 @@ class TestGenerate:
 
 
 class TestHeavyExamples:
-    def test_analyze_example1(self, tmp_path, capsys):
-        assert main(["generate", "catalog", "ex1", "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["analyze", str(tmp_path / "ex1.pres"), "--json"]) == 0
-        d = json.loads(capsys.readouterr().out)
-        assert d["chirality"] == "chiral"
-        assert d["schlafli"] == [4, 4, 4]
-        assert d["group_order"] == 2000
-
-    def test_construct_petrie_coxeter_example1(self, tmp_path, capsys):
-        assert main(["generate", "catalog", "ex1", "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        rc = main([
-            "construct", "petrie-coxeter", str(tmp_path / "ex1.pres"), "--json",
-        ])
-        assert rc == 0
-        d = json.loads(capsys.readouterr().out)
-        assert d["group_order"] == 4000
-        assert d["schlafli"] == [4, 8]
-        assert d["holes"]["2"] == 4
-
-    def test_construct_quotient_example2(self, tmp_path, capsys):
-        assert main(["generate", "catalog", "ex2", "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        rc = main([
-            "construct", "quotient", str(tmp_path / "ex2.pres"),
-            "--petrie", "7", "--json",
-        ])
-        assert rc == 0
-        d = json.loads(capsys.readouterr().out)
-        assert d["group_order"] == 5040
-        assert d["petrie"] == {"left": 7, "right": 7}
-
     def test_catalog_verify_passes(self, capsys):
         assert main(["generate", "catalog", "--verify"]) == 0
         out = capsys.readouterr().out

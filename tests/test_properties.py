@@ -39,8 +39,8 @@ PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 _names = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,4}", fullmatch=True)
 
 
-def _words(ngens, reduced):
-    words = st.lists(st.integers(0, 2 * ngens - 1), min_size=1, max_size=12).map(Word)
+def _words(ngens, reduced, min_size=1):
+    words = st.lists(st.integers(0, 2 * ngens - 1), min_size=min_size, max_size=12).map(Word)
     if reduced:
         words = words.map(Word.reduce).filter(bool)
     return words
@@ -52,7 +52,7 @@ def presentations(draw):
     relators = draw(st.lists(_words(len(names), reduced=True), max_size=5))
     distinguished = kind = None
     if draw(st.booleans()):
-        distinguished = draw(st.lists(_words(len(names), reduced=False), min_size=2, max_size=4))
+        distinguished = draw(st.lists(_words(len(names), reduced=False, min_size=0), min_size=2, max_size=4))
         kind = draw(st.sampled_from(["sigma", "rho"]))
     return Presentation.build(names, relators, distinguished, kind)
 
