@@ -658,20 +658,23 @@ def compute_entry_report(entry: CatalogEntry, cap: int = DEFAULT_CAP) -> dict:
     rank-4 entry the Petrie-Coxeter map and the extra subgroup sizes the
     entry asks for."""
     g = load_group(entry.presentation, cap)
-    out = _catalog_view(report(g))
-    if isinstance(g, RotationGroup3):
-        # classify3 has decided reflexibility for a polytopal map already
-        if out["polytopal"]:
-            out["reflexible"] = out["chirality"] == Chirality.REGULAR.value
-        else:
-            out["reflexible"] = is_reflexible3(g)
     if isinstance(g, (RotationGroup3, RegularMap3)):
+        out = _catalog_view(report(g))
+        if isinstance(g, RotationGroup3):
+            # classify3 has decided reflexibility for a polytopal map already
+            if out["polytopal"]:
+                out["reflexible"] = out["chirality"] == Chirality.REGULAR.value
+            else:
+                out["reflexible"] = is_reflexible3(g)
         return out
 
+    # the report takes the self-duality that petrie_coxeter detected
     try:
         ext, pc_map = petrie_coxeter(g)
+        kind = ext.kind
     except NotSelfDualError:
-        ext = None
+        ext, kind = None, DualityKind.NONE
+    out = _catalog_view(rank4_report(g, kind.value))
     if ext is not None:
         out["extended_order"] = ext.order
         out["map"] = _catalog_view(report(pc_map))

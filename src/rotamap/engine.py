@@ -21,15 +21,12 @@ entry (scanning rows in index order, columns in generator order), and a
 deduction stack closes the consequences of each new entry before the
 next definition.  A relator with more than ``LONG_PERIOD`` (8) distinct
 rotations is instead closed once at each coset, HLT style, when the
-definition loop reaches it; see ``_enumerate_cosets``.  Most of those
-cycles are closed already by then, so the loop first walks every long
-relator from a window of cosets at once, one list comprehension per
-letter, and closes only the cycles that walk finds open, and a scan
-interrupted by its one definition resumes where it stopped.  The table
-being built is stored by column too, one list of entries and one of
-labels per column, so a scan binds the lists of its letters once and
-takes each step as ``col[f]``, and each list ends in a sentinel, so a
-walk that meets a gap stays at -1.
+definition loop reaches it; see ``_enumerate_cosets``.  A scan that
+finds the cycle closed returns after one walk, and a scan interrupted by
+its one definition resumes where it stopped.  The table being built is
+stored by column too, one list of entries and one of labels per column,
+so a scan binds the lists of its letters once and takes each step as
+``col[f]``.
 
 The lifted elements are then numbered in row-scan order: the identity is 0,
 and every other element gets the next number where it first appears
@@ -135,7 +132,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import gcd
-from operator import eq, lt, ne
+from operator import eq, lt
 
 from .errors import CapExceededError, CollapseError, InconsistencyError
 from .words import DEFAULT_CAP, Presentation, Word, _cyclic_reduce, _reduce_cols
@@ -144,11 +141,6 @@ from .words import DEFAULT_CAP, Presentation, Word, _cyclic_reduce, _reduce_cols
 # relators with more distinct rotations than this are closed once per
 # coset instead of scanned at every new edge; see _enumerate_cosets
 LONG_PERIOD = 8
-
-# the definition loop walks the long relators from this many cosets at
-# once, and closes only the cycles that walk finds open; see
-# _enumerate_cosets
-WINDOW = 256
 
 
 def _short_period(w):
@@ -289,33 +281,16 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
     relator that makes a group collapse can still define several times
     the rows Felsch would; the cap bounds the run.
 
-    Two shortcuts skip only scan work that does nothing, so the cosets
-    defined, in their order, and the table are those of a loop that
-    closes every long relator at every coset and rescans from the coset
-    after each definition (``tests/oracle.hlt_reference``; the tests
-    compare the raw tables and parents for trivial H).
-
-    - **Window.**  Reaching a live coset past the current window, the
-      loop opens a new window there: that coset and the ones after it
-      defined so far, ``WINDOW`` (256) at most; windows of 64 to 1,024
-      cosets did as well.  It walks each long
-      relator from all of them at once, one list comprehension per
-      letter, keeping the label sum next to each coset, except once the
-      modulus is 1, where every sum is 0 and stays so.  Every column
-      list ends in a -1 sentinel (``col[-1] == -1``; each new coset
-      takes the sentinel's slot and appends a new one), so a walk that
-      meets a gap stays at -1.  A coset whose walk comes back to it with
-      a sum of 0 modulo the modulus has its cycle closed, and the loop
-      skips its ``close``.  That call would do nothing: the table only
-      gains entries, and a coincidence maps a closed path of sum 0 to a
-      closed path of sum 0 (see "Sound" below), so the cycle is still
-      closed when the loop gets there, and ``close`` returns at once.
-    - **Resume.**  After the definition at the forward end of a gap,
-      the forward scan goes on from where it stopped, with the sum it
-      had.  Unless a coincidence ran in that definition's drain
-      (``coincide`` counts its merges), the path walked from the coset
-      is unchanged, so a rescan would retrace it.  After a coincidence
-      the scan starts afresh, or stops if the coset died.
+    **Resume.**  After the definition at the forward end of a gap, the
+    forward scan goes on from where it stopped, with the sum it had.
+    Unless a coincidence ran in that definition's drain (``coincide``
+    counts its merges), the path walked from the coset is unchanged, so
+    a rescan would retrace it.  After a coincidence the scan starts
+    afresh, or stops if the coset died.  This shortcut skips only scan
+    work that does nothing, so the cosets defined, in their order, and
+    the table are those of a loop that rescans from the coset after each
+    definition (``tests/oracle.hlt_reference``; the tests compare the raw
+    tables and parents for trivial H).
 
     The table is kept by column, ``cols[x][c]`` and ``labs[x][c]``, and
     every rotation and long relator binds the column and label lists of
@@ -329,22 +304,21 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
 
     Sound: Felsch closes every short relator cycle, with sum 0.  A coset
     live at the end was live when the loop reached it, and every long
-    relator cycle at it was closed with sum 0 then, by ``close`` or
-    already when its window was walked.  A coincidence maps a path to
-    one between the live cosets, the offsets it adds cancel around a
-    cycle, and an entry it merges into another changes a sum by a
-    multiple of the new modulus, so closed paths of sum 0 stay so.  ``enumerate_group``
-    checks the lifted table against the presentation all the same.
+    relator cycle at it was closed with sum 0 then, by ``close``.  A
+    coincidence maps a path to one between the live cosets, the offsets
+    it adds cancel around a cycle, and an entry it merges into another
+    changes a sum by a multiple of the new modulus, so closed paths of
+    sum 0 stay so.  ``enumerate_group`` checks the lifted table against
+    the presentation all the same.
 
     The cap counts the rows defined, coset 0 included, times p: a
     definition that would take that past ``cap`` raises
     CapExceededError, whose count is the live cosets times p.
     """
     g, p = (None, 1) if h is None else h
-    # coset 0's entries and the sentinel: col[-1] == -1 always, as each
-    # new coset takes the sentinel's slot, so a walk stays at -1 past a gap
-    cols = [[-1, -1] for _ in range(ncols)]
-    labs = [[0, 0] for _ in range(ncols)]
+    # coset 0's entries
+    cols = [[-1] for _ in range(ncols)]
+    labs = [[0] for _ in range(ncols)]
     parent = [0]
     off = [0]
     modulus = p
@@ -475,8 +449,7 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
                     d = cx[c]
 
     def define(c, x):
-        # a new coset at the empty entry c --x-->, and its deductions;
-        # it takes the sentinel's slot, and a new sentinel goes after it
+        # a new coset at the empty entry c --x-->, and its deductions
         n = len(parent)
         if (n + 1) * p > cap:
             live = sum(1 for k in range(n) if parent[k] == k)
@@ -551,37 +524,16 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
         push((0, g))
         drain()
     i = 0
-    hi = 0
     while i < len(parent):
         if parent[i] == i:
-            if i >= hi:
-                # walk every long relator from a window of cosets at once,
-                # and keep the cycles still open or of a nonzero sum
-                lo, hi = i, min(i + WINDOW, len(parent))
-                starts = range(lo, hi)
-                todo = []
-                for _, fw, fl, _, _ in long_relators:
-                    if modulus == 1:
-                        # every sum is 0 modulo 1, and the modulus stays 1
-                        todo.append(list(map(ne, _act(starts, fw), starts)))
-                        continue
-                    xs = starts
-                    ss = [0] * (hi - lo)
-                    for col, lab in zip(fw, fl):
-                        ss = [s + lab[x] for s, x in zip(ss, xs)]
-                        xs = [col[x] for x in xs]
-                    todo.append([x != t or s % modulus for x, t, s in zip(xs, starts, ss)])
-            for (w, fw, fl, bw, bl), still_open in zip(long_relators, todo):
-                if still_open[i - lo]:
-                    close(i, w, fw, fl, bw, bl)
+            for w, fw, fl, bw, bl in long_relators:
+                close(i, w, fw, fl, bw, bl)
             for x, col, _, _, _ in columns:
                 if parent[i] != i:
                     break
                 if col[i] < 0:
                     define(i, x)
         i += 1
-    for col in cols + labs:
-        col.pop()
     return cols, parent, labs, modulus
 
 
@@ -607,7 +559,8 @@ def _lift(cols, parent, labs, modulus) -> tuple:
     live = [c for c, q in enumerate(parent) if c == q]
     m = len(live)
     n = m * modulus
-    # the position of each live coset, -1 for a dead one and for a gap
+    # the position of each live coset, -1 for a dead one, and in the
+    # extra last slot, pos[-1], for a gap
     pos = [-1] * (len(parent) + 1)
     for t, c in enumerate(live):
         pos[c] = t

@@ -12,8 +12,14 @@ group built during the traversal that ``enumerate_group`` did not build
 is enumerated afterwards, under the tracer, from its presentation.  It
 writes nothing.  It exits 1, naming the presentation keys at fault,
 unless the digests equal ``perfbench/tables.json`` exactly: no table
-changed, none recorded left unbuilt, none built unrecorded.  pytest does
-not collect it; it takes about as long as recording the tables.
+changed, none recorded left unbuilt, none built unrecorded.
+
+It then enumerates every torus the torus-sweep workload can draw over the
+trivial subgroup, whose long translation relators the engine closes HLT
+style, and exits 1, naming the tori at fault, unless the raw ``(cols,
+parent)`` equals that of ``oracle.hlt_reference``: the same cosets
+defined in the same order.  pytest does not collect it; it takes about
+as long as recording the tables.
 """
 
 from __future__ import annotations
@@ -62,13 +68,34 @@ def main() -> int:
         "not built": sorted(recorded.keys() - built.keys()),
         "not recorded": sorted(built.keys() - recorded.keys()),
     }
+    faults["unlike hlt_reference"] = torus_hlt_mismatches()
     for what, keys in faults.items():
         if keys:
             print(f"{len(keys)} tables {what}: {', '.join(keys)}", file=sys.stderr)
     if any(faults.values()):
         return 1
-    print(f"all {len(recorded)} recorded tables match")
+    print(f"all {len(recorded)} recorded tables match, and every torus "
+          "enumerates as hlt_reference does")
     return 0
+
+
+def torus_hlt_mismatches() -> list:
+    """The names of the torus-sweep tori whose raw enumeration over the
+    trivial subgroup differs from ``oracle.hlt_reference``'s."""
+    import workloads
+    from oracle import hlt_reference
+
+    rotamap = sys.modules["rotamap"]
+    engine = sys.modules["rotamap.engine"]
+    cap = engine.DEFAULT_CAP
+    out = []
+    for v in workloads.setup("torus-sweep", 0, "domain").keys:
+        t = rotamap.TorusFamily(*v)
+        p = rotamap.torus_presentation(t)
+        args = (2 * p.ngens, engine._bounded_relators(p, cap), cap)
+        if engine._enumerate_cosets(*args)[:2] != hlt_reference(*args):
+            out.append(t.name)
+    return out
 
 
 if __name__ == "__main__":

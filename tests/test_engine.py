@@ -17,6 +17,7 @@ from rotamap import (
     enumerate_group,
     locally_toroidal_presentation,
     parse_presentation,
+    serialize_presentation,
     simplex_presentation,
     torus_presentation,
 )
@@ -631,7 +632,12 @@ class TestCyclicSubgroup:
         ("gens a\nrel a^6\nrel a^4\n", (0, 6), 2, 2),
         # the quaternion group, with no power relator: H is trivial
         ("gens a b\nrel a b a^-1 b\nrel b a b^-1 a\n", None, 1, 8),
-    ], ids=["trivial-group", "modulus-falls", "cyclic-modulus-falls", "no-power-relator"])
+        # ex3 with s2^5, so s2 = 1 and the group collapses: the modulus
+        # falls to 1 over H = <s2> while its four long relators are
+        # still being closed
+        (serialize_presentation(catalog()["ex3"].presentation) + "rel s2^5\n", (2, 6), 1, 1),
+    ], ids=["trivial-group", "modulus-falls", "cyclic-modulus-falls", "no-power-relator",
+            "ex3-modulus-falls-to-1"])
     def test_edge_cases(self, text, h, modulus, order):
         p = parse_presentation(text)
         assert _cyclic(p) == h
@@ -659,12 +665,10 @@ def enumeration_outcome(enumerate_cosets, p, cap=DEFAULT_CAP):
 
 
 class TestMatchesHltReference:
-    """The engine walks the long relators from a window of cosets at once
-    and closes only the cycles found open, and resumes an HLT scan after
-    its definition.  Both skip only work that does nothing, so it defines
-    the same cosets in the same order as ``oracle.hlt_reference``, which
-    closes every long relator at every coset and rescans after each
-    definition: the raw tables and parents are identical."""
+    """The engine resumes an HLT scan after its definition.  That skips
+    only work that does nothing, so it defines the same cosets in the
+    same order as ``oracle.hlt_reference``, which rescans from the coset
+    after each definition: the raw tables and parents are identical."""
 
     @pytest.mark.parametrize("name", sorted(catalog()))
     def test_catalog(self, name):
@@ -676,4 +680,12 @@ class TestMatchesHltReference:
     def test_petrie(self, base, k):
         # most of these collapse, so coincidences interrupt the scans
         p = catalog()[base].presentation.with_relators((s1 * s3) ** k)
+        assert enumeration_outcome(_enumerate_cosets, p) == enumeration_outcome(hlt_reference, p)
+
+    @pytest.mark.parametrize("family,b,c", [("36", 12, 12), ("63", 7, 9)])
+    def test_tori(self, family, b, c):
+        # the tori pinned in TestRowsDefined, whose long translation
+        # relators are closed once per coset; 253 and 111 of the cosets
+        # they define coincide with others
+        p = torus_presentation(TorusFamily(family, b, c))
         assert enumeration_outcome(_enumerate_cosets, p) == enumeration_outcome(hlt_reference, p)
