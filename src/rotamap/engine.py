@@ -23,9 +23,12 @@ next definition.  A relator with more than ``LONG_PERIOD`` (8) distinct
 rotations is instead closed once at each coset, HLT style, when the
 definition loop reaches it; see ``_enumerate_cosets``.  A scan that
 finds the cycle closed returns after one walk, and a scan interrupted by
-its one definition resumes where it stopped.  The table being built is
-stored by column too, one list of entries and one of labels per column,
-so a scan binds the lists of its letters once and takes each step as
+its one definition resumes where it stopped.  The loop stops at its
+first complete table, every live row full, if the table lifted from it
+passes ``GroupRep._verify``: the walks left could change nothing, so it
+is the table the loop would end with.  The table being built is stored
+by column too, one list of entries and one of labels per column, so a
+scan binds the lists of its letters once and takes each step as
 ``col[f]``.
 
 The lifted elements are then numbered in row-scan order: the identity is 0,
@@ -211,7 +214,7 @@ def _rotations_by_column(relators, cols, labs):
     return [tuple(b) for b in buckets]
 
 
-def _enumerate_cosets(ncols, relators, cap, h=None):
+def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     """Enumerate the cosets of H = <g> for ``h = (g, p)``, g a generator
     column and g^p a relator, or of the trivial subgroup for None.
     Returns ``(cols, parent, labs, modulus)`` before compression:
@@ -219,7 +222,8 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
     and ``labs[x][c]`` its Schreier label.  A coset c is live when
     ``parent[c] == c``; a coincidence points the larger coset at the
     smaller, so ``parent[c] <= c`` always.  ``_lift`` builds the regular
-    table from them.
+    table from them.  ``check``, if given, is tried on that state at most
+    once before the loop ends, and ends it if it passes (**Early stop**).
 
     **Labels.**  Coset c stands for H r_c, r_c its representative, and an
     entry ``t --x--> u`` holds a label l with r_t x = g^l r_u.  Coset 0 is
@@ -302,9 +306,33 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
     the same order, so it defines the same rows, in about half the
     memory and in less time.
 
-    Sound: Felsch closes every short relator cycle, with sum 0.  A coset
-    live at the end was live when the loop reached it, and every long
-    relator cycle at it was closed with sum 0 then, by ``close``.  A
+    **Early stop.**  ``undefined`` counts the -1 entries of live rows: a
+    new row adds ``ncols``, an entry and its inverse take 2 (``link``, and
+    coset 0's g loop), a coset that dies takes its row's, and a
+    coincidence that clears an entry of a live coset adds it back.  The
+    first time a pass of the definition loop leaves it at 0 with rows
+    still to come, the state goes to ``check``, which ``enumerate_group``
+    supplies: ``_lift``, ``GroupRep`` and ``_verify``, raising
+    InconsistencyError when the table fails.  If it returns, the loop
+    stops there; if it raises, the loop runs to its end as if there were
+    no check, and ``check`` is not tried again.  The stop is exact.  A
+    table that passes is a regular representation in which every relator
+    fixes every element, so every long relator walk left, from a live
+    coset c, comes back to c with a sum of 0 modulo the modulus: it
+    defines nothing, merges nothing and leaves the modulus as it is, and
+    no row has an entry left to fill.  So the state handed over is the
+    one the loop would return: the same columns, parents, labels,
+    modulus and rows defined.  Most tables are complete long before the
+    loop reaches their last rows, and the rest of the loop only walks
+    closed cycles.
+
+    Sound: the walks force the coincidences and the relations of g that
+    make the table close, and ``_verify`` certifies it: every deduction
+    holds in the group, so a complete table that passes is exact, however
+    far the loop went (``_lift``).  Run to its end, the loop closes every
+    cycle too.  Felsch closes every short relator cycle, with sum 0.  A
+    coset live at the end was live when the loop reached it, and every
+    long relator cycle at it was closed with sum 0 then, by ``close``.  A
     coincidence maps a path to one between the live cosets, the offsets
     it adds cancel around a cycle, and an entry it merges into another
     changes a sum by a multiple of the new modulus, so closed paths of
@@ -329,6 +357,8 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
     stack = []
     push = stack.append
     merges = 0
+    # the -1 entries of live rows: coset 0's, so far
+    undefined = ncols
 
     def find(c):
         # the live coset of c and the exponent o with r_c = g^o r_live
@@ -344,14 +374,19 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
     def join(a, b, k):
         # live cosets a != b with r_a = g^k r_b are one: the larger dies,
         # and is returned
+        nonlocal undefined
         if a < b:
             a, b, k = b, a, -k
         parent[a] = b
         off[a] = k
+        undefined -= [col[a] for col in cols].count(-1)
         return a
 
     def link(c, x, d, l):
-        # the entry c --x--> d of label l, its inverse, and its deduction
+        # the entry c --x--> d of label l, its inverse, and its deduction;
+        # both were -1 in live rows
+        nonlocal undefined
+        undefined -= 2
         cols[x][c] = d
         labs[x][c] = l % modulus
         cols[x ^ 1][d] = c
@@ -360,7 +395,7 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
 
     def coincide(a, b, k):
         # distinct live cosets a and b with r_a = g^k r_b are one
-        nonlocal merges, modulus
+        nonlocal merges, modulus, undefined
         merges += 1
         q = deque((join(a, b, k),))
         while q:
@@ -370,6 +405,8 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
                 if d < 0:
                     continue
                 inv[d] = -1
+                if parent[d] == d:
+                    undefined += 1
                 mu, o = find(dead)
                 nu, on = find(d)
                 # r_mu x = g^l r_nu
@@ -450,6 +487,7 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
 
     def define(c, x):
         # a new coset at the empty entry c --x-->, and its deductions
+        nonlocal undefined
         n = len(parent)
         if (n + 1) * p > cap:
             live = sum(1 for k in range(n) if parent[k] == k)
@@ -460,6 +498,7 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
             lab.append(0)
         parent.append(n)
         off.append(0)
+        undefined += ncols
         link(c, x, n, 0)
         drain()
 
@@ -521,6 +560,7 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
         cols[g][0] = cols[g ^ 1][0] = 0
         labs[g][0] = 1 % p
         labs[g ^ 1][0] = -1 % p
+        undefined -= 2
         push((0, g))
         drain()
     i = 0
@@ -534,6 +574,14 @@ def _enumerate_cosets(ncols, relators, cap, h=None):
                 if col[i] < 0:
                     define(i, x)
         i += 1
+        if not undefined and check is not None and i < len(parent):
+            # every live row is full: the first complete table, tried once
+            try:
+                check(cols, parent, labs, modulus)
+            except InconsistencyError:
+                check = None
+            else:
+                break
     return cols, parent, labs, modulus
 
 
@@ -548,14 +596,18 @@ def _lift(cols, parent, labs, modulus) -> tuple:
     live row must be defined and point at a live coset (see
     ``_enumerate_cosets``), else InconsistencyError.
 
-    Why the order m M is exact: ``_verify`` proves the lifted table the
-    regular representation of a quotient of the presented group G, so
-    m M <= |G|.  The enumeration deduces only what holds in G, so
-    m = |G:H|, and every relation it finds holds in G, so |H| divides M.
-    So |G| = m |H| <= m M, and the two are equal.  A false coincidence or
-    a wrong modulus would give a smaller quotient that still passes
-    ``_verify``, as a false coincidence would over the trivial subgroup;
-    the tests compare the tables over H and over the trivial subgroup."""
+    Why the order m M is exact, for any complete table the enumeration
+    reaches, whether its loop ran to its end or stopped early: ``_verify``
+    proves the lifted table the regular representation of a quotient of
+    the presented group G, so m M <= |G|.  The enumeration deduces only
+    what holds in G, so m = |G:H|, and every relation it finds holds in
+    G, so |H| divides M.  So |G| = m |H| <= m M, and the two are equal.
+    Nothing in this needs the long relator walks to have run at every
+    coset: they are how the enumeration finds its coincidences, not what
+    makes its table right.  A false coincidence or a wrong modulus would
+    give a smaller quotient that still passes ``_verify``, as a false
+    coincidence would over the trivial subgroup; the tests compare the
+    tables over H and over the trivial subgroup."""
     live = [c for c, q in enumerate(parent) if c == q]
     m = len(live)
     n = m * modulus
@@ -734,14 +786,32 @@ def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
     table is checked against the presentation (``GroupRep._verify``):
     columns are mutually inverse permutations, the table is a regular
     representation and so every relator, which fixes the identity, fixes
-    every coset.
+    every coset.  That check is also the enumeration's early check: the
+    first complete table is lifted and checked once, and if it passes,
+    its group is returned without the rest of the loop, which could not
+    change it (``_enumerate_cosets``).  If it fails, the loop runs to its
+    end, and that table is lifted and checked as it would be with no
+    early check, with the same errors.
     """
     if p.ngens == 0:
         raise ValueError("presentation has no generators")
     if cap < 1:
         raise ValueError("cap must be positive")
     relators = _bounded_relators(p, cap)
-    cosets = _enumerate_cosets(2 * p.ngens, relators, cap, _cyclic_subgroup(relators))
+    rep = None
+
+    def check(*cosets):
+        nonlocal rep
+        rep = _verified_group(p, cap, cosets)
+
+    cosets = _enumerate_cosets(2 * p.ngens, relators, cap, _cyclic_subgroup(relators), check)
+    return rep if rep is not None else _verified_group(p, cap, cosets)
+
+
+def _verified_group(p: Presentation, cap: int, cosets) -> "GroupRep":
+    """The group of p from the raw ``cosets`` of ``_enumerate_cosets``,
+    lifted (``_lift``) and checked against p (``GroupRep._verify``);
+    InconsistencyError if the table is not complete or fails the check."""
     rep = GroupRep(p, CosetTable(_lift(*cosets), p.ngens), cap)
     rep._verify()
     return rep

@@ -16,10 +16,17 @@ changed, none recorded left unbuilt, none built unrecorded.
 
 It then enumerates every torus the torus-sweep workload can draw over the
 trivial subgroup, whose long translation relators the engine closes HLT
-style, and exits 1, naming the tori at fault, unless the raw ``(cols,
-parent)`` equals that of ``oracle.hlt_reference``: the same cosets
-defined in the same order.  pytest does not collect it; it takes about
-as long as recording the tables.
+style, with ``enumerate_group``'s early check, and exits 1, naming the
+tori at fault, unless the raw ``(cols, parent)`` equals that of
+``oracle.hlt_reference``: the same cosets defined in the same order.
+Where the check accepted the first complete table, the state it was
+handed is compared too.  pytest does not collect it; it takes about as
+long as recording the tables.
+
+It prints how many presentations, over the groups ``enumerate_group``
+enumerates and over the tori's trivial subgroups, stopped at the first
+complete table (early), went on after the check failed there (fell
+back), or were first complete at the loop's last row (ran to the end).
 """
 
 from __future__ import annotations
@@ -42,14 +49,22 @@ def main() -> int:
     engine = sys.modules["rotamap.engine"]
     groups = {}
     init = engine.GroupRep.__init__
+    enumerate_cosets = engine._enumerate_cosets
+    stops = {}
 
     def record(self, presentation, *args, **kwargs):
         init(self, presentation, *args, **kwargs)
         groups.setdefault(spans.presentation_key(presentation), presentation)
 
+    def observe(ncols, relators, cap, h, check):
+        stops[ncols, tuple(relators)], _, state = observed(
+            enumerate_cosets, ncols, relators, cap, h, check)
+        return state
+
     tracer = spans.Tracer()
     tracer.install()
     engine.GroupRep.__init__ = record
+    engine._enumerate_cosets = observe
     try:
         for name in workloads.WORKLOADS:
             for fn, arg in workloads.setup(name, 0, "domain").ops:
@@ -60,6 +75,7 @@ def main() -> int:
                 engine.enumerate_group(presentation)
     finally:
         engine.GroupRep.__init__ = init
+        engine._enumerate_cosets = enumerate_cosets
         tracer.uninstall()
     recorded = json.loads((PERFBENCH / "tables.json").read_text(encoding="utf-8"))
     built = tracer.tables
@@ -68,10 +84,14 @@ def main() -> int:
         "not built": sorted(recorded.keys() - built.keys()),
         "not recorded": sorted(built.keys() - recorded.keys()),
     }
-    faults["unlike hlt_reference"] = torus_hlt_mismatches()
+    mismatches, torus_stops = torus_hlt_mismatches()
+    faults["unlike hlt_reference"] = mismatches
     for what, keys in faults.items():
         if keys:
             print(f"{len(keys)} tables {what}: {', '.join(keys)}", file=sys.stderr)
+    print(f"{tally(stops.values())} of the {len(stops)} presentations enumerated, "
+          f"and {tally(torus_stops)} of the {len(torus_stops)} tori over the "
+          "trivial subgroup")
     if any(faults.values()):
         return 1
     print(f"all {len(recorded)} recorded tables match, and every torus "
@@ -79,9 +99,37 @@ def main() -> int:
     return 0
 
 
-def torus_hlt_mismatches() -> list:
+STOPS = ("early", "fell back", "ran to the end")
+
+
+def tally(stops) -> str:
+    stops = list(stops)
+    return ", ".join(f"{stops.count(stop)} {stop}" for stop in STOPS)
+
+
+def observed(enumerate_cosets, ncols, relators, cap, h, check):
+    """Run ``enumerate_cosets`` with ``check`` as its early check, and
+    return how it stopped (one of ``STOPS``), a copy of the raw ``(cols,
+    parent)`` the check accepted or None, and the raw result."""
+    handed = []
+
+    def copying(cols, parent, labs, modulus):
+        handed.append(([col[:] for col in cols], parent[:]))
+        check(cols, parent, labs, modulus)
+        handed.append(None)
+
+    state = enumerate_cosets(ncols, relators, cap, h, copying)
+    if not handed:
+        return STOPS[2], None, state
+    if len(handed) == 1:
+        return STOPS[1], None, state
+    return STOPS[0], handed[0], state
+
+
+def torus_hlt_mismatches() -> tuple:
     """The names of the torus-sweep tori whose raw enumeration over the
-    trivial subgroup differs from ``oracle.hlt_reference``'s."""
+    trivial subgroup, or the state its early check accepted, differs
+    from ``oracle.hlt_reference``'s; and how each enumeration stopped."""
     import workloads
     from oracle import hlt_reference
 
@@ -89,13 +137,21 @@ def torus_hlt_mismatches() -> list:
     engine = sys.modules["rotamap.engine"]
     cap = engine.DEFAULT_CAP
     out = []
+    stops = []
     for v in workloads.setup("torus-sweep", 0, "domain").keys:
         t = rotamap.TorusFamily(*v)
         p = rotamap.torus_presentation(t)
         args = (2 * p.ngens, engine._bounded_relators(p, cap), cap)
-        if engine._enumerate_cosets(*args)[:2] != hlt_reference(*args):
+
+        def check(*cosets):
+            engine._verified_group(p, cap, cosets)
+
+        stop, accepted, state = observed(engine._enumerate_cosets, *args, None, check)
+        stops.append(stop)
+        want = hlt_reference(*args)
+        if state[:2] != want or accepted not in (None, want):
             out.append(t.name)
-    return out
+    return out, stops
 
 
 if __name__ == "__main__":

@@ -19,9 +19,10 @@ doubled words, and takes relators of any period.
 
 ``hlt_reference`` is the engine's hybrid enumeration over the trivial
 subgroup, without Schreier labels, as it was before the definition loop
-resumed each HLT scan after its definition; the engine, run over the
-trivial subgroup, must return the same raw table and parents, so that
-shortcut only skips work that does nothing.
+resumed each HLT scan after its definition, and before it stopped at its
+first complete table that ``_verify`` certifies; the engine, run over
+the trivial subgroup, must return the same raw table and parents, so
+those shortcuts only skip work that does nothing.
 
 ``verify_reference`` composes every relator over every element, where
 ``GroupRep._verify`` certifies that the table is a regular representation
@@ -473,8 +474,8 @@ def hlt_reference(ncols, relators, cap):
     """``rotamap.engine._enumerate_cosets`` over the trivial subgroup as
     it was before it resumed each HLT scan after its definition: every
     long relator is closed at every live coset the definition loop
-    reaches, and after a definition the scan starts afresh from that
-    coset.  Returns the raw ``(cols, parent)``, which the engine must
+    reaches, to the loop's end, and after a definition the scan starts
+    afresh from that coset.  Returns the raw ``(cols, parent)``, which the engine must
     match exactly: the same definitions in the same order."""
     cols = [[-1] for _ in range(ncols)]
     # the engine's bindings take label lists too; over the trivial

@@ -33,8 +33,10 @@ from rotamap.engine import (
     _rotations_by_column,
     _schreier_tree,
     _short_period,
+    _verified_group,
 )
 from oracle import (
+    felsch_table,
     hlt_reference,
     naive_cyclic_reduce,
     naive_is_automorphism,
@@ -559,7 +561,9 @@ class TestRowsDefined:
     relator, pinned through the cap, which counts that product: an
     enumeration under a cap of that many finishes, and one fewer does
     not.  The cap tests rest on these counts; a change of strategy moves
-    them, while the tables stay pinned above."""
+    them, while the tables stay pinned above.  The early stop at the
+    first complete table leaves them as they were: it is taken only where
+    the loop, run to its end, would define no row after it."""
 
     @pytest.mark.parametrize("name,rows,order", [
         ("ex1", 2064, 2000), ("ex3", 714, 672), ("ex2q7", 6234, 5040),
@@ -668,7 +672,9 @@ class TestMatchesHltReference:
     """The engine resumes an HLT scan after its definition.  That skips
     only work that does nothing, so it defines the same cosets in the
     same order as ``oracle.hlt_reference``, which rescans from the coset
-    after each definition: the raw tables and parents are identical."""
+    after each definition: the raw tables and parents are identical.
+    These pass no early check, so the loop runs to its end;
+    ``TestEarlyStop`` compares the state an early stop returns."""
 
     @pytest.mark.parametrize("name", sorted(catalog()))
     def test_catalog(self, name):
@@ -689,3 +695,55 @@ class TestMatchesHltReference:
         # they define coincide with others
         p = torus_presentation(TorusFamily(family, b, c))
         assert enumeration_outcome(_enumerate_cosets, p) == enumeration_outcome(hlt_reference, p)
+
+
+def early_stop(p, h, cap=DEFAULT_CAP):
+    """Enumerate p over ``h`` with ``enumerate_group``'s check as the early
+    check, which asserts first that every live row is full.  Returns the
+    raw result and, for each call of the check, a copy of the ``(cols,
+    parent)`` it was handed, the live cosets, the modulus and whether it
+    passed."""
+    calls = []
+
+    def check(cols, parent, labs, modulus):
+        live = [c for c, q in enumerate(parent) if c == q]
+        assert all(col[c] >= 0 for col in cols for c in live)
+        calls.append([([col[:] for col in cols], parent[:]), len(live), modulus, False])
+        _verified_group(p, cap, (cols, parent, labs, modulus))
+        calls[-1][-1] = True
+
+    return _enumerate_cosets(2 * p.ngens, _bounded_relators(p, cap), cap, h, check), calls
+
+
+class TestEarlyStop:
+    """``_enumerate_cosets`` hands its first complete table, once, to the
+    check ``enumerate_group`` supplies, and stops there if ``_verify``
+    passes.  The check fails when a long relator walk left to run would
+    still shrink the modulus, or find a coincidence; the loop then runs to
+    its end, and ``enumerate_group`` still gives Felsch's table."""
+
+    BASE = "gens a b\nrel a^4\nrel b^4\nrel (a b)^2\n"
+
+    @pytest.mark.parametrize("relator,early,final", [
+        ("a b^2 a^-2 b a b^3", (4, 4), (4, 2)),
+        ("b a^-1 b a^-1 b a b^4 a^-1 b", (10, 4), (2, 4)),
+    ], ids=["modulus-falls", "cosets-coincide"])
+    def test_failed_check_runs_the_loop_to_its_end(self, relator, early, final):
+        # (live cosets, modulus) at the first complete table and at the end
+        p = parse_presentation(self.BASE + f"rel {relator}\n")
+        (_, parent, _, modulus), calls = early_stop(p, _cyclic(p))
+        assert [call[1:] for call in calls] == [[*early, False]]
+        assert (sum(c == q for c, q in enumerate(parent)), modulus) == final
+        rep = enumerate_group(p)
+        assert rep.order == 8
+        assert rep.table.rows == felsch_table(p, 1000)
+
+    def test_torus_stops_at_the_full_loop_table(self):
+        # over the trivial subgroup, that table is hlt_reference's
+        p = torus_presentation(TorusFamily("36", 12, 12))
+        args = (2 * p.ngens, _bounded_relators(p, DEFAULT_CAP), DEFAULT_CAP)
+        h = _cyclic(p)
+        for h, want in [(None, hlt_reference(*args)), (h, _enumerate_cosets(*args, h)[:2])]:
+            state, calls = early_stop(p, h)
+            assert [call[-1] for call in calls] == [True]
+            assert calls[0][0] == state[:2] == want

@@ -29,9 +29,16 @@ from rotamap import (
     torus_presentation,
 )
 from rotamap.cli import analyze_presentation, main
-from rotamap.engine import LONG_PERIOD, _enumerate_cosets, _short_period
+from rotamap.engine import (
+    LONG_PERIOD,
+    _bounded_relators,
+    _cyclic_subgroup,
+    _enumerate_cosets,
+    _short_period,
+    _verified_group,
+)
 from oracle import felsch_table, hlt_reference, naive_normal_closure, naive_subgroup_closure, word_bfs_closure
-from test_engine import enumeration_outcome
+from test_engine import early_stop, enumeration_outcome
 from test_queries import rot333
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -321,6 +328,33 @@ def test_enumeration_matches_hlt_reference(p):
     # collapsing ones run the rescan after a coincidence
     cap = 5_000
     assert enumeration_outcome(_enumerate_cosets, p, cap) == enumeration_outcome(hlt_reference, p, cap)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(long_relator_presentations(), _small_tori))
+def test_early_stop_returns_the_full_loop_state(p):
+    # the check runs at most once, on a table whose live rows are full
+    # (early_stop asserts that), over the trivial subgroup and over
+    # enumerate_group's; when it passes, what it was handed is what the
+    # loop run to its end returns, and enumerate_group's table is that
+    # loop's
+    cap = 5_000
+    relators = _bounded_relators(p, cap)
+    for h in (None, _cyclic_subgroup(relators)):
+        try:
+            state, calls = early_stop(p, h, cap)
+        except CapExceededError:
+            return
+        assert len(calls) <= 1
+        if not calls or not calls[0][-1]:
+            continue
+        full = _enumerate_cosets(2 * p.ngens, relators, cap, h)
+        assert calls[0][0] == state[:2] == full[:2]
+        assert calls[0][2] == state[3] == full[3]
+        if h is None:
+            assert full[:2] == hlt_reference(2 * p.ngens, relators, cap)
+        else:
+            assert enumerate_group(p, cap).table == _verified_group(p, cap, full).table
 
 
 _STANDARD_FORM_CASES = (
