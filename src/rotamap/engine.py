@@ -1,134 +1,29 @@
 """Finite group models via Todd-Coxeter coset enumeration.
 
-Enumeration runs over a cyclic subgroup H = <g>, g the generator with
-the largest pure power relator g^p, or over the trivial subgroup if no
-relator is a power of one letter: the modified Todd-Coxeter procedure
-(Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
-ch. 5; Arrell and Robertson, "A modified Todd-Coxeter algorithm", 1984).
-Each table entry ``t --x--> u`` carries a Schreier label l, with
-r_t x = g^l r_u for the cosets' representatives, and the labels a scan
-adds up around a closed cycle, or a coincidence finds in disagreement,
-prove powers of g trivial: the modulus, the order of g as far as it is
-known, starts at p and falls to their gcd.  About |H| times fewer rows
-are defined and scanned, and ``_lift`` builds the regular table, element
-(k, t) = g^k r_t for each label k modulo the final modulus M, with one
-list comprehension per column and k.  Its docstring proves the order
-m M exact, m the index.  With trivial H, M = 1 and every label is 0.
+The mechanisms, each argued in the docstring named:
 
-The strategy is a Felsch/HLT hybrid (Havas, "Coset enumeration
-strategies", ISSAC 1991).  Cosets are defined at the first missing table
-entry (scanning rows in index order, columns in generator order), and a
-deduction stack closes the consequences of each new entry before the
-next definition.  A relator with more than ``LONG_PERIOD`` (8) distinct
-rotations is instead closed once at each coset, HLT style, when the
-definition loop reaches it; see ``_enumerate_cosets``.  A scan that
-finds the cycle closed returns after one walk, and a scan interrupted by
-its one definition resumes where it stopped.  The loop stops at its
-first complete table, every live row full, if the table lifted from it
-passes ``GroupRep._verify``: the walks left could change nothing, so it
-is the table the loop would end with.  The table being built is stored
-by column too, one list of entries and one of labels per column, so a
-scan binds the lists of its letters once and takes each step as
-``col[f]``.
-
-The lifted elements are then numbered in row-scan order: the identity is 0,
-and every other element gets the next number where it first appears
-when the rows are read in order, each in column order.  That is the
-standard form of Sims (*Computation with Finitely Presented Groups*,
-1994): the table is a function of the group and the generator order alone,
-whatever order the cosets were defined in, and does not depend on the
-order, rotation or inversion of the relators.  The test suite relies on
-it.
-
-Column encoding matches rotamap.words: generator i occupies column 2*i,
-its inverse column 2*i + 1, so the inverse column is ``col ^ 1``.  A
-completed table (``CosetTable``) is stored by column: ``cols[x][e]`` is
-element e times letter x, one tuple per column.  That takes one tuple per
-column instead of one per element, about half the memory, and it lets
-a pass over many elements apply one letter to all of them at once, ``ys =
-[col[y] for y in ys]``, instead of one interpreted lookup per element and
-letter.  ``_verify`` checks a table with such passes, a few per
-generator: it certifies that the table is a regular representation and
-then walks each relator from the identity only.  The one whole-group
-closure, ``_incremental_closure``, goes one breadth-first level at a
-time: each Schreier word is applied letter by letter to the whole level,
-and one loop merges the images.  It marks each element with the pass
-(block) that reached it, so the marks spell every element reached as a
-word in the generators it closed over, with no parent list.  ``rows`` is
-only a view built on demand.
-
-The yes/no queries stop the closure once each presentation generator g
-has a reached pair y, y g: then g = y^-1 (y g) lies in the subgroup, so
-the words generate the group.  A pair appears by the time the closure
-holds more than half the group, and usually long before.
-``basis(words)`` keeps that pair for each generator and the closure's
-marks, or gives None if the words generate a proper subgroup.  An
-automorphism question is then a homomorphism check read off a basis,
-with no closure of its own: each generator's image
-phi(g) = psi(y)^-1 psi(y g) comes from its pair y, y g, psi
-substituting the images into their words, and phi must send
-every relator to 1 (von Dyck) and every source word to its image word.
-The verdict is exact: some endomorphism sends the sources to the images
-exactly when the check passes.  It needs the presentation to present the
-table's group, which every ``GroupRep`` built here does (see its
-docstring).  Two queries answer automorphism questions with it.
-``endomorphism_exists`` is the check alone on a given basis, for callers
-whose maps are one to one whenever they are endomorphisms (the rank-3
-and rank-4 form tests).  ``generator_map_automorphism`` builds the
-sources' basis, spreads phi along the Schreier tree and checks that its
-images are distinct, which gives the full permutation that ``extend``
-needs.
-
-Every table's Schreier tree comes from one breadth-first search,
-``_schreier_tree``, unless a quotient hands over the tree its labelling
-found (below).
-
-Every ``GroupRep`` attribute is set in ``__init__``, and none is added
-or cached later but one, below; the coset cap is an ``__init__``
-argument for that reason.  Attribute loads are on the hot path of the
-per-element queries, and a lazily cached attribute
-(``functools.cached_property``) is measurably slower to load, likely
-because CPython 3.11 does not specialise the load of an instance
-attribute that a class-level descriptor shadows.
-
-The exception is ``_left``, None from ``__init__``.  ``_verify`` builds
-L_g, left multiplication by each generator g, to certify a table, and
-keeps the lists when the table passes.  ``enumerate_group`` and
-``quotient`` verify before they return, or, for a quotient that shares
-a verified group's table, hand it that group's lists, so no caller sees
-a group without them, and the group stays immutable to its callers.
-With L, ``conjugacy_class`` takes g t g^-1 and ``_involutions`` each
-inverse as table lookups.  Tables that are never verified, extensions
-and tables built directly, keep the Schreier-word walks: building L for
-them costs more than it saves.
-
-Each new table edge ``c --x--> d`` is one deduction, ``(c, x)``: it is
-checked against every rotation of a short relator or its inverse that
-starts with x, at most ``LONG_PERIOD`` of each.  Those rotations are
-grouped by first letter and stored as index ranges into one doubled copy
-``w + w`` of each distinct cyclic word, with the column and label lists
-of its letters bound once per doubled word, so they take space linear in
-the relator lengths.
-
-Coincidences (two cosets proved equal) are processed eagerly with a
-union-find structure, whose offsets relate each coset's representative
-to its parent's, migrating table entries to the surviving coset and
-feeding each migrated entry back into the deduction stack.
-
-Groups derived from a complete table, an index-2 extension
-(``GroupRep.extend``) or a quotient (``GroupRep.quotient``), are built
-from that table without enumerating, and put in row-scan standard form
-too; ``tests/test_derived.py`` compares the two row for row.  An
-extension is certified from the generators and the identity row (see
-``extend``); a quotient, whose table is right only if ``normal_closure``
-is, is checked by ``_verify`` like an enumerated table.  A quotient by a
-word that is already the identity is the group itself (von Dyck), so it
-keeps the group's table and Schreier tree, shared and not copied, and
-the group's left multiplications, which certify that table, if
-``_verify`` left it some.  Any other quotient labels its blocks in
-row-scan order, which meets each label first on its breadth-first tree
-edge, and hands that tree to ``GroupRep`` instead of having
-``_schreier_tree`` search for it again.
+* ``_enumerate_cosets`` enumerates the cosets of a cyclic subgroup
+  H = <g>, Felsch style for short relators and HLT style for long ones,
+  with Schreier labels that prove powers of g trivial.  It stops at the
+  first complete table that ``GroupRep._verify`` certifies.
+* ``_lift`` builds the regular table from the cosets of H and proves its
+  order exact, and ``_row_scan`` puts every table in row-scan standard
+  form, a function of the group and the generator order alone.
+* ``CosetTable`` stores a table by column, so a pass over many elements
+  applies one letter to all of them at once (``_act``).
+* ``GroupRep._verify`` certifies a table as the regular representation
+  of the presented group from the left multiplications that
+  ``GroupRep._left_multiplications`` builds; the ``GroupRep`` class
+  docstring says when a group keeps them, and which queries read them.
+* ``GroupRep._incremental_closure`` closes a subgroup one breadth-first
+  level at a time, and for the yes/no queries stops at a generation
+  certificate (``Basis``).
+* ``GroupRep._phi_words`` decides an automorphism question on a basis,
+  with no closure of its own; ``endomorphism_exists`` and
+  ``generator_map_automorphism`` ask it.
+* ``GroupRep.extend`` and ``GroupRep.quotient`` derive an index-2
+  extension and a quotient from a complete table without enumerating;
+  ``tests/test_derived.py`` compares each with enumeration row for row.
 """
 
 from __future__ import annotations
@@ -225,6 +120,16 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     table from them.  ``check``, if given, is tried on that state at most
     once before the loop ends, and ends it if it passes (**Early stop**).
 
+    This is the modified Todd-Coxeter procedure (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, ch. 5; Arrell and
+    Robertson, "A modified Todd-Coxeter algorithm", 1984): about |H|
+    times fewer rows are defined and scanned than over the trivial
+    subgroup.  Its strategy is a Felsch/HLT hybrid (Havas, "Coset
+    enumeration strategies", ISSAC 1991).  Cosets are defined at the
+    first missing table entry, rows in index order and each row in
+    column order, and a deduction stack closes the consequences of each
+    new entry before the next definition.
+
     **Labels.**  Coset c stands for H r_c, r_c its representative, and an
     entry ``t --x--> u`` holds a label l with r_t x = g^l r_u.  Coset 0 is
     H itself and starts closed under g: ``0 --g--> 0`` with label 1 and
@@ -236,6 +141,8 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     union-find carries an offset too: r_c = g^off[c] r_parent[c], zero at
     a live coset.  ``find`` halves paths as it goes, adding the offsets it
     skips, and a migrated entry takes the offsets of both its ends.
+    Coincidences are processed eagerly, and each migrated entry that is
+    new to the surviving row goes back onto the deduction stack.
     Outside a coincidence every entry of a live row points at a live
     coset: a dying coset's row migrates, clearing the inverse of each of
     its entries, and those inverses are all the entries that point at
@@ -307,8 +214,8 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     memory and in less time.
 
     **Early stop.**  ``undefined`` counts the -1 entries of live rows: a
-    new row adds ``ncols``, an entry and its inverse take 2 (``link``, and
-    coset 0's g loop), a coset that dies takes its row's, and a
+    new row adds ``ncols``, an entry and its inverse take 2 (``link``), a
+    coset that dies takes its row's, and a
     coincidence that clears an entry of a live coset adds it back.  The
     first time a pass of the definition loop leaves it at 0 with rows
     still to come, the state goes to ``check``, which ``enumerate_group``
@@ -557,11 +464,7 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
             return
 
     if g is not None:
-        cols[g][0] = cols[g ^ 1][0] = 0
-        labs[g][0] = 1 % p
-        labs[g ^ 1][0] = -1 % p
-        undefined -= 2
-        push((0, g))
+        link(0, g, 0, 1)
         drain()
     i = 0
     while i < len(parent):
@@ -594,7 +497,8 @@ def _lift(cols, parent, labs, modulus) -> tuple:
     comprehension over the M values of k, whose ints are the objects of
     one shared list; ``_row_scan`` then relabels them.  Every entry of a
     live row must be defined and point at a live coset (see
-    ``_enumerate_cosets``), else InconsistencyError.
+    ``_enumerate_cosets``), else InconsistencyError.  With trivial H,
+    M = 1 and every label is 0.
 
     Why the order m M is exact, for any complete table the enumeration
     reaches, whether its loop ran to its end or stopped early: ``_verify``
@@ -632,8 +536,14 @@ def _lift(cols, parent, labs, modulus) -> tuple:
 class CosetTable:
     """A completed coset table, stored by column: ``cols[x][e]`` is the
     element e times the letter of column x, one tuple per generator and
-    per inverse generator.  ``rows`` is a read-only view, built on each
-    access, with ``rows[e][x] == cols[x][e]``."""
+    per inverse generator.  The column encoding is that of
+    rotamap.words: generator i occupies column 2 i and its inverse
+    column 2 i + 1, so the inverse column is ``x ^ 1``.  One tuple per
+    column instead of one per element takes about half the memory, and
+    lets a pass over many elements apply one letter to all of them at
+    once, ``ys = [col[y] for y in ys]``, instead of one interpreted
+    lookup per element and letter.  ``rows`` is a read-only view, built
+    on each access, with ``rows[e][x] == cols[x][e]``."""
 
     __slots__ = ("cols", "ngens")
 
@@ -660,23 +570,19 @@ class CosetTable:
         )
 
 
-class SubgroupHandle:
-    """A subgroup of a GroupRep: the frozenset of its element indices."""
+class SubgroupHandle(frozenset):
+    """A subgroup of a GroupRep: the frozenset of its element indices,
+    which ``elements`` also names, and ``size`` its order."""
 
-    __slots__ = ("elements",)
-
-    def __init__(self, elements):
-        self.elements = frozenset(elements)
+    __slots__ = ()
 
     @property
     def size(self):
-        return len(self.elements)
+        return len(self)
 
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, x):
-        return x in self.elements
+    @property
+    def elements(self):
+        return self
 
 
 class Basis:
@@ -821,10 +727,17 @@ def _row_scan(raw_cols, ints) -> tuple:
     """Columns of a complete table, relabelled in row-scan order: element
     0 keeps label 0, and each other element gets the next label where it
     first appears when the relabelled rows are read in order, each row in
-    column order.  ``raw_cols[x][e]`` is the entry of element e in column
-    x under the old labels, which lie below ``len(ints)``; label k is the
-    object ``ints[k]`` (see ``GroupRep._label_ints``).  Each raw column
-    is dropped from ``raw_cols`` once its relabelled column is built, to
+    column order.  That is the standard form of Sims (*Computation with
+    Finitely Presented Groups*, 1994): the table is a function of the
+    group and the generator order alone, whatever order the cosets were
+    defined in, and does not depend on the order, rotation or inversion
+    of the relators.  Every table this package builds is put in it, and
+    the test suite relies on it.
+
+    ``raw_cols[x][e]`` is the entry of element e in column x under the
+    old labels, which lie below ``len(ints)``; label k is the object
+    ``ints[k]`` (see ``GroupRep._label_ints``).  Each raw column is
+    dropped from ``raw_cols`` once its relabelled column is built, to
     lower the peak memory."""
     label = [-1] * len(ints)
     label[0] = 0
@@ -920,13 +833,25 @@ class GroupRep:
     ``generator_map_automorphism``.
 
     Instances are immutable; all queries are pure.  Every attribute is
-    set in ``__init__`` but ``_left``, each generator's left
-    multiplication, which ``_verify`` sets when a table passes and
-    ``quotient`` hands on with a table it shares.  ``enumerate_group``
-    and ``quotient`` set it before they return the group, so no caller
-    sees it change.  ``conjugacy_class`` and ``_involutions`` look
-    conjugates and inverses up in it, and walk Schreier words where it
-    is None: on an extension or a table built directly.
+    set in ``__init__``, and none is added or cached later but one; the
+    coset cap is an ``__init__`` argument for that reason.  Attribute
+    loads are on the hot path of the per-element queries, and a lazily
+    cached attribute (``functools.cached_property``) is measurably
+    slower to load, likely because CPython 3.11 does not specialise the
+    load of an instance attribute that a class-level descriptor shadows.
+
+    The one exception is ``_left``, None from ``__init__``: L_g, left
+    multiplication by each generator g (``_left_multiplications``).
+    ``_verify`` sets it when a table passes, and ``quotient`` hands a
+    quotient that shares this group's table this group's ``_left``, the
+    same object.  Nothing else sets it, so it certifies that ``_verify``
+    passed on this very table.  ``enumerate_group`` and ``quotient`` set
+    it before they return the group, so no caller sees it change.  With
+    it, ``conjugacy_class`` takes g t g^-1 and ``_involutions`` each
+    inverse as table lookups.  A table that is never verified, an
+    extension or a table built directly, keeps None, and those two walk
+    Schreier words instead: building L for them costs more than it
+    saves.  ``center`` builds L for such a table and keeps none of it.
     """
 
     def __init__(
@@ -943,8 +868,7 @@ class GroupRep:
         if tree is None:
             tree = _schreier_tree(table.cols, self.order)[:2]
         self._parent_coset, self._parent_col = tree
-        # left multiplication by each generator, kept by a successful
-        # _verify before the table is handed out; None on any other table
+        # set by _verify or quotient only (see the class docstring)
         self._left = None
 
     def _verify(self):
@@ -960,15 +884,15 @@ class GroupRep:
           elements, so a permutation, and ``cols[x ^ 1]`` its inverse.
           Let G be the group they generate, acting on the right; it is
           transitive, as ``GroupRep`` found a spanning tree.
-        * For each generator column g, L is built along that tree:
-          L(0) = 0 g and L(y) = L(p) x for the tree edge p --x--> y, so
-          L(0 w) = (0 g) w for each tree word w.  L is checked to commute
-          with every generator column, and so with their inverses and all
-          of G.  It is then onto, its image being the orbit (0 g) G, so it
-          lies in the centralizer C of G in Sym(n).  As L(0 v) = 0 g v,
-          products of the L take 0 to 0 v for every positive word v in
-          the generators; in a finite group those words give all of G,
-          so C is transitive.
+        * For each generator column g, L is built along that tree
+          (``_left_multiplications``), so that L(0 w) = (0 g) w for each
+          tree word w.  L is checked to commute with every generator
+          column, and so with their inverses and all of G.  It is then
+          onto, its image being the orbit (0 g) G, so it lies in the
+          centralizer C of G in Sym(n).  As L(0 v) = 0 g v, products of
+          the L take 0 to 0 v for every positive word v in the
+          generators; in a finite group those words give all of G, so C
+          is transitive.
         * A transitive G with a transitive centralizer is regular: if h
           in G fixes 0, it fixes every y = 0 c, c in C, since
           y h = (0 h) c = y.  So a relator, an element of G, that fixes
@@ -978,61 +902,63 @@ class GroupRep:
           which commutes with right multiplications, so every consistent
           regular table passes.
 
-        L is built in a parents-first order: index order when every tree
-        parent has a smaller index, as in row-scan standard form, else
-        the tree's breadth-first order.  If every check passes, the L of
-        each generator, left multiplication by it, is kept as ``_left``
-        for ``conjugacy_class`` and ``_involutions``.  Nothing else
-        builds it: ``_left`` is set only here, or by ``quotient`` to the
-        ``_left`` of a group whose table it shares, and so is a
-        certificate that this check passed on that table.
-
-        If a step fails, the columns and the relators are composed over
-        all elements at once to name the failure: columns that are not
-        inverse, or the first element a relator moves.  If that finds
-        none, the relators hold but the table, a transitive action with
-        a nontrivial stabilizer, is not a regular representation."""
+        If a check fails, ``_verify`` raises at once, and names the
+        failure.  Columns that are not inverse say so.  After a failed
+        commutation check, every relator is walked over all elements at
+        once, and the first relator that moves an element is named with
+        the first element it moves; if none does, the relators hold but
+        the table, a transitive action with a nontrivial stabilizer, is
+        not a regular representation.  A regular table that a relator
+        fails is named from row 0 (``_moving_relator``): in it a relator
+        moves row 0 exactly when it moves every row.  If every check
+        passes, the L are kept as ``_left`` (see the class docstring)."""
         cols = self.table.cols
         n = self.order
         gens = cols[::2]
-        # compared with range(n) lazily: a list of n new ints, as the
-        # fallback below builds, raised the peak RSS of two catalog
-        # passes by about 0.5 MB (2-core Xeon, CPython 3.11)
-        regular = all(
+        # compared with range(n) lazily: a list of n new ints raised the
+        # peak RSS of two catalog passes by about 0.5 MB (2-core Xeon,
+        # CPython 3.11)
+        if not all(
             all(map(eq, [inv[y] for y in col], range(n)))
             for col, inv in zip(gens, cols[1::2])
-        )
-        lefts = []
-        if regular:
-            parent = self._parent_coset
-            order = self._tree_order()
-            tree_cols = [cols[x] for x in self._parent_col]
-            for g in gens:
-                left = [g[0]] * n
-                for y in order:
-                    left[y] = tree_cols[y][left[parent[y]]]
-                if any([left[y] for y in col] != [col[y] for y in left] for col in gens):
-                    regular = False
-                    break
-                lefts.append(left)
+        ):
+            raise InconsistencyError("table columns are not inverse")
+        lefts = self._left_multiplications()
         relators = self.presentation.relators
-        if regular and _moving_relator(cols, relators) is None:
-            self._left = tuple(lefts)
-            return
-        identity = list(range(n))
-        for x, col in enumerate(cols):
-            inverse = cols[x ^ 1]
-            if [inverse[y] for y in col] != identity:
-                raise InconsistencyError("table columns are not inverse")
-        for r in relators:
-            images = _act(identity, [cols[c] for c in r.cols()])
-            if images != identity:
-                a = next(a for a, y in enumerate(images) if y != a)
-                raise InconsistencyError(
-                    f"relator {r.text(self.presentation.names)} does not "
-                    f"fix coset {a}"
-                )
-        raise InconsistencyError("the table is not a regular representation")
+        names = self.presentation.names
+        if any(
+            [left[y] for y in col] != [col[y] for y in left]
+            for left in lefts for col in gens
+        ):
+            identity = list(range(n))
+            for r in relators:
+                images = _act(identity, [cols[c] for c in r.cols()])
+                if images != identity:
+                    a = next(a for a, y in enumerate(images) if y != a)
+                    raise InconsistencyError(f"relator {r.text(names)} does not fix coset {a}")
+            raise InconsistencyError("the table is not a regular representation")
+        r = _moving_relator(cols, relators)
+        if r is not None:
+            raise InconsistencyError(f"relator {r.text(names)} does not fix coset 0")
+        self._left = tuple(lefts)
+
+    def _left_multiplications(self) -> list:
+        """L_g for each generator column g, built along the Schreier tree
+        in a parents-first order (``_tree_order``): L(0) = 0 g and
+        L(y) = L(p) x for the tree edge p --x--> y, so L(0 w) = (0 g) w
+        for each tree word w.  In a regular table L is left
+        multiplication by g; ``_verify`` proves a table regular with it."""
+        cols = self.table.cols
+        parent = self._parent_coset
+        order = self._tree_order()
+        tree_cols = [cols[x] for x in self._parent_col]
+        lefts = []
+        for g in cols[::2]:
+            left = [g[0]] * self.order
+            for y in order:
+                left[y] = tree_cols[y][left[parent[y]]]
+            lefts.append(left)
+        return lefts
 
     def _tree_order(self):
         """Every element but the identity, each after its tree parent:
@@ -1147,7 +1073,8 @@ class GroupRep:
         E.  The element x that a block's new element y came from is
         y t^-1, t its generator, and x was in E before the block ran, so
         mark[x] < mark[y]: walking back from y ends at the identity and
-        spells y as a word in the candidates (``Basis.word``).
+        spells y as a word in the candidates (``Basis.word``), with no
+        parent list kept.
 
         Without ``certify`` the closure runs to the end, or until E is
         the whole group, and ``pairs`` is None.  With it, the yes/no
@@ -1257,12 +1184,11 @@ class GroupRep:
 
     def conjugacy_class(self, x: int):
         """Orbit of element x under conjugation by the generators, sorted.
-        A table that ``_verify`` left its left multiplications (``_left``)
-        takes each conjugate g t g^-1 as two lookups, ``cols[g^-1][L_g[t]]``,
-        one breadth-first level of the orbit at a time.  Any other table
-        walks t's Schreier word from g^-1 to g^-1 t g; building L for it
-        would cost more than the walks.  Both orbits are the class of x,
-        as conjugation by g^-1 is a power of conjugation by g."""
+        With ``_left``, each conjugate g t g^-1 is two lookups,
+        ``cols[g^-1][L_g[t]]``, one breadth-first level of the orbit at a
+        time; without it, t's Schreier word is walked from g^-1 to
+        g^-1 t g.  Both orbits are the class of x, as conjugation by
+        g^-1 is a power of conjugation by g."""
         self._check_index(x)
         cols = self.table.cols
         member = bytearray(self.order)
@@ -1426,18 +1352,18 @@ class GroupRep:
         class docstring), so it is the quotient's; its labels are G's, so
         it is in row-scan form whenever G's is, as every table this
         package builds is.  Otherwise the table is built from G's by
-        ``_block_table``.
+        ``_block_table``, and is right only if ``normal_closure`` is.
 
         The table is checked against the new presentation (``_verify``),
-        but for a shared table that G's ``_verify`` passed: it is handed
-        G's ``_left``, the same object.  That check proved this very
-        table, which nothing changes, to be a regular representation
-        satisfying G's relators, and the one new relator w fixes row 0,
-        which is what chose the shared table, so by regularity it fixes
-        every row.  A G without ``_left``, such as a table built
-        directly, has had no check pass, and its shared table is
-        verified.  Raises ValueError, as ``enumerate_group`` does, if its
-        relators hold more than ``cap`` letters in all."""
+        but a shared table of a G with ``_left`` is handed G's ``_left``
+        instead.  G's check proved this very table, which nothing
+        changes, to be a regular representation satisfying G's relators,
+        and the one new relator w fixes row 0, which is what chose the
+        shared table, so by regularity it fixes every row.  A G without
+        ``_left`` has had no check pass, and its shared table is
+        verified.  Raises
+        ValueError, as ``enumerate_group`` does, if its relators hold
+        more than ``cap`` letters in all."""
         presentation = self.presentation.with_relators(w)
         _bounded_relators(presentation, self.cap)
         shared = self.element_of(w) == 0
@@ -1619,14 +1545,14 @@ class GroupRep:
         return None
 
     def _involutions(self):
-        """The elements of order exactly 2, found lazily.  A table with
-        ``_left`` searches the group breadth first by left multiplication,
-        from the identity, and takes each inverse as one lookup:
+        """The elements of order exactly 2, found lazily.  With ``_left``,
+        the group is searched breadth first by left multiplication, from
+        the identity, and each inverse is one lookup:
         (g z)^-1 = z^-1 g^-1, so ``inv[L_g[z]] = cols[g^-1][inv[z]]``.
         The search reaches every element, as the group is finite.  The
         involutions come in its order, and are the table's own ints.
-        Any other table yields them in index order, climbing the Schreier
-        tree from each element (``_inverse``)."""
+        Without ``_left`` they come in index order, from the Schreier
+        tree climbed from each element (``_inverse``)."""
         if self._left is None:
             inverse = self._inverse
             yield from (x for x in range(1, self.order) if inverse(x) == x)
@@ -1662,21 +1588,13 @@ class GroupRep:
         return self._incremental_closure(self._involutions(), True)[3] is not None
 
     def center(self) -> SubgroupHandle:
-        """Elements commuting with every generator."""
+        """Elements commuting with every generator g: the x with
+        L_g[x] = x g, one generator column at a time.  L is ``_left``, or
+        on a table without it, an extension or a table built directly,
+        ``_left_multiplications()``, which this query does not keep."""
         cols = self.table.cols
-        ngens = self.presentation.ngens
-        gens = [cols[2 * g][0] for g in range(ngens)]
-        out = []
-        for x in range(self.order):
-            w = self._schreier_cols(x)
-            ok = True
-            for g in range(ngens):
-                y = gens[g]
-                for c in w:
-                    y = cols[c][y]
-                if y != cols[2 * g][x]:
-                    ok = False
-                    break
-            if ok:
-                out.append(x)
+        lefts = self._left if self._left is not None else self._left_multiplications()
+        out = range(self.order)
+        for left, col in zip(lefts, cols[::2]):
+            out = [x for x in out if left[x] == col[x]]
         return SubgroupHandle(out)

@@ -270,14 +270,13 @@ def schlafli(m) -> tuple:
 def f_vector3(m: RotationGroup3, diagnostic: bool = False) -> tuple:
     """(V, E, F) counts from coset indices: vertices are cosets of ⟨σ2⟩,
     faces cosets of ⟨σ1⟩, edges cosets of the edge half-turn σ1 σ2 (of
-    order 2, or 1 in a degenerate map)."""
+    order 2, or 1 in a degenerate map).  A cyclic subgroup's order is
+    its generator's, so V = |G|/q and F = |G|/p for the type {p, q}."""
     if not diagnostic and not check_polytopal3(m):
         raise NotPolytopalError("map fails the intersection condition")
     s1, s2 = m.sigma
-    v = m.order // m.rep.subgroup_closure([s2]).size
-    e = m.order // m.rep.element_order(s1 * s2)
-    f = m.order // m.rep.subgroup_closure([s1]).size
-    return (v, e, f)
+    p, q = schlafli(m)
+    return (m.order // q, m.order // m.rep.element_order(s1 * s2), m.order // p)
 
 
 def euler_genus(m: RotationGroup3, diagnostic: bool = False) -> tuple:
@@ -451,13 +450,18 @@ def map_report3(m: RotationGroup3, warnings=()) -> AnalysisReport:
 
 def map_invariants_regular(m: RegularMap3) -> MapInvariants:
     """Invariants of a regular map; its genus is None when the rotation
-    subgroup has index 1 (the surface is not orientable)."""
+    subgroup has index 1 (the surface is not orientable).  Vertices,
+    edges and faces are the cosets of ⟨ρ1, ρ2⟩, ⟨ρ0, ρ2⟩ and ⟨ρ0, ρ1⟩.
+    Two involutions a, b generate a dihedral group of order 2 ord(a b),
+    so those orders are 2q, 2 ord(ρ0 ρ2) and 2p: ⟨a b⟩ and ⟨a b⟩ a make
+    up ⟨a, b⟩, and a, which inverts a b, is not a power of it, or else
+    (a b)^2 = 1 and a would be 1 or a b, so b = 1."""
     r0, r1, r2 = m.rho
     rep = m.rep
     p, q = schlafli(m)
-    v = m.order // rep.subgroup_closure([r1, r2]).size
-    e = m.order // rep.subgroup_closure([r0, r2]).size
-    f = m.order // rep.subgroup_closure([r0, r1]).size
+    v = m.order // (2 * q)
+    e = m.order // (2 * rep.element_order(r0 * r2))
+    f = m.order // (2 * p)
     orientable = rep.subgroup_closure(m.sigma).size * 2 == m.order
     chi, genus = _euler_genus((v, e, f), orientable)
     holes = {j: _hole_length(m, j, q) for j in range(2, q // 2 + 1)}

@@ -6,7 +6,8 @@ form tests, which read the sources' basis, against the full closure
 of ``oracle.automorphism_reference``, subgroup sizes on the catalog's
 base groups, and the conjugacy classes, involutions and normal closures
 that a verified table reads off its left multiplications against the
-word walks and the naive oracles."""
+word walks and the naive oracles, and the center of tables that build
+those left multiplications for it alone."""
 
 import math
 import random
@@ -43,6 +44,7 @@ from oracle import (
     naive_subgroup_closure,
     word_bfs_closure,
 )
+from test_derived import _relabelled
 
 ROT333 = (
     "gens s1 s2 s3\n"
@@ -289,16 +291,28 @@ CATALOG_SIZES = {
 }
 
 
+def _check_handle(h, order):
+    """A ``SubgroupHandle`` is the frozenset of its elements: ``elements``
+    is that set, and ``size``, ``len`` and ``in`` read it."""
+    assert isinstance(h, frozenset)
+    assert h.elements == frozenset(h) and h.size == len(h) == len(h.elements)
+    assert 0 in h and order not in h and -1 not in h
+    assert [x for x in range(order) if x in h] == sorted(h.elements)
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG_SIZES))
 def test_catalog_subgroup_sizes(catalog_groups, name):
     rep = catalog_groups.group(name).rep
     d = rep.presentation.distinguished
-    got = (
-        rep.center().size,
-        rep.derived_subgroup().size,
-        tuple(rep.normal_closure(w).size for w in list(d) + [d[0] * d[-1]]),
+    handles = (
+        rep.center(),
+        rep.derived_subgroup(),
+        tuple(rep.normal_closure(w) for w in list(d) + [d[0] * d[-1]]),
     )
+    got = (handles[0].size, handles[1].size, tuple(h.size for h in handles[2]))
     assert got == CATALOG_SIZES[name]
+    for h in handles[:2] + handles[2] + (rep.subgroup_closure(d[:1]),):
+        _check_handle(h, rep.order)
 
 
 # -- the automorphism certificate ---------------------------------------------
@@ -765,6 +779,57 @@ class TestLeftMultiplications:
         rep = GroupRep(parse_presentation("gens a\nrel a^2\n"), table)
         with pytest.raises(InconsistencyError, match=r"relator a\^2 does not fix coset 0"):
             rep._verify()
+        assert rep._left is None
+
+
+def _central_elements(rep):
+    """{x : naive_conjugacy_class(rep, x) == [x]}, with the oracle run
+    once for each class: the classes partition the group."""
+    seen = bytearray(rep.order)
+    out = set()
+    for x in range(rep.order):
+        if not seen[x]:
+            members = naive_conjugacy_class(rep, x)
+            for y in members:
+                seen[y] = 1
+            if members == [x]:
+                out.add(x)
+    return out
+
+
+class TestCenterWithoutLeft:
+    """A table without ``_left``, an extension or a table built directly,
+    builds its left multiplications for ``center`` and keeps none of them;
+    the center is the oracle's set of elements whose class is a single
+    element."""
+
+    def test_extensions(self, ex1_pipe, ex3_chain, simplex_pipe):
+        got = {}
+        for name, ext in (
+            ("ex1", ex1_pipe.ext),
+            ("ex3", ex3_chain["base"].ext),
+            ("simplex333", simplex_pipe["ext"]),
+        ):
+            rep = ext.rep
+            assert rep._left is None
+            center = rep.center()
+            assert center.elements == _central_elements(rep), name
+            assert rep._left is None
+            got[name] = (rep.order, sorted(center))
+        assert got == {
+            "ex1": (4000, [0]), "ex3": (1344, [0, 1287]), "simplex333": (240, [0, 239]),
+        }
+
+    def test_relabelled_table(self, catalog_groups):
+        # not in row-scan standard form, so L is built in the tree's
+        # breadth-first order, not in index order
+        base = catalog_groups.group("ex3").rep
+        rep = GroupRep(base.presentation, CosetTable(
+            _relabelled(base.table.cols, random.Random(3)), base.table.ngens))
+        assert not isinstance(rep._tree_order(), range)
+        center = rep.center()
+        assert center.elements == _central_elements(rep)
+        assert center.size == base.center().size == 2
         assert rep._left is None
 
 

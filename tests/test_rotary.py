@@ -273,6 +273,56 @@ class TestRegularMapSigma:
         assert hole_length(pc_map, 1) == p
 
 
+MAP44 = (
+    "gens r0 r1 r2\nrel r0^2\nrel r1^2\nrel r2^2\nrel (r0 r1)^4\n"
+    "rel (r1 r2)^4\nrel (r0 r2)^2\nrel (r0 r1 r2)^4\nrho r0 r1 r2\n"
+)
+
+
+class TestOrderBasedCounts:
+    """``f_vector3`` and ``map_invariants_regular`` read the orders of
+    the face, vertex and edge subgroups off element orders; each must be
+    the order that closing the subgroup gives."""
+
+    @staticmethod
+    def _check(m):
+        rep = m.rep
+
+        def index(*words):
+            return m.order // rep.subgroup_closure(list(words)).size
+
+        if isinstance(m, RegularMap3):
+            r0, r1, r2 = m.rho
+            got = map_invariants_regular(m).f_vector
+            assert got == (index(r1, r2), index(r0, r2), index(r0, r1))
+        else:
+            a, b = m.sigma
+            got = f_vector3(m, diagnostic=True)
+            assert got == (index(b), m.order // rep.element_order(a * b), index(a))
+        return got
+
+    def test_petrie_coxeter_maps(self, ex1_pipe, ex2_chain, ex3_chain, simplex_pipe):
+        maps = [ex1_pipe.map3, simplex_pipe["map3"]]
+        maps += [pipe.map3 for pipe in (*ex2_chain.values(), *ex3_chain.values())]
+        assert len(maps) == 7
+        for m in maps:
+            self._check(m)
+
+    def test_tori(self, catalog_groups):
+        names = [n for n in catalog_groups.entries if n.startswith("torus")]
+        maps = [catalog_groups.group(n) for n in names]
+        maps += [torus_map(TorusFamily(*v)) for v in (
+            ("44", 3, 2), ("44", 0, 5), ("36", 2, 1), ("63", 4, 1))]
+        assert len(names) == 6
+        for m in maps:
+            self._check(m)
+
+    def test_regular_44_map(self):
+        m = load_group(parse_presentation(MAP44))
+        assert isinstance(m, RegularMap3) and m.order == 64
+        assert self._check(m) == (8, 16, 8)
+
+
 class TestGroupClass:
     @pytest.mark.parametrize("kind,n,cls", [
         ("sigma", 2, RotationGroup3),
