@@ -7,8 +7,8 @@ The mechanisms, each argued in the docstring named:
   with Schreier labels that prove powers of g trivial.  It stops at the
   first complete table that ``GroupRep._verify`` certifies.
 * ``_lift`` builds the regular table from the cosets of H and proves its
-  order exact, and ``_row_scan`` puts every table in row-scan standard
-  form, a function of the group and the generator order alone.
+  order exact, and ``_row_scan`` puts it in row-scan standard form, a
+  function of the group and the generator order alone.
 * ``CosetTable`` stores a table by column, so a pass over many elements
   applies one letter to all of them at once (``_act``).
 * ``GroupRep._verify`` certifies a table as the regular representation
@@ -22,8 +22,10 @@ The mechanisms, each argued in the docstring named:
   with no closure of its own; ``endomorphism_exists`` and
   ``generator_map_automorphism`` ask it.
 * ``GroupRep.extend`` and ``GroupRep.quotient`` derive an index-2
-  extension and a quotient from a complete table without enumerating;
-  ``tests/test_derived.py`` compares each with enumeration row for row.
+  extension and a quotient from a complete table without enumerating.
+  A quotient is in row-scan form; an extension interleaves G and G d
+  and is not.  ``tests/test_derived.py`` compares each with enumeration
+  row for row, an extension after ``_row_scan``.
 """
 
 from __future__ import annotations
@@ -731,8 +733,10 @@ def _row_scan(raw_cols, ints) -> tuple:
     Finitely Presented Groups*, 1994): the table is a function of the
     group and the generator order alone, whatever order the cosets were
     defined in, and does not depend on the order, rotation or inversion
-    of the relators.  Every table this package builds is put in it, and
-    the test suite relies on it.
+    of the relators.  Every enumerated table is put in it, and
+    ``GroupRep._block_table`` labels a quotient's in it as it goes.  An
+    extension's table is not (``GroupRep.extend``); the tests compare it
+    with enumeration through this relabelling.
 
     ``raw_cols[x][e]`` is the entry of element e in column x under the
     old labels, which lie below ``len(ints)``; label k is the object
@@ -767,8 +771,7 @@ def _act(xs, word):
 def _schreier_tree(cols, n):
     """Breadth-first spanning tree of the Cayley graph from element 0,
     rows in index order and each row in column order: the parent element
-    and column of every element (-1 at the root), and the elements in the
-    order they were reached, parents before children.  Raises
+    and column of every element (-1 at the root).  Raises
     InconsistencyError unless all n elements are reached."""
     parent_coset = [-1] * n
     parent_col = [-1] * n
@@ -786,7 +789,7 @@ def _schreier_tree(cols, n):
                 order.append(y)
     if len(order) != n:
         raise InconsistencyError("coset table is not transitive")
-    return parent_coset, parent_col, order
+    return parent_coset, parent_col
 
 
 def _moving_relator(cols, relators):
@@ -805,13 +808,15 @@ class GroupRep:
     """A finite group given by a complete coset table over the trivial
     subgroup.  Elements are coset indices 0..order-1 with 0 the identity;
     ``element_word`` returns a Schreier representative for any index,
-    read off the breadth-first Schreier tree from 0 (``_schreier_tree``).
-    ``tree``, an internal argument, is that tree as its parent elements
-    and parent columns, for a caller that already has it: ``quotient``
-    passes this group's own tree when it keeps this group's table, and
-    the tree its block labelling found otherwise.  Every other table,
-    built directly, enumerated or extended, gets it from
-    ``_schreier_tree``.
+    read off a spanning tree of the Cayley graph from 0.  ``tree``, an
+    internal argument, is that tree as its parent elements and parent
+    columns, for a caller that already has it: ``quotient`` passes this
+    group's own tree when it keeps this group's table, and the tree its
+    block labelling found otherwise, and ``extend`` passes this group's
+    tree with a d edge to each g d.  A caller that hands a tree vouches
+    that it spans the table.  Every other table, built directly or
+    enumerated, gets the breadth-first tree of ``_schreier_tree``, whose
+    search also proves the table transitive.
     ``cap`` is the coset cap ``enumerate_group`` ran under, and
     ``DEFAULT_CAP``, the default of the ``cap`` argument, for a group
     built directly from a table.  Extensions and quotients built from
@@ -866,7 +871,7 @@ class GroupRep:
         self.order = len(table)
         self.cap = cap
         if tree is None:
-            tree = _schreier_tree(table.cols, self.order)[:2]
+            tree = _schreier_tree(table.cols, self.order)
         self._parent_coset, self._parent_col = tree
         # set by _verify or quotient only (see the class docstring)
         self._left = None
@@ -963,11 +968,19 @@ class GroupRep:
     def _tree_order(self):
         """Every element but the identity, each after its tree parent:
         index order when every parent has a smaller index, as in row-scan
-        standard form, else the tree's breadth-first order."""
+        standard form and in ``extend``'s layout over it, else the tree's
+        breadth-first order, read off the parents."""
         n = self.order
-        if all(map(lt, self._parent_coset, range(n))):
+        parent = self._parent_coset
+        if all(map(lt, parent, range(n))):
             return range(1, n)
-        return _schreier_tree(self.table.cols, n)[2][1:]
+        children = [[] for _ in range(n)]
+        for y in range(1, n):
+            children[parent[y]].append(y)
+        order = [0]
+        for y in order:
+            order += children[y]
+        return order[1:]
 
     # -- element arithmetic --------------------------------------------
 
@@ -1235,9 +1248,11 @@ class GroupRep:
         generates <x>, and so has the same normal closure.  The closure's
         cost depends on which of them it starts from, so it is taken of
         the conjugacy class of the one with the smallest index, which in
-        row-scan form has the shortest Schreier word.  Only j = 0 is
-        coprime to d = 1, so the identity's closure is {0}, and an
-        involution is its own only such power."""
+        row-scan form has the shortest Schreier word.  In an extension of
+        a group in that form, index 2g + 1 has the word of 2g and then d,
+        so the smallest index has a word at most one letter longer than
+        the shortest.  Only j = 0 is coprime to d = 1, so the identity's
+        closure is {0}, and an involution is its own only such power."""
         x = self.element_of(w)
         letters = self._schreier_cols(x)
         powers = [0]
@@ -1270,12 +1285,20 @@ class GroupRep:
         words in G's generators: d^-1 s d = u for each source word s and
         its image u, and d^2 = z.
 
-        Element g of G keeps its index and g d gets index |G| + g.  With
+        Element g of G gets index 2g and g d gets index 2g + 1.  With
         alpha the automorphism s -> u (``generator_map_automorphism``)
         and beta = alpha^-1, (g d) h = g beta(h) d = beta(alpha(g) h) d,
         g d^-1 = g z^-1 d (d commutes with z = d^2) and (g d) d = g z, so
-        every row is read off G's table, alpha, beta and a walk of z, and
-        the table is put in row-scan form.
+        every column is read off G's table, alpha, beta and a walk of z,
+        and built once, its even and odd entries by slice assignment.
+        The table is not relabelled into row-scan form, and no tree is
+        searched: G's tree is handed over (``tree`` of ``GroupRep``), with
+        2g's parent 2p by G's edge p --h--> g, and 2g + 1's parent 2g by
+        d.  Every parent has a smaller index when G's do, so the queries
+        walk the tree in index order (``_tree_order``).  G and G d are
+        interleaved rather than stacked so that a search in index order,
+        such as ``_involutions`` without ``_left``, meets G d's elements
+        as early as G's.
 
         No row but the identity's is checked.  Instead ``extend`` checks
         that alpha exists (else CollapseError), that alpha(z) = z, that
@@ -1290,8 +1313,11 @@ class GroupRep:
           d^-1 x d = alpha(x), so the rows are Ê's right-regular action.
         * Only the identity of Ê fixes a row, so a relator that fixes
           row 0 is trivial in Ê and fixes every row.  Ê is generated by
-          G's generators and d (the rows are one orbit, as ``GroupRep``
-          checks), so it is a quotient of E (von Dyck).
+          G's generators and d, as the rows are one orbit: G's columns
+          act on the even rows as on G, so G's tree, a spanning tree of
+          G's table, doubled reaches every 2g from row 0, and 2g d is
+          2g + 1.  So the handed tree spans the table, and Ê is a
+          quotient of E (von Dyck).
         * |E| <= 2|G|: ``_check_extension_shape`` finds G's relators in
           ``presentation``, one relator d^+-2 v and, for each source s,
           one relator d^+-1 s d^+-1 v, each v free of d (read
@@ -1328,18 +1354,31 @@ class GroupRep:
 
         # g --h--> g h and g d --h--> beta(alpha(g) h) d for each column
         # h of G; g --d--> g d, g d --d--> g z; g --d^-1--> g z^-1 d,
-        # g d --d^-1--> g
+        # g d --d^-1--> g; g is at 2g and g d at 2g + 1
         ints = self._label_ints(2 * n)
-        top = ints[n:]
-        identity = list(range(n))
-        raw_cols = [list(col) + [top[beta[col[a]]] for a in alpha] for col in cols]
-        raw_cols.append(top + _act(identity, [cols[c] for c in z_cols]))
-        raw_cols.append([top[y] for y in _act(identity, [cols[c] for c in z_inv])] + identity)
-        table = _row_scan(raw_cols, ints)
+        even, odd = ints[0::2], ints[1::2]
+        identity = ints[:n]
+
+        def column(g_part, gd_part):
+            # entry 2g from g_part[g] and 2g + 1 from gd_part[g]
+            col = [0] * (2 * n)
+            col[0::2] = g_part
+            col[1::2] = gd_part
+            return col
+
+        table = [tuple(column([even[y] for y in col], [odd[beta[col[a]]] for a in alpha]))
+                 for col in cols]
+        z_walk, z_inv_walk = [cols[c] for c in z_cols], [cols[c] for c in z_inv]
+        table.append(tuple(column(odd, [even[y] for y in _act(identity, z_walk)])))
+        table.append(tuple(column([odd[y] for y in _act(identity, z_inv_walk)], even)))
         r = _moving_relator(table, presentation.relators)
         if r is not None:
             raise InconsistencyError(f"{r.text(presentation.names)} does not fix coset 0")
-        return GroupRep(presentation, CosetTable(table, presentation.ngens), self.cap)
+        # G's tree edge p --h--> g gives 2p --h--> 2g, and 2g --d--> 2g + 1
+        parent_coset = column([even[p] for p in self._parent_coset], even)
+        parent_coset[0] = -1  # the root, which G's -1 sent to even[-1]
+        tree = parent_coset, column(self._parent_col, [len(cols)] * n)
+        return GroupRep(presentation, CosetTable(tuple(table), presentation.ngens), self.cap, tree)
 
     def quotient(self, w: Word) -> "GroupRep":
         """The quotient G/N of this group G by the normal closure N of w,
@@ -1350,9 +1389,10 @@ class GroupRep:
         quotient then keeps G's table and Schreier tree, shared and not
         copied.  G's table is the regular representation of G (see the
         class docstring), so it is the quotient's; its labels are G's, so
-        it is in row-scan form whenever G's is, as every table this
-        package builds is.  Otherwise the table is built from G's by
-        ``_block_table``, and is right only if ``normal_closure`` is.
+        it is in row-scan form exactly when G's is: a shared extension
+        table is not (``extend``).  Otherwise the table is built from G's
+        by ``_block_table``, in row-scan form, and is right only if
+        ``normal_closure`` is.
 
         The table is checked against the new presentation (``_verify``),
         but a shared table of a G with ``_left`` is handed G's ``_left``

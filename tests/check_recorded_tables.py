@@ -27,6 +27,11 @@ It prints how many presentations, over the groups ``enumerate_group``
 enumerates and over the tori's trivial subgroups, stopped at the first
 complete table (early), went on after the check failed there (fell
 back), or were first complete at the loop's last row (ran to the end).
+
+Last, it closes the extension square (``test_squares.square``) at every
+(base, k) pair the petrie-scan workload draws, k = 2..30 over ex1, ex2
+and ex3, and exits 1, naming the pairs at fault, unless each of the
+``SQUARES`` pairs whose Petrie quotient is self-dual gives one table.
 """
 
 from __future__ import annotations
@@ -86,6 +91,9 @@ def main() -> int:
     }
     mismatches, torus_stops = torus_hlt_mismatches()
     faults["unlike hlt_reference"] = mismatches
+    squares, faults["with extension squares unequal"] = extension_square_mismatches()
+    if len(squares) != SQUARES:
+        faults[f"with extension squares, not {SQUARES}"] = squares
     for what, keys in faults.items():
         if keys:
             print(f"{len(keys)} tables {what}: {', '.join(keys)}", file=sys.stderr)
@@ -94,8 +102,9 @@ def main() -> int:
           "trivial subgroup")
     if any(faults.values()):
         return 1
-    print(f"all {len(recorded)} recorded tables match, and every torus "
-          "enumerates as hlt_reference does")
+    print(f"all {len(recorded)} recorded tables match, every torus "
+          f"enumerates as hlt_reference does, and all {SQUARES} extension "
+          "squares close")
     return 0
 
 
@@ -152,6 +161,32 @@ def torus_hlt_mismatches() -> tuple:
         if state[:2] != want or accepted not in (None, want):
             out.append(t.name)
     return out, stops
+
+
+# the petrie-scan pairs whose Petrie quotient is self-dual: ex1 at even
+# k (15), ex2 at k = 7, 14, 21 and 28, and ex3 at k = 4, 8, ..., 28 (7)
+SQUARES = 26
+
+
+def extension_square_mismatches() -> tuple:
+    """The petrie-scan (base, k) pairs that have an extension square,
+    and those whose two corners differ, each named ``"base/k"``."""
+    import workloads
+    from test_squares import EXTEND, square
+
+    detect = sys.modules["rotamap"].detect_self_duality
+    extensions = {}
+    squares = []
+    out = []
+    for _, (name, m, k) in workloads.setup("petrie-scan", 0, "domain").ops:
+        if name not in extensions:
+            extensions[name] = EXTEND[detect(m).kind](m)
+        corners = square(extensions[name], k)
+        if corners is not None:
+            squares.append(f"{name}/{k}")
+            if corners[0] != corners[1]:
+                out.append(squares[-1])
+    return squares, out
 
 
 if __name__ == "__main__":

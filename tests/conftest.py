@@ -23,6 +23,7 @@ from rotamap import (
     pc_map_improper,
     pc_map_proper,
     pc_map_regular,
+    petrie_coxeter,
     petrie_quotient,
 )
 
@@ -86,6 +87,24 @@ class CatalogGroups:
 @pytest.fixture(scope="session")
 def catalog_groups() -> CatalogGroups:
     return CatalogGroups()
+
+
+class CatalogExtensions(dict):
+    """The extended group of each self-dual catalog entry, keyed by
+    name, built on first use the way ``compute_entry_report`` builds it."""
+
+    def __init__(self, groups: CatalogGroups):
+        super().__init__()
+        self.groups = groups
+
+    def __missing__(self, name) -> ExtendedGroup:
+        ext = self[name] = petrie_coxeter(self.groups.group(name))[0]
+        return ext
+
+
+@pytest.fixture(scope="session")
+def catalog_extensions(catalog_groups) -> CatalogExtensions:
+    return CatalogExtensions(catalog_groups)
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,12 @@ from rotamap import (
     InconsistencyError,
     LocallyToroidalSpec,
     Presentation,
+    RotationGroup4,
     TorusFamily,
     Word,
     catalog,
     enumerate_group,
+    extend_improper,
     locally_toroidal_presentation,
     parse_presentation,
     serialize_presentation,
@@ -47,7 +49,7 @@ from oracle import (
     simplex_rotation_permutations,
     verify_reference,
 )
-from test_derived import _relabelled
+from test_derived import EXTENDED, _relabelled, _standard
 
 a = Word.gen(0)
 s1, s2, s3 = Word.gen(0), Word.gen(1), Word.gen(2)
@@ -104,7 +106,8 @@ class TestEnumerate:
         product = p.with_generator("d").with_relators(*commute, d ** 2)
         e = g.extend(product, gens, gens, Word.identity())
         assert (e.order, e.cap) == (2 * g.order, DEFAULT_CAP)
-        assert e.table.rows == enumerate_group(product).table.rows
+        # e interleaves g and g d; relabelled, it is the enumerated table
+        assert _standard(e).rows == enumerate_group(product).table.rows
 
     def test_proper_power_relator_is_scanned_at_every_edge(self):
         # (s1 s3)^29 has 58 letters but 2 distinct rotations, so it is
@@ -195,8 +198,10 @@ class TestVerify:
 
 class TestTreeParents:
     """The tree ``GroupRep`` holds is that of the breadth-first search
-    ``_schreier_tree`` on every table; in row-scan standard form every
-    parent has a smaller index."""
+    ``_schreier_tree`` on a table built directly or enumerated, and the
+    spanning tree ``extend`` or ``quotient`` hands over on a derived one.
+    In row-scan standard form, and in an extension of a group in it,
+    every parent has a smaller index."""
 
     @pytest.mark.parametrize("name", ["ex3", "simplex333", "torus-44-1-3"])
     def test_match_the_breadth_first_search(self, catalog_groups, name):
@@ -210,6 +215,34 @@ class TestTreeParents:
             assert (h._parent_coset, h._parent_col) == _schreier_tree(table, n)[:2]
         assert all(map(lt, held[0]._parent_coset, range(n)))
         assert not all(map(lt, held[1]._parent_coset, range(n)))
+
+    @pytest.mark.parametrize("name", EXTENDED)
+    def test_extension_tree_spans_the_table(self, catalog_extensions, name):
+        rep = catalog_extensions[name].rep
+        cols = rep.table.cols
+        n = rep.order
+        parent, parent_col = rep._parent_coset, rep._parent_col
+        assert parent[0] == parent_col[0] == -1
+        assert [cols[x][p] for p, x in zip(parent[1:], parent_col[1:])] == list(range(1, n))
+        assert all(map(lt, parent, range(n)))
+        # the same table with the tree _schreier_tree searches for
+        fresh = GroupRep(rep.presentation, rep.table, rep.cap)
+        fresh._verify()
+        assert fresh.center() == rep.center()
+
+    def test_extension_of_a_relabelled_group(self, catalog_groups, catalog_extensions):
+        # G's tree has parents of larger index than their children, so
+        # the handed tree of its extension has too, and L is built in
+        # that tree's own order; the extension table's breadth-first
+        # order would put 562 of ex1's elements before their parents
+        m = catalog_groups.group("ex1")
+        table = _relabelled(m.rep.table.cols, random.Random(5))
+        rep = GroupRep(m.rep.presentation, CosetTable(table, m.rep.table.ngens))
+        ext = extend_improper(RotationGroup4(rep, m.sigma)).rep
+        assert not isinstance(ext._tree_order(), range)
+        ext._verify()
+        assert ext.center().size == 1
+        assert _standard(ext) == _standard(catalog_extensions["ex1"].rep)
 
     def test_inverse_column_that_is_not_the_inverse(self):
         # C3 with a copy of a's column as a^-1's: the tree is built from

@@ -44,7 +44,7 @@ from oracle import (
     naive_subgroup_closure,
     word_bfs_closure,
 )
-from test_derived import _relabelled
+from test_derived import _relabelled, _standard
 
 ROT333 = (
     "gens s1 s2 s3\n"
@@ -815,7 +815,10 @@ class TestCenterWithoutLeft:
             center = rep.center()
             assert center.elements == _central_elements(rep), name
             assert rep._left is None
-            got[name] = (rep.order, sorted(center))
+            # pinned in row-scan standard form, not extend's layout
+            standard = GroupRep(rep.presentation, _standard(rep))
+            got[name] = (rep.order, sorted(
+                standard.element_of(rep.element_word(x)) for x in center))
         assert got == {
             "ex1": (4000, [0]), "ex3": (1344, [0, 1287]), "simplex333": (240, [0, 239]),
         }
