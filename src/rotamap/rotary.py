@@ -6,17 +6,16 @@ base vertex, and σ1 σ2 is the half-turn about the base edge.  Rank 4
 adds σ3 with the relations (σ2 σ3)^2 = (σ1 σ2 σ3)^2 = 1.  The wrappers
 hold a finite GroupRep plus the distinguished generator words, which
 need not be the presentation generators (mixing constructions produce
-maps whose generators are compound words in a larger group).  A private
-base gives every wrapper its ``order``; a second one, shared by
-``RegularMap3`` and ``RegularCGroup4``, checks the reflections ρi
-(involutions, non-adjacent pairs commuting, generating the group) and
-defines their rotations ``sigma`` = (ρ0 ρ1, ρ1 ρ2, …), so the rotation
-invariants (``schlafli``, ``hole_length``, ``petrie4``) apply to
-reflection groups too.
+maps whose generators are compound words in a larger group).  Private
+bases check those relations and the reflections ρi of ``RegularMap3``
+and ``RegularCGroup4``, whose rotations ``sigma`` = (ρ0 ρ1, ρ1 ρ2, …)
+let the rotation invariants (``schlafli``, ``hole_length``,
+``petrie4``) apply to reflection groups too.
 
-Polytopality is the intersection condition on the cyclic/dihedral
-subgroups; chirality is decided by testing whether the orientation
-reversing generator correspondence extends to a group automorphism.
+Polytopality is the intersection condition on the runs of consecutive σ
+or ρ (McMullen and Schulte, Prop. 2E16); chirality is decided by testing
+whether the orientation reversing generator correspondence extends to a
+group automorphism.
 
 ``load_group`` turns a presentation into its wrapped group.
 ``AnalysisReport`` is the one report type: ``map_report3`` and
@@ -29,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import cache
+from math import prod
 
 from .engine import DEFAULT_CAP, GroupRep, enumerate_group
 from .errors import ConstructionError, InconsistencyError, NotPolytopalError, RotamapError
@@ -69,38 +70,61 @@ class _Group:
         return self.rep.order
 
 
-class RotationGroup3(_Group):
+def _runs(n):
+    """The runs i..j-1 of two or more indices below n, shortest first."""
+    return [(i, i + k) for k in range(2, n + 1) for i in range(n - k + 1)]
+
+
+def _intersection_condition(rep: GroupRep, gens) -> bool:
+    """⟨g_i..g_{j-2}⟩ ∩ ⟨g_{i+1}..g_{j-1}⟩ = ⟨g_{i+1}..g_{j-2}⟩ on each run
+    g_i..g_{j-1}, each interval closed once: on string involutions, the
+    condition over all subsets (McMullen and Schulte, Abstract Regular
+    Polytopes, 2E16); on rotations, that of chiral polytopes (Schulte and
+    Weiss)."""
+
+    @cache
+    def interval(i, j):
+        return rep.subgroup_closure(gens[i:j]) if i < j else {0}
+
+    return all(
+        interval(i, j - 1) & interval(i + 1, j) == interval(i + 1, j - 1)
+        for i, j in _runs(len(gens))
+    )
+
+
+class _RotationGroup(_Group):
+    """Rotations σ1, σ2, … generating the group, (σi ⋯ σj)^2 = 1 on each run."""
+
+    def __init__(self, rep: GroupRep, sigma):
+        self.rep = rep
+        self.sigma = sigma = tuple(sigma)
+        if not isinstance(self, _GROUP_CLASSES.get(("sigma", len(sigma)), ())):
+            raise ValueError(f"{type(self).__name__} does not take {len(sigma)} sigma words")
+        for i, j in _runs(len(sigma)):
+            names = " ".join(f"sigma{k + 1}" for k in range(i, j))
+            _check_trivial_word(rep, prod(sigma[i:j], start=Word.identity()) ** 2, f"({names})^2")
+        self.basis = _check_generates(rep, sigma, "sigma generators")
+
+
+class RotationGroup3(_RotationGroup):
     """A map given by its rotation group and the pair (σ1, σ2)."""
 
-    def __init__(self, rep: GroupRep, sigma):
-        s1, s2 = sigma
-        self.rep = rep
-        self.sigma = (s1, s2)
-        _check_trivial_word(rep, (s1 * s2) ** 2, "(sigma1 sigma2)^2")
-        self.basis = _check_generates(rep, self.sigma, "sigma generators")
 
-
-class RotationGroup4(_Group):
+class RotationGroup4(_RotationGroup):
     """A rank-4 rotation group with distinguished triple (σ1, σ2, σ3)."""
-
-    def __init__(self, rep: GroupRep, sigma):
-        s1, s2, s3 = sigma
-        self.rep = rep
-        self.sigma = (s1, s2, s3)
-        _check_trivial_word(rep, (s1 * s2) ** 2, "(sigma1 sigma2)^2")
-        _check_trivial_word(rep, (s2 * s3) ** 2, "(sigma2 sigma3)^2")
-        _check_trivial_word(rep, (s1 * s2 * s3) ** 2, "(sigma1 sigma2 sigma3)^2")
-        self.basis = _check_generates(rep, self.sigma, "sigma generators")
 
 
 class _ReflectionGroup(_Group):
     """Involutions ρ0, ρ1, … with commuting non-adjacent pairs that
     generate the group.  Their rotations σ = (ρ0 ρ1, ρ1 ρ2, …) let
-    ``schlafli``, ``hole_length`` and ``petrie4`` apply."""
+    ``schlafli``, ``hole_length`` and ``petrie4`` apply, and the runs of ρ
+    decide ``polytopal`` (``_intersection_condition``, by 2E16)."""
 
     def __init__(self, rep: GroupRep, rho):
         self.rep = rep
-        self.rho = rho
+        self.rho = rho = tuple(rho)
+        if not isinstance(self, _GROUP_CLASSES.get(("rho", len(rho)), ())):
+            raise ValueError(f"{type(self).__name__} does not take {len(rho)} rho words")
         for i, r in enumerate(rho):
             if rep.element_order(r) != 2:
                 raise ConstructionError(f"rho{i} is not an involution")
@@ -109,6 +133,7 @@ class _ReflectionGroup(_Group):
                 _check_trivial_word(rep, (rho[i] * rho[j]) ** 2, f"(rho{i} rho{j})^2")
         self.basis = _check_generates(rep, rho, "rho generators")
         self.sigma = tuple(a * b for a, b in zip(rho, rho[1:]))
+        self.polytopal = _intersection_condition(rep, rho)
 
 
 class RegularCGroup4(_ReflectionGroup):
@@ -116,20 +141,13 @@ class RegularCGroup4(_ReflectionGroup):
     non-adjacent pairs and the full intersection condition."""
 
     def __init__(self, rep: GroupRep, rho):
-        r0, r1, r2, r3 = rho
-        super().__init__(rep, (r0, r1, r2, r3))
-        if not _c_group_condition(rep, self.rho):
+        super().__init__(rep, rho)
+        if not self.polytopal:
             raise ConstructionError("intersection condition fails")
 
 
 class RegularMap3(_ReflectionGroup):
     """A regular map given by its full group and reflections (ρ0, ρ1, ρ2)."""
-
-    def __init__(self, rep: GroupRep, rho):
-        r0, r1, r2 = rho
-        super().__init__(rep, (r0, r1, r2))
-        # the intersection condition, tested once for constructions and reports
-        self.polytopal = _c_group_condition(rep, self.rho)
 
 
 _GROUP_CLASSES = {
@@ -170,48 +188,24 @@ def load_group(pres: Presentation, cap: int = DEFAULT_CAP):
         ) from exc
 
 
-def _c_group_condition(rep: GroupRep, gens) -> bool:
-    """Intersection condition over all pairs of generator subsets."""
-    n = len(gens)
-    closures = {}
-    for mask in range(1 << n):
-        sub = [gens[i] for i in range(n) if mask >> i & 1]
-        closures[mask] = rep.subgroup_closure(sub).elements
-    for a in range(1 << n):
-        for b in range(1 << n):
-            if closures[a] & closures[b] != closures[a & b]:
-                return False
-    return True
-
-
 # -- polytopality and chirality ---------------------------------------------
 
 
+def _polytopal(m) -> bool:
+    """The intersection condition on σ, with no rotation of order < 2 (a
+    polygon section needs at least 2 edges)."""
+    return all(o >= 2 for o in schlafli(m)) and _intersection_condition(m.rep, m.sigma)
+
+
 def check_polytopal3(m: RotationGroup3) -> bool:
-    """Rank-3 intersection condition: ⟨σ1⟩ ∩ ⟨σ2⟩ trivial.  Rotations of
-    order < 2 are degenerate (a polygon section needs at least 2 edges)."""
-    s1, s2 = m.sigma
-    if any(o < 2 for o in schlafli(m)):
-        return False
-    a = m.rep.subgroup_closure([s1]).elements
-    b = m.rep.subgroup_closure([s2]).elements
-    return a & b == {0}
+    """``_polytopal``: ⟨σ1⟩ ∩ ⟨σ2⟩ = {1}."""
+    return _polytopal(m)
 
 
 def check_polytopal4(m: RotationGroup4) -> bool:
-    """Rank-4 intersection condition: ⟨σ1,σ2⟩ ∩ ⟨σ2,σ3⟩ = ⟨σ2⟩ and
-    ⟨σ1⟩ ∩ ⟨σ2⟩ = {1} = ⟨σ2⟩ ∩ ⟨σ3⟩, plus non-degenerate rotation
-    orders (collapsed generators cannot carry polygon sections)."""
-    s1, s2, s3 = m.sigma
-    rep = m.rep
-    if any(o < 2 for o in schlafli(m)):
-        return False
-    left = rep.subgroup_closure([s1, s2]).elements
-    right = rep.subgroup_closure([s2, s3]).elements
-    c1 = rep.subgroup_closure([s1]).elements
-    c2 = rep.subgroup_closure([s2]).elements
-    c3 = rep.subgroup_closure([s3]).elements
-    return left & right == c2 and c1 & c2 == {0} and c2 & c3 == {0}
+    """``_polytopal`` on the runs of σ, as 2E16 tests those of ρ:
+    ⟨σ1⟩ ∩ ⟨σ2⟩ = {1} = ⟨σ2⟩ ∩ ⟨σ3⟩, then ⟨σ1,σ2⟩ ∩ ⟨σ2,σ3⟩ = ⟨σ2⟩."""
+    return _polytopal(m)
 
 
 def _form_exists(m, words, images) -> bool:

@@ -32,6 +32,9 @@ Last, it closes the extension square (``test_squares.square``) at every
 (base, k) pair the petrie-scan workload draws, k = 2..30 over ex1, ex2
 and ex3, and exits 1, naming the pairs at fault, unless each of the
 ``SQUARES`` pairs whose Petrie quotient is self-dual gives one table.
+It also sorts those 87 Petrie quotients into not polytopal and, when
+polytopal, by duality kind and chirality, and exits 1 unless each base
+splits as ``SPLIT`` says: the petrie-scan oracle checks orders only.
 """
 
 from __future__ import annotations
@@ -94,17 +97,20 @@ def main() -> int:
     squares, faults["with extension squares unequal"] = extension_square_mismatches()
     if len(squares) != SQUARES:
         faults[f"with extension squares, not {SQUARES}"] = squares
+    split = petrie_split()
     for what, keys in faults.items():
         if keys:
             print(f"{len(keys)} tables {what}: {', '.join(keys)}", file=sys.stderr)
+    if split != SPLIT:
+        print(f"Petrie quotients split {split}, not {SPLIT}", file=sys.stderr)
     print(f"{tally(stops.values())} of the {len(stops)} presentations enumerated, "
           f"and {tally(torus_stops)} of the {len(torus_stops)} tori over the "
           "trivial subgroup")
-    if any(faults.values()):
+    if any(faults.values()) or split != SPLIT:
         return 1
     print(f"all {len(recorded)} recorded tables match, every torus "
-          f"enumerates as hlt_reference does, and all {SQUARES} extension "
-          "squares close")
+          f"enumerates as hlt_reference does, all {SQUARES} extension "
+          "squares close, and the Petrie quotients split as SPLIT says")
     return 0
 
 
@@ -187,6 +193,34 @@ def extension_square_mismatches() -> tuple:
             if corners[0] != corners[1]:
                 out.append(squares[-1])
     return squares, out
+
+
+# the petrie-scan quotients of each base, k = 2..30, by polytopality,
+# then by duality kind and chirality
+SPLIT = {
+    "ex1": {"not polytopal": 14, "improper regular": 8, "improper chiral": 7},
+    "ex2": {"not polytopal": 25, "improper chiral": 4},
+    "ex3": {"not polytopal": 22, "proper chiral": 7},
+}
+
+
+def petrie_split() -> dict:
+    """How many petrie-scan Petrie quotients of each base are not
+    polytopal, and how many are of each duality kind and chirality."""
+    import workloads
+
+    rotamap = sys.modules["rotamap"]
+    split = {}
+    for _, (name, m, k) in workloads.setup("petrie-scan", 0, "domain").ops:
+        try:
+            q = rotamap.petrie_quotient(m, k)
+        except rotamap.NotPolytopalError:
+            verdict = "not polytopal"
+        else:
+            verdict = f"{rotamap.detect_self_duality(q).kind} {rotamap.classify4(q)}"
+        counts = split.setdefault(name, {})
+        counts[verdict] = counts.get(verdict, 0) + 1
+    return split
 
 
 if __name__ == "__main__":

@@ -647,3 +647,19 @@ def hlt_reference(ncols, relators, cap):
                     define(i, x)
         i += 1
     return cols, parent
+
+
+def naive_c_group_condition(rep: GroupRep, gens) -> bool:
+    """The intersection condition by its definition: for every two
+    subsets I, J of the generator words, ⟨I⟩ ∩ ⟨J⟩ = ⟨I ∩ J⟩, each
+    subgroup closed by walking the words (``word_bfs_closure``)."""
+    n = len(gens)
+    closures = [
+        word_bfs_closure(rep, [gens[i] for i in range(n) if mask >> i & 1])
+        for mask in range(1 << n)
+    ]
+    return all(
+        closures[a] & closures[b] == closures[a & b]
+        for a in range(1 << n)
+        for b in range(1 << n)
+    )

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import rotamap.rotary
@@ -37,7 +39,7 @@ from rotamap import (
     zigzag_length,
 )
 from rotamap.cli import analyze_presentation
-from oracle import naive_normal_closure
+from oracle import naive_c_group_condition, naive_normal_closure
 
 s1, s2, s3 = Word.gen(0), Word.gen(1), Word.gen(2)
 
@@ -400,12 +402,66 @@ class TestWrapperChecks:
         assert not isinstance(exc.value, ConstructionError)
         assert str(exc.value) == f"input {pres.distinguished_kind} words: {message}"
 
+    @pytest.mark.parametrize("cls,n", [
+        (RotationGroup3, 3), (RotationGroup4, 2), (RegularMap3, 4), (RegularCGroup4, 3),
+    ])
+    def test_wrong_number_of_words_raises(self, t44_13, cls, n):
+        with pytest.raises(ValueError, match=f"{cls.__name__} does not take {n}"):
+            cls(t44_13.rep, [Word.gen(0)] * n)
+
     def test_map_failing_the_intersection_condition_is_not_polytopal(self):
         # a dihedral group with rho0 = rho2: <rho0> and <rho2> meet in <rho0>
         pres = parse_presentation("gens a b\nrel a^2\nrel b^2\nrel (a b)^5\nrho a b a\n")
         m = RegularMap3(enumerate_group(pres), pres.distinguished)
         assert m.order == 10
         assert m.polytopal is False
+
+
+# groups in which random string involution tuples are drawn: S5, the
+# group of the regular torus map {4,4}_(3,0), of order 72, and the
+# Coxeter group [3,4], of order 48
+INVOLUTION_HOSTS = {
+    "S5": S5,
+    "{4,4}_(3,0)": (
+        "gens a b c\nrel a^2\nrel b^2\nrel c^2\n"
+        "rel (a b)^4\nrel (b c)^4\nrel (a c)^2\nrel (a b c b)^3\n"
+    ),
+    "[3,4]": "gens a b c\nrel a^2\nrel b^2\nrel c^2\nrel (a b)^3\nrel (b c)^4\nrel (a c)^2\n",
+}
+
+
+def _string_involution_tuples(rep, rank, count, rng):
+    """``count`` random tuples of ``rank`` involutions of ``rep``, as
+    words, whose non-adjacent members commute."""
+    inv = rep.involutions()
+    commuting = {x: {y for y in inv if rep.product(x, y) == rep.product(y, x)} for x in inv}
+    out = []
+    while len(out) < count:
+        rho = []
+        for _ in range(rank):
+            # the new member must commute with all but the last one drawn
+            choices = [x for x in inv if all(x in commuting[y] for y in rho[:-1])]
+            if not choices:
+                break
+            rho.append(rng.choice(choices))
+        if len(rho) == rank:
+            out.append(tuple(rep.element_word(x) for x in rho))
+    return out
+
+
+def test_intersection_condition_on_runs_matches_all_subsets():
+    # Prop. 2E16 of McMullen and Schulte: for a string group generated by
+    # involutions the runs decide the condition over all subset pairs
+    rng = random.Random(2016)
+    verdicts = {3: set(), 4: set()}
+    for text in INVOLUTION_HOSTS.values():
+        rep = enumerate_group(parse_presentation(text))
+        for rank in verdicts:
+            for rho in _string_involution_tuples(rep, rank, 70, rng):
+                verdict = rotamap.rotary._intersection_condition(rep, rho)
+                assert verdict == naive_c_group_condition(rep, rho), rho
+                verdicts[rank].add(verdict)
+    assert verdicts == {3: {False, True}, 4: {False, True}}
 
 
 class TestLoadGroup:

@@ -10,11 +10,22 @@ path extends a quotient table (``GroupRep.quotient``, then
 ``GroupRep.extend``), the second takes the quotient of an interleaved
 extension table, by a block labelling or, when (s1 s3)^k is already 1,
 by sharing it.  ``tests/check_recorded_tables.py`` runs every such pair
-of the petrie-scan workload, k = 2..30 over ex1, ex2 and ex3."""
+of the petrie-scan workload, k = 2..30 over ex1, ex2 and ex3.
+
+The quotient square: two quotients taken one after the other, in either
+order, give the group that G's relators and both words present, so both
+tables, in row-scan standard form, must equal that group's enumerated
+table."""
 
 import pytest
 
-from rotamap import DualityKind, NotPolytopalError, detect_self_duality, petrie_quotient
+from rotamap import (
+    DualityKind,
+    NotPolytopalError,
+    detect_self_duality,
+    enumerate_group,
+    petrie_quotient,
+)
 from rotamap.selfdual import extend_improper, extend_proper
 from test_derived import _standard
 
@@ -55,3 +66,15 @@ def test_extension_square(ex1_pipe, ex3_chain, name, k):
 def test_collapsed_quotient_has_no_square(ex1_pipe):
     # ex1's Petrie quotients at odd k are not polytopal
     assert square(ex1_pipe.ext, 3) is None
+
+
+@pytest.mark.parametrize("j", [2, 4, 5, 10])
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_quotient_square(catalog_groups, j, k):
+    # ex1 modulo (s1 s3)^j and (s1 s2^-1 s3)^k, in both orders
+    m = catalog_groups.group("ex1")
+    s1, s2, s3 = m.sigma
+    a, b = (s1 * s3) ** j, (s1 * ~s2 * s3) ** k
+    want = enumerate_group(m.rep.presentation.with_relators(a, b)).table
+    assert _standard(m.rep.quotient(a).quotient(b)) == want
+    assert _standard(m.rep.quotient(b).quotient(a)) == want
