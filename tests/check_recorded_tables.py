@@ -28,6 +28,12 @@ enumerates and over the tori's trivial subgroups, stopped at the first
 complete table (early), went on after the check failed there (fell
 back), or were first complete at the loop's last row (ran to the end).
 
+On the same tori it compares ``normal_closure(s1 s2)`` and
+``generated_by_involutions()`` of the verified group with those of the
+same table built directly, exits 1, naming the tori at fault, unless
+they agree, and prints how many tori are generated by involutions and
+how many have each index |G : N(s1 s2)|.
+
 Last, it closes the extension square (``test_squares.square``) at every
 (base, k) pair the petrie-scan workload draws, k = 2..30 over ex1, ex2
 and ex3, and exits 1, naming the pairs at fault, unless each of the
@@ -94,6 +100,7 @@ def main() -> int:
     }
     mismatches, torus_stops = torus_hlt_mismatches()
     faults["unlike hlt_reference"] = mismatches
+    faults["with involution queries unequal"], verdicts, indices = involution_mismatches()
     squares, faults["with extension squares unequal"] = extension_square_mismatches()
     if len(squares) != SQUARES:
         faults[f"with extension squares, not {SQUARES}"] = squares
@@ -106,10 +113,13 @@ def main() -> int:
     print(f"{tally(stops.values())} of the {len(stops)} presentations enumerated, "
           f"and {tally(torus_stops)} of the {len(torus_stops)} tori over the "
           "trivial subgroup")
+    print(f"{verdicts} of the {len(torus_stops)} tori are generated by involutions; "
+          f"|G : N(s1 s2)| over them: {dict(sorted(indices.items()))}")
     if any(faults.values()) or split != SPLIT:
         return 1
     print(f"all {len(recorded)} recorded tables match, every torus "
-          f"enumerates as hlt_reference does, all {SQUARES} extension "
+          "enumerates as hlt_reference does and answers both involution "
+          f"queries alike without _left, all {SQUARES} extension "
           "squares close, and the Petrie quotients split as SPLIT says")
     return 0
 
@@ -167,6 +177,34 @@ def torus_hlt_mismatches() -> tuple:
         if state[:2] != want or accepted not in (None, want):
             out.append(t.name)
     return out, stops
+
+
+def involution_mismatches() -> tuple:
+    """The names of the torus-sweep tori on which the verified group, whose
+    involution queries close one orbit (``GroupRep._orbit``), and the same
+    table built directly, which closes over conjugacy classes, give a
+    different ``normal_closure(s1 s2)`` or ``generated_by_involutions()``;
+    how many tori are generated by involutions; and how many tori have
+    each index |G : N(s1 s2)|."""
+    import workloads
+
+    rotamap = sys.modules["rotamap"]
+    out = []
+    verdicts = 0
+    indices = {}
+    for v in workloads.setup("torus-sweep", 0, "domain").keys:
+        t = rotamap.TorusFamily(*v)
+        rep = rotamap.enumerate_group(rotamap.torus_presentation(t))
+        plain = rotamap.GroupRep(rep.presentation, rep.table)
+        s1, s2 = rep.presentation.distinguished
+        closure = rep.normal_closure(s1 * s2)
+        verdict = rep.generated_by_involutions()
+        if (closure, verdict) != (plain.normal_closure(s1 * s2), plain.generated_by_involutions()):
+            out.append(t.name)
+        verdicts += verdict
+        index = rep.order // closure.size
+        indices[index] = indices.get(index, 0) + 1
+    return out, verdicts, indices
 
 
 # the petrie-scan pairs whose Petrie quotient is self-dual: ex1 at even

@@ -28,11 +28,15 @@ those shortcuts only skip work that does nothing.
 ``GroupRep._verify`` certifies that the table is a regular representation
 and then walks each relator from the identity only.
 
-``naive_conjugacy_class``, ``naive_involutions`` and
-``naive_normal_subgroup`` take every conjugate, square and product as
-explicit products along Schreier words, where a ``GroupRep`` that
-``_verify`` certified looks conjugates and inverses up in its left
-multiplications (``_left``).
+``naive_conjugacy_class`` and ``naive_involutions`` take every conjugate
+and square as explicit products along Schreier words, where a
+``GroupRep`` that ``_verify`` certified looks conjugates and inverses up
+in its left multiplications (``_left``).  ``naive_normal_subgroup`` takes
+its conjugates and products that way too, but its search, the orbit of
+the identity under conjugation and right multiplication, is the one
+``GroupRep._orbit`` runs on a table with ``_left``, so it is not
+independent of ``GroupRep`` there: ``naive_normal_closure``, every
+conjugate and then a quadratic closure, is.
 
 ``automorphism_reference`` closes the pairs (source, image) over the
 whole group, checking every condition, where ``GroupRep`` reads a

@@ -458,6 +458,11 @@ class TestStructure:
     def test_generated_by_involutions(self):
         assert rot333().generated_by_involutions() is True
         assert cyclic4().generated_by_involutions() is False
+        # the one involution a generates a subgroup that holds the first
+        # generator but not b
+        g = enumerate_group(parse_presentation("gens a b\nrel a^2\nrel b^3\nrel a b a^-1 b^-1\n"))
+        assert g.generated_by_involutions() is False
+        assert GroupRep(g.presentation, g.table).generated_by_involutions() is False
 
     def test_trivial_group_generated_by_involutions(self):
         g = enumerate_group(parse_presentation("gens a\nrel a\n"))

@@ -40,6 +40,7 @@ from oracle import (
     naive_generator_map,
     naive_involutions,
     naive_is_automorphism,
+    naive_normal_closure,
     naive_normal_subgroup,
     naive_subgroup_closure,
     word_bfs_closure,
@@ -523,6 +524,12 @@ SMALL_CATALOG = [
 ]
 
 
+def _small_groups(catalog_groups):
+    """The verified groups of ``CERTIFICATE_TORI`` and ``SMALL_CATALOG``."""
+    reps = [enumerate_group(torus_presentation(t)) for t in CERTIFICATE_TORI]
+    return reps + [catalog_groups.group(name).rep for name in SMALL_CATALOG]
+
+
 class TestGenerationCertificate:
     """``basis`` and ``generated_by_involutions`` stop the closure once
     each generator g has a reached pair y, y g, and give None or False
@@ -539,11 +546,11 @@ class TestGenerationCertificate:
         assert reached == EX2_REACHED
 
     def test_generated_by_involutions_matches_naive(self, catalog_groups):
-        reps = [enumerate_group(torus_presentation(t)) for t in CERTIFICATE_TORI]
-        reps += [catalog_groups.group(name).rep for name in SMALL_CATALOG]
         verdicts = []
-        for rep in reps:
+        for rep in _small_groups(catalog_groups):
             want = len(naive_subgroup_closure(rep, naive_involutions(rep))) == rep.order
+            # the verified table closes one orbit (_orbit)
+            assert rep._left is not None
             assert rep.generated_by_involutions() is want
             # the same table without _left finds the involutions by walks
             assert GroupRep(rep.presentation, rep.table).generated_by_involutions() is want
@@ -866,3 +873,29 @@ class TestNormalClosureGenerator:
     def test_identity(self, catalog_groups):
         rep = catalog_groups.group("ex3").rep
         assert rep.normal_closure(Word.identity()).elements == {0}
+
+
+class TestInvolutionOrbit:
+    """The normal closure of an involution on a verified table is one
+    orbit of the identity (``_orbit``); the same table built directly
+    closes over the involution's class.  Both give the subgroup of
+    ``naive_normal_closure``, which takes every conjugate and then a
+    quadratic closure, for sigma1 sigma2 and three seeded random
+    involutions.  ``generated_by_involutions`` on the same groups, with
+    both verdicts, is ``TestGenerationCertificate``'s."""
+
+    def test_normal_closures_match_naive(self, catalog_groups):
+        for rep in _small_groups(catalog_groups):
+            plain = GroupRep(rep.presentation, rep.table)
+            assert rep._left is not None and plain._left is None
+            d = rep.presentation.distinguished
+            # the half-turn, or the first reflection of simplex333
+            half_turn = d[0] * d[1] if rep.element_order(d[0] * d[1]) == 2 else d[0]
+            picked = random.Random(rep.order).choices(naive_involutions(rep), k=3)
+            # each element once: a pick may be the half-turn's
+            for x in dict.fromkeys([rep.element_of(half_turn)] + picked):
+                w = rep.element_word(x)
+                assert rep.element_order(w) == 2
+                want = naive_normal_closure(rep, w)
+                assert rep.normal_closure(w).elements == want
+                assert plain.normal_closure(w).elements == want
