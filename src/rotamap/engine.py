@@ -8,7 +8,8 @@ The mechanisms, each argued in the docstring named:
   first complete table that ``GroupRep._verify`` certifies.
 * ``_lift`` builds the regular table from the cosets of H and proves its
   order exact, and ``_row_scan`` puts it in row-scan standard form, a
-  function of the group and the generator order alone.
+  function of the group and the generator order alone, recording its
+  breadth-first Schreier tree as it goes.
 * ``CosetTable`` stores a table by column, so a pass over many elements
   applies one letter to all of them at once (``_act``).
 * ``GroupRep._verify`` certifies a table as the regular representation
@@ -199,13 +200,17 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     the rows Felsch would; the cap bounds the run.
 
     **Resume.**  After the definition at the forward end of a gap, the
-    forward scan goes on from where it stopped, with the sum it had.
-    Unless a coincidence ran in that definition's drain (``coincide``
-    counts its merges), the path walked from the coset is unchanged, so
-    a rescan would retrace it.  After a coincidence the scan starts
-    afresh, or stops if the coset died.  This shortcut skips only scan
-    work that does nothing, so the cosets defined, in their order, and
-    the table are those of a loop that rescans from the coset after each
+    forward scan goes on from where it stopped, with the sum it had, and
+    so does the backward scan.  Unless a coincidence ran in that
+    definition's drain (``coincide`` counts its merges), no entry was
+    changed, only new ones set, so both paths walked from the coset stand
+    and a rescan would retrace them.  The backward scan starts again from
+    the coset only once the forward walk has reached or passed the
+    backward one's end (``j < i``): a backward scan stops where the
+    forward one ends.  After a coincidence both scans start afresh, or
+    stop if the coset died.  This shortcut skips only scan work that
+    does nothing, so the cosets defined, in their order, and the table
+    are those of a loop that rescans from the coset after each
     definition (``tests/oracle.hlt_reference``; the tests compare the raw
     tables and parents for trivial H).
 
@@ -425,6 +430,8 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
         f = c
         s = 0
         i = 0
+        # j < i: the backward scan starts from c
+        j = -1
         while True:
             while i <= last:
                 nxt = fw[i][f]
@@ -440,9 +447,10 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
                 else:
                     modulus = gcd(modulus, s)
                 return
-            b = c
-            t = 0
-            j = last
+            if j < i:
+                b = c
+                t = 0
+                j = last
             while j >= i:
                 nxt = bw[j][b]
                 if nxt < 0:
@@ -451,8 +459,8 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
                 b = nxt
                 j -= 1
             if j > i:
-                # one definition; the path from c to f and its sum stand
-                # unless a coincidence ran, so the scan resumes at f
+                # one definition; both paths from c and their sums stand
+                # unless a coincidence ran, so both scans resume
                 seen = merges
                 define(f, w[i])
                 if merges != seen:
@@ -461,6 +469,7 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
                     f = c
                     s = 0
                     i = 0
+                    j = -1
                 continue
             if j < i:
                 coincide(f, b, t - s)
@@ -496,15 +505,16 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
 
 def _lift(cols, parent, labs, modulus) -> tuple:
     """The columns of the regular table of the group, in row-scan
-    standard form, from ``_enumerate_cosets``'s result.  With m live
-    cosets, numbered in index order, and final modulus M, element (k, t)
-    = g^k r_t gets index k m + t, and column x sends it to ((k + l) mod
-    M) m + u, u = t x and l the entry's label.  Each column is one
-    comprehension over the M values of k, whose ints are the objects of
-    one shared list; ``_row_scan`` then relabels them.  Every entry of a
-    live row must be defined and point at a live coset (see
-    ``_enumerate_cosets``), else InconsistencyError.  With trivial H,
-    M = 1 and every label is 0.
+    standard form, and its Schreier tree, ``(cols, tree)`` as
+    ``_row_scan`` gives them, from ``_enumerate_cosets``'s result.  With
+    m live cosets, numbered in index order, and final modulus M, element
+    (k, t) = g^k r_t gets index k m + t, and column x sends it to ((k +
+    l) mod M) m + u, u = t x and l the entry's label.  Each column is
+    one comprehension over the M values of k, whose ints are the objects
+    of one shared list; ``_row_scan`` then relabels them and records the
+    tree.  Every entry of a live row must be defined and point at a live
+    coset (see ``_enumerate_cosets``), else InconsistencyError.  With
+    trivial H, M = 1 and every label is 0.
 
     Why the order m M is exact, for any complete table the enumeration
     reaches, whether its loop ran to its end or stopped early: ``_verify``
@@ -536,6 +546,8 @@ def _lift(cols, parent, labs, modulus) -> tuple:
         # (k, t) goes to image[t] + k m modulo n: ints[v - s] with
         # s = n - k m wraps round through the negative indices
         raw.append([ints[v - s] for s in range(n, 0, -m) for v in image])
+    # the row scan's lists are the peak of the lift
+    del pos, live, targets, image
     return _row_scan(raw, ints)
 
 
@@ -724,7 +736,8 @@ def _verified_group(p: Presentation, cap: int, cosets) -> "GroupRep":
     """The group of p from the raw ``cosets`` of ``_enumerate_cosets``,
     lifted (``_lift``) and checked against p (``GroupRep._verify``);
     InconsistencyError if the table is not complete or fails the check."""
-    rep = GroupRep(p, CosetTable(_lift(*cosets), p.ngens), cap)
+    cols, tree = _lift(*cosets)
+    rep = GroupRep(p, CosetTable(cols, p.ngens), cap, tree)
     rep._verify()
     return rep
 
@@ -746,21 +759,37 @@ def _row_scan(raw_cols, ints) -> tuple:
     old labels, which lie below ``len(ints)``; label k is the object
     ``ints[k]`` (see ``GroupRep._label_ints``).  Each raw column is
     dropped from ``raw_cols`` once its relabelled column is built, to
-    lower the peak memory."""
+    lower the peak memory.
+
+    Returns ``(cols, tree)``, tree the parent elements and parent columns
+    of ``GroupRep``, -1 at the root.  The scan gives each new label as
+    the child of the row it appears in, through the column it appears
+    in.  It reads the rows in their new order, each in column order, so
+    that is the tree the breadth-first search of ``_schreier_tree``
+    finds on the relabelled table, which ``_verified_group`` need not
+    run; ``tests/check_recorded_tables.py`` compares the two on every
+    recorded table."""
     label = [-1] * len(ints)
     label[0] = 0
     order = [0]
+    parent = [-1]
+    via = [-1]
+    numbered = tuple(enumerate(raw_cols))
     for e in order:
-        for col in raw_cols:
+        k = label[e]
+        for x, col in numbered:
             t = col[e]
             if label[t] < 0:
                 label[t] = ints[len(order)]
                 order.append(t)
+                parent.append(k)
+                via.append(x)
+    del numbered
     out = []
     for x, col in enumerate(raw_cols):
         raw_cols[x] = None
         out.append(tuple([label[col[e]] for e in order]))
-    return tuple(out)
+    return tuple(out), (parent, via)
 
 
 def _act(xs, word):
@@ -818,9 +847,10 @@ class GroupRep:
     group's own tree when it keeps this group's table, and the tree its
     block labelling found otherwise, and ``extend`` passes this group's
     tree with a d edge to each g d.  A caller that hands a tree vouches
-    that it spans the table.  Every other table, built directly or
-    enumerated, gets the breadth-first tree of ``_schreier_tree``, whose
-    search also proves the table transitive.
+    that it spans the table.  ``enumerate_group`` passes the tree that
+    ``_row_scan`` recorded as it labelled the table, which is the
+    breadth-first tree of ``_schreier_tree``.  A table built directly
+    gets that search, which also proves the table transitive.
     ``cap`` is the coset cap ``enumerate_group`` ran under, and
     ``DEFAULT_CAP``, the default of the ``cap`` argument, for a group
     built directly from a table.  Extensions and quotients built from

@@ -12,7 +12,10 @@ group built during the traversal that ``enumerate_group`` did not build
 is enumerated afterwards, under the tracer, from its presentation.  It
 writes nothing.  It exits 1, naming the presentation keys at fault,
 unless the digests equal ``perfbench/tables.json`` exactly: no table
-changed, none recorded left unbuilt, none built unrecorded.
+changed, none recorded left unbuilt, none built unrecorded.  It also
+exits 1 unless the Schreier tree of each recorded table, as
+``_row_scan`` hands it over, equals the breadth-first search
+``_schreier_tree`` on the same table.
 
 It then enumerates every torus the torus-sweep workload can draw over the
 trivial subgroup, whose long translation relators the engine closes HLT
@@ -64,7 +67,9 @@ def main() -> int:
     groups = {}
     init = engine.GroupRep.__init__
     enumerate_cosets = engine._enumerate_cosets
+    verified_group = engine._verified_group
     stops = {}
+    trees = {}
 
     def record(self, presentation, *args, **kwargs):
         init(self, presentation, *args, **kwargs)
@@ -75,10 +80,17 @@ def main() -> int:
             enumerate_cosets, ncols, relators, cap, h, check)
         return state
 
+    def tree_checked(p, cap, cosets):
+        rep = verified_group(p, cap, cosets)
+        search = engine._schreier_tree(rep.table.cols, rep.order)
+        trees[spans.presentation_key(p)] = (rep._parent_coset, rep._parent_col) == search
+        return rep
+
     tracer = spans.Tracer()
     tracer.install()
     engine.GroupRep.__init__ = record
     engine._enumerate_cosets = observe
+    engine._verified_group = tree_checked
     try:
         for name in workloads.WORKLOADS:
             for fn, arg in workloads.setup(name, 0, "domain").ops:
@@ -90,6 +102,7 @@ def main() -> int:
     finally:
         engine.GroupRep.__init__ = init
         engine._enumerate_cosets = enumerate_cosets
+        engine._verified_group = verified_group
         tracer.uninstall()
     recorded = json.loads((PERFBENCH / "tables.json").read_text(encoding="utf-8"))
     built = tracer.tables
@@ -97,6 +110,8 @@ def main() -> int:
         "changed": sorted(k for k in recorded.keys() & built.keys() if recorded[k] != built[k]),
         "not built": sorted(recorded.keys() - built.keys()),
         "not recorded": sorted(built.keys() - recorded.keys()),
+        "with a tree unlike _schreier_tree's": sorted(
+            k for k in recorded.keys() if not trees.get(k)),
     }
     mismatches, torus_stops = torus_hlt_mismatches()
     faults["unlike hlt_reference"] = mismatches
@@ -117,7 +132,8 @@ def main() -> int:
           f"|G : N(s1 s2)| over them: {dict(sorted(indices.items()))}")
     if any(faults.values()) or split != SPLIT:
         return 1
-    print(f"all {len(recorded)} recorded tables match, every torus "
+    print(f"all {len(recorded)} recorded tables match, each with the "
+          "breadth-first tree of _schreier_tree, every torus "
           "enumerates as hlt_reference does and answers both involution "
           f"queries alike without _left, all {SQUARES} extension "
           "squares close, and the Petrie quotients split as SPLIT says")

@@ -306,19 +306,23 @@ def perm_mulclose(gens):
 
 
 def naive_subgroup_closure(rep: GroupRep, elements):
-    """Quadratic closure: multiply every pair until stable."""
-    current = {0} | set(elements)
-    while True:
-        new = set()
-        cur = sorted(current)
-        for a in cur:
-            for b in cur:
-                c = rep.product(a, b)
-                if c not in current:
-                    new.add(c)
-        if not new:
-            return current
-        current |= new
+    """Quadratic closure: multiply every pair with an element new in the
+    last pass, until a pass finds nothing new.  A pair is multiplied in
+    the pass after its later element came in, so the set returned is
+    closed under products, and no pair is multiplied twice."""
+    old = set()
+    new = {0} | set(elements)
+    while new:
+        current = old | new
+        left = sorted(current)
+        right = sorted(old)
+        found = set()
+        for b in sorted(new):
+            found.update(rep.product(a, b) for a in left)
+            found.update(rep.product(b, a) for a in right)
+        old = current
+        new = found - current
+    return old
 
 
 def word_bfs_closure(rep: GroupRep, words):

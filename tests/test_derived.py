@@ -89,7 +89,7 @@ def _standard(rep):
     """The table of rep relabelled into row-scan standard form
     (``_row_scan``), a function of the group and the generator order
     alone: an extension's table is compared with enumeration in it."""
-    cols = _row_scan(list(rep.table.cols), list(range(rep.order)))
+    cols = _row_scan(list(rep.table.cols), list(range(rep.order)))[0]
     return CosetTable(cols, rep.table.ngens)
 
 

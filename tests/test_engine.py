@@ -70,6 +70,10 @@ def rot333():
     return enumerate_group(parse_presentation(ROT333))
 
 
+# the tori whose rows TestRowsDefined pins: family, b, c, rows, order
+TORUS_ROWS = [("36", 12, 12, 2892, 2592), ("63", 7, 9, 1482, 1158)]
+
+
 class TestEnumerate:
     def test_cyclic_group(self):
         assert cyclic4().order == 4
@@ -198,10 +202,22 @@ class TestVerify:
 
 class TestTreeParents:
     """The tree ``GroupRep`` holds is that of the breadth-first search
-    ``_schreier_tree`` on a table built directly or enumerated, and the
-    spanning tree ``extend`` or ``quotient`` hands over on a derived one.
-    In row-scan standard form, and in an extension of a group in it,
-    every parent has a smaller index."""
+    ``_schreier_tree`` on a table built directly, the same tree recorded
+    by ``_row_scan`` on an enumerated one, and the spanning tree
+    ``extend`` or ``quotient`` hands over on a derived one.  In row-scan
+    standard form, and in an extension of a group in it, every parent
+    has a smaller index."""
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_enumerated_tree_is_the_breadth_first_search(self, catalog_groups, name):
+        rep = catalog_groups.group(name).rep
+        assert (rep._parent_coset, rep._parent_col) == _schreier_tree(rep.table.cols, rep.order)
+
+    @pytest.mark.parametrize("family,b,c,rows,order", TORUS_ROWS)
+    def test_enumerated_torus_tree_is_the_breadth_first_search(self, family, b, c, rows, order):
+        rep = enumerate_group(torus_presentation(TorusFamily(family, b, c)))
+        assert rep.order == order
+        assert (rep._parent_coset, rep._parent_col) == _schreier_tree(rep.table.cols, rep.order)
 
     @pytest.mark.parametrize("name", ["ex3", "simplex333", "torus-44-1-3"])
     def test_match_the_breadth_first_search(self, catalog_groups, name):
@@ -612,9 +628,7 @@ class TestRowsDefined:
         with pytest.raises(CapExceededError):
             enumerate_group(p, cap=rows - 1)
 
-    @pytest.mark.parametrize("family,b,c,rows,order", [
-        ("36", 12, 12, 2892, 2592), ("63", 7, 9, 1482, 1158),
-    ])
+    @pytest.mark.parametrize("family,b,c,rows,order", TORUS_ROWS)
     def test_torus_rows_defined(self, family, b, c, rows, order):
         # long translation relators, closed once per coset
         p = torus_presentation(TorusFamily(family, b, c))
@@ -627,7 +641,7 @@ def _lifted(p, h):
     """The columns of p's table enumerated over ``h``, ``(g, p)`` or None
     for the trivial subgroup, and lifted; and the final modulus."""
     cosets = _enumerate_cosets(2 * p.ngens, _bounded_relators(p, DEFAULT_CAP), DEFAULT_CAP, h)
-    return _lift(*cosets), cosets[-1]
+    return _lift(*cosets)[0], cosets[-1]
 
 
 def _cyclic(p):
@@ -724,6 +738,19 @@ class TestMatchesHltReference:
     def test_petrie(self, base, k):
         # most of these collapse, so coincidences interrupt the scans
         p = catalog()[base].presentation.with_relators((s1 * s3) ** k)
+        assert enumeration_outcome(_enumerate_cosets, p) == enumeration_outcome(hlt_reference, p)
+
+    @pytest.mark.parametrize("base,relator", [
+        ("ex1", ~s1 * ~s3 * s2 * s3 * s2 * s1 ** -5 * s2),
+        ("ex3", ~s3 * ~s1 * s2 * s1 * ~s2 * s3 * s1 ** 2),
+    ], ids=["forward-passes-backward-end", "coincidence-in-close"])
+    def test_long_relator_collapse(self, base, relator):
+        # (s1 s3)^k has period 2 and is scanned Felsch style, so
+        # test_petrie never reaches close.  These collapse through close:
+        # ex1's relator is long (11 rotations), and a forward walk passes
+        # its backward end; in ex3, whose torus relators are long, a
+        # definition in close runs a coincidence
+        p = catalog()[base].presentation.with_relators(relator)
         assert enumeration_outcome(_enumerate_cosets, p) == enumeration_outcome(hlt_reference, p)
 
     @pytest.mark.parametrize("family,b,c", [("36", 12, 12), ("63", 7, 9)])
