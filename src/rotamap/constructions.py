@@ -36,9 +36,6 @@ from .rotary import (
     RegularMap3,
     RotationGroup3,
     RotationGroup4,
-    check_polytopal4,
-    classify3,
-    classify4,
     is_reflexible3,
     load_group,
     map_report3,
@@ -257,7 +254,7 @@ def petrie_quotient(m: RotationGroup4, k: int) -> RotationGroup4:
         )
     rep = m.rep.quotient(u ** k)
     q = RotationGroup4(rep, m.sigma)
-    if not check_polytopal4(q):
+    if not q.polytopal:
         raise NotPolytopalError(
             f"Petrie quotient k={k} collapsed to a non-polytopal group "
             f"of order {rep.order}, type {schlafli(q)}"
@@ -300,13 +297,11 @@ def pc_map_improper(e: ExtendedGroup) -> RotationGroup3:
     _require(rep.element_order(k1 * ~k2) == p, f"k1 k2^-1 has order {p}")
 
     m = RotationGroup3(rep, (k1, k2))
-    cls = classify3(m)
-    _require(cls is not Chirality.NOT_POLYTOPAL, "skew map is polytopal")
-    base_cls = classify4(e.base)
-    if base_cls in (Chirality.CHIRAL, Chirality.REGULAR):
+    _require(m.polytopal, "skew map is polytopal")
+    if e.base.polytopal:
         _require(
-            cls == base_cls,
-            f"skew map is {base_cls} like its source",
+            m.chirality is e.base.chirality,
+            f"skew map is {e.base.chirality} like its source",
         )
     return m
 
@@ -661,9 +656,9 @@ def compute_entry_report(entry: CatalogEntry, cap: int = DEFAULT_CAP) -> dict:
     if isinstance(g, (RotationGroup3, RegularMap3)):
         out = _catalog_view(report(g))
         if isinstance(g, RotationGroup3):
-            # classify3 has decided reflexibility for a polytopal map already
-            if out["polytopal"]:
-                out["reflexible"] = out["chirality"] == Chirality.REGULAR.value
+            # a polytopal map's wrapper decided reflexibility as it was built
+            if g.polytopal:
+                out["reflexible"] = g.chirality is Chirality.REGULAR
             else:
                 out["reflexible"] = is_reflexible3(g)
         return out

@@ -12,6 +12,7 @@ and ``RegularCGroup4``, whose rotations ``sigma`` = (ρ0 ρ1, ρ1 ρ2, …)
 let the rotation invariants (``schlafli``, ``hole_length``,
 ``petrie4``) apply to reflection groups too.
 
+Each wrapper decides ``polytopal`` and ``chirality`` once, as it is built.
 Polytopality is the intersection condition on the runs of consecutive σ
 or ρ (McMullen and Schulte, Prop. 2E16); chirality is decided by testing
 whether the orientation reversing generator correspondence extends to a
@@ -63,7 +64,8 @@ def _check_trivial_word(rep: GroupRep, w: Word, what: str):
 class _Group:
     """A finite ``GroupRep`` with distinguished generator words.  Each
     wrapper keeps the ``basis`` its generation check built: that of
-    ``sigma`` for a rotation group, of ``rho`` for a reflection group."""
+    ``sigma`` for a rotation group, of ``rho`` for a reflection group.
+    It keeps the verdicts ``polytopal`` and ``chirality`` the same way."""
 
     @property
     def order(self):
@@ -93,7 +95,10 @@ def _intersection_condition(rep: GroupRep, gens) -> bool:
 
 
 class _RotationGroup(_Group):
-    """Rotations σ1, σ2, … generating the group, (σi ⋯ σj)^2 = 1 on each run."""
+    """Rotations σ1, σ2, … generating the group, (σi ⋯ σj)^2 = 1 on each
+    run; polytopal when each σi has order ≥ 2 (a polygon section needs at
+    least 2 edges) and the runs pass ``_intersection_condition``, and then
+    regular or chiral by ``is_reflexible3`` or ``is_reflexible4``."""
 
     def __init__(self, rep: GroupRep, sigma):
         self.rep = rep
@@ -104,6 +109,13 @@ class _RotationGroup(_Group):
             names = " ".join(f"sigma{k + 1}" for k in range(i, j))
             _check_trivial_word(rep, prod(sigma[i:j], start=Word.identity()) ** 2, f"({names})^2")
         self.basis = _check_generates(rep, sigma, "sigma generators")
+        self.polytopal = min(schlafli(self)) >= 2 and _intersection_condition(rep, sigma)
+        if not self.polytopal:
+            self.chirality = Chirality.NOT_POLYTOPAL
+        elif (is_reflexible3 if len(sigma) == 2 else is_reflexible4)(self):
+            self.chirality = Chirality.REGULAR
+        else:
+            self.chirality = Chirality.CHIRAL
 
 
 class RotationGroup3(_RotationGroup):
@@ -118,7 +130,8 @@ class _ReflectionGroup(_Group):
     """Involutions ρ0, ρ1, … with commuting non-adjacent pairs that
     generate the group.  Their rotations σ = (ρ0 ρ1, ρ1 ρ2, …) let
     ``schlafli``, ``hole_length`` and ``petrie4`` apply, and the runs of ρ
-    decide ``polytopal`` (``_intersection_condition``, by 2E16)."""
+    decide ``polytopal`` (``_intersection_condition``, by 2E16); its
+    ``chirality`` is ``REGULAR``."""
 
     def __init__(self, rep: GroupRep, rho):
         self.rep = rep
@@ -134,6 +147,7 @@ class _ReflectionGroup(_Group):
         self.basis = _check_generates(rep, rho, "rho generators")
         self.sigma = tuple(a * b for a, b in zip(rho, rho[1:]))
         self.polytopal = _intersection_condition(rep, rho)
+        self.chirality = Chirality.REGULAR
 
 
 class RegularCGroup4(_ReflectionGroup):
@@ -191,21 +205,16 @@ def load_group(pres: Presentation, cap: int = DEFAULT_CAP):
 # -- polytopality and chirality ---------------------------------------------
 
 
-def _polytopal(m) -> bool:
-    """The intersection condition on σ, with no rotation of order < 2 (a
-    polygon section needs at least 2 edges)."""
-    return all(o >= 2 for o in schlafli(m)) and _intersection_condition(m.rep, m.sigma)
-
-
 def check_polytopal3(m: RotationGroup3) -> bool:
-    """``_polytopal``: ⟨σ1⟩ ∩ ⟨σ2⟩ = {1}."""
-    return _polytopal(m)
+    """``m.polytopal``: σ1, σ2 of order ≥ 2 and ⟨σ1⟩ ∩ ⟨σ2⟩ = {1}."""
+    return m.polytopal
 
 
 def check_polytopal4(m: RotationGroup4) -> bool:
-    """``_polytopal`` on the runs of σ, as 2E16 tests those of ρ:
-    ⟨σ1⟩ ∩ ⟨σ2⟩ = {1} = ⟨σ2⟩ ∩ ⟨σ3⟩, then ⟨σ1,σ2⟩ ∩ ⟨σ2,σ3⟩ = ⟨σ2⟩."""
-    return _polytopal(m)
+    """``m.polytopal``: each σi of order ≥ 2 and the runs of σ, as 2E16
+    tests those of ρ: ⟨σ1⟩ ∩ ⟨σ2⟩ = {1} = ⟨σ2⟩ ∩ ⟨σ3⟩, then
+    ⟨σ1,σ2⟩ ∩ ⟨σ2,σ3⟩ = ⟨σ2⟩."""
+    return m.polytopal
 
 
 def _form_exists(m, words, images) -> bool:
@@ -242,15 +251,11 @@ def is_reflexible4(m: RotationGroup4) -> bool:
 
 
 def classify3(m: RotationGroup3) -> Chirality:
-    if not check_polytopal3(m):
-        return Chirality.NOT_POLYTOPAL
-    return Chirality.REGULAR if is_reflexible3(m) else Chirality.CHIRAL
+    return m.chirality
 
 
 def classify4(m: RotationGroup4) -> Chirality:
-    if not check_polytopal4(m):
-        return Chirality.NOT_POLYTOPAL
-    return Chirality.REGULAR if is_reflexible4(m) else Chirality.CHIRAL
+    return m.chirality
 
 
 # -- metrical invariants -----------------------------------------------------
@@ -266,7 +271,7 @@ def f_vector3(m: RotationGroup3, diagnostic: bool = False) -> tuple:
     faces cosets of ⟨σ1⟩, edges cosets of the edge half-turn σ1 σ2 (of
     order 2, or 1 in a degenerate map).  A cyclic subgroup's order is
     its generator's, so V = |G|/q and F = |G|/p for the type {p, q}."""
-    if not diagnostic and not check_polytopal3(m):
+    if not diagnostic and not m.polytopal:
         raise NotPolytopalError("map fails the intersection condition")
     s1, s2 = m.sigma
     p, q = schlafli(m)
@@ -278,7 +283,7 @@ def euler_genus(m: RotationGroup3, diagnostic: bool = False) -> tuple:
     The characteristic of a polytopal map is even; that of a degenerate
     one (``diagnostic``) may be odd, and then its genus is None."""
     fv = f_vector3(m, diagnostic=diagnostic)
-    return _euler_genus(fv, not diagnostic or check_polytopal3(m))
+    return _euler_genus(fv, not diagnostic or m.polytopal)
 
 
 def _euler_genus(f_vector, strict: bool) -> tuple:
@@ -401,14 +406,12 @@ class AnalysisReport:
         return d
 
 
-def _map_report(
-    m, inv: MapInvariants, polytopal: bool, warnings, involutions=None
-) -> AnalysisReport:
+def _map_report(m, inv: MapInvariants, warnings, involutions=None) -> AnalysisReport:
     """The ``AnalysisReport`` of a map ``m``: the fields of its invariants
     ``inv``, with the chirality as its string value."""
     return AnalysisReport(
         group_order=m.order,
-        polytopal=polytopal,
+        polytopal=m.polytopal,
         involutions=involutions,
         warnings=warnings,
         **dict(vars(inv), chirality=inv.chirality.value),
@@ -416,10 +419,9 @@ def _map_report(
 
 
 def map_invariants3(m: RotationGroup3) -> MapInvariants:
-    cls = classify3(m)
     p, q = schlafli(m)
     fv = f_vector3(m, diagnostic=True)
-    chi, genus = _euler_genus(fv, cls is not Chirality.NOT_POLYTOPAL)
+    chi, genus = _euler_genus(fv, m.polytopal)
     holes = {j: _hole_length(m, j, q) for j in range(2, q // 2 + 1)}
     return MapInvariants(
         schlafli=(p, q),
@@ -428,18 +430,17 @@ def map_invariants3(m: RotationGroup3) -> MapInvariants:
         genus=genus,
         holes=holes,
         zigzags=None,
-        chirality=cls,
+        chirality=m.chirality,
     )
 
 
 def map_report3(m: RotationGroup3, warnings=()) -> AnalysisReport:
     """The report of a rotation map, after the given ``warnings``."""
     inv = map_invariants3(m)
-    polytopal = inv.chirality is not Chirality.NOT_POLYTOPAL
     w = list(warnings)
-    if not polytopal:
+    if not m.polytopal:
         w.append("intersection condition fails; counts are diagnostic only")
-    return _map_report(m, inv, polytopal, w, asdict(involution_report(m)))
+    return _map_report(m, inv, w, asdict(involution_report(m)))
 
 
 def map_invariants_regular(m: RegularMap3) -> MapInvariants:
@@ -467,7 +468,7 @@ def map_invariants_regular(m: RegularMap3) -> MapInvariants:
         genus=genus if orientable else None,
         holes=holes,
         zigzags=zigzags,
-        chirality=Chirality.REGULAR,
+        chirality=m.chirality,
     )
 
 
@@ -477,7 +478,7 @@ def map_report_regular(m: RegularMap3, warnings=()) -> AnalysisReport:
     w = list(warnings)
     if inv.genus is None:
         w.append("rotation subgroup has index 1; genus not reported")
-    return _map_report(m, inv, m.polytopal, w)
+    return _map_report(m, inv, w)
 
 
 def rank4_report(g, self_duality, warnings=()) -> AnalysisReport:
@@ -486,13 +487,12 @@ def rank4_report(g, self_duality, warnings=()) -> AnalysisReport:
     ``warnings``.  ``self_duality`` is the detected ``DualityKind``
     value, or None; a string, because this module cannot import
     ``selfdual``."""
-    cls = Chirality.REGULAR if isinstance(g, RegularCGroup4) else classify4(g)
     left, right = petrie4(g)
     return AnalysisReport(
         group_order=g.order,
         schlafli=schlafli(g),
-        polytopal=cls is not Chirality.NOT_POLYTOPAL,
-        chirality=cls.value,
+        polytopal=g.polytopal,
+        chirality=g.chirality.value,
         self_duality=self_duality,
         petrie={"left": left, "right": right},
         warnings=list(warnings),

@@ -46,9 +46,7 @@ from enum import Enum
 
 from .engine import GroupRep
 from .errors import InconsistencyError
-from .rotary import (
-    Chirality, RegularCGroup4, RotationGroup4, _form_exists, classify4, schlafli,
-)
+from .rotary import Chirality, RegularCGroup4, RotationGroup4, _form_exists, schlafli
 from .words import Presentation, Word
 
 
@@ -120,7 +118,7 @@ def detect_self_duality(m: RotationGroup4) -> SelfDualityClass:
     ]
     if not certified:
         return SelfDualityClass(DualityKind.NONE)
-    if len(certified) == 2 and classify4(m) == Chirality.CHIRAL:
+    if len(certified) == 2 and m.chirality is Chirality.CHIRAL:
         raise InconsistencyError("both duality kinds certify on a chiral group")
     return SelfDualityClass(*certified[0])
 

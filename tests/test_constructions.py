@@ -34,8 +34,10 @@ from rotamap import (
     schlafli,
     simplex_presentation,
     torus_map,
+    verify_catalog_entry,
     zigzag_length,
 )
+from rotamap import rotary
 from rotamap.selfdual import (
     DualityKind,
     detect_self_duality,
@@ -338,6 +340,22 @@ class TestCatalog:
         center = set(rep.center().elements)
         assert len(center) == 2 and 0 in center
         assert center - {0} == {rep.element_of(z)}
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2q7"])
+    def test_verdicts_are_decided_once(self, monkeypatch, name):
+        # the rank-4 group and its skew map each run the intersection
+        # condition once, as their wrappers are built, and the reports and
+        # construction checks read the verdicts they keep
+        calls = []
+        condition = rotary._intersection_condition
+
+        def counted(rep, gens):
+            calls.append(gens)
+            return condition(rep, gens)
+
+        monkeypatch.setattr(rotary, "_intersection_condition", counted)
+        assert verify_catalog_entry(catalog()[name]) == []
+        assert len(calls) == 2
 
     def test_presentations_parse_roundtrip(self):
         from rotamap import parse_presentation, serialize_presentation

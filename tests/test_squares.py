@@ -15,15 +15,29 @@ of the petrie-scan workload, k = 2..30 over ex1, ex2 and ex3.
 The quotient square: two quotients taken one after the other, in either
 order, give the group that G's relators and both words present, so both
 tables, in row-scan standard form, must equal that group's enumerated
-table."""
+table.
+
+The verdict sweep: every Petrie quotient of ex1, ex2 and ex3 for
+k = 2..30, and the Petrie-Coxeter map of each self-dual one, must carry
+the polytopality and chirality that independent oracles give: subgroups
+closed by walking the words (``oracle.word_bfs_closure``) and
+automorphisms closed pair by pair (``oracle.automorphism_reference``)."""
+
+from collections import Counter
 
 import pytest
 
+from oracle import automorphism_reference, naive_c_group_condition, word_bfs_closure
 from rotamap import (
+    Chirality,
     DualityKind,
     NotPolytopalError,
+    NotSelfDualError,
+    RotationGroup3,
+    RotationGroup4,
     detect_self_duality,
     enumerate_group,
+    petrie_coxeter,
     petrie_quotient,
 )
 from rotamap.selfdual import extend_improper, extend_proper
@@ -78,3 +92,66 @@ def test_quotient_square(catalog_groups, j, k):
     want = enumerate_group(m.rep.presentation.with_relators(a, b)).table
     assert _standard(m.rep.quotient(a).quotient(b)) == want
     assert _standard(m.rep.quotient(b).quotient(a)) == want
+
+
+def oracle_chirality(rep, sigma):
+    """The chirality of the rotations ``sigma`` of ``rep``, by oracles
+    alone.  Polytopal: no rotation is trivial, and on each run
+    σi..σ(j-1) of two or more, ⟨σi..σ(j-2)⟩ ∩ ⟨σ(i+1)..σ(j-1)⟩ =
+    ⟨σ(i+1)..σ(j-2)⟩.  Then regular iff the orientation reversing map
+    extends to an automorphism: σ1 -> σ1^-1, σ2 -> σ1^2 σ2 on a map,
+    σ1 -> σ1, σ2 -> σ2 σ3^2, σ3 -> σ3^-1 in rank 4."""
+    if any(word_bfs_closure(rep, [s]) == {0} for s in sigma):
+        return Chirality.NOT_POLYTOPAL
+    n = len(sigma)
+    for i in range(n):
+        for j in range(i + 2, n + 1):
+            left = word_bfs_closure(rep, sigma[i:j - 1])
+            right = word_bfs_closure(rep, sigma[i + 1:j])
+            if left & right != word_bfs_closure(rep, sigma[i + 1:j - 1]):
+                return Chirality.NOT_POLYTOPAL
+    if n == 2:
+        s1, s2 = sigma
+        images = [~s1, s1 * s1 * s2]
+    else:
+        s1, s2, s3 = sigma
+        images = [s1, s2 * s3 * s3, ~s3]
+    if automorphism_reference(rep, sigma, images) is None:
+        return Chirality.CHIRAL
+    return Chirality.REGULAR
+
+
+# (duality kind, kind of map, chirality of the quotient) -> count, for the
+# polytopal self-dual Petrie quotients at k = 2..30
+SWEEP = {
+    "ex1": {
+        (DualityKind.IMPROPER, "rotation", Chirality.REGULAR): 8,
+        (DualityKind.IMPROPER, "rotation", Chirality.CHIRAL): 7,
+    },
+    "ex2": {(DualityKind.IMPROPER, "rotation", Chirality.CHIRAL): 4},
+    "ex3": {(DualityKind.PROPER, "regular", Chirality.CHIRAL): 7},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_verdict_sweep(catalog_groups, name):
+    m = catalog_groups.group(name)
+    s1, _, s3 = m.sigma
+    found = Counter()
+    for k in range(2, 31):
+        q = RotationGroup4(m.rep.quotient((s1 * s3) ** k), m.sigma)
+        assert q.chirality is oracle_chirality(q.rep, q.sigma), k
+        if not q.polytopal:
+            continue
+        try:
+            ext, pc = petrie_coxeter(q)
+        except NotSelfDualError:
+            continue
+        if isinstance(pc, RotationGroup3):
+            assert pc.chirality is oracle_chirality(pc.rep, pc.sigma), k
+            assert pc.chirality is q.chirality, k
+            found[ext.kind, "rotation", q.chirality] += 1
+        else:
+            assert pc.polytopal == naive_c_group_condition(pc.rep, pc.rho), k
+            found[ext.kind, "regular", q.chirality] += 1
+    assert found == SWEEP[name]
