@@ -143,49 +143,21 @@ def torus_presentation(t: TorusFamily) -> Presentation:
 def lattice_torus_oracle(t: TorusFamily) -> tuple:
     """(order, V, E, F) of the torus map from the lattice model alone.
 
-    Counts residues of the identification sublattice by breadth-first
-    closure with canonical reduction; the group is those residues paired
-    with a rotation part, so the order is 4 or 6 times the count, |det|.
-    Raises ValueError, before the closure, when that order is more than
-    ``DEFAULT_CAP``."""
+    The translations are the residues of Z^2 modulo the identification
+    sublattice, spanned by (b, c) and its image under the rotation of
+    order 4 ({4,4}) or 6 ({3,6}, {6,3}; coordinates on a basis at 60
+    degrees).  So there are as many as its index, the determinant of
+    that basis: b^2 + c^2 or b^2 + bc + c^2 (Coxeter and Moser,
+    *Generators and Relations for Discrete Groups*, ch. 8).  Each
+    rotation is a translation times one of max(p, q) point rotations,
+    and is one of q flags at a vertex, 2 at an edge and p at a face.
+    Raises ValueError when the order is more than ``DEFAULT_CAP``."""
+    p, q = t.type_pq
     b, c = t.b, t.c
-    if t.family == "44":
-        u1, u2 = (b, c), (-c, b)
-        n = 4
-    else:
-        u1, u2 = (b, c), (-c, b + c)
-        n = 6
-    det = u1[0] * u2[1] - u1[1] * u2[0]
-    if n * abs(det) > DEFAULT_CAP:
-        raise ValueError(f"{t.name} has order {n * abs(det)}, more than {DEFAULT_CAP}")
-
-    def reduce_vec(v):
-        f1 = (v[0] * u2[1] - v[1] * u2[0]) // det
-        f2 = (u1[0] * v[1] - u1[1] * v[0]) // det
-        return (v[0] - f1 * u1[0] - f2 * u2[0], v[1] - f1 * u1[1] - f2 * u2[1])
-
-    start = reduce_vec((0, 0))
-    seen = {start}
-    queue = [start]
-    while queue:
-        x, y = queue.pop()
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            w = reduce_vec((x + dx, y + dy))
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    m = len(seen)
-    if m != abs(det):
-        raise InconsistencyError(
-            f"lattice residue count {m} != determinant {abs(det)}"
-        )
-    if t.family == "44":
-        v, e, f = m, 2 * m, m
-    elif t.family == "36":
-        v, e, f = m, 3 * m, 2 * m
-    else:
-        v, e, f = 2 * m, 3 * m, m
-    return (n * m, v, e, f)
+    order = max(p, q) * (b * b + c * c if p == q else b * b + b * c + c * c)
+    if order > DEFAULT_CAP:
+        raise ValueError(f"{t.name} has order {order}, more than {DEFAULT_CAP}")
+    return (order, order // q, order // 2, order // p)
 
 
 def torus_map(t: TorusFamily, cap: int = DEFAULT_CAP) -> RotationGroup3:

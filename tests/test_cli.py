@@ -5,12 +5,14 @@ import resource
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from rotamap import cli
 from rotamap.cli import analyze_presentation, format_text, main
-from rotamap import TorusFamily, parse_presentation
+from rotamap import TorusFamily, catalog, parse_presentation
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +300,21 @@ class TestConstruct:
         assert "(sigma1 sigma2)^2 does not evaluate to the identity" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("names, adjoined", [
+        ("d s2 s3", "d2"), ("d d2 s3", "d3"),
+    ], ids=["d", "d-d2"])
+    def test_adjoined_generator_takes_a_fresh_name(self, workdir, tmp_path, names, adjoined):
+        # ex3 with its generators renamed: the duality is adjoined under
+        # the first of d, d2, d3, ... that the presentation does not use
+        text = (workdir / "ex3.pres").read_text()
+        for old, new in zip(("s1", "s2", "s3"), names.split()):
+            text = re.sub(rf"\b{old}\b", new, text)
+        f, out = tmp_path / "renamed.pres", tmp_path / "renamed-pc.pres"
+        f.write_text(text)
+        assert main(["construct", "petrie-coxeter", str(f), "--out", str(out)]) == 0
+        pres = parse_presentation(out.read_text())
+        assert pres.names == (*names.split(), adjoined)
+
     def test_simplex_regular_path(self, tmp_path, capsys):
         f = tmp_path / "simplex.pres"
         from rotamap import serialize_presentation, simplex_presentation
@@ -336,6 +353,13 @@ class TestGenerate:
         assert "order 40000000000, more than 1000000" in proc.stderr
         assert not list(tmp_path.iterdir())
 
+    def test_torus_at_the_cap_edge(self, tmp_path):
+        # 4 (499^2 + 12^2) = 996,580, just under the cap of 1,000,000
+        assert main(["generate", "torus", "4,4", "499", "12", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "torus-44-499-12.expected.json").read_text())
+        assert manifest["order"] == 996_580
+        assert manifest["f_vector"] == [249_145, 498_290, 249_145]
+
     def test_unknown_catalog_name(self, tmp_path):
         assert main(["generate", "catalog", "nope", "--out", str(tmp_path)]) == 2
 
@@ -348,6 +372,16 @@ class TestGenerate:
     def test_verify_named_entry_only(self, capsys):
         assert main(["generate", "catalog", "torus-44-1-3", "--verify"]) == 0
         assert capsys.readouterr().out == "torus-44-1-3: ok\n"
+
+    def test_verify_reports_a_wrong_expectation_exit_1(self, monkeypatch, capsys):
+        entries = catalog()
+        entry = entries["torus-44-1-3"]
+        entries["torus-44-1-3"] = replace(entry, expected={**entry.expected, "order": 41})
+        monkeypatch.setattr(cli, "catalog", lambda: entries)
+        assert main(["generate", "catalog", "torus-44-1-3", "--verify"]) == 1
+        assert capsys.readouterr().out == (
+            "torus-44-1-3: FAIL\n  order: expected 41, got 40\n"
+        )
 
     def test_verify_rejects_out_exit_2(self, tmp_path, capsys):
         # --verify writes nothing, so an --out directory would stay empty

@@ -130,6 +130,15 @@ CASES = [
     Case("regular-map", "analyze {dir}/map.pres --json", 0,
          Fields({"group_order": 64, "chirality": "regular", "genus": 1})),
     Case("regular-map-construct", "construct petrie-coxeter {dir}/map.pres", 2),
+    # non-orientable regular maps: their rotations are the whole group, so
+    # they have no genus.  The hemicube {4,3}_3 lies on the projective
+    # plane; {4,6}_3 has an even Euler characteristic, -2, so only its
+    # orientability withholds the genus
+    *(Case(name, f"analyze {{dir}}/{name}.pres --json", 0, Fields({
+        "group_order": order, "f_vector": f_vector, "euler": euler, "genus": None,
+        "warnings": ["rotation subgroup has index 1; genus not reported"]}))
+      for name, order, f_vector, euler in [
+          ("hemicube", 24, [4, 6, 3], 1), ("map-4-6-3", 48, [4, 12, 6], -2)]),
 ]
 
 
@@ -168,6 +177,10 @@ def cli(tmp_path_factory):
     (d / "c3c2.pres").write_text("gens a b\nrel a^3\nrel b^2\nsigma a b\n")
     (d / "map.pres").write_text("gens r0 r1 r2\nrel r0^2\nrel r1^2\nrel r2^2\nrel (r0 r1)^4\n"
                                 "rel (r1 r2)^4\nrel (r0 r2)^2\nrel (r0 r1 r2)^4\nrho r0 r1 r2\n")
+    for name, q in (("hemicube", 3), ("map-4-6-3", 6)):
+        (d / f"{name}.pres").write_text(
+            f"gens r0 r1 r2\nrel r0^2\nrel r1^2\nrel r2^2\nrel (r0 r1)^4\nrel (r1 r2)^{q}\n"
+            "rel (r0 r2)^2\nrel (r0 r1 r2)^3\nrho r0 r1 r2\n")
     (d / "ex1-power-29.pres").write_text((d / "ex1.pres").read_text() + "rel (s1 s3)^29\n")
     for name, w in CONJUGATED.items():
         plain = (d / f"{name}.pres").read_text()

@@ -148,6 +148,18 @@ class TestCapInheritance:
         with pytest.raises(CapExceededError):
             extend_proper(m)
 
+    def test_petrie_relator_over_the_cap_is_not_built(self, monkeypatch):
+        # under a cap of 1,400, (s1 s3)^700 holds 1,400 letters and passes
+        # to the quotient, which refuses it with ex3's other relators;
+        # (s1 s3)^701 holds 1,402 and is refused before the power is taken
+        m = self.ex3(1400)
+        with pytest.raises(ValueError, match="^relators hold .* in all, more than the cap 1400$"):
+            petrie_quotient(m, 700)
+        monkeypatch.setattr(Word, "__pow__", None)
+        with pytest.raises(ValueError, match=r"^relator \(s1 s3\)\^701 holds 1402 letters, "
+                                             r"more than the cap 1400$"):
+            petrie_quotient(m, 701)
+
     def test_derived_groups_keep_the_cap(self):
         m = self.ex3(1400)
         assert extend_proper(m).rep.cap == 1400

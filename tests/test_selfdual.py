@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rotamap import (
+    CatalogEntry,
     Chirality,
     CollapseError,
     ConstructionError,
@@ -14,6 +15,7 @@ from rotamap import (
     TorusFamily,
     Word,
     classify4,
+    compute_entry_report,
     detect_self_duality,
     enumerate_group,
     extend_improper,
@@ -61,6 +63,12 @@ class TestDetection:
         m = cube_group4()
         assert m.order == 192
         assert detect_self_duality(m).kind is DualityKind.NONE
+
+    def test_entry_report_of_a_group_that_is_not_self_dual(self):
+        entry = CatalogEntry("cube", cube_group4().rep.presentation, {})
+        out = compute_entry_report(entry)
+        assert (out["order"], out["self_duality"]) == (192, "none")
+        assert "map" not in out and "extended_order" not in out
 
     def test_proper_images_fail_on_example1(self, ex1_pipe):
         # independent oracle: element-by-element homomorphism verification

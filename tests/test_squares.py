@@ -21,7 +21,10 @@ The verdict sweep: every Petrie quotient of ex1, ex2 and ex3 for
 k = 2..30, and the Petrie-Coxeter map of each self-dual one, must carry
 the polytopality and chirality that independent oracles give: subgroups
 closed by walking the words (``oracle.word_bfs_closure``) and
-automorphisms closed pair by pair (``oracle.automorphism_reference``)."""
+automorphisms closed pair by pair (``oracle.automorphism_reference``).
+Each map must also have the order, type and hole or zigzag lengths the
+paper claims, every one of them the size of a closure walked by
+``oracle.word_bfs_closure``, not an element order from ``rotary``."""
 
 from collections import Counter
 
@@ -121,6 +124,35 @@ def oracle_chirality(rep, sigma):
     return Chirality.REGULAR
 
 
+def walked_order(rep, w):
+    """The order of w: the size of its cyclic closure."""
+    return len(word_bfs_closure(rep, [w]))
+
+
+def oracle_map_claims(q, pc):
+    """(got, want) for the Petrie-Coxeter map ``pc`` of the self-dual
+    rank-4 group ``q`` of type {p, q, p} and Petrie lengths (s, t), every
+    value walked.  The map's generators generate the extension, of order
+    2 |q|.  An improper duality gives a rotation map (k1, k2) of type
+    {4, 2q} whose 2-holes, the periods of k1 k2^-1, have length p.  A
+    proper one gives a regular map (t0, t1, t2) of type {p, 2s}, Petrie
+    length 2t (the period of t0 t1 t2) and 2-zigzags of length q (the
+    period of t0 (t1 t2)^2)."""
+    s1, s2, s3 = q.sigma
+    p, qq = walked_order(q.rep, s1), walked_order(q.rep, s2)
+    if isinstance(pc, RotationGroup3):
+        k1, k2 = gens = pc.sigma
+        got = [walked_order(pc.rep, w) for w in (k1, k2, k1 * ~k2)]
+        want = [4, 2 * qq, p]
+    else:
+        t0, t1, t2 = gens = pc.rho
+        got = [walked_order(pc.rep, w)
+               for w in (t0 * t1, t1 * t2, t0 * t1 * t2, t0 * (t1 * t2) ** 2)]
+        s, t = walked_order(q.rep, s1 * s3), walked_order(q.rep, s1 * ~s3)
+        want = [p, 2 * s, 2 * t, qq]
+    return [len(word_bfs_closure(pc.rep, gens))] + got, [2 * q.order] + want
+
+
 # (duality kind, kind of map, chirality of the quotient) -> count, for the
 # polytopal self-dual Petrie quotients at k = 2..30
 SWEEP = {
@@ -147,6 +179,8 @@ def test_verdict_sweep(catalog_groups, name):
             ext, pc = petrie_coxeter(q)
         except NotSelfDualError:
             continue
+        got, want = oracle_map_claims(q, pc)
+        assert got == want, k
         if isinstance(pc, RotationGroup3):
             assert pc.chirality is oracle_chirality(pc.rep, pc.sigma), k
             assert pc.chirality is q.chirality, k
