@@ -212,32 +212,30 @@ def cmd_generate(args) -> int:
         })
         return 0
 
-    if args.what == "catalog":
-        if args.verify and args.out is not None:
-            raise RotamapError("--out does not apply to generate catalog --verify")
-        entries = catalog()
-        names = [args.name] if args.name else list(entries)
+    # args.what is "catalog", the only other subparser
+    if args.verify and args.out is not None:
+        raise RotamapError("--out does not apply to generate catalog --verify")
+    entries = catalog()
+    names = [args.name] if args.name else list(entries)
+    for name in names:
+        if name not in entries:
+            raise RotamapError(f"unknown catalog entry {name!r}")
+    if args.verify:
+        failures = 0
         for name in names:
-            if name not in entries:
-                raise RotamapError(f"unknown catalog entry {name!r}")
-        if args.verify:
-            failures = 0
-            for name in names:
-                bad = verify_catalog_entry(entries[name], cap=args.max_cosets)
-                if bad:
-                    failures += 1
-                    print(f"{name}: FAIL")
-                    for path_, want, got in bad:
-                        print(f"  {path_}: expected {want!r}, got {got!r}")
-                else:
-                    print(f"{name}: ok")
-            return 1 if failures else 0
-        for name in names:
-            entry = entries[name]
-            _write_entry(outdir, name, entry.presentation, entry.expected)
-        return 0
-
-    raise RotamapError(f"unknown generate subcommand {args.what!r}")
+            bad = verify_catalog_entry(entries[name], cap=args.max_cosets)
+            if bad:
+                failures += 1
+                print(f"{name}: FAIL")
+                for path_, want, got in bad:
+                    print(f"  {path_}: expected {want!r}, got {got!r}")
+            else:
+                print(f"{name}: ok")
+        return 1 if failures else 0
+    for name in names:
+        entry = entries[name]
+        _write_entry(outdir, name, entry.presentation, entry.expected)
+    return 0
 
 
 def _write_entry(outdir: Path, name: str, pres: Presentation, fields: dict):

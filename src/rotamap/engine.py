@@ -40,7 +40,7 @@ from math import gcd
 from operator import eq, lt
 
 from .errors import CapExceededError, CollapseError, InconsistencyError
-from .words import DEFAULT_CAP, Presentation, Word, _cyclic_reduce, _reduce_cols
+from .words import DEFAULT_CAP, Presentation, Word, _cyclic_reduce
 
 
 # relators with more distinct rotations than this are closed once per
@@ -350,6 +350,20 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
                     link(mu, x, nu, l)
 
     def drain():
+        # Each deduction (c, x) was pushed by link after it set c --x-->,
+        # and the live coset of c still has an x entry when it is popped,
+        # so d >= 0 below.  Only coincide clears an entry: migrating a
+        # dying coset's entry u --x--> v, it clears v --x^-1--> u.  In a
+        # live row, or in a queued row not yet migrated, every entry is
+        # paired with its inverse in such a row (link sets both halves,
+        # and migration clears the other half before it drops its own).
+        # So when it migrates u --x--> v, with mu and nu the live cosets
+        # of u and v, either mu has an x entry mu --x--> e and nu, which
+        # lost an x^-1 entry, is merged with e, which holds the inverse;
+        # or nu has an x^-1 entry, paired with some e --x--> nu, and mu is
+        # merged with e; or link sets mu --x--> nu.  So a class of cosets
+        # with an x entry at its live coset or a queued row keeps one,
+        # and once the queue is empty it is at the live coset.
         nonlocal modulus
         while stack:
             c, x = stack.pop()
@@ -362,13 +376,9 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
             for ww, fw, fl, bw, bl, i, j in rot_by_col[x]:
                 # scan the relator rotation ww[i..j] from coset c; it must
                 # close up with a label sum of 0
-                if d < 0:
-                    f = c
-                    s = 0
-                else:
-                    f = d
-                    s = lx[c]
-                    i += 1
+                f = d
+                s = lx[c]
+                i += 1
                 while i <= j:
                     nxt = fw[i][f]
                     if nxt < 0:
@@ -657,38 +667,14 @@ def _bounded_relators(p: Presentation, cap: int) -> list:
     return relators
 
 
-def _check_extension_shape(base: Presentation, presentation: Presentation, sources):
-    """Raise ValueError unless ``presentation`` is ``base`` with one
-    generator d appended, holds every relator of ``base``, and has, read
-    cyclically, a relator d^+-2 v and, for each source word s, a relator
-    d^+-1 s d^+-1 v, where v is free of d (``GroupRep.extend``)."""
-    k = base.ngens
-    if presentation.ngens != k + 1:
-        raise ValueError("the extension must add exactly one generator")
-    have = {r.cols() for r in presentation.relators}
-    if any(r.cols() not in have for r in base.relators):
-        raise ValueError("the extension drops a relator of the group")
-    square = False
-    conjugated = set()
-    for r in presentation.relators:
-        w = r.cols()
-        at = [i for i, c in enumerate(w) if c >> 1 == k]
-        if len(at) != 2:
-            continue
-        i, j = at
-        inner, outer = w[i + 1:j], w[j + 1:] + w[:i]
-        square = square or (w[i] == w[j] and not (inner and outer))
-        conjugated.add(_reduce_cols(inner))
-        conjugated.add(_reduce_cols(outer))
-    d = presentation.names[k]
-    if not square:
-        raise ValueError(f"no relator {d}^2 v or {d}^-2 v with v free of {d}")
-    for s in sources:
-        if _reduce_cols(s.cols()) not in conjugated:
-            raise ValueError(
-                f"no relator {d}^+-1 s {d}^+-1 v with v free of {d} for the "
-                f"source s = {s.text(base.names)}"
-            )
+def _fresh_name(taken, base="d"):
+    """The first of base, base2, base3, ... that is not in ``taken``."""
+    if base not in taken:
+        return base
+    k = 2
+    while f"{base}{k}" in taken:
+        k += 1
+    return f"{base}{k}"
 
 
 def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
@@ -1363,12 +1349,14 @@ class GroupRep:
 
     # -- derived groups ---------------------------------------------------
 
-    def extend(self, presentation: Presentation, sources, images, z: Word) -> "GroupRep":
-        """The extension E of this group G by one generator d, built from
-        G's table.  ``presentation`` is G's with d appended last and
-        relators fixing each d^-1 h d, h a generator of G, and d^2 as
-        words in G's generators: d^-1 s d = u for each source word s and
-        its image u, and d^2 = z.
+    def extend(self, sources, images, z: Word) -> "GroupRep":
+        """The extension E of this group G by one generator d with
+        d^-1 s d = u for each source word s and its image u, and d^2 = z,
+        all words in G's generators, built from G's table.  E's
+        presentation is G's names and the first free one of d, d2, ...
+        (``_fresh_name``), then G's relators, d^-1 s d u^-1 for each
+        source s and image u, and d^2 z^-1; for z = 1, d is an involution,
+        each d^-1 is written d and d^2 comes first.
 
         Element g of G gets index 2g and g d gets index 2g + 1.  With
         alpha the automorphism s -> u (``generator_map_automorphism``)
@@ -1403,14 +1391,12 @@ class GroupRep:
           G's table, doubled reaches every 2g from row 0, and 2g d is
           2g + 1.  So the handed tree spans the table, and Ê is a
           quotient of E (von Dyck).
-        * |E| <= 2|G|: ``_check_extension_shape`` finds G's relators in
-          ``presentation``, one relator d^+-2 v and, for each source s,
-          one relator d^+-1 s d^+-1 v, each v free of d (read
-          cyclically), else ValueError.  So d^2 lies in the image N of G
-          in E, each d^-1 s d then does too whatever the signs, and the
-          sources generate G (alpha exists), so N is normal of index at
-          most 2 in E.  N, generated by elements that satisfy G's
-          relators, is a quotient of G.  So E is Ê.
+        * |E| <= 2|G|: E's relators are G's, d^2 z^-1 and d^-1 s d u^-1
+          for each source s, by construction.  So d^2 lies in the image N
+          of G in E, each d^-1 s d then does too, and the sources
+          generate G (alpha exists), so N is normal of index at most 2 in
+          E.  N, generated by elements that satisfy G's relators, is a
+          quotient of G.  So E is Ê.
 
         Raises CapExceededError, before building anything, if 2|G|
         exceeds ``cap``, and ValueError, as ``enumerate_group`` does, if
@@ -1418,8 +1404,14 @@ class GroupRep:
         n = self.order
         if 2 * n > self.cap:
             raise CapExceededError(self.cap, 2 * n)
+        names = self.presentation.names
+        d = Word.gen(len(names))
+        d_inv = ~d if z else d
+        relators = [d_inv * s * d * ~u for s, u in zip(sources, images)]
+        relators.insert(len(relators) if z else 0, d * d * ~z)
+        presentation = Presentation(
+            names + (_fresh_name(names),), self.presentation.relators + tuple(relators))
         _bounded_relators(presentation, self.cap)
-        _check_extension_shape(self.presentation, presentation, sources)
         alpha = self.generator_map_automorphism(sources, images)
         if alpha is None:
             raise CollapseError("the duality images are not an automorphism of the group")

@@ -31,12 +31,13 @@ one, hence an automorphism.
   fixes z, alpha^2(s2) = alpha^2(s1^-1 z s3^-1) = z s2 z.  Hence alpha^2
   is conjugation by z = d^2, and alpha fixes z.
 
-Extension adjoins the duality to the presentation and builds the
-extension's table from the base group's.  ``GroupRep.extend`` runs the
-automorphism test of the form's images itself, so an ``extend_*`` call
-of the wrong kind raises ``CollapseError``.  It does not check the
-extension row by row: it checks the two conditions above on the
-generators, as it accepts any images, and each relator at the identity.
+Extension hands the form's images and d^2 to ``GroupRep.extend``, which
+writes the extension's relators from them and builds its table from the
+base group's.  It runs the automorphism test of the form's images
+itself, so an ``extend_*`` call of the wrong kind raises
+``CollapseError``.  It does not check the extension row by row: it
+checks the two conditions above on the generators, as it accepts any
+images, and each relator at the identity.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from enum import Enum
 from .engine import GroupRep
 from .errors import InconsistencyError
 from .rotary import Chirality, RegularCGroup4, RotationGroup4, _form_exists, schlafli
-from .words import Presentation, Word
+from .words import Word
 
 
 class DualityKind(Enum):
@@ -86,14 +87,14 @@ class ExtendedGroup:
 def _form_images(kind: DualityKind, gens) -> tuple:
     """The images alpha(g) = d^-1 g d of the distinguished generators
     under the normal form of ``kind``: (sigma1, sigma2, sigma3) for the
-    proper and improper forms, (rho0, ..., rho3) for the polarity."""
+    proper and improper forms, (rho0, ..., rho3) for the polarity.  The
+    proper form and the polarity both reverse the sequence and invert
+    each generator; the rho are involutions, so the polarity sends rho_i
+    to rho_(3-i)."""
     if kind is DualityKind.IMPROPER:
         s1, s2, s3 = gens
         return (~s3, s1 * s2 * ~s1, s1)
-    if kind is DualityKind.PROPER:
-        s1, s2, s3 = gens
-        return (~s3, ~s2, ~s1)
-    return tuple(reversed(gens))
+    return tuple(~g for g in reversed(gens))
 
 
 def detect_self_duality(m: RotationGroup4) -> SelfDualityClass:
@@ -123,21 +124,11 @@ def detect_self_duality(m: RotationGroup4) -> SelfDualityClass:
     return SelfDualityClass(*certified[0])
 
 
-def _fresh_name(taken, base="d"):
-    if base not in taken:
-        return base
-    k = 2
-    while f"{base}{k}" in taken:
-        k += 1
-    return f"{base}{k}"
-
-
-def _adjoin_duality(base, gens, kind: DualityKind, relators, z: Word) -> ExtendedGroup:
-    """Adjoin a fresh generator d to the presentation of ``base`` with the
-    relators ``relators(d)``, which say d^-1 g d = alpha(g) for the form
-    images of ``gens`` (``_form_images``) and d^2 = z, and build the
-    extension from the base table (``GroupRep.extend``) under the cap of
-    ``base``.
+def _adjoin_duality(base, gens, kind: DualityKind, z: Word) -> ExtendedGroup:
+    """Adjoin a fresh generator d to the presentation of ``base`` with
+    d^-1 g d = alpha(g) for the form images of ``gens`` (``_form_images``)
+    and d^2 = z: ``GroupRep.extend`` writes those relators and builds the
+    extension from the base table under the cap of ``base``.
 
     ``GroupRep.extend`` finds alpha with one automorphism test and
     certifies the table (its docstring gives the argument).  Without
@@ -150,11 +141,8 @@ def _adjoin_duality(base, gens, kind: DualityKind, relators, z: Word) -> Extende
     relators, which hold in the extension, they imply the identities
     derived in the ``extend_*`` and ``pc_map_*`` docstrings, so those are
     not tested again."""
-    pres = base.rep.presentation
-    d = Word.gen(pres.ngens)
-    pres = pres.with_generator(_fresh_name(pres.names)).with_relators(*relators(d))
-    pres = Presentation(pres.names, pres.relators)
-    rep = base.rep.extend(pres, gens, _form_images(kind, gens), z)
+    rep = base.rep.extend(gens, _form_images(kind, gens), z)
+    d = Word.gen(base.rep.presentation.ngens)
     return ExtendedGroup(rep=rep, kind=kind, base=base, duality=d)
 
 
@@ -170,12 +158,7 @@ def extend_improper(m: RotationGroup4) -> ExtendedGroup:
     alpha(s3^-1 a s3) = s1^-1 (z b z) s1 = b, and
     alpha(b) = s1 s2 s1^-1 s1 = a."""
     w1, w2, w3 = m.sigma
-    return _adjoin_duality(m, m.sigma, DualityKind.IMPROPER, lambda d: [
-        ~d * w1 * d * w3,
-        ~d * w2 * d * w1 * ~w2 * ~w1,
-        ~d * w3 * d * ~w1,
-        d * d * ~(w1 * w2 * w3),
-    ], w1 * w2 * w3)
+    return _adjoin_duality(m, m.sigma, DualityKind.IMPROPER, w1 * w2 * w3)
 
 
 def extend_proper(m: RotationGroup4) -> ExtendedGroup:
@@ -184,10 +167,7 @@ def extend_proper(m: RotationGroup4) -> ExtendedGroup:
     Conjugation by d swaps s1 s2 and s2 s3 and fixes z = s1 s2 s3:
     d s1 s2 d = s3^-1 s2^-1 = (s2 s3)^-1 = s2 s3, an involution, and
     d z d = z^-1 = z."""
-    w1, w2, w3 = m.sigma
-    return _adjoin_duality(m, m.sigma, DualityKind.PROPER, lambda d: [
-        d * d, d * w1 * d * w3, d * w2 * d * w2, d * w3 * d * w1,
-    ], Word.identity())
+    return _adjoin_duality(m, m.sigma, DualityKind.PROPER, Word.identity())
 
 
 def find_polarity(c: RegularCGroup4) -> SelfDualityClass:
@@ -203,7 +183,4 @@ def find_polarity(c: RegularCGroup4) -> SelfDualityClass:
 
 def extend_polarity(c: RegularCGroup4) -> ExtendedGroup:
     """Adjoin the polarity to a self-dual regular C-group."""
-    rho = c.rho
-    return _adjoin_duality(c, rho, DualityKind.REGULAR_POLARITY, lambda d: [d * d] + [
-        d * rho[i] * d * rho[3 - i] for i in range(4)
-    ], Word.identity())
+    return _adjoin_duality(c, c.rho, DualityKind.REGULAR_POLARITY, Word.identity())

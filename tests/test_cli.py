@@ -149,7 +149,7 @@ class TestAnalyze:
         # 40 bytes that expand to 20 million letters
         ("((a^1000)^1000)^20 b", [], "parse error: line 2: word of 20000000"),
         ("a^2000000", [], "parse error: line 2: word of 2000000"),
-    ])
+    ], ids=["4000-terms", "nested-powers", "huge-power"])
     def test_hostile_words_fail_fast(self, tmp_path, capsys, rel, args, message):
         f = tmp_path / "hostile.pres"
         f.write_text(f"gens a b\nrel {rel}\nsigma a b\n")

@@ -103,6 +103,9 @@ CASES = [
          Fields({"group_order": 5040, "petrie": {"left": 7, "right": 7}})),
     Case("quotient-ex1-4", "construct quotient {dir}/ex1.pres --petrie 4", 0),
     Case("quotient-ex3-8", "construct quotient {dir}/ex3.pres --petrie 8", 0),
+    # a quotient needs --petrie K and a rank-4 sigma file
+    Case("quotient-without-petrie", "construct quotient {dir}/ex1.pres", 2),
+    Case("quotient-of-rho-file", "construct quotient {dir}/map.pres --petrie 2", 2),
     # the free product of C3 and C2: the cosets of <a> are enumerated with
     # Schreier labels, and the cap counts them times 3
     Case("cap-c3c2", "analyze {dir}/c3c2.pres --max-cosets 1000", 2),

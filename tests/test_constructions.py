@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -368,6 +369,14 @@ class TestCatalog:
         monkeypatch.setattr(rotary, "_intersection_condition", counted)
         assert verify_catalog_entry(catalog()[name]) == []
         assert len(calls) == 2
+
+    def test_mismatches_are_reported(self):
+        # a dict expected where the report has a tuple, and a key the
+        # report lacks
+        entry = replace(catalog()["torus-44-2-0"], expected={"schlafli": {"p": 4}, "nope": 1})
+        assert verify_catalog_entry(entry) == [
+            ("schlafli", {"p": 4}, (4, 4)), ("nope", 1, "<missing>"),
+        ]
 
     def test_presentations_parse_roundtrip(self):
         from rotamap import parse_presentation, serialize_presentation

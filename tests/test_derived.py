@@ -31,7 +31,6 @@ from rotamap import (
     DualityKind,
     GroupRep,
     InconsistencyError,
-    Presentation,
     RotationGroup4,
     TorusFamily,
     Word,
@@ -127,36 +126,27 @@ class TestExtension:
         assert extend_proper(m).order == 1344
 
 
-def _adjoined(m, kind, square):
-    """The presentation ``_adjoin_duality`` builds for ``kind``, but with
-    d^2 = ``square``."""
-    pres = m.rep.presentation
-    d = Word.gen(pres.ngens)
-    d_inv = d if kind is DualityKind.PROPER else ~d  # the proper d is an involution
-    images = _form_images(kind, m.sigma)
-    return pres.with_generator("d").with_relators(
-        *(d_inv * w * d * ~u for w, u in zip(m.sigma, images)), d * d * ~square
-    )
-
-
-# (base, kind of the images, z, d^2 in the presentation, error, message);
-# each breaks exactly one premise of extend's certificate
+# (base, kind of the images, z, error, message, edit of the sources and
+# images); each breaks exactly one premise of extend's certificate or
+# passes arguments extend cannot write relators from
 BROKEN = {
     # ex3 is properly, not improperly, self-dual
     "images are no automorphism": (
-        "ex3", DualityKind.IMPROPER, "z", "z", CollapseError, "not an automorphism"),
+        "ex3", DualityKind.IMPROPER, "z", CollapseError, "not an automorphism", None),
     # the improper alpha sends s1 to s3^-1
     "alpha moves z": (
-        "ex1", DualityKind.IMPROPER, "s1", "s1", InconsistencyError, "moves z"),
+        "ex1", DualityKind.IMPROPER, "s1", InconsistencyError, "moves z", None),
     # alpha^2 is conjugation by s1 s2 s3, which is not central in ex1
     "alpha^2 is not inn(z)": (
-        "ex1", DualityKind.IMPROPER, "1", "1", InconsistencyError, "conjugation by z"),
-    # alpha and z are sound but the relators say d^2 = 1: the proper
-    # alpha fixes the central involution c of ex3, and alpha^2 = 1 = inn(c)
-    "wrong d^2 relator": (
-        "ex3", DualityKind.PROPER, "c", "1", InconsistencyError, "does not fix coset 0"),
-    "wrong improper d^2 relator": (
-        "ex1", DualityKind.IMPROPER, "z", "1", InconsistencyError, "does not fix coset 0"),
+        "ex1", DualityKind.IMPROPER, "1", InconsistencyError, "conjugation by z", None),
+    # s3 without an image would get no conjugation relator
+    "one image too few": (
+        "ex1", DualityKind.IMPROPER, "z", ValueError, "one image per source",
+        lambda s, u: (s, u[:-1])),
+    # generator 3 of ex1 would be read as the adjoined d
+    "source over an undeclared generator": (
+        "ex1", DualityKind.IMPROPER, "z", ValueError, "undeclared generators",
+        lambda s, u: (s[:-1] + (Word.gen(3),), u)),
 }
 
 
@@ -176,66 +166,36 @@ def _spy_on_builds(monkeypatch):
 class TestExtensionCertificate:
     @pytest.mark.parametrize("case", BROKEN)
     def test_broken_premise_raises_before_building(self, catalog_groups, monkeypatch, case):
-        name, kind, z, square, error, message = BROKEN[case]
+        name, kind, z, error, message, edit = BROKEN[case]
         m = catalog_groups.group(name)
         s1, s2, s3 = m.sigma
-        center = m.rep.center().elements
-        words = {
-            "z": (s1 * s2 * s3).reduce(), "s1": s1, "1": Word.identity(),
-            "c": m.rep.element_word(max(center)),
-        }
-        pres = _adjoined(m, kind, words[square])
+        words = {"z": s1 * s2 * s3, "s1": s1, "1": Word.identity()}
+        sources, images = tuple(m.sigma), _form_images(kind, m.sigma)
+        if edit is not None:
+            sources, images = edit(sources, images)
         built = _spy_on_builds(monkeypatch)
         with pytest.raises(error, match=message):
-            m.rep.extend(pres, m.sigma, _form_images(kind, m.sigma), words[z])
+            m.rep.extend(sources, images, words[z])
         assert built == []
 
     def test_sound_premises_build_the_extension(self, catalog_groups, monkeypatch):
         # the spy sees the one table a sound extension builds
         m = catalog_groups.group("ex1")
         z = m.sigma[0] * m.sigma[1] * m.sigma[2]
-        pres = _adjoined(m, DualityKind.IMPROPER, z)
         built = _spy_on_builds(monkeypatch)
-        rep = m.rep.extend(pres, m.sigma, _form_images(DualityKind.IMPROPER, m.sigma), z)
+        rep = m.rep.extend(m.sigma, _form_images(DualityKind.IMPROPER, m.sigma), z)
         assert built == [rep] and rep.order == 2 * m.order
 
-
-    @pytest.mark.parametrize("drop,message", [
-        # ex1's three conjugation relators without d^2 present the
-        # infinite G x| <d>, d acting as alpha; the parent built a
-        # 4,000-row table for it
-        ("d^2", "no relator d\\^2 v"),
-        ("s2", "for the source s = s2"),
-        ("group", "drops a relator of the group"),
-    ])
-    def test_misshapen_presentation_is_value_error(self, catalog_groups, monkeypatch, drop, message):
-        m = catalog_groups.group("ex1")
-        z = (m.sigma[0] * m.sigma[1] * m.sigma[2]).reduce()
-        full = _adjoined(m, DualityKind.IMPROPER, z)
-        base = m.rep.presentation.relators
-        adjoined = full.relators[len(base):]  # three conjugations, then d^2
-        kept = {
-            "d^2": base + adjoined[:3],
-            "s2": base + adjoined[:1] + adjoined[2:],
-            "group": base[1:] + adjoined,
-        }[drop]
-        pres = Presentation(full.names, kept)
-        built = _spy_on_builds(monkeypatch)
-        with pytest.raises(ValueError, match=message):
-            m.rep.extend(pres, m.sigma, _form_images(DualityKind.IMPROPER, m.sigma), z)
-        assert built == []
-
-    def test_relators_are_read_cyclically(self, catalog_groups):
-        # each adjoined relator rotated to start after its first d letter
-        m = catalog_groups.group("ex1")
-        z = (m.sigma[0] * m.sigma[1] * m.sigma[2]).reduce()
-        images = _form_images(DualityKind.IMPROPER, m.sigma)
-        full = _adjoined(m, DualityKind.IMPROPER, z)
-        n = len(m.rep.presentation.relators)
-        rotated = tuple(Word(r.cols()[1:] + r.cols()[:1]) for r in full.relators[n:])
-        pres = Presentation(full.names, full.relators[:n] + rotated)
-        rep = m.rep.extend(pres, m.sigma, images, z)
-        assert rep.table == m.rep.extend(full, m.sigma, images, z).table
+    def test_relator_that_moves_the_identity_is_inconsistent(self, catalog_groups, monkeypatch):
+        # with alpha the identity, alpha(z) = z and alpha^2 = 1 = inn(z)
+        # hold for ex3's proper form, but the table then makes d central,
+        # and d s1 d s3 moves row 0: only the walk of each relator from
+        # the identity catches it
+        m = catalog_groups.group("ex3")
+        monkeypatch.setattr(GroupRep, "generator_map_automorphism",
+                            lambda rep, sources, images: list(range(rep.order)))
+        with pytest.raises(InconsistencyError, match="does not fix coset 0"):
+            extend_proper(m)
 
 
 def _relator(m, relator):

@@ -108,7 +108,7 @@ class TestEnumerate:
         gens = [Word.gen(i) for i in range(p.ngens)]
         commute = [~d * h * d * ~h for h in gens]
         product = p.with_generator("d").with_relators(*commute, d ** 2)
-        e = g.extend(product, gens, gens, Word.identity())
+        e = g.extend(gens, gens, Word.identity())
         assert (e.order, e.cap) == (2 * g.order, DEFAULT_CAP)
         # e interleaves g and g d; relabelled, it is the enumerated table
         assert _standard(e).rows == enumerate_group(product).table.rows

@@ -152,6 +152,40 @@ class TestParsing:
             parse_presentation("gens a\nrel a^" + "9" * 5000 + "\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("gens a\ngens b\n", 2, "duplicate gens line"),
+        ("gens a-b\n", 1, "bad generator name 'a-b'"),
+        ("# none yet\ngens\n", 2, "gens line declares no generators"),
+        ("gens a b\nrel a b )\n", 2, "unexpected token ')'"),
+        # the exponent token carries its value, so the message shows 2
+        ("gens a\n\nsigma ^2 a\n", 3, "unexpected token 2"),
+    ], ids=["second-gens", "bad-name", "bare-gens", "unmatched-close", "leading-exponent"])
+    def test_parse_error_names_its_line(self, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        assert (exc.value.line, exc.value.message) == (line, message)
+
+
+class TestPresentationChecks:
+    @pytest.mark.parametrize("args, message", [
+        ((("a", "1b"),), "bad generator name: '1b'"),
+        ((("a", "a"),), "duplicate generator names"),
+        ((("a",), (s2,)), "relator references undeclared generator"),
+        ((("a", "b"), (), (s1, s3), "sigma"), "distinguished word references undeclared"),
+        ((("a",), (), (s1,), "sigma"), "distinguished list must have 2 to 4 words"),
+        ((("a",), (), (s1,) * 5, "rho"), "distinguished list must have 2 to 4 words"),
+        ((("a",), (), (s1, s1), "tau"), "distinguished_kind must be 'sigma' or 'rho'"),
+    ], ids=["bad-name", "duplicate-names", "undeclared-relator", "undeclared-distinguished",
+            "one-distinguished", "five-distinguished", "unknown-kind"])
+    def test_bad_presentation_is_value_error(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            Presentation(*args)
+
+    def test_with_relators_of_an_undeclared_generator(self):
+        p = Presentation(("a", "b"))
+        with pytest.raises(ValueError, match="relator references undeclared generator"):
+            p.with_relators(s1 * s3)
+
 
 class TestDeepNesting:
     """Nesting is parsed with an explicit stack, so its depth is bounded

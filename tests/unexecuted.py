@@ -17,6 +17,9 @@ suite's own run is the gate.  Run by hand from the repo root:
 
     python3 tests/unexecuted.py                      # the whole suite
     python3 tests/unexecuted.py tests/test_cli.py    # pytest arguments
+
+The default arguments print each failure on one line (``--tb=line``),
+so a bound missed under the tracer does not bury the listing.
 """
 
 import ast
@@ -102,7 +105,7 @@ def trace_suite(args) -> dict:
 
 def main(argv) -> int:
     os.chdir(ROOT)
-    hits = trace_suite(["-p", "no:cacheprovider", *(argv or ["-q", "--continue-on-collection-errors"])])
+    hits = trace_suite(["-p", "no:cacheprovider", *(argv or ["-q", "--tb=line", "--continue-on-collection-errors"])])
     print("\nstatements never run, per module of src/rotamap:")
     for path in sorted(SRC.glob("*.py")):
         missed = unexecuted(path.read_text(encoding="utf-8"), hits.get(str(path), set()))
