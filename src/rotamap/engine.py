@@ -1398,9 +1398,11 @@ class GroupRep:
           E.  N, generated by elements that satisfy G's relators, is a
           quotient of G.  So E is Ê.
 
-        Raises CapExceededError, before building anything, if 2|G|
-        exceeds ``cap``, and ValueError, as ``enumerate_group`` does, if
-        the relators hold more than ``cap`` letters in all."""
+        Raises ValueError if z uses a generator G does not declare,
+        CapExceededError, before building anything, if 2|G| exceeds
+        ``cap``, and ValueError, as ``enumerate_group`` does, if the
+        relators hold more than ``cap`` letters in all."""
+        self._check_word(z)
         n = self.order
         if 2 * n > self.cap:
             raise CapExceededError(self.cap, 2 * n)

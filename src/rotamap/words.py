@@ -20,17 +20,25 @@ The file format is line oriented, UTF-8, with ``#`` starting a comment:
     rel s1 s2 = s2 s1      # equations are normalised to u v^-1
     sigma s1 s2 s3         # optional: distinguished rotation generators
 
-Word grammar:  word := term+ ;  term := name [^int] | "(" word ")" [^int].
-On a ``sigma``/``rho`` line each top-level term is one distinguished word,
-so compound words must be parenthesised: ``sigma d (s1 s2 d^-1)``.
-A word or term that would expand to more than ``DEFAULT_CAP`` letters is
-a ``ParseError``, raised before its letters are built.
+Line grammar, after the directive:
+
+    line := side ("=" side)* ;  side := term* ;
+    term := name [^int] | "(" side ")" [^int]
+
+A ``rel`` line of one side is that relator; u = v = ... gives u v^-1 for
+each neighbouring pair.  A ``sigma``/``rho`` line is one side, and each of
+its top-level terms is one distinguished word, so compound words must be
+parenthesised: ``sigma d (s1 s2 d^-1)``.  One bound holds on every line:
+a term, a parenthesised level or a side of more than ``DEFAULT_CAP``
+letters is a ``ParseError``, raised before its letters are built, so the
+words of a ``sigma``/``rho`` line are bounded together.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ParseError
 
@@ -226,112 +234,84 @@ class Presentation:
             self.distinguished_kind,
         )
 
-    def with_generator(self, name: str) -> "Presentation":
-        return Presentation(
-            self.names + (name,),
-            self.relators,
-            self.distinguished,
-            self.distinguished_kind,
-        )
-
 
 # --- parsing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\^-?\d+|[()=]|\S")
 
 
-def _tokenize(line: str, lineno: int):
-    tokens = []
-    for m in _TOKEN_RE.finditer(line):
-        t = m.group()
+def _read_sides(text: str, letters: dict, lineno: int) -> list:
+    """The ``=``-separated sides of a word line, each a list of its
+    top-level terms, each term a list of letters with its exponent
+    applied; ``letters`` maps a generator name to its letter.
+
+    Every token is checked first, so an unexpected character or an
+    exponent too long for ``int()`` is reported before a syntax error.
+    Each '(' pushes a letter list on an explicit stack and its ')' pops
+    the list as one term of the level below, so any nesting depth parses
+    without recursion.  A term, a parenthesised level or a side of more
+    than ``DEFAULT_CAP`` letters is a ParseError, raised before it is
+    built."""
+
+    def bounded(n: int) -> int:
+        if n > DEFAULT_CAP:
+            raise ParseError(lineno, f"word of {n} letters, more than {DEFAULT_CAP}")
+        return n
+
+    tokens = _TOKEN_RE.findall(text)
+    for t in tokens:
         if t[0] == "^" and len(t) > 1:
             try:
-                k = int(t[1:])
+                int(t[1:])
             except ValueError:  # more digits than int() converts
                 raise ParseError(lineno, f"exponent of {len(t) - 1} characters") from None
-            tokens.append(("exp", k))
-        elif t in "()=":
-            tokens.append((t, t))
-        elif _NAME_RE.fullmatch(t):
-            tokens.append(("name", t))
-        else:
+        elif t not in "()=" and not _NAME_RE.fullmatch(t):
             raise ParseError(lineno, f"unexpected character {t!r}")
-    return tokens
-
-
-class _WordParser:
-    def __init__(self, tokens, gen_map, lineno):
-        self.tokens = tokens
-        self.pos = 0
-        self.gen_map = gen_map
-        self.lineno = lineno
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _check_length(self, n: int):
-        if n > DEFAULT_CAP:
-            raise ParseError(
-                self.lineno, f"word of {n} letters, more than {DEFAULT_CAP}"
-            )
-
-    def cols(self, one_term: bool = False) -> list:
-        """Letters of the terms up to the next unmatched ')' or '=' or the
-        end, exponents applied; with ``one_term``, of the next term only.
-
-        Each open parenthesis pushes a letter list on an explicit stack,
-        and its ')' pops the list as one term of the list below, so any
-        nesting depth parses without recursion."""
-        stack = [[]]
-        while True:
-            tok = self.peek()
-            kind = tok[0] if tok is not None else None
-            if kind == "(":
-                self.pos += 1
-                stack.append([])
-                continue
-            if kind == "name":
-                if tok[1] not in self.gen_map:
-                    raise ParseError(self.lineno, f"undeclared generator {tok[1]!r}")
-                term = [2 * self.gen_map[tok[1]]]
-            elif kind == ")" and len(stack) > 1:
-                term = stack.pop()
-            elif kind in (None, "=") and len(stack) > 1:
-                raise ParseError(self.lineno, "missing ')'")
-            elif kind in (None, ")", "=") and not one_term:
-                return stack[0]
-            else:
-                raise ParseError(self.lineno, f"unexpected token {tok[1]!r}")
-            self.pos += 1
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "exp":
-                self.pos += 1
-                k = nxt[1]
-                self._check_length(len(term) * abs(k))
-                if k < 0:
-                    term = [c ^ 1 for c in reversed(term)]
-                term = term * abs(k)
-            out = stack[-1]
-            self._check_length(len(out) + len(term))
-            out.extend(term)
-            if one_term and len(stack) == 1:
-                return out
-
-    def word(self) -> Word:
-        return Word(self.cols())
-
-    def terms(self):
-        """Top-level terms of the remaining input, one word each."""
-        out = []
-        while self.peek() is not None:
-            out.append(Word(self.cols(one_term=True)))
-        return out
+    terms, size = [], 0
+    sides, stack = [terms], []
+    i, n = 0, len(tokens)
+    while i < n:
+        t = tokens[i]
+        i += 1
+        if t in letters:
+            term = [letters[t]]
+        elif t == "(":
+            stack.append([])
+            continue
+        elif t == ")" and stack:
+            term = stack.pop()
+        elif t == "=" and stack:
+            raise ParseError(lineno, "missing ')'")
+        elif t == "=":
+            terms, size = [], 0
+            sides.append(terms)
+            continue
+        elif t == ")" or t[0] == "^":
+            raise ParseError(lineno, f"unexpected token {t!r}")
+        else:
+            raise ParseError(lineno, f"undeclared generator {t!r}")
+        if i < n and tokens[i][0] == "^":
+            k = int(tokens[i][1:])
+            i += 1
+            bounded(len(term) * abs(k))
+            if k < 0:
+                term = [c ^ 1 for c in reversed(term)]
+            term *= abs(k)
+        if stack:
+            bounded(len(stack[-1]) + len(term))
+            stack[-1] += term
+        else:
+            size = bounded(size + len(term))
+            terms.append(term)
+    if stack:
+        raise ParseError(lineno, "missing ')'")
+    return sides
 
 
 def parse_presentation(text: str) -> Presentation:
     """Parse the file format described in the module docstring."""
     names: list = []
-    gen_map: dict = {}
+    letters: dict = {}
     relators: list = []
     distinguished = None
     kind = None
@@ -350,9 +330,9 @@ def parse_presentation(text: str) -> Presentation:
             for name in rest.split():
                 if not _NAME_RE.fullmatch(name):
                     raise ParseError(lineno, f"bad generator name {name!r}")
-                if name in gen_map:
+                if name in letters:
                     raise ParseError(lineno, f"duplicate generator name {name!r}")
-                gen_map[name] = len(names)
+                letters[name] = 2 * len(names)
                 names.append(name)
             if not names:
                 raise ParseError(lineno, "gens line declares no generators")
@@ -360,27 +340,21 @@ def parse_presentation(text: str) -> Presentation:
         if not seen_gens:
             raise ParseError(lineno, "first directive must be 'gens'")
         if head == "rel":
-            tokens = _tokenize(rest, lineno)
-            parser = _WordParser(tokens, gen_map, lineno)
-            sides = [parser.word()]
-            while parser.peek() is not None and parser.peek()[0] == "=":
-                parser.pos += 1
-                sides.append(parser.word())
-            if parser.peek() is not None:
-                raise ParseError(lineno, f"unexpected token {parser.peek()[1]!r}")
+            sides = [Word(_reduce_cols(chain.from_iterable(s)))
+                     for s in _read_sides(rest, letters, lineno)]
             if len(sides) == 1:
-                relators.append(sides[0].reduce())
+                relators.append(sides[0])
             else:
-                for u, v in zip(sides, sides[1:]):
-                    relators.append(u * ~v)
+                relators.extend(u * ~v for u, v in zip(sides, sides[1:]))
         elif head in ("sigma", "rho"):
             if distinguished is not None:
                 raise ParseError(lineno, "duplicate sigma/rho line")
-            parser = _WordParser(_tokenize(rest, lineno), gen_map, lineno)
-            words = parser.terms()
-            if not 2 <= len(words) <= 4:
+            terms, *more = _read_sides(rest, letters, lineno)
+            if more:
+                raise ParseError(lineno, "unexpected token '='")
+            if not 2 <= len(terms) <= 4:
                 raise ParseError(lineno, f"{head} line needs 2 to 4 words")
-            distinguished = tuple(words)
+            distinguished = tuple(map(Word, terms))
             kind = head
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")

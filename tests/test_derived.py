@@ -147,6 +147,11 @@ BROKEN = {
     "source over an undeclared generator": (
         "ex1", DualityKind.IMPROPER, "z", ValueError, "undeclared generators",
         lambda s, u: (s[:-1] + (Word.gen(3),), u)),
+    # z is checked as the sources and images are
+    "z over the adjoined generator": (
+        "ex3", DualityKind.PROPER, "g3", ValueError, "word uses undeclared generators", None),
+    "z over an undeclared generator": (
+        "ex3", DualityKind.PROPER, "g5", ValueError, "word uses undeclared generators", None),
 }
 
 
@@ -169,7 +174,8 @@ class TestExtensionCertificate:
         name, kind, z, error, message, edit = BROKEN[case]
         m = catalog_groups.group(name)
         s1, s2, s3 = m.sigma
-        words = {"z": s1 * s2 * s3, "s1": s1, "1": Word.identity()}
+        words = {"z": s1 * s2 * s3, "s1": s1, "1": Word.identity(),
+                 "g3": Word.gen(3), "g5": Word.gen(5)}
         sources, images = tuple(m.sigma), _form_images(kind, m.sigma)
         if edit is not None:
             sources, images = edit(sources, images)

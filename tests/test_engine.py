@@ -107,7 +107,7 @@ class TestEnumerate:
         d = Word.gen(p.ngens)
         gens = [Word.gen(i) for i in range(p.ngens)]
         commute = [~d * h * d * ~h for h in gens]
-        product = p.with_generator("d").with_relators(*commute, d ** 2)
+        product = Presentation(p.names + ("d",), p.relators).with_relators(*commute, d ** 2)
         e = g.extend(gens, gens, Word.identity())
         assert (e.order, e.cap) == (2 * g.order, DEFAULT_CAP)
         # e interleaves g and g d; relabelled, it is the enumerated table

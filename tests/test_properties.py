@@ -95,10 +95,14 @@ _grammar_text = st.text(
 @PROPERTY
 @given(st.one_of(st.text(max_size=80), _grammar_text, _grammar_text.map("gens a b\n".__add__)))
 def test_parser_raises_only_parse_errors(text):
+    """Random text either fails with a ParseError or round-trips; the
+    serialized form omits empty relators."""
     try:
-        parse_presentation(text)
+        p = parse_presentation(text)
     except ParseError:
-        pass
+        return
+    nonempty = dataclasses.replace(p, relators=tuple(filter(None, p.relators)))
+    assert parse_presentation(serialize_presentation(p)) == nonempty
 
 
 _SMALL_TORI = [TorusFamily(*t) for t in (("44", 1, 2), ("44", 2, 2), ("36", 1, 1), ("63", 2, 1), ("36", 2, 0))]

@@ -55,6 +55,19 @@ class TestWordArithmetic:
     def test_power_negative(self):
         assert s1 ** -2 == ~s1 * ~s1
 
+    def test_equal_words_hash_equal(self):
+        # a word keeps its letters as given, and hashes by them
+        w, same = Word([0, 2, 3]), Word((0, 2, 3))
+        assert w == same and hash(w) == hash(same)
+        assert {w: "w", w.reduce(): "s1"}[same] == "w"
+
+    def test_repr_shows_the_letters(self):
+        assert repr(s1 * ~s3) == "Word((0, 5))"
+
+    def test_text_of_the_empty_word(self):
+        assert Word().text(["a"]) == "1"
+        assert (s1 * s1 * ~s2).text(["a", "b"]) == "a^2 b^-1"
+
 
 class TestSubstitute:
     def test_swap(self):
@@ -157,9 +170,15 @@ class TestParsing:
         ("gens a-b\n", 1, "bad generator name 'a-b'"),
         ("# none yet\ngens\n", 2, "gens line declares no generators"),
         ("gens a b\nrel a b )\n", 2, "unexpected token ')'"),
-        # the exponent token carries its value, so the message shows 2
-        ("gens a\n\nsigma ^2 a\n", 3, "unexpected token 2"),
-    ], ids=["second-gens", "bad-name", "bare-gens", "unmatched-close", "leading-exponent"])
+        ("gens a\n\nsigma ^2 a\n", 3, "unexpected token '^2'"),
+        # every token is checked before the line is read
+        ("gens a\nrel ) !\n", 2, "unexpected character '!'"),
+        ("gens a b\nsigma a = b\n", 2, "unexpected token '='"),
+        ("gens a b\nrel (a = b)\n", 2, "missing ')'"),
+        # the words of a sigma line are bounded together
+        ("gens a b\nsigma a^600000 b^600000\n", 2, "word of 1200000 letters, more than 1000000"),
+    ], ids=["second-gens", "bad-name", "bare-gens", "unmatched-close", "leading-exponent",
+            "lexical-first", "sigma-equation", "equation-in-parentheses", "sigma-words-together"])
     def test_parse_error_names_its_line(self, text, line, message):
         with pytest.raises(ParseError) as exc:
             parse_presentation(text)
