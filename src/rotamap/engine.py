@@ -876,9 +876,11 @@ class GroupRep:
     inverse as table lookups, and ``_orbit`` closes the normal closure
     of an involution and the subgroup the involutions generate.  A
     table that is never verified, an extension or a table built
-    directly, keeps None, and walks Schreier words and closes over
-    conjugacy classes instead: building L for it costs more than it
-    saves.  ``center`` builds L for such a table and keeps none of it.
+    directly, keeps None: building L for it costs more than it saves.
+    It walks Schreier words and closes over conjugacy classes instead,
+    and climbs the Schreier tree once per inverse pair for its
+    involutions (``_involution_test``).  ``center`` builds L for such a
+    table and keeps none of it.
     """
 
     def __init__(
@@ -1083,12 +1085,13 @@ class GroupRep:
             self._incremental_closure([self.element_of(w) for w in gens])[0]
         )
 
-    def _incremental_closure(self, candidate_indices, certify=False) -> tuple:
+    def _incremental_closure(self, candidate_indices, certify=False, test=None) -> tuple:
         """Elements of the subgroup generated by the candidate element
         indices, identity first, the marks that say how each was reached,
         and the generation certificate: ``(elements, mark, blocks,
-        pairs)``.  Candidates join one at a time, as Schreier words, and
-        members are skipped.
+        pairs)``.  Candidates join one at a time, as Schreier words.
+        Members are skipped, and so is a non-member for which ``test``,
+        if given, is false; members are never tested.
 
         The set E is closed under right multiplication by each generator
         t only, not by t^-1: on the finite set E, x -> x t is injective,
@@ -1177,7 +1180,7 @@ class GroupRep:
         for j, t in enumerate(candidate_indices):
             if done:
                 break
-            if mark[t]:
+            if mark[t] or test is not None and not test(t):
                 continue
             w = [cols[c] for c in self._schreier_cols(t)]
             words.append((j, w))
@@ -1670,11 +1673,10 @@ class GroupRep:
         (g z)^-1 = z^-1 g^-1, so ``inv[L_g[z]] = cols[g^-1][inv[z]]``.
         The search reaches every element, as the group is finite.  The
         involutions come in its order, and are the table's own ints.
-        Without ``_left`` they come in index order, from the Schreier
-        tree climbed from each element (``_inverse``)."""
+        Without ``_left`` they come in index order, from
+        ``_involution_test``."""
         if self._left is None:
-            inverse = self._inverse
-            yield from (x for x in range(1, self.order) if inverse(x) == x)
+            yield from filter(self._involution_test(), range(1, self.order))
             return
         pairs = tuple(zip(self._left, self.table.cols[1::2]))
         inv = [-1] * self.order
@@ -1689,6 +1691,24 @@ class GroupRep:
                     reached.append(y)
                     if inv[y] == y:
                         yield y
+
+    def _involution_test(self):
+        """A test that x is an involution, to be asked of each element
+        at most once.  It climbs the Schreier tree from x (``_inverse``)
+        to its inverse y and marks y: y^-1 = x, so y is an involution only
+        if y = x, which is not asked again.  A marked element is answered
+        False with no climb, so each inverse pair costs one climb."""
+        inverse = self._inverse
+        paired = bytearray(self.order)
+
+        def involution(x):
+            if paired[x]:
+                return False
+            y = inverse(x)
+            paired[y] = 1
+            return y == x
+
+        return involution
 
     def involutions(self):
         """Indices of all elements of order exactly 2, in index order."""
@@ -1709,13 +1729,17 @@ class GroupRep:
         involutions run out, and S, of even index, is the subgroup they
         generate, normal as they are closed under conjugation.
 
-        On a table without ``_left`` the closure stops once each
-        generator g has a reached pair y, y g, which puts g in the
-        subgroup (``_incremental_closure``), so a True answer need not
-        find them all, and a False answer closes over the whole
-        subgroup."""
+        On a table without ``_left`` the candidates are the elements in
+        index order, and the closure asks ``_involution_test`` only about
+        those outside it: a member adds no generator.  The closure stops
+        once each generator g has a reached pair y, y g, which puts g in
+        the subgroup (``_incremental_closure``), so a True answer need not
+        find every involution.  A False answer closes over the whole
+        subgroup the involutions generate, but climbs the tree only from
+        elements that it does not hold yet, once per inverse pair."""
         if self._left is None:
-            return self._incremental_closure(self._involutions(), True)[3] is not None
+            test = self._involution_test()
+            return self._incremental_closure(range(1, self.order), True, test)[3] is not None
         for s in self._orbit(0, self._involutions()):
             if self.order // len(s) % 2:
                 return len(s) == self.order

@@ -37,6 +37,13 @@ same table built directly, exits 1, naming the tori at fault, unless
 they agree, and prints how many tori are generated by involutions and
 how many have each index |G : N(s1 s2)|.
 
+It compares the same two involution queries on extension tables, which
+have no ``_left``, with those of the same table verified: the extension
+of every self-dual catalog entry, and the Petrie-Coxeter map of every
+self-dual Petrie quotient the petrie-scan workload draws.  It exits 1,
+naming the tables at fault, unless they agree and the tables and their
+verdicts are as many as ``EXTENDED`` says, and prints the verdicts.
+
 Last, it closes the extension square (``test_squares.square``) at every
 (base, k) pair the petrie-scan workload draws, k = 2..30 over ex1, ex2
 and ex3, and exits 1, naming the pairs at fault, unless each of the
@@ -117,9 +124,15 @@ def main() -> int:
     faults["unlike hlt_reference"] = mismatches
     faults["with involution queries unequal"], verdicts, indices = involution_mismatches()
     squares, faults["with extension squares unequal"] = extension_square_mismatches()
+    split, polytopal = petrie_split()
+    unequal, extended = extension_involution_mismatches(polytopal)
+    faults["with extension involution queries unequal"] = unequal
+    counts = {what: (len(reps), sum(reps.values())) for what, reps in extended.items()}
+    if counts != EXTENDED:
+        faults[f"and verdicts in extensions, not {EXTENDED}"] = [
+            f"{n} {what} ({v} generated by involutions)" for what, (n, v) in counts.items()]
     if len(squares) != SQUARES:
         faults[f"with extension squares, not {SQUARES}"] = squares
-    split = petrie_split()
     for what, keys in faults.items():
         if keys:
             print(f"{len(keys)} tables {what}: {', '.join(keys)}", file=sys.stderr)
@@ -130,13 +143,16 @@ def main() -> int:
           "trivial subgroup")
     print(f"{verdicts} of the {len(torus_stops)} tori are generated by involutions; "
           f"|G : N(s1 s2)| over them: {dict(sorted(indices.items()))}")
+    for what, reps in extended.items():
+        print(f"{sum(reps.values())} of the {len(reps)} {what} are generated by involutions")
     if any(faults.values()) or split != SPLIT:
         return 1
     print(f"all {len(recorded)} recorded tables match, each with the "
           "breadth-first tree of _schreier_tree, every torus "
           "enumerates as hlt_reference does and answers both involution "
-          f"queries alike without _left, all {SQUARES} extension "
-          "squares close, and the Petrie quotients split as SPLIT says")
+          "queries alike without _left, so does every extension, all "
+          f"{SQUARES} extension squares close, and the Petrie quotients "
+          "split as SPLIT says")
     return 0
 
 
@@ -249,6 +265,50 @@ def extension_square_mismatches() -> tuple:
     return squares, out
 
 
+# the extension tables of the self-dual catalog entries, and those of the
+# Petrie-Coxeter maps of the self-dual petrie-scan quotients (the SQUARES
+# pairs): how many, and how many of them are generated by involutions
+EXTENDED = {"catalog extensions": (7, 6), "Petrie-Coxeter maps of Petrie quotients": (SQUARES, 11)}
+
+
+def extension_involution_mismatches(quotients) -> tuple:
+    """The names of the ``EXTENDED`` tables on which ``involutions()`` or
+    ``generated_by_involutions()`` differs from that of the same table and
+    tree after ``_verify``, which searches by left multiplication and
+    closes one orbit (``GroupRep._orbit``); and each table's verdict, by
+    ``EXTENDED`` kind and name.  The extensions have no ``_left``, so
+    they climb the Schreier tree once per inverse pair, and the closure
+    asks only about elements outside it.  They are built by
+    ``petrie_coxeter``, from the catalog's rank-4 entries and from the
+    polytopal petrie-scan Petrie ``quotients``, ``(name, group)`` pairs;
+    the groups that are not self-dual are skipped."""
+    rotamap = sys.modules["rotamap"]
+    entries = []
+    for name, entry in rotamap.catalog().items():
+        g = rotamap.load_group(entry.presentation)
+        if isinstance(g, (rotamap.RotationGroup4, rotamap.RegularCGroup4)):
+            entries.append((name, g))
+    bases = dict(zip(EXTENDED, (entries, quotients)))
+    out = []
+    verdicts = {what: {} for what in EXTENDED}
+    for what, groups in bases.items():
+        for name, g in groups:
+            try:
+                rep = rotamap.petrie_coxeter(g)[1].rep
+            except rotamap.NotSelfDualError:
+                continue
+            verified = rotamap.GroupRep(
+                rep.presentation, rep.table, rep.cap, (rep._parent_coset, rep._parent_col))
+            verified._verify()
+            verdict = rep.generated_by_involutions()
+            if (rep._left is not None
+                    or verdict is not verified.generated_by_involutions()
+                    or rep.involutions() != verified.involutions()):
+                out.append(name)
+            verdicts[what][name] = verdict
+    return out, verdicts
+
+
 # the petrie-scan quotients of each base, k = 2..30, by polytopality,
 # then by duality kind and chirality
 SPLIT = {
@@ -258,13 +318,15 @@ SPLIT = {
 }
 
 
-def petrie_split() -> dict:
+def petrie_split() -> tuple:
     """How many petrie-scan Petrie quotients of each base are not
-    polytopal, and how many are of each duality kind and chirality."""
+    polytopal, and how many are of each duality kind and chirality; and
+    the polytopal ones, each named ``"base/k"``."""
     import workloads
 
     rotamap = sys.modules["rotamap"]
     split = {}
+    polytopal = []
     for _, (name, m, k) in workloads.setup("petrie-scan", 0, "domain").ops:
         try:
             q = rotamap.petrie_quotient(m, k)
@@ -272,9 +334,10 @@ def petrie_split() -> dict:
             verdict = "not polytopal"
         else:
             verdict = f"{rotamap.detect_self_duality(q).kind} {rotamap.classify4(q)}"
+            polytopal.append((f"{name}/{k}", q))
         counts = split.setdefault(name, {})
         counts[verdict] = counts.get(verdict, 0) + 1
-    return split
+    return split, polytopal
 
 
 if __name__ == "__main__":

@@ -610,6 +610,66 @@ class TestGenerationCertificate:
         assert rep.generator_map_automorphism([s1], [s1]) is None
 
 
+# _inverse calls on ex1's skew map (order 4000, an extension, so without
+# _left): the closure climbs the tree only from non-members whose inverse
+# has not been climbed, and the involution search from every element but
+# those; both climbed from all 3,999 elements but the identity before
+SKEW_CLIMBS = {"generated_by_involutions": 1016, "involutions": 2087}
+
+
+class TestInvolutionSearchWithoutLeft:
+    """On a table without ``_left`` the involution search climbs the
+    Schreier tree once per inverse pair (``_involution_test``), and
+    ``generated_by_involutions`` asks it only of elements outside the
+    closure; the answers are those of the oracles and of the orbit path
+    on the same table verified."""
+
+    def test_skew_involutions_match_naive(self, ex1_pipe):
+        rep = ex1_pipe.map3.rep
+        assert rep._left is None
+        assert rep.involutions() == naive_involutions(rep)
+
+    def test_skew_climbs(self, ex1_pipe, monkeypatch):
+        rep = ex1_pipe.map3.rep
+        inverse = rep._inverse
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return inverse(x)
+
+        monkeypatch.setattr(rep, "_inverse", counted)
+        climbs = {}
+        assert rep.generated_by_involutions() is False
+        climbs["generated_by_involutions"] = len(calls)
+        # each climb starts from an element not climbed before, in index order
+        assert calls == sorted(set(calls))
+        calls.clear()
+        assert len(rep.involutions()) == 175
+        climbs["involutions"] = len(calls)
+        assert calls == sorted(set(calls))
+        assert climbs == SKEW_CLIMBS
+
+    @pytest.mark.parametrize("name", ["ex1", "ex3", "ex3-central-quotient", "simplex333"])
+    def test_extension_matches_orbit(self, ex1_pipe, ex3_chain, simplex_pipe, name):
+        ext = {
+            "ex1": ex1_pipe.ext,
+            "ex3": ex3_chain["base"].ext,
+            "ex3-central-quotient": ex3_chain["quotient"].ext,
+            "simplex333": simplex_pipe["ext"],
+        }[name]
+        rep = ext.rep
+        assert rep._left is None
+        # the same table and tree, verified, so with _left
+        tree = (rep._parent_coset, rep._parent_col)
+        verified = GroupRep(rep.presentation, rep.table, rep.cap, tree)
+        verified._verify()
+        assert verified._left is not None
+        assert rep.generated_by_involutions() is verified.generated_by_involutions()
+        assert rep.generated_by_involutions() is (name != "ex1")
+        assert rep.involutions() == verified.involutions()
+
+
 # -- the form tests on the wrappers' bases -------------------------------------
 
 # the reference verdicts of _caller_maps on each catalog group: the
