@@ -268,9 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     max_cosets = dict(
         type=int, default=DEFAULT_CAP, metavar="N",
-        help="coset cap for enumerations: a bound on the cosets of <g> "
-        "defined times the exponent p of g's power relator g^p, and so on "
-        "the order (default %(default)s)",
+        help="coset cap for enumerations: a bound on the coset rows defined "
+        "times the order of the group that labels them, that of the facet "
+        "subgroup <x0, x1> with three or more generators (at most 256), or "
+        "else the exponent p of the largest power relator g^p; and so on the "
+        "group order (default %(default)s)",
     )
 
     def common(p):

@@ -2,10 +2,14 @@
 
 The mechanisms, each argued in the docstring named:
 
-* ``_enumerate_cosets`` enumerates the cosets of a cyclic subgroup
-  H = <g>, Felsch style for short relators and HLT style for long ones,
-  with Schreier labels that prove powers of g trivial.  It stops at the
-  first complete table that ``GroupRep._verify`` certifies.
+* ``_enumerate_cosets`` enumerates the cosets of a subgroup H, Felsch
+  style for short relators and HLT style for long ones, with Schreier
+  labels in a small group L that maps onto H, and relations found among
+  them.  H is the facet subgroup <x0, x1> of a presentation of three or
+  more generators, L the group its relators in x0 and x1 present
+  (``_facet_labels``), or else a cyclic H = <g>, L = Z_p for g^p a
+  relator (``_cyclic_labels``).  It stops at the first complete table
+  that ``GroupRep._verify`` certifies.
 * ``_lift`` builds the regular table from the cosets of H and proves its
   order exact, and ``_row_scan`` puts it in row-scan standard form, a
   function of the group and the generator order alone, recording its
@@ -70,6 +74,54 @@ def _cyclic_subgroup(relators):
     return -g, p
 
 
+# the labels of the trivial subgroup, L = 1 (see _enumerate_cosets)
+_TRIVIAL = ((), 1, [0], [0])
+
+# the group of a facet subgroup's relators is enumerated under this cap,
+# and labels the enumeration if it has at most FACET_ORDER elements
+FACET_CAP = 1024
+FACET_ORDER = 256
+
+
+def _cyclic_labels(h):
+    """The labels of H = <g> for ``h = (g, p)``, as ``_cyclic_subgroup``
+    gives it, or of the trivial subgroup for None: L = Z_p, with g's
+    element 1, and as a l = a + l mod p, ``mul`` is ``list(range(p)) *
+    2`` at width 1 (see ``_enumerate_cosets``)."""
+    if h is None:
+        return _TRIVIAL
+    g, p = h
+    # the inverses -a mod p share the int objects of the products
+    mul = list(range(p))
+    return ((g, 1 % p),), 1, mul * 2, mul[:1] + mul[:0:-1]
+
+
+def _facet_labels(p: Presentation):
+    """The labels of the facet subgroup H = <x0, x1> of p's first two
+    generators, or None.  L is the group that p's relators in x0 and x1
+    alone present, which maps onto H, enumerated by ``_enumerate`` under
+    ``FACET_CAP``; None if that fails, or if L has more than
+    ``FACET_ORDER`` elements, as its product table has |L|^2 entries.
+    The table is built column by column along L's Schreier tree: a b =
+    (a c) x for the tree edge c --x--> b."""
+    facet = Presentation(p.names[:2], tuple(r for r in p.relators if r.max_gen() < 2))
+    try:
+        k = _enumerate(facet, FACET_CAP)
+    except (CapExceededError, ValueError):
+        return None
+    n = k.order
+    if n > FACET_ORDER:
+        return None
+    cols = k.table.cols
+    # times[b][a] = a b
+    times = [None] * n
+    times[0] = list(range(n))
+    for b in k._tree_order():
+        times[b] = [cols[k._parent_col[b]][a] for a in times[k._parent_coset[b]]]
+    mul = [ab for column in times for ab in column]
+    return ((0, cols[0][0]), (2, cols[2][0])), n, mul, [column.index(0) for column in times]
+
+
 def _bind(w, cols, labs):
     """The column lists of the letters of w and their label lists, then
     those of the inverse letters: ``fw, fl, bw, bl``."""
@@ -117,15 +169,30 @@ def _rotations_by_column(relators, cols, labs):
 
 
 def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
-    """Enumerate the cosets of H = <g> for ``h = (g, p)``, g a generator
-    column and g^p a relator, or of the trivial subgroup for None.
-    Returns ``(cols, parent, labs, modulus)`` before compression:
-    ``cols[x][c]`` is the raw table entry of coset c in column x, or -1,
-    and ``labs[x][c]`` its Schreier label.  A coset c is live when
-    ``parent[c] == c``; a coincidence points the larger coset at the
-    smaller, so ``parent[c] <= c`` always.  ``_lift`` builds the regular
-    table from them.  ``check``, if given, is tried on that state at most
-    once before the loop ends, and ends it if it passes (**Early stop**).
+    """Enumerate the cosets of a subgroup H, with Schreier labels in a
+    finite group L that maps onto H, given by ``h``; or of the trivial
+    subgroup for None.  Returns ``(cols, parent, labs, labels)`` before
+    compression: ``cols[x][c]`` is the raw table entry of coset c in
+    column x, or -1, ``labs[x][c]`` its Schreier label, and ``labels``
+    ``(width, mul, normal)``, L's product table and N (**Normal
+    subgroup**).  A coset c is live when ``parent[c] == c``; a
+    coincidence points the larger coset at the smaller, so ``parent[c] <=
+    c`` always.  ``_lift`` builds the regular table from them.
+    ``check``, if given, is tried on that state at most once before the
+    loop ends, and ends it if it passes (**Early stop**).
+
+    ``h`` is ``(gens, width, mul, inverse)``.  L's elements are 0 to n -
+    1, 0 the identity, and ``inverse[a]`` is the inverse of a, so n is
+    ``len(inverse)``.  ``gens`` pairs each column x of the generators
+    of H with an element k_x of L.  The k_x generate L, and k_x -> x
+    extends to a homomorphism from L onto H: every relation among the
+    k_x in L holds among the x in G.  A label l is read in G as its
+    image.  A product is one lookup, a l = ``mul[l * width + a]``:
+    width n for a table of all n^2 products, or width 1 for L = Z_p,
+    where a l = a + l mod p and ``mul`` is ``list(range(p)) * 2``, 2p
+    entries (``_cyclic_labels``).  ``enumerate_group`` passes the facet
+    subgroup <x0, x1> of a presentation of three or more generators
+    (``_facet_labels``), and <g> otherwise.
 
     This is the modified Todd-Coxeter procedure (Holt, Eick and O'Brien,
     *Handbook of Computational Group Theory*, 2005, ch. 5; Arrell and
@@ -138,16 +205,20 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     new entry before the next definition.
 
     **Labels.**  Coset c stands for H r_c, r_c its representative, and an
-    entry ``t --x--> u`` holds a label l with r_t x = g^l r_u.  Coset 0 is
-    H itself and starts closed under g: ``0 --g--> 0`` with label 1 and
-    ``0 --g^-1--> 0`` with -1.  A new definition gets 0.  A scan adds up
-    the labels along its walk: from c, a walk by a word v reaching f with
-    sum s says r_c v = g^s r_f.  A gap of one letter x between the
-    forward walk's end f (sum s) and the backward walk's end b (sum t)
-    gets ``f --x--> b`` with t - s, and the inverse entry s - t.  The
-    union-find carries an offset too: r_c = g^off[c] r_parent[c], zero at
-    a live coset.  ``find`` halves paths as it goes, adding the offsets it
-    skips, and a migrated entry takes the offsets of both its ends.
+    entry ``t --x--> u`` holds a label l of L with r_t x = l r_u in G;
+    it is stored as l times ``width``.
+    Coset 0 is H itself and starts closed under each generator column x
+    of H: ``0 --x--> 0`` with x's element k, and ``0 --x^-1--> 0`` with
+    k^-1.  A new definition gets the identity.  A scan multiplies the
+    labels along its walk in walk order, as r_t x y = l r_u y = l l' r_v:
+    from c, a walk by a word v reaching f with product s says r_c v = s
+    r_f.  A gap of one letter x between the forward walk's end f
+    (product s) and the backward walk's end b (product t) gets ``f --x-->
+    b`` with s^-1 t, and the inverse entry t^-1 s.  The union-find
+    carries an offset too: r_c = off[c] r_parent[c], the identity at a
+    live coset.  ``find`` halves paths as it goes, multiplying in the
+    offsets it skips, and a migrated entry takes the offsets of both its
+    ends.  In the cyclic case every product is a sum mod p.
     Coincidences are processed eagerly, and each migrated entry that is
     new to the surviving row goes back onto the deduction stack.
     Outside a coincidence every entry of a live row points at a live
@@ -156,14 +227,16 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     it.  So a walk from a live coset meets only live cosets, and a scan
     that finds a coincidence finds two distinct live cosets.
 
-    **Modulus.**  ``modulus`` starts at p (1 for trivial H) and only
-    shrinks.  A cycle that comes back to its start with a sum k proves
-    g^k = 1, and so do two entries that a coincidence merges into one
-    whose labels, offsets added, disagree by k; either makes it
-    gcd(modulus, k).  Labels are compared
-    modulo the current modulus, and as each new one divides the last, a
-    label taken modulo an earlier one stays right.  Every such k is a
-    relation of the group, so |H| divides the modulus throughout.
+    **Normal subgroup.**  N is a normal subgroup of L that starts
+    trivial and only grows.  A cycle that comes back to its start with a
+    product k proves k = 1 in G, and so do two entries that a coincidence
+    merges into one whose labels, offsets multiplied in, differ by k; if
+    k is not in N already, N becomes the normal closure of N and k
+    (``grow``, closed as ``GroupRep._orbit`` closes one).  Labels are
+    compared by their class in L/N, so this is the modified procedure's
+    modulus: for L = Z_p, N is the multiples of gcd(p, k, ...).  The
+    kernel of L's map onto H is a normal subgroup of L that holds every
+    such k, so it holds N throughout, and H is a quotient of L/N.
 
     A relator with at most ``LONG_PERIOD`` distinct rotations is short
     and is handled Felsch style.  Every new table edge ``c --x--> d`` is
@@ -180,8 +253,8 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     A long relator is closed HLT style instead, once per coset: when the
     definition loop reaches a live coset, it first scans each long
     relator there, forward to the first gap and backward to the last.  A
-    closed mismatch is a coincidence, a closed cycle with a nonzero sum
-    shrinks the modulus, and a one-letter gap is a deduction; a longer
+    closed mismatch is a coincidence, a closed cycle whose product is
+    not in N grows N, and a one-letter gap is a deduction; a longer
     gap gets one definition at its forward end, whose deductions are
     drained before the scan goes on.  Then the coset's row is filled,
     each new edge going through the short-relator deductions.
@@ -200,8 +273,8 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     the rows Felsch would; the cap bounds the run.
 
     **Resume.**  After the definition at the forward end of a gap, the
-    forward scan goes on from where it stopped, with the sum it had, and
-    so does the backward scan.  Unless a coincidence ran in that
+    forward scan goes on from where it stopped, with the product it had,
+    and so does the backward scan.  Unless a coincidence ran in that
     definition's drain (``coincide`` counts its merges), no entry was
     changed, only new ones set, so both paths walked from the coset stand
     and a rescan would retrace them.  The backward scan starts again from
@@ -236,38 +309,45 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     no check, and ``check`` is not tried again.  The stop is exact.  A
     table that passes is a regular representation in which every relator
     fixes every element, so every long relator walk left, from a live
-    coset c, comes back to c with a sum of 0 modulo the modulus: it
-    defines nothing, merges nothing and leaves the modulus as it is, and
-    no row has an entry left to fill.  So the state handed over is the
-    one the loop would return: the same columns, parents, labels,
-    modulus and rows defined.  Most tables are complete long before the
-    loop reaches their last rows, and the rest of the loop only walks
-    closed cycles.
+    coset c, comes back to c with a product in N: it defines nothing,
+    merges nothing and leaves N as it is, and no row has an entry left
+    to fill.  So the state handed over is the one the loop would return:
+    the same columns, parents, labels, N and rows defined.  Most tables
+    are complete long before the loop reaches their last rows, and the
+    rest of the loop only walks closed cycles.
 
-    Sound: the walks force the coincidences and the relations of g that
+    Sound: the walks force the coincidences and the relations in L that
     make the table close, and ``_verify`` certifies it: every deduction
     holds in the group, so a complete table that passes is exact, however
     far the loop went (``_lift``).  Run to its end, the loop closes every
-    cycle too.  Felsch closes every short relator cycle, with sum 0.  A
-    coset live at the end was live when the loop reached it, and every
-    long relator cycle at it was closed with sum 0 then, by ``close``.  A
-    coincidence maps a path to one between the live cosets, the offsets
-    it adds cancel around a cycle, and an entry it merges into another
-    changes a sum by a multiple of the new modulus, so closed paths of
-    sum 0 stay so.  ``enumerate_group`` checks the lifted table against
-    the presentation all the same.
+    cycle too.  Felsch closes every short relator cycle, with a product
+    in N.  A coset live at the end was live when the loop reached it, and
+    every long relator cycle at it was closed with a product in N then,
+    by ``close``.  A coincidence maps a path to one between the live
+    cosets, the offsets it multiplies in cancel around a cycle, and an
+    entry it merges into another changes a label by an element of the
+    new N, which, N being normal, moves a product around a cycle only
+    within its class, so closed paths of a product in N stay so.
+    ``enumerate_group`` checks the lifted table against the presentation
+    all the same.
 
-    The cap counts the rows defined, coset 0 included, times p: a
+    The cap counts the rows defined, coset 0 included, times |L|: a
     definition that would take that past ``cap`` raises
-    CapExceededError, whose count is the live cosets times p.
+    CapExceededError, whose count is the live cosets times |L|.
     """
-    g, p = (None, 1) if h is None else h
+    gens, width, mul, inverse = _TRIVIAL if h is None else h
+    # |L|, which the cap counts each row times
+    size = len(inverse)
+    # N, as membership and as its elements
+    normal = bytearray(size)
+    normal[0] = 1
+    members = [0]
+    conjugators = [(k * width, inverse[k]) for _, k in gens]
     # coset 0's entries
     cols = [[-1] for _ in range(ncols)]
     labs = [[0] for _ in range(ncols)]
     parent = [0]
     off = [0]
-    modulus = p
     long_relators = [(w, *_bind(w, cols, labs)) for w in relators if _short_period(w) is None]
     rot_by_col = _rotations_by_column(
         [r for r in relators if _short_period(r) is not None], cols, labs)
@@ -279,22 +359,39 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     undefined = ncols
 
     def find(c):
-        # the live coset of c and the exponent o with r_c = g^o r_live
+        # the live coset of c and the label o with r_c = o r_live
         o = 0
         while parent[c] != c:
             q = parent[c]
-            off[c] += off[q]
+            off[c] = mul[off[q] * width + off[c]]
             parent[c] = parent[q]
-            o += off[c]
+            o = mul[off[c] * width + o]
             c = parent[c]
         return c, o
 
+    def grow(k):
+        # N becomes the normal closure of N and k, closed as
+        # GroupRep._orbit closes one: all of N times k, then each new
+        # element conjugated by each generator g of L, g^-1 y g, and
+        # times k
+        level = members
+        kw = k * width
+        while level:
+            new = []
+            for y in [mul[kw + y] for y in level] + [
+                    mul[gw + mul[y * width + gi]] for gw, gi in conjugators for y in level]:
+                if not normal[y]:
+                    normal[y] = 1
+                    new.append(y)
+            members.extend(new)
+            level = new
+
     def join(a, b, k):
-        # live cosets a != b with r_a = g^k r_b are one: the larger dies,
+        # live cosets a != b with r_a = k r_b are one: the larger dies,
         # and is returned
         nonlocal undefined
         if a < b:
-            a, b, k = b, a, -k
+            a, b, k = b, a, inverse[k]
         parent[a] = b
         off[a] = k
         undefined -= [col[a] for col in cols].count(-1)
@@ -306,14 +403,14 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
         nonlocal undefined
         undefined -= 2
         cols[x][c] = d
-        labs[x][c] = l % modulus
+        labs[x][c] = l * width
         cols[x ^ 1][d] = c
-        labs[x ^ 1][d] = -l % modulus
+        labs[x ^ 1][d] = inverse[l] * width
         push((c, x))
 
     def coincide(a, b, k):
-        # distinct live cosets a and b with r_a = g^k r_b are one
-        nonlocal merges, modulus, undefined
+        # distinct live cosets a and b with r_a = k r_b are one
+        nonlocal merges, undefined
         merges += 1
         q = deque((join(a, b, k),))
         while q:
@@ -327,25 +424,25 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
                     undefined += 1
                 mu, o = find(dead)
                 nu, on = find(d)
-                # r_mu x = g^l r_nu
-                l = lab[dead] - o + on
+                # r_mu x = l r_nu
+                l = mul[on * width + mul[lab[dead] + inverse[o]]]
                 e = col[mu]
                 if e >= 0:
                     e, o = find(e)
-                    # r_nu = g^k r_e
-                    k = lab[mu] + o - l
+                    # r_nu = k r_e
+                    k = mul[o * width + mul[lab[mu] + inverse[l]]]
                     if e != nu:
                         q.append(join(nu, e, k))
-                    else:
-                        modulus = gcd(modulus, k)
+                    elif not normal[k]:
+                        grow(k)
                 elif inv[nu] >= 0:
                     e, o = find(inv[nu])
-                    # r_mu = g^k r_e
-                    k = l + ilab[nu] + o
+                    # r_mu = k r_e
+                    k = mul[o * width + mul[ilab[nu] + l]]
                     if e != mu:
                         q.append(join(mu, e, k))
-                    else:
-                        modulus = gcd(modulus, k)
+                    elif not normal[k]:
+                        grow(k)
                 else:
                     link(mu, x, nu, l)
 
@@ -364,7 +461,6 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
         # merged with e; or link sets mu --x--> nu.  So a class of cosets
         # with an x entry at its live coset or a queued row keeps one,
         # and once the queue is empty it is at the live coset.
-        nonlocal modulus
         while stack:
             c, x = stack.pop()
             while parent[c] != c:
@@ -375,25 +471,25 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
             d = cx[c]
             for ww, fw, fl, bw, bl, i, j in rot_by_col[x]:
                 # scan the relator rotation ww[i..j] from coset c; it must
-                # close up with a label sum of 0
+                # close up with a label product in N
                 f = d
-                s = lx[c]
+                s = mul[lx[c]]
                 i += 1
                 while i <= j:
                     nxt = fw[i][f]
                     if nxt < 0:
                         break
-                    s += fl[i][f]
+                    s = mul[fl[i][f] + s]
                     f = nxt
                     i += 1
                 if i > j:
                     if f != c:
-                        coincide(f, c, -s)
+                        coincide(f, c, inverse[s])
                         while parent[c] != c:
                             c = parent[c]
                         d = cx[c]
-                    else:
-                        modulus = gcd(modulus, s)
+                    elif not normal[s]:
+                        grow(s)
                     continue
                 b = c
                 t = 0
@@ -401,25 +497,25 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
                     nxt = bw[j][b]
                     if nxt < 0:
                         break
-                    t += bl[j][b]
+                    t = mul[bl[j][b] + t]
                     b = nxt
                     j -= 1
                 if j < i:
-                    coincide(f, b, t - s)
+                    coincide(f, b, mul[t * width + inverse[s]])
                     while parent[c] != c:
                         c = parent[c]
                     d = cx[c]
                 elif j == i:
-                    link(f, ww[i], b, t - s)
+                    link(f, ww[i], b, mul[t * width + inverse[s]])
                     d = cx[c]
 
     def define(c, x):
         # a new coset at the empty entry c --x-->, and its deductions
         nonlocal undefined
         n = len(parent)
-        if (n + 1) * p > cap:
+        if (n + 1) * size > cap:
             live = sum(1 for k in range(n) if parent[k] == k)
-            raise CapExceededError(cap, live * p)
+            raise CapExceededError(cap, live * size)
         for col in cols:
             col.append(-1)
         for lab in labs:
@@ -433,7 +529,6 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     def close(c, w, fw, fl, bw, bl):
         # close the cycle of the long relator w at coset c, or stop when
         # c dies in a coincidence
-        nonlocal modulus
         if parent[c] != c:
             return
         last = len(w) - 1
@@ -447,15 +542,15 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
                 nxt = fw[i][f]
                 if nxt < 0:
                     break
-                s += fl[i][f]
+                s = mul[fl[i][f] + s]
                 f = nxt
                 i += 1
             if i > last:
                 if f != c:
-                    coincide(f, c, -s)
+                    coincide(f, c, inverse[s])
                     drain()
-                else:
-                    modulus = gcd(modulus, s)
+                elif not normal[s]:
+                    grow(s)
                 return
             if j < i:
                 b = c
@@ -465,11 +560,11 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
                 nxt = bw[j][b]
                 if nxt < 0:
                     break
-                t += bl[j][b]
+                t = mul[bl[j][b] + t]
                 b = nxt
                 j -= 1
             if j > i:
-                # one definition; both paths from c and their sums stand
+                # one definition; both paths from c and their products stand
                 # unless a coincidence ran, so both scans resume
                 seen = merges
                 define(f, w[i])
@@ -482,15 +577,15 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
                     j = -1
                 continue
             if j < i:
-                coincide(f, b, t - s)
+                coincide(f, b, mul[t * width + inverse[s]])
             else:
-                link(f, w[i], b, t - s)
+                link(f, w[i], b, mul[t * width + inverse[s]])
             drain()
             return
 
-    if g is not None:
-        link(0, g, 0, 1)
-        drain()
+    for x, k in gens:
+        link(0, x, 0, k)
+    drain()
     i = 0
     while i < len(parent):
         if parent[i] == i:
@@ -505,59 +600,80 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
         if not undefined and check is not None and i < len(parent):
             # every live row is full: the first complete table, tried once
             try:
-                check(cols, parent, labs, modulus)
+                check(cols, parent, labs, (width, mul, normal))
             except InconsistencyError:
                 check = None
             else:
                 break
-    return cols, parent, labs, modulus
+    return cols, parent, labs, (width, mul, normal)
 
 
-def _lift(cols, parent, labs, modulus) -> tuple:
+def _lift(cols, parent, labs, labels) -> tuple:
     """The columns of the regular table of the group, in row-scan
     standard form, and its Schreier tree, ``(cols, tree)`` as
-    ``_row_scan`` gives them, from ``_enumerate_cosets``'s result.  With
-    m live cosets, numbered in index order, and final modulus M, element
-    (k, t) = g^k r_t gets index k m + t, and column x sends it to ((k +
-    l) mod M) m + u, u = t x and l the entry's label.  Each column is
-    one comprehension over the M values of k, whose ints are the objects
-    of one shared list; ``_row_scan`` then relabels them and records the
-    tree.  Every entry of a live row must be defined and point at a live
-    coset (see ``_enumerate_cosets``), else InconsistencyError.  With
-    trivial H, M = 1 and every label is 0.
+    ``_row_scan`` gives them, from ``_enumerate_cosets``'s result.  The
+    classes N k of L are numbered by their least element, the class of
+    the identity first.  With m live cosets, numbered in index order, and
+    |L/N| classes, element (q, t) = q r_t, q a class, gets index t |L/N|
+    + q, and column x sends it to (q l, u), u = t x and l the entry's
+    label, as q r_t x = q l r_u.  Each column is one comprehension over
+    the live cosets t and, within each, over the classes q, which reads
+    the classes q l of a label l met before from a list built once; its
+    ints are the objects of one shared list.  ``_row_scan`` then
+    relabels them and records the tree.  Every entry of a live row must
+    be defined and point at a live coset (see ``_enumerate_cosets``),
+    else InconsistencyError.  With trivial H, L/N has one class and every
+    label is the identity.
 
-    Why the order m M is exact, for any complete table the enumeration
-    reaches, whether its loop ran to its end or stopped early: ``_verify``
-    proves the lifted table the regular representation of a quotient of
-    the presented group G, so m M <= |G|.  The enumeration deduces only
-    what holds in G, so m = |G:H|, and every relation it finds holds in
-    G, so |H| divides M.  So |G| = m |H| <= m M, and the two are equal.
-    Nothing in this needs the long relator walks to have run at every
-    coset: they are how the enumeration finds its coincidences, not what
-    makes its table right.  A false coincidence or a wrong modulus would
-    give a smaller quotient that still passes ``_verify``, as a false
-    coincidence would over the trivial subgroup; the tests compare the
-    tables over H and over the trivial subgroup."""
+    Why the order m |L/N| is exact, for any complete table the
+    enumeration reaches, whether its loop ran to its end or stopped
+    early: ``_verify`` proves the lifted table the regular representation
+    of a quotient of the presented group G, so m |L/N| <= |G|.  The
+    enumeration deduces only what holds in G, so m = |G:H|, and every
+    element it adds to N is 1 in G, so N lies in the kernel of L's map
+    onto H, which is normal, and H is a quotient of L/N: |H| <= |L/N|.
+    So |G| = m |H| <= m |L/N|, and the two are equal.  Nothing in this
+    needs the long relator walks to have run at every coset: they are how
+    the enumeration finds its coincidences, not what makes its table
+    right.  A false coincidence or too large an N would give a smaller
+    quotient that still passes ``_verify``, as a false coincidence would
+    over the trivial subgroup; the tests compare the tables over the
+    facet subgroup, over <g> and over the trivial subgroup."""
+    width, mul, normal = labels
+    members = [k for k, inside in enumerate(normal) if inside]
+    # the classes N k of L, numbered by their least element
+    cls = [-1] * len(normal)
+    reps = []
+    for k, q in enumerate(cls):
+        if q < 0:
+            kw = k * width
+            for y in members:
+                cls[mul[kw + y]] = len(reps)
+            reps.append(k)
     live = [c for c, q in enumerate(parent) if c == q]
-    m = len(live)
-    n = m * modulus
+    index = len(reps)
+    n = len(live) * index
     # the position of each live coset, -1 for a dead one, and in the
     # extra last slot, pos[-1], for a gap
     pos = [-1] * (len(parent) + 1)
     for t, c in enumerate(live):
         pos[c] = t
     ints = list(range(n))
+    # for each label l met, the classes q l of each class q in order
+    times = {}
     raw = []
     for col, lab in zip(cols, labs):
         targets = [pos[col[t]] for t in live]
         if -1 in targets:
             raise InconsistencyError("an entry survived enumeration undefined or dead")
-        image = [(lab[t] * m + u) % n for t, u in zip(live, targets)]
-        # (k, t) goes to image[t] + k m modulo n: ints[v - s] with
-        # s = n - k m wraps round through the negative indices
-        raw.append([ints[v - s] for s in range(n, 0, -m) for v in image])
+        ls = [lab[t] for t in live]
+        for l in set(ls).difference(times):
+            times[l] = [cls[mul[l + r]] for r in reps]
+        # (q, t) is element t |L/N| + q, and goes to (q l, u)
+        raw.append([ints[b + v] for b, l in zip([u * index for u in targets], ls)
+                    for v in times[l]])
     # the row scan's lists are the peak of the lift
-    del pos, live, targets, image
+    del pos, live, targets, ls, times, cls, members
     return _row_scan(raw, ints)
 
 
@@ -678,16 +794,20 @@ def _fresh_name(taken, base="d"):
 
 
 def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
-    """Enumerate the group presented by p: the cosets of H = <g>, g the
-    generator of the largest pure power relator (``_cyclic_subgroup``;
-    H trivial if there is none), lifted to the regular table
-    (``_lift``).
+    """Enumerate the group presented by p: the cosets of a subgroup H,
+    lifted to the regular table (``_lift``).  With three or more
+    generators, H is the facet subgroup <x0, x1> of the first two, with
+    labels in the group L that p's relators in x0 and x1 present, if
+    that group enumerates under ``FACET_CAP`` to at most ``FACET_ORDER``
+    elements (``_facet_labels``).  Otherwise H = <g>, g the generator of
+    the largest pure power relator g^p (``_cyclic_subgroup``), and L =
+    Z_p; H and L are trivial if there is none.
 
     The table is in row-scan standard form, so it depends only on the
-    group and the order of p's generators.  Raises CapExceededError if
-    the rows of the coset table of H defined, counting those later found
-    equal to others, times the exponent p of g's power relator (1 for
-    trivial H) would exceed ``cap``; that product bounds the order too.
+    group and the order of p's generators, whichever H it was enumerated
+    over.  Raises CapExceededError if the rows of the coset table of H
+    defined, counting those later found equal to others, times |L| would
+    exceed ``cap``; that product bounds the order too.
     Raises ValueError for an empty generator list or for relators
     (cyclically reduced, duplicates dropped) of more than ``cap`` letters
     in all, since the work at each coset grows with their letters: each
@@ -707,14 +827,25 @@ def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
         raise ValueError("presentation has no generators")
     if cap < 1:
         raise ValueError("cap must be positive")
+    return _enumerate(p, cap)
+
+
+def _enumerate(p: Presentation, cap: int) -> "GroupRep":
+    """``enumerate_group``'s work, once its arguments are checked.
+    ``_facet_labels`` enumerates L through it, so that a caller that
+    wraps ``enumerate_group``, such as the benchmark's tracer, sees only
+    the groups asked for."""
     relators = _bounded_relators(p, cap)
+    h = _facet_labels(p) if p.ngens > 2 else None
+    if h is None:
+        h = _cyclic_labels(_cyclic_subgroup(relators))
     rep = None
 
     def check(*cosets):
         nonlocal rep
         rep = _verified_group(p, cap, cosets)
 
-    cosets = _enumerate_cosets(2 * p.ngens, relators, cap, _cyclic_subgroup(relators), check)
+    cosets = _enumerate_cosets(2 * p.ngens, relators, cap, h, check)
     return rep if rep is not None else _verified_group(p, cap, cosets)
 
 

@@ -29,7 +29,11 @@ long as recording the tables.
 It prints how many presentations, over the groups ``enumerate_group``
 enumerates and over the tori's trivial subgroups, stopped at the first
 complete table (early), went on after the check failed there (fell
-back), or were first complete at the loop's last row (ran to the end).
+back), or were first complete at the loop's last row (ran to the end);
+and how many of the groups were enumerated over a facet subgroup
+<x0, x1>, over a cyclic <g> and over the trivial subgroup.  The groups
+that ``_facet_labels`` enumerates to label a facet subgroup with are
+neither counted nor recorded: the benchmark's tracer does not see them.
 
 On the same tori it compares ``normal_closure(s1 s2)`` and
 ``generated_by_involutions()`` of the verified group with those of the
@@ -75,16 +79,23 @@ def main() -> int:
     init = engine.GroupRep.__init__
     enumerate_cosets = engine._enumerate_cosets
     verified_group = engine._verified_group
+    facet_labels = engine._facet_labels
     stops = {}
+    subgroups = {}
     trees = {}
+    # the facet groups being enumerated for their labels
+    facets = []
 
     def record(self, presentation, *args, **kwargs):
         init(self, presentation, *args, **kwargs)
-        groups.setdefault(spans.presentation_key(presentation), presentation)
+        if not facets:
+            groups.setdefault(spans.presentation_key(presentation), presentation)
 
     def observe(ncols, relators, cap, h, check):
-        stops[ncols, tuple(relators)], _, state = observed(
-            enumerate_cosets, ncols, relators, cap, h, check)
+        stop, _, state = observed(enumerate_cosets, ncols, relators, cap, h, check)
+        if not facets:
+            stops[ncols, tuple(relators)] = stop
+            subgroups[ncols, tuple(relators)] = SUBGROUPS[len(h[0]) if h else 0]
         return state
 
     def tree_checked(p, cap, cosets):
@@ -93,11 +104,19 @@ def main() -> int:
         trees[spans.presentation_key(p)] = (rep._parent_coset, rep._parent_col) == search
         return rep
 
+    def facet_labelled(p):
+        facets.append(p)
+        try:
+            return facet_labels(p)
+        finally:
+            facets.pop()
+
     tracer = spans.Tracer()
     tracer.install()
     engine.GroupRep.__init__ = record
     engine._enumerate_cosets = observe
     engine._verified_group = tree_checked
+    engine._facet_labels = facet_labelled
     try:
         for name in workloads.WORKLOADS:
             for fn, arg in workloads.setup(name, 0, "domain").ops:
@@ -110,6 +129,7 @@ def main() -> int:
         engine.GroupRep.__init__ = init
         engine._enumerate_cosets = enumerate_cosets
         engine._verified_group = verified_group
+        engine._facet_labels = facet_labels
         tracer.uninstall()
     recorded = json.loads((PERFBENCH / "tables.json").read_text(encoding="utf-8"))
     built = tracer.tables
@@ -141,6 +161,8 @@ def main() -> int:
     print(f"{tally(stops.values())} of the {len(stops)} presentations enumerated, "
           f"and {tally(torus_stops)} of the {len(torus_stops)} tori over the "
           "trivial subgroup")
+    print(f"{tally(subgroups.values(), SUBGROUPS)} of the {len(subgroups)} presentations "
+          "enumerated")
     print(f"{verdicts} of the {len(torus_stops)} tori are generated by involutions; "
           f"|G : N(s1 s2)| over them: {dict(sorted(indices.items()))}")
     for what, reps in extended.items():
@@ -157,11 +179,14 @@ def main() -> int:
 
 
 STOPS = ("early", "fell back", "ran to the end")
+# the subgroup an enumeration ran over, by the generator columns it
+# labels: none, one (<g>) or two (the facet subgroup)
+SUBGROUPS = ("over the trivial subgroup", "over <g>", "over a facet subgroup")
 
 
-def tally(stops) -> str:
+def tally(stops, kinds=STOPS) -> str:
     stops = list(stops)
-    return ", ".join(f"{stops.count(stop)} {stop}" for stop in STOPS)
+    return ", ".join(f"{stops.count(kind)} {kind}" for kind in kinds)
 
 
 def observed(enumerate_cosets, ncols, relators, cap, h, check):
@@ -170,9 +195,9 @@ def observed(enumerate_cosets, ncols, relators, cap, h, check):
     parent)`` the check accepted or None, and the raw result."""
     handed = []
 
-    def copying(cols, parent, labs, modulus):
+    def copying(cols, parent, labs, labels):
         handed.append(([col[:] for col in cols], parent[:]))
-        check(cols, parent, labs, modulus)
+        check(cols, parent, labs, labels)
         handed.append(None)
 
     state = enumerate_cosets(ncols, relators, cap, h, copying)

@@ -207,7 +207,8 @@ class TestConstruct:
         assert len(pres.distinguished) == 3
 
     def test_cap_reaches_the_extension(self, workdir, tmp_path, capsys):
-        # the ex3 base needs 675 coset rows, its extension 1347
+        # the ex3 base needs a cap of 756, 18 rows over <s1, s2> times 42;
+        # its extension has 1,344 elements
         rc = main([
             "construct", "petrie-coxeter", str(workdir / "ex3.pres"),
             "--max-cosets", "1000", "--out", str(tmp_path / "ex3-pc.pres"),

@@ -109,7 +109,8 @@ CASES = [
     # the free product of C3 and C2: the cosets of <a> are enumerated with
     # Schreier labels, and the cap counts them times 3
     Case("cap-c3c2", "analyze {dir}/c3c2.pres --max-cosets 1000", 2),
-    # a long proper power stays in the Felsch buckets
+    # a long proper power stays in the Felsch buckets: the quotient of order
+    # 4 needs a cap of 1,960, 49 rows over <s1, s2> times 40
     Case("ex1-power-29", "analyze {dir}/ex1-power-29.pres --max-cosets 2000 --json", 0,
          Fields({"group_order": 4})),
     # {3,6}(12,12), order 2,592, with long translation relators closed once per

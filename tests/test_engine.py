@@ -25,12 +25,15 @@ from rotamap import (
 )
 from rotamap.engine import (
     DEFAULT_CAP,
+    FACET_ORDER,
     GroupRep,
     LONG_PERIOD,
     _bounded_relators,
+    _cyclic_labels,
     _cyclic_reduce,
     _cyclic_subgroup,
     _enumerate_cosets,
+    _facet_labels,
     _lift,
     _rotations_by_column,
     _schreier_tree,
@@ -610,17 +613,22 @@ class TestGoldenTables:
 
 
 class TestRowsDefined:
-    """Rows of the coset table of H = <g> the engine defines, counting
-    those later found equal to others, times the exponent p of g's power
-    relator, pinned through the cap, which counts that product: an
+    """Rows of the coset table the engine defines, counting those later
+    found equal to others, times the order of the group L its labels
+    lie in, pinned through the cap, which counts that product: an
     enumeration under a cap of that many finishes, and one fewer does
-    not.  The cap tests rest on these counts; a change of strategy moves
-    them, while the tables stay pinned above.  The early stop at the
-    first complete table leaves them as they were: it is taken only where
-    the loop, run to its end, would define no row after it."""
+    not.  On the rank-4 entries the rows are cosets of the facet
+    subgroup <s1, s2>, and L, the group its relators present, has order
+    40 on ex1 (52 rows) and 42 on ex3 (18 rows) and ex2q7 (143 rows); on
+    the tori they are cosets of <g>, g the generator of the largest
+    power relator g^p, and L = Z_p.  The cap tests rest on these counts;
+    a change of strategy moves them, while the tables stay pinned above.
+    The early stop at the first complete table leaves them as they were:
+    it is taken only where the loop, run to its end, would define no row
+    after it."""
 
     @pytest.mark.parametrize("name,rows,order", [
-        ("ex1", 2064, 2000), ("ex3", 714, 672), ("ex2q7", 6234, 5040),
+        ("ex1", 2080, 2000), ("ex3", 756, 672), ("ex2q7", 6006, 5040),
     ])
     def test_rows_defined(self, name, rows, order):
         p = catalog()[name].presentation
@@ -637,14 +645,23 @@ class TestRowsDefined:
             enumerate_group(p, cap=rows - 1)
 
 
+def _index(labels):
+    """|L/N|, L the group of the labels, for the final ``labels`` of
+    ``_enumerate_cosets``."""
+    normal = labels[2]
+    return len(normal) // sum(normal)
+
+
 def _lifted(p, h):
-    """The columns of p's table enumerated over ``h``, ``(g, p)`` or None
-    for the trivial subgroup, and lifted; and the final modulus."""
+    """The columns of p's table enumerated over ``h``, labels as
+    ``_enumerate_cosets`` takes them or None for the trivial subgroup,
+    and lifted; and the final index |L/N|."""
     cosets = _enumerate_cosets(2 * p.ngens, _bounded_relators(p, DEFAULT_CAP), DEFAULT_CAP, h)
-    return _lift(*cosets)[0], cosets[-1]
+    return _lift(*cosets)[0], _index(cosets[-1])
 
 
 def _cyclic(p):
+    """``(g, p)`` of ``_cyclic_subgroup`` on p's relators."""
     return _cyclic_subgroup(_bounded_relators(p, DEFAULT_CAP))
 
 
@@ -658,7 +675,7 @@ class TestCyclicSubgroup:
     def assert_same_table(p):
         h = _cyclic(p)
         assert h is not None
-        assert _lifted(p, h)[0] == _lifted(p, None)[0]
+        assert _lifted(p, _cyclic_labels(h))[0] == _lifted(p, None)[0]
 
     @pytest.mark.parametrize("name", sorted(set(catalog()) - {"ex2", "ex2q14"}))
     def test_catalog(self, name):
@@ -697,7 +714,7 @@ class TestCyclicSubgroup:
     def test_edge_cases(self, text, h, modulus, order):
         p = parse_presentation(text)
         assert _cyclic(p) == h
-        table, m = _lifted(p, h)
+        table, m = _lifted(p, _cyclic_labels(h))
         assert m == modulus
         assert table == _lifted(p, None)[0]
         assert enumerate_group(p).order == order
@@ -708,6 +725,86 @@ class TestCyclicSubgroup:
         with pytest.raises(CapExceededError) as exc:
             enumerate_group(p, cap=1000)
         assert 0 < exc.value.cosets_in_use <= 1000
+
+
+RANK4_ENTRIES = sorted(name for name, e in catalog().items() if e.presentation.ngens > 2)
+
+
+class TestFacetSubgroup:
+    """Enumerating a presentation of three or more generators over the
+    facet subgroup H = <s1, s2>, with labels in the group L that its
+    relators in s1 and s2 present (``_facet_labels``), and lifting gives
+    the table that enumeration over <g> gives (``_cyclic_subgroup``:
+    <s1>, but <s2> on ex3 and its quotient) and over the trivial
+    subgroup.  Where that group is infinite, or larger than
+    ``FACET_ORDER``, the engine keeps <g>: the same table, and the same
+    rows defined."""
+
+    @staticmethod
+    def assert_same_table(p):
+        """Returns the final index |L/N| over the facet subgroup."""
+        h = _facet_labels(p)
+        assert h is not None
+        table, index = _lifted(p, h)
+        assert table == _lifted(p, _cyclic_labels(_cyclic(p)))[0] == _lifted(p, None)[0]
+        assert enumerate_group(p).table.cols == table
+        return index
+
+    @pytest.mark.parametrize("name", RANK4_ENTRIES)
+    def test_catalog(self, name):
+        self.assert_same_table(catalog()[name].presentation)
+
+    def test_random_petrie_quotients(self):
+        # most collapse, so N grows and L/N is a proper quotient of L; the
+        # last adds a random relator of ten letters in s1, s2 and s3
+        rng = random.Random(46)
+        for base in ("ex1", "ex3"):
+            p = catalog()[base].presentation
+            for k in sorted(rng.sample(range(2, 41), 10)):
+                self.assert_same_table(p.with_relators((s1 * s3) ** k))
+        word = Word(tuple(rng.randrange(6) for _ in range(10)))
+        self.assert_same_table(catalog()["ex1"].presentation.with_relators((s1 * s3) ** 4, word))
+
+    @pytest.mark.parametrize("base,relator,order,index", [
+        ("ex1", ~s1 * ~s3 * s1 * s3, 8, 4),
+        ("ex3", s3 ** 2, 2, 2),
+        ("ex2q7", s2 * s3 ** 2, 2, 2),
+    ], ids=["ex1-s1-s3-commute", "ex3-s3-squared", "ex2q7-s2-s3-squared"])
+    def test_collapse_to_a_small_quotient_of_the_label_group(self, base, relator, order, index):
+        # L, non-abelian of order 40 or 42, falls to L/N of order 4 or 2:
+        # an N that were not closed under conjugation, not a normal
+        # subgroup, would give these a wrong table
+        p = catalog()[base].presentation.with_relators(relator)
+        assert self.assert_same_table(p) == index
+        assert enumerate_group(p).order == order
+
+    @staticmethod
+    def assert_fallback(p, rows, order):
+        assert _facet_labels(p) is None
+        rep = enumerate_group(p, cap=rows)
+        assert rep.order == order
+        assert rep.table.cols == _lifted(p, _cyclic_labels(_cyclic(p)))[0]
+        with pytest.raises(CapExceededError):
+            enumerate_group(p, cap=rows - 1)
+
+    def test_infinite_facet_group_falls_back(self):
+        # ex1 with its two long relators in s1 and s2 conjugated by s3:
+        # the same group and, cyclically reduced, the same relators, but
+        # s1^4, s2^4 and (s1 s2)^2 alone present the infinite group of
+        # the tiling {4,4}
+        p = catalog()["ex1"].presentation
+        relators = [~s3 * r * s3 if r.max_gen() < 2 and len(r) > 4 else r for r in p.relators]
+        self.assert_fallback(Presentation(p.names, tuple(relators)), 2064, 2000)
+
+    def test_facet_group_over_the_size_bound_falls_back(self):
+        # the torus {4,4}_(8,1), of order 260, with a third generator
+        # s3 = 1: 130 rows over <s1>
+        text = serialize_presentation(torus_presentation(TorusFamily("44", 8, 1)))
+        lines = [line for line in text.splitlines() if line.startswith("rel")]
+        p = parse_presentation("gens s1 s2 s3\n" + "\n".join(lines) + "\nrel s3\n")
+        self.assert_fallback(p, 520, 260)
+        torus = enumerate_group(torus_presentation(TorusFamily("44", 8, 1)))
+        assert torus.order == 260 > FACET_ORDER
 
 
 def enumeration_outcome(enumerate_cosets, p, cap=DEFAULT_CAP):
@@ -766,15 +863,17 @@ def early_stop(p, h, cap=DEFAULT_CAP):
     """Enumerate p over ``h`` with ``enumerate_group``'s check as the early
     check, which asserts first that every live row is full.  Returns the
     raw result and, for each call of the check, a copy of the ``(cols,
-    parent)`` it was handed, the live cosets, the modulus and whether it
-    passed."""
+    parent)`` it was handed, the live cosets, the labels with a copy of
+    N as it was then, and whether it passed."""
     calls = []
 
-    def check(cols, parent, labs, modulus):
+    def check(cols, parent, labs, labels):
         live = [c for c, q in enumerate(parent) if c == q]
         assert all(col[c] >= 0 for col in cols for c in live)
-        calls.append([([col[:] for col in cols], parent[:]), len(live), modulus, False])
-        _verified_group(p, cap, (cols, parent, labs, modulus))
+        width, mul, normal = labels
+        calls.append([([col[:] for col in cols], parent[:]), len(live),
+                      (width, mul, normal[:]), False])
+        _verified_group(p, cap, (cols, parent, labs, labels))
         calls[-1][-1] = True
 
     return _enumerate_cosets(2 * p.ngens, _bounded_relators(p, cap), cap, h, check), calls
@@ -784,8 +883,8 @@ class TestEarlyStop:
     """``_enumerate_cosets`` hands its first complete table, once, to the
     check ``enumerate_group`` supplies, and stops there if ``_verify``
     passes.  The check fails when a long relator walk left to run would
-    still shrink the modulus, or find a coincidence; the loop then runs to
-    its end, and ``enumerate_group`` still gives Felsch's table."""
+    still grow N, or find a coincidence; the loop then runs to its end,
+    and ``enumerate_group`` still gives Felsch's table."""
 
     BASE = "gens a b\nrel a^4\nrel b^4\nrel (a b)^2\n"
 
@@ -794,11 +893,12 @@ class TestEarlyStop:
         ("b a^-1 b a^-1 b a b^4 a^-1 b", (10, 4), (2, 4)),
     ], ids=["modulus-falls", "cosets-coincide"])
     def test_failed_check_runs_the_loop_to_its_end(self, relator, early, final):
-        # (live cosets, modulus) at the first complete table and at the end
+        # (live cosets, |L/N|) at the first complete table and at the
+        # end, L = Z_4 for H = <a>
         p = parse_presentation(self.BASE + f"rel {relator}\n")
-        (_, parent, _, modulus), calls = early_stop(p, _cyclic(p))
-        assert [call[1:] for call in calls] == [[*early, False]]
-        assert (sum(c == q for c, q in enumerate(parent)), modulus) == final
+        (_, parent, _, labels), calls = early_stop(p, _cyclic_labels(_cyclic(p)))
+        assert [[call[1], _index(call[2]), call[3]] for call in calls] == [[*early, False]]
+        assert (sum(c == q for c, q in enumerate(parent)), _index(labels)) == final
         rep = enumerate_group(p)
         assert rep.order == 8
         assert rep.table.rows == felsch_table(p, 1000)
@@ -807,7 +907,7 @@ class TestEarlyStop:
         # over the trivial subgroup, that table is hlt_reference's
         p = torus_presentation(TorusFamily("36", 12, 12))
         args = (2 * p.ngens, _bounded_relators(p, DEFAULT_CAP), DEFAULT_CAP)
-        h = _cyclic(p)
+        h = _cyclic_labels(_cyclic(p))
         for h, want in [(None, hlt_reference(*args)), (h, _enumerate_cosets(*args, h)[:2])]:
             state, calls = early_stop(p, h)
             assert [call[-1] for call in calls] == [True]

@@ -32,6 +32,7 @@ from rotamap.cli import analyze_presentation, main
 from rotamap.engine import (
     LONG_PERIOD,
     _bounded_relators,
+    _cyclic_labels,
     _cyclic_subgroup,
     _enumerate_cosets,
     _short_period,
@@ -344,7 +345,7 @@ def test_early_stop_returns_the_full_loop_state(p):
     # loop's
     cap = 5_000
     relators = _bounded_relators(p, cap)
-    for h in (None, _cyclic_subgroup(relators)):
+    for h in (None, _cyclic_labels(_cyclic_subgroup(relators))):
         try:
             state, calls = early_stop(p, h, cap)
         except CapExceededError:

@@ -53,6 +53,11 @@ def cube_group4():
 
 
 class TestDetection:
+    @pytest.mark.parametrize("kind", list(DualityKind))
+    def test_kind_prints_as_its_value(self, kind):
+        # tests/check_recorded_tables.py builds its SPLIT verdicts with it
+        assert str(kind) == f"{kind}" == kind.value
+
     def test_example1_improper(self, ex1_pipe):
         assert detect_self_duality(ex1_pipe.base).kind is DualityKind.IMPROPER
 
