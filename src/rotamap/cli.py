@@ -244,19 +244,11 @@ def _write_entry(outdir: Path, name: str, pres: Presentation, fields: dict):
     path = outdir / f"{name}.pres"
     path.write_text(serialize_presentation(pres), encoding="utf-8")
     manifest = {"schema": SCHEMA_VERSION, "name": name}
-    manifest.update(_jsonable(fields))
+    manifest.update(fields)
     (outdir / f"{name}.expected.json").write_text(
         json.dumps(manifest, indent=2), encoding="utf-8"
     )
     print(f"wrote {path}", file=sys.stderr)
-
-
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,10 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     max_cosets = dict(
         type=int, default=DEFAULT_CAP, metavar="N",
         help="coset cap for enumerations: a bound on the coset rows defined "
-        "times the order of the group that labels them, that of the facet "
-        "subgroup <x0, x1> with three or more generators (at most 256), or "
-        "else the exponent p of the largest power relator g^p; and so on the "
-        "group order (default %(default)s)",
+        "times the order of the group that labels them (README says which "
+        "group), and so on the group order (default %(default)s)",
     )
 
     def common(p):

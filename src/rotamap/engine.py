@@ -5,11 +5,9 @@ The mechanisms, each argued in the docstring named:
 * ``_enumerate_cosets`` enumerates the cosets of a subgroup H, Felsch
   style for short relators and HLT style for long ones, with Schreier
   labels in a small group L that maps onto H, and relations found among
-  them.  H is the facet subgroup <x0, x1> of a presentation of three or
-  more generators, L the group its relators in x0 and x1 present
-  (``_facet_labels``), or else a cyclic H = <g>, L = Z_p for g^p a
-  relator (``_cyclic_labels``).  It stops at the first complete table
-  that ``GroupRep._verify`` certifies.
+  them.  ``_enumerate`` chooses H and L (``_facet_labels``,
+  ``_cyclic_labels``).  It stops at the first complete table that
+  ``GroupRep._verify`` certifies.
 * ``_lift`` builds the regular table from the cosets of H and proves its
   order exact, and ``_row_scan`` puts it in row-scan standard form, a
   function of the group and the generator order alone, recording its
@@ -63,37 +61,25 @@ def _short_period(w):
     return None
 
 
-def _cyclic_subgroup(relators):
-    """``(g, p)`` for the generator column g with the largest pure power
-    relator, g^p or g^-p, the first such column on a tie; None if no
-    relator is a power of one letter."""
-    powers = [(len(r), -(r[0] & ~1)) for r in relators if r.count(r[0]) == len(r)]
-    if not powers:
-        return None
-    p, g = max(powers)
-    return -g, p
-
-
-# the labels of the trivial subgroup, L = 1 (see _enumerate_cosets)
-_TRIVIAL = ((), 1, [0], [0])
-
 # the group of a facet subgroup's relators is enumerated under this cap,
 # and labels the enumeration if it has at most FACET_ORDER elements
 FACET_CAP = 1024
 FACET_ORDER = 256
 
 
-def _cyclic_labels(h):
-    """The labels of H = <g> for ``h = (g, p)``, as ``_cyclic_subgroup``
-    gives it, or of the trivial subgroup for None: L = Z_p, with g's
-    element 1, and as a l = a + l mod p, ``mul`` is ``list(range(p)) *
-    2`` at width 1 (see ``_enumerate_cosets``)."""
-    if h is None:
-        return _TRIVIAL
-    g, p = h
+def _cyclic_labels(relators):
+    """The labels of H = <g>, g the generator column with the largest
+    pure power relator g^p or g^-p, the first such column on a tie: L =
+    Z_p, with g's element 1, and as a l = a + l mod p, ``mul`` is
+    ``list(range(p)) * 2`` at width 1 (see ``_enumerate_cosets``).  With
+    no such relator, H is trivial: L = Z_1, with no generator."""
+    powers = [(len(r), -(r[0] & ~1)) for r in relators if r.count(r[0]) == len(r)]
+    if not powers:
+        return (), 1, [0, 0], [0]
+    p, g = max(powers)
     # the inverses -a mod p share the int objects of the products
     mul = list(range(p))
-    return ((g, 1 % p),), 1, mul * 2, mul[:1] + mul[:0:-1]
+    return ((-g, 1 % p),), 1, mul * 2, mul[:1] + mul[:0:-1]
 
 
 def _facet_labels(p: Presentation):
@@ -168,14 +154,13 @@ def _rotations_by_column(relators, cols, labs):
     return [tuple(b) for b in buckets]
 
 
-def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
+def _enumerate_cosets(ncols, relators, cap, h, check=None):
     """Enumerate the cosets of a subgroup H, with Schreier labels in a
-    finite group L that maps onto H, given by ``h``; or of the trivial
-    subgroup for None.  Returns ``(cols, parent, labs, labels)`` before
-    compression: ``cols[x][c]`` is the raw table entry of coset c in
-    column x, or -1, ``labs[x][c]`` its Schreier label, and ``labels``
-    ``(width, mul, normal)``, L's product table and N (**Normal
-    subgroup**).  A coset c is live when ``parent[c] == c``; a
+    finite group L that maps onto H, given by ``h``.  Returns ``(cols,
+    parent, labs, labels)`` before compression: ``cols[x][c]`` is the raw
+    table entry of coset c in column x, or -1, ``labs[x][c]`` its
+    Schreier label, and ``labels`` ``(width, mul, normal)``, L's product
+    table and N (**Normal subgroup**).  A coset c is live when ``parent[c] == c``; a
     coincidence points the larger coset at the smaller, so ``parent[c] <=
     c`` always.  ``_lift`` builds the regular table from them.
     ``check``, if given, is tried on that state at most once before the
@@ -190,9 +175,8 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     image.  A product is one lookup, a l = ``mul[l * width + a]``:
     width n for a table of all n^2 products, or width 1 for L = Z_p,
     where a l = a + l mod p and ``mul`` is ``list(range(p)) * 2``, 2p
-    entries (``_cyclic_labels``).  ``enumerate_group`` passes the facet
-    subgroup <x0, x1> of a presentation of three or more generators
-    (``_facet_labels``), and <g> otherwise.
+    entries (``_cyclic_labels``).  ``_enumerate`` chooses H and L, by the
+    rule that README states where it describes the coset cap.
 
     This is the modified Todd-Coxeter procedure (Holt, Eick and O'Brien,
     *Handbook of Computational Group Theory*, 2005, ch. 5; Arrell and
@@ -335,7 +319,7 @@ def _enumerate_cosets(ncols, relators, cap, h=None, check=None):
     definition that would take that past ``cap`` raises
     CapExceededError, whose count is the live cosets times |L|.
     """
-    gens, width, mul, inverse = _TRIVIAL if h is None else h
+    gens, width, mul, inverse = h
     # |L|, which the cap counts each row times
     size = len(inverse)
     # N, as membership and as its elements
@@ -622,8 +606,8 @@ def _lift(cols, parent, labs, labels) -> tuple:
     ints are the objects of one shared list.  ``_row_scan`` then
     relabels them and records the tree.  Every entry of a live row must
     be defined and point at a live coset (see ``_enumerate_cosets``),
-    else InconsistencyError.  With trivial H, L/N has one class and every
-    label is the identity.
+    else InconsistencyError.  Over the trivial subgroup, L = Z_1, so L/N
+    has one class and every label is the identity.
 
     Why the order m |L/N| is exact, for any complete table the
     enumeration reaches, whether its loop ran to its end or stopped
@@ -637,8 +621,8 @@ def _lift(cols, parent, labs, labels) -> tuple:
     the enumeration finds its coincidences, not what makes its table
     right.  A false coincidence or too large an N would give a smaller
     quotient that still passes ``_verify``, as a false coincidence would
-    over the trivial subgroup; the tests compare the tables over the
-    facet subgroup, over <g> and over the trivial subgroup."""
+    over the trivial subgroup; the tests compare the table over the H
+    that ``_enumerate`` chooses with the one over the trivial subgroup."""
     width, mul, normal = labels
     members = [k for k, inside in enumerate(normal) if inside]
     # the classes N k of L, numbered by their least element
@@ -795,13 +779,9 @@ def _fresh_name(taken, base="d"):
 
 def enumerate_group(p: Presentation, cap: int = DEFAULT_CAP):
     """Enumerate the group presented by p: the cosets of a subgroup H,
-    lifted to the regular table (``_lift``).  With three or more
-    generators, H is the facet subgroup <x0, x1> of the first two, with
-    labels in the group L that p's relators in x0 and x1 present, if
-    that group enumerates under ``FACET_CAP`` to at most ``FACET_ORDER``
-    elements (``_facet_labels``).  Otherwise H = <g>, g the generator of
-    the largest pure power relator g^p (``_cyclic_subgroup``), and L =
-    Z_p; H and L are trivial if there is none.
+    with Schreier labels in a small group L that maps onto H, lifted to
+    the regular table (``_lift``).  README states how H and L are chosen,
+    where it describes the coset cap.
 
     The table is in row-scan standard form, so it depends only on the
     group and the order of p's generators, whichever H it was enumerated
@@ -834,11 +814,10 @@ def _enumerate(p: Presentation, cap: int) -> "GroupRep":
     """``enumerate_group``'s work, once its arguments are checked.
     ``_facet_labels`` enumerates L through it, so that a caller that
     wraps ``enumerate_group``, such as the benchmark's tracer, sees only
-    the groups asked for."""
+    the groups asked for.  The one expression that sets ``h`` is the
+    rule for H and L."""
     relators = _bounded_relators(p, cap)
-    h = _facet_labels(p) if p.ngens > 2 else None
-    if h is None:
-        h = _cyclic_labels(_cyclic_subgroup(relators))
+    h = p.ngens > 2 and _facet_labels(p) or _cyclic_labels(relators)
     rep = None
 
     def check(*cosets):

@@ -15,12 +15,17 @@ class ParseError(RotamapError):
 
 
 class CapExceededError(RotamapError):
-    """Coset enumeration hit the coset cap (group may be infinite)."""
+    """Coset enumeration hit the coset cap (group may be infinite).
+
+    ``cosets_in_use`` is the live cosets of the subgroup enumerated over
+    times the order of the group that labels them, or, for an extension,
+    which is refused before it is built, its 2|G| elements."""
 
     def __init__(self, cap: int, cosets_in_use: int):
         super().__init__(
-            f"coset cap {cap} exceeded with {cosets_in_use} cosets in use; "
-            "the group may be infinite, or raise the cap"
+            f"coset cap {cap} exceeded, with {cosets_in_use} in use (live cosets "
+            "times the order of the group that labels them, or the elements of "
+            "an extension); the group may be infinite, or raise the cap"
         )
         self.cap = cap
         self.cosets_in_use = cosets_in_use

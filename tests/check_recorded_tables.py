@@ -95,7 +95,7 @@ def main() -> int:
         stop, _, state = observed(enumerate_cosets, ncols, relators, cap, h, check)
         if not facets:
             stops[ncols, tuple(relators)] = stop
-            subgroups[ncols, tuple(relators)] = SUBGROUPS[len(h[0]) if h else 0]
+            subgroups[ncols, tuple(relators)] = SUBGROUPS[len(h[0])]
         return state
 
     def tree_checked(p, cap, cosets):
@@ -218,6 +218,7 @@ def torus_hlt_mismatches() -> tuple:
     rotamap = sys.modules["rotamap"]
     engine = sys.modules["rotamap.engine"]
     cap = engine.DEFAULT_CAP
+    trivial = engine._cyclic_labels(())
     out = []
     stops = []
     for v in workloads.setup("torus-sweep", 0, "domain").keys:
@@ -228,7 +229,7 @@ def torus_hlt_mismatches() -> tuple:
         def check(*cosets):
             engine._verified_group(p, cap, cosets)
 
-        stop, accepted, state = observed(engine._enumerate_cosets, *args, None, check)
+        stop, accepted, state = observed(engine._enumerate_cosets, *args, trivial, check)
         stops.append(stop)
         want = hlt_reference(*args)
         if state[:2] != want or accepted not in (None, want):

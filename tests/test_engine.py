@@ -31,7 +31,6 @@ from rotamap.engine import (
     _bounded_relators,
     _cyclic_labels,
     _cyclic_reduce,
-    _cyclic_subgroup,
     _enumerate_cosets,
     _facet_labels,
     _lift,
@@ -96,6 +95,13 @@ class TestEnumerate:
             enumerate_group(free, cap=50)
         assert exc.value.cap == 50
         assert exc.value.cosets_in_use > 0
+        # ex2 over <s1, s2>: 415 live rows times |L| = 42
+        with pytest.raises(CapExceededError) as exc:
+            enumerate_group(catalog()["ex2"].presentation, cap=20000)
+        assert (exc.value.cap, exc.value.cosets_in_use) == (20000, 17430)
+        assert str(exc.value).startswith(
+            "coset cap 20000 exceeded, with 17430 in use (live cosets times the "
+            "order of the group that labels them, or the elements of an extension)")
 
     def test_group_built_from_a_table_has_the_default_cap(self):
         # a GroupRep built directly, not by enumerate_group, derives
@@ -654,15 +660,15 @@ def _index(labels):
 
 def _lifted(p, h):
     """The columns of p's table enumerated over ``h``, labels as
-    ``_enumerate_cosets`` takes them or None for the trivial subgroup,
-    and lifted; and the final index |L/N|."""
+    ``_enumerate_cosets`` takes them, and lifted; and the final index
+    |L/N|.  ``_cyclic_labels(())`` labels the trivial subgroup."""
     cosets = _enumerate_cosets(2 * p.ngens, _bounded_relators(p, DEFAULT_CAP), DEFAULT_CAP, h)
     return _lift(*cosets)[0], _index(cosets[-1])
 
 
 def _cyclic(p):
-    """``(g, p)`` of ``_cyclic_subgroup`` on p's relators."""
-    return _cyclic_subgroup(_bounded_relators(p, DEFAULT_CAP))
+    """The labels of ``_cyclic_labels`` on p's relators."""
+    return _cyclic_labels(_bounded_relators(p, DEFAULT_CAP))
 
 
 class TestCyclicSubgroup:
@@ -674,8 +680,8 @@ class TestCyclicSubgroup:
     @staticmethod
     def assert_same_table(p):
         h = _cyclic(p)
-        assert h is not None
-        assert _lifted(p, _cyclic_labels(h))[0] == _lifted(p, None)[0]
+        assert h[0]
+        assert _lifted(p, h)[0] == _lifted(p, _cyclic_labels(()))[0]
 
     @pytest.mark.parametrize("name", sorted(set(catalog()) - {"ex2", "ex2q14"}))
     def test_catalog(self, name):
@@ -704,7 +710,7 @@ class TestCyclicSubgroup:
         # 0 --a--> 0 before the loop finds a^2 = 1
         ("gens a\nrel a^6\nrel a^4\n", (0, 6), 2, 2),
         # the quaternion group, with no power relator: H is trivial
-        ("gens a b\nrel a b a^-1 b\nrel b a b^-1 a\n", None, 1, 8),
+        ("gens a b\nrel a b a^-1 b\nrel b a b^-1 a\n", (None, 1), 1, 8),
         # ex3 with s2^5, so s2 = 1 and the group collapses: the modulus
         # falls to 1 over H = <s2> while its four long relators are
         # still being closed
@@ -713,10 +719,13 @@ class TestCyclicSubgroup:
             "ex3-modulus-falls-to-1"])
     def test_edge_cases(self, text, h, modulus, order):
         p = parse_presentation(text)
-        assert _cyclic(p) == h
-        table, m = _lifted(p, _cyclic_labels(h))
+        labels = _cyclic(p)
+        # the chosen column, None for the trivial subgroup, and p = |L|
+        gens, _, _, inverse = labels
+        assert (gens[0][0] if gens else None, len(inverse)) == h
+        table, m = _lifted(p, labels)
         assert m == modulus
-        assert table == _lifted(p, None)[0]
+        assert table == _lifted(p, _cyclic_labels(()))[0]
         assert enumerate_group(p).order == order
 
     def test_infinite_group_hits_the_cap(self):
@@ -734,7 +743,7 @@ class TestFacetSubgroup:
     """Enumerating a presentation of three or more generators over the
     facet subgroup H = <s1, s2>, with labels in the group L that its
     relators in s1 and s2 present (``_facet_labels``), and lifting gives
-    the table that enumeration over <g> gives (``_cyclic_subgroup``:
+    the table that enumeration over <g> gives (``_cyclic_labels``:
     <s1>, but <s2> on ex3 and its quotient) and over the trivial
     subgroup.  Where that group is infinite, or larger than
     ``FACET_ORDER``, the engine keeps <g>: the same table, and the same
@@ -746,7 +755,7 @@ class TestFacetSubgroup:
         h = _facet_labels(p)
         assert h is not None
         table, index = _lifted(p, h)
-        assert table == _lifted(p, _cyclic_labels(_cyclic(p)))[0] == _lifted(p, None)[0]
+        assert table == _lifted(p, _cyclic(p))[0] == _lifted(p, _cyclic_labels(()))[0]
         assert enumerate_group(p).table.cols == table
         return index
 
@@ -783,7 +792,7 @@ class TestFacetSubgroup:
         assert _facet_labels(p) is None
         rep = enumerate_group(p, cap=rows)
         assert rep.order == order
-        assert rep.table.cols == _lifted(p, _cyclic_labels(_cyclic(p)))[0]
+        assert rep.table.cols == _lifted(p, _cyclic(p))[0]
         with pytest.raises(CapExceededError):
             enumerate_group(p, cap=rows - 1)
 
@@ -807,6 +816,12 @@ class TestFacetSubgroup:
         assert torus.order == 260 > FACET_ORDER
 
 
+def _over_trivial(ncols, relators, cap):
+    """``_enumerate_cosets`` over the trivial subgroup, called as
+    ``oracle.hlt_reference`` is."""
+    return _enumerate_cosets(ncols, relators, cap, _cyclic_labels(()))
+
+
 def enumeration_outcome(enumerate_cosets, p, cap=DEFAULT_CAP):
     """The raw ``(cols, parent)`` that ``enumerate_cosets`` returns for p
     over the trivial subgroup, or the cap and live count of the
@@ -828,14 +843,14 @@ class TestMatchesHltReference:
     @pytest.mark.parametrize("name", sorted(catalog()))
     def test_catalog(self, name):
         p = catalog()[name].presentation
-        assert enumeration_outcome(_enumerate_cosets, p) == enumeration_outcome(hlt_reference, p)
+        assert enumeration_outcome(_over_trivial, p) == enumeration_outcome(hlt_reference, p)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6, 7, 8, 12, 29])
     @pytest.mark.parametrize("base", ["ex1", "ex3"])
     def test_petrie(self, base, k):
         # most of these collapse, so coincidences interrupt the scans
         p = catalog()[base].presentation.with_relators((s1 * s3) ** k)
-        assert enumeration_outcome(_enumerate_cosets, p) == enumeration_outcome(hlt_reference, p)
+        assert enumeration_outcome(_over_trivial, p) == enumeration_outcome(hlt_reference, p)
 
     @pytest.mark.parametrize("base,relator", [
         ("ex1", ~s1 * ~s3 * s2 * s3 * s2 * s1 ** -5 * s2),
@@ -848,7 +863,7 @@ class TestMatchesHltReference:
         # its backward end; in ex3, whose torus relators are long, a
         # definition in close runs a coincidence
         p = catalog()[base].presentation.with_relators(relator)
-        assert enumeration_outcome(_enumerate_cosets, p) == enumeration_outcome(hlt_reference, p)
+        assert enumeration_outcome(_over_trivial, p) == enumeration_outcome(hlt_reference, p)
 
     @pytest.mark.parametrize("family,b,c", [("36", 12, 12), ("63", 7, 9)])
     def test_tori(self, family, b, c):
@@ -856,7 +871,7 @@ class TestMatchesHltReference:
         # relators are closed once per coset; 253 and 111 of the cosets
         # they define coincide with others
         p = torus_presentation(TorusFamily(family, b, c))
-        assert enumeration_outcome(_enumerate_cosets, p) == enumeration_outcome(hlt_reference, p)
+        assert enumeration_outcome(_over_trivial, p) == enumeration_outcome(hlt_reference, p)
 
 
 def early_stop(p, h, cap=DEFAULT_CAP):
@@ -896,7 +911,7 @@ class TestEarlyStop:
         # (live cosets, |L/N|) at the first complete table and at the
         # end, L = Z_4 for H = <a>
         p = parse_presentation(self.BASE + f"rel {relator}\n")
-        (_, parent, _, labels), calls = early_stop(p, _cyclic_labels(_cyclic(p)))
+        (_, parent, _, labels), calls = early_stop(p, _cyclic(p))
         assert [[call[1], _index(call[2]), call[3]] for call in calls] == [[*early, False]]
         assert (sum(c == q for c, q in enumerate(parent)), _index(labels)) == final
         rep = enumerate_group(p)
@@ -907,8 +922,9 @@ class TestEarlyStop:
         # over the trivial subgroup, that table is hlt_reference's
         p = torus_presentation(TorusFamily("36", 12, 12))
         args = (2 * p.ngens, _bounded_relators(p, DEFAULT_CAP), DEFAULT_CAP)
-        h = _cyclic_labels(_cyclic(p))
-        for h, want in [(None, hlt_reference(*args)), (h, _enumerate_cosets(*args, h)[:2])]:
+        h = _cyclic(p)
+        for h, want in [(_cyclic_labels(()), hlt_reference(*args)),
+                        (h, _enumerate_cosets(*args, h)[:2])]:
             state, calls = early_stop(p, h)
             assert [call[-1] for call in calls] == [True]
             assert calls[0][0] == state[:2] == want

@@ -33,13 +33,14 @@ from rotamap.engine import (
     LONG_PERIOD,
     _bounded_relators,
     _cyclic_labels,
-    _cyclic_subgroup,
     _enumerate_cosets,
+    _facet_labels,
+    _lift,
     _short_period,
     _verified_group,
 )
 from oracle import felsch_table, hlt_reference, naive_normal_closure, naive_subgroup_closure, word_bfs_closure
-from test_engine import early_stop, enumeration_outcome
+from test_engine import _over_trivial, early_stop, enumeration_outcome
 from test_queries import rot333
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -332,7 +333,7 @@ def test_enumeration_matches_hlt_reference(p):
     # the same raw table, or the same cap error on the infinite ones; the
     # collapsing ones run the rescan after a coincidence
     cap = 5_000
-    assert enumeration_outcome(_enumerate_cosets, p, cap) == enumeration_outcome(hlt_reference, p, cap)
+    assert enumeration_outcome(_over_trivial, p, cap) == enumeration_outcome(hlt_reference, p, cap)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -345,7 +346,8 @@ def test_early_stop_returns_the_full_loop_state(p):
     # loop's
     cap = 5_000
     relators = _bounded_relators(p, cap)
-    for h in (None, _cyclic_labels(_cyclic_subgroup(relators))):
+    trivial = _cyclic_labels(())
+    for h in (trivial, _cyclic_labels(relators)):
         try:
             state, calls = early_stop(p, h, cap)
         except CapExceededError:
@@ -356,10 +358,58 @@ def test_early_stop_returns_the_full_loop_state(p):
         full = _enumerate_cosets(2 * p.ngens, relators, cap, h)
         assert calls[0][0] == state[:2] == full[:2]
         assert calls[0][2] == state[3] == full[3]
-        if h is None:
+        if h is trivial:
             assert full[:2] == hlt_reference(2 * p.ngens, relators, cap)
         else:
             assert enumerate_group(p, cap).table == _verified_group(p, cap, full).table
+
+
+# finite triangle groups (l, m, n): x0^l, x1^m and (x0 x1)^n present one
+# of order at most 2 * 12 = 24 or 60, below FACET_ORDER
+_TRIANGLES = [(2, 3, 3), (2, 3, 4), (2, 3, 5)] + [(2, 2, n) for n in range(2, 13)]
+
+
+@st.composite
+def facet_presentations(draw):
+    """<x0, x1, x2 | x0^l, x1^m, (x0 x1)^n, x2^k, w1, ...>: (l, m, n) a
+    finite triangle group in some order, k from 2 to 4 and one to three
+    random relators over all three generators.  So L, the group of the
+    relators in x0 and x1, is finite and small, and ``enumerate_group``
+    enumerates over the facet subgroup <x0, x1>.  Some of these groups
+    are infinite."""
+    x0, x1, x2 = (Word.gen(i) for i in range(3))
+    l, m, n = draw(st.permutations(draw(st.sampled_from(_TRIANGLES))))
+    relators = [x0 ** l, x1 ** m, (x0 * x1) ** n, x2 ** draw(st.integers(2, 4))]
+    relators += draw(st.lists(_words(3, reduced=True), min_size=1, max_size=3))
+    return Presentation.build(["x0", "x1", "x2"], relators)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(facet_presentations())
+def test_facet_labels_give_the_trivial_subgroup_table(p):
+    # enumerate_group's table is the one lifted over the trivial
+    # subgroup, or both exceed the cap; where the early check passed
+    # over the facet labels, it was handed the state of the full loop
+    cap = 2_000
+    relators = _bounded_relators(p, cap)
+    h = _facet_labels(p)
+    assert h is not None
+    try:
+        table = enumerate_group(p, cap).table.cols
+    except CapExceededError:
+        table = None
+    try:
+        trivial = _lift(*_over_trivial(2 * p.ngens, relators, cap))[0]
+    except CapExceededError:
+        trivial = None
+    assert table == trivial
+    if table is None:
+        return
+    state, calls = early_stop(p, h, cap)
+    if calls and calls[0][-1]:
+        full = _enumerate_cosets(2 * p.ngens, relators, cap, h)
+        assert calls[0][0] == state[:2] == full[:2]
+        assert calls[0][2] == state[3] == full[3]
 
 
 _STANDARD_FORM_CASES = (

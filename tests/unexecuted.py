@@ -13,20 +13,29 @@ child process, such as the CLI tests run through ``subprocess``.
 
 The tracer slows the suite several times over, so wall-clock bounds in
 the tests may fail; the script exits 0 whatever the tests do, since the
-suite's own run is the gate.  Run by hand from the repo root:
+suite's own run is the gate.  Run from the repo root:
 
     python3 tests/unexecuted.py                      # the whole suite
     python3 tests/unexecuted.py tests/test_cli.py    # pytest arguments
+    python3 tests/unexecuted.py --expect tests/unexecuted.txt
 
 The default arguments print each failure on one line (``--tb=line``),
 so a bound missed under the tracer does not bury the listing.
+
+``--expect FILE``, given first, makes the listing a ratchet: FILE holds
+the statements allowed never to run, one a line as ``module: first
+line`` (blank lines and ``#`` comments aside), keyed by text and not by
+line number, so that an edit elsewhere in a module does not move them.
+The script exits 1 if a statement not in FILE never ran, and prints
+each statement in FILE that now runs, so that FILE only shrinks.
 """
 
 import ast
 import os
 import sys
 import threading
-from collections import defaultdict
+from collections import Counter, defaultdict
+from pathlib import Path
 
 from code_size import SRC, docstring_lines
 
@@ -103,17 +112,45 @@ def trace_suite(args) -> dict:
     return hits
 
 
+def keys(module: str, missed: list) -> list:
+    """The ``module: first line`` key of each statement of ``missed``,
+    as ``unexecuted`` lists them."""
+    return [f"{module}: {text}" for _, _, text in missed]
+
+
+def ratchet(listed: list, expected: list) -> int:
+    """Compare the keys of the statements never run, ``listed``, with
+    those allowed never to run, ``expected``, counting repeats.  Prints
+    the expected ones that now run and the listed ones not expected;
+    returns 1 if there is one of the latter, else 0."""
+    new = Counter(listed) - Counter(expected)
+    for key in (Counter(expected) - Counter(listed)).elements():
+        print(f"now run, drop it from the list: {key}")
+    for key in new.elements():
+        print(f"never run, and not on the list: {key}")
+    return 1 if new else 0
+
+
 def main(argv) -> int:
+    expect = None
+    if argv[:1] == ["--expect"]:
+        expect = Path(argv[1]).resolve()
+        argv = argv[2:]
     os.chdir(ROOT)
     hits = trace_suite(["-p", "no:cacheprovider", *(argv or ["-q", "--tb=line", "--continue-on-collection-errors"])])
     print("\nstatements never run, per module of src/rotamap:")
+    listed = []
     for path in sorted(SRC.glob("*.py")):
         missed = unexecuted(path.read_text(encoding="utf-8"), hits.get(str(path), set()))
         print(f"{path.name}: {len(missed)}")
         for first, last, text in missed:
             span = f"{first}" if first == last else f"{first}-{last}"
             print(f"  {span:>9}  {text}")
-    return 0
+        listed += keys(path.name, missed)
+    if expect is None:
+        return 0
+    lines = expect.read_text(encoding="utf-8").splitlines()
+    return ratchet(listed, [line for line in lines if line.strip() and not line.startswith("#")])
 
 
 if __name__ == "__main__":
